@@ -100,13 +100,14 @@ void BM_StableSetResolution(benchmark::State& state) {
   const web::PageModel page = web::generate_page(42, 7, web::PageClass::News);
   // Fresh resolver and crawl time per iteration: the resolver memoizes
   // crawl intersections, so a fixed (resolver, now) pair would measure one
-  // map lookup instead of the resolution itself.
+  // map lookup instead of the resolution itself. The stable set is then
+  // realized as URL strings, as a caller that lists it does.
   sim::Time now = sim::days(45);
   for (auto _ : state) {
     core::OfflineResolver resolver(page, {});
     now += sim::hours(1);
-    benchmark::DoNotOptimize(
-        &resolver.stable_set(now, web::nexus6(), page.first_party(), 1));
+    benchmark::DoNotOptimize(core::stable_urls(
+        page, resolver.stable_set(now, web::nexus6(), page.first_party(), 1)));
   }
 }
 BENCHMARK(BM_StableSetResolution);

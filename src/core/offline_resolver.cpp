@@ -1,12 +1,27 @@
 #include "core/offline_resolver.h"
 
-#include <algorithm>
-#include <set>
 #include <utility>
 
 #include "sim/random.h"
+#include "web/url.h"
 
 namespace vroom::core {
+
+std::string slot_url(const web::PageModel& model, std::uint32_t id,
+                     const SlotKey& key) {
+  const web::Resource& r = model.resource(id);
+  return web::make_url(r.domain, r.effective_page_id(model.page_id()), r.id,
+                       key.version, key.user, web::type_ext(r.type));
+}
+
+std::map<std::uint32_t, std::string> stable_urls(const web::PageModel& model,
+                                                 const StableSet& stable) {
+  std::map<std::uint32_t, std::string> out;
+  for (std::uint32_t id = 0; id < stable.size(); ++id) {
+    if (stable[id]) out.emplace(id, slot_url(model, id, *stable[id]));
+  }
+  return out;
+}
 
 bool org_knows_user(const web::PageModel& model,
                     const std::string& serving_domain,
@@ -27,25 +42,41 @@ std::string OfflineResolver::cookie_view_sig(const std::string& serving_domain,
   return serving_domain;
 }
 
-std::map<std::uint32_t, std::string> OfflineResolver::single_load_urls(
-    sim::Time when, const web::DeviceProfile& device,
-    const std::string& serving_domain, std::uint32_t user,
-    std::uint64_t nonce) const {
-  std::map<std::uint32_t, std::string> out;
+std::vector<std::uint32_t> OfflineResolver::slot_users(
+    const std::string& serving_domain, std::uint32_t user) const {
+  std::vector<std::uint32_t> users(model_->size(), 0);
+  if (user == 0) return users;
   for (const web::Resource& r : model_->resources()) {
-    web::LoadIdentity id;
-    id.wall_time = when;
-    id.device = device;
-    id.nonce = nonce;
-    // The crawler carries the client's cookie only for domains the serving
-    // organization controls; everything else loads as a generic user.
-    id.user = org_knows_user(*model_, serving_domain, r.domain) ? user : 0;
-    out.emplace(r.id, web::realize_url(*model_, r, id));
+    if (r.volatility == web::Volatility::Personalized &&
+        org_knows_user(*model_, serving_domain, r.domain)) {
+      users[r.id] = user;
+    }
+  }
+  return users;
+}
+
+Crawl OfflineResolver::crawl(sim::Time when, const web::DeviceProfile& device,
+                             const std::vector<std::uint32_t>& users,
+                             std::uint64_t nonce) const {
+  web::LoadIdentity id;
+  id.wall_time = when;
+  id.device = device;
+  id.nonce = nonce;
+  Crawl out;
+  out.reserve(model_->size());
+  for (const web::Resource& r : model_->resources()) {
+    out.push_back({web::realized_version(r, id), users[r.id]});
   }
   return out;
 }
 
-const std::map<std::uint32_t, std::string>& OfflineResolver::crawl_intersection(
+Crawl OfflineResolver::crawl(sim::Time when, const web::DeviceProfile& device,
+                             const std::string& serving_domain,
+                             std::uint32_t user, std::uint64_t nonce) const {
+  return crawl(when, device, slot_users(serving_domain, user), nonce);
+}
+
+const StableSet& OfflineResolver::crawl_intersection(
     sim::Time now, const web::DeviceProfile& crawl_dev,
     const std::string& serving_domain, std::uint32_t user) const {
   const IntersectKey key{now, dev_key(crawl_dev),
@@ -53,24 +84,20 @@ const std::map<std::uint32_t, std::string>& OfflineResolver::crawl_intersection(
   auto cached = intersect_cache_.find(key);
   if (cached != intersect_cache_.end()) return cached->second;
 
-  std::map<std::uint32_t, std::string> stable;
+  const std::vector<std::uint32_t> users = slot_users(serving_domain, user);
+  StableSet stable(model_->size());
   for (int i = 1; i <= config_.loads; ++i) {
     const sim::Time when = now - static_cast<sim::Time>(i) * config_.spacing;
     const std::uint64_t nonce =
         sim::derive_seed(static_cast<std::uint64_t>(when) ^ model_->page_id(),
                          "offline-crawl");
-    auto load = single_load_urls(when, crawl_dev, serving_domain, user, nonce);
+    const Crawl load = crawl(when, crawl_dev, users, nonce);
     if (i == 1) {
-      stable = std::move(load);
+      stable.assign(load.begin(), load.end());
       continue;
     }
-    for (auto it = stable.begin(); it != stable.end();) {
-      auto found = load.find(it->first);
-      if (found == load.end() || found->second != it->second) {
-        it = stable.erase(it);
-      } else {
-        ++it;
-      }
+    for (std::size_t s = 0; s < stable.size(); ++s) {
+      if (stable[s] && *stable[s] != load[s]) stable[s].reset();
     }
   }
   return intersect_cache_.emplace(key, std::move(stable)).first->second;
@@ -82,14 +109,17 @@ double OfflineResolver::device_iou(sim::Time now, const web::DeviceProfile& a,
   auto cached = iou_cache_.find(key);
   if (cached != iou_cache_.end()) return cached->second;
 
-  const auto& sa = crawl_intersection(now, a, model_->first_party(), 0);
-  const auto& sb = crawl_intersection(now, b, model_->first_party(), 0);
-  std::set<std::string> ua, ub;
-  for (const auto& [id, url] : sa) ua.insert(url);
-  for (const auto& [id, url] : sb) ub.insert(url);
-  std::size_t inter = 0;
-  for (const auto& u : ua) inter += ub.count(u);
-  const std::size_t uni = ua.size() + ub.size() - inter;
+  // Slot keys stand in for URLs (see the header): equal keys of one slot are
+  // one shared URL, and a URL never recurs under another slot.
+  const StableSet& sa = crawl_intersection(now, a, model_->first_party(), 0);
+  const StableSet& sb = crawl_intersection(now, b, model_->first_party(), 0);
+  std::size_t na = 0, nb = 0, inter = 0;
+  for (std::size_t s = 0; s < sa.size(); ++s) {
+    na += sa[s].has_value();
+    nb += sb[s].has_value();
+    inter += sa[s].has_value() && sa[s] == sb[s];
+  }
+  const std::size_t uni = na + nb - inter;
   const double iou =
       uni == 0 ? 1.0 : static_cast<double>(inter) / static_cast<double>(uni);
   iou_cache_.emplace(key, iou);
@@ -142,7 +172,7 @@ const web::DeviceProfile& OfflineResolver::crawl_device(
   return config_.known_devices.front();
 }
 
-const std::map<std::uint32_t, std::string>& OfflineResolver::stable_set(
+const StableSet& OfflineResolver::stable_set(
     sim::Time now, const web::DeviceProfile& client_device,
     const std::string& serving_domain, std::uint32_t user) const {
   const web::DeviceProfile& dev = crawl_device(now, client_device);

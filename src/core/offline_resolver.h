@@ -7,6 +7,18 @@
 // personalized content. Device-type customization is handled with
 // equivalence classes so the server need not crawl with every handset model.
 //
+// Crawls are compared on slot keys, not URL strings. A crawl is a dense
+// vector indexed by template id; each entry is the slot's realized version
+// (web::realized_version) and the personalized user its URL carries. The
+// URL is web::make_url's `<domain>/p<page>/r<id>v<version>[u<user>].<ext>`:
+// domain, page and extension are fixed per slot, the id is in the URL, and
+// the grammar parses back uniquely (parse_url). So two realizations of one
+// slot share a URL exactly when their keys are equal, and two distinct slots
+// never share a URL. Intersections, device IoU scores and the clusters built
+// on them are therefore the same as on strings. URL strings are made
+// (slot_url) only for slots that leave the resolver: the advice of
+// resolve_candidates, and callers that list a stable set (stable_urls).
+//
 // Resolution is pure: the stable set is a function of (crawl time, crawl
 // device, the serving organization's cookie view, user). A resolver
 // memoizes each distinct combination, so the many advise() calls of one
@@ -17,6 +29,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -42,6 +55,28 @@ struct OfflineConfig {
   std::vector<web::DeviceProfile> known_devices = web::all_devices();
 };
 
+// What a crawl saw of one slot: the URL's version and user components.
+struct SlotKey {
+  std::uint64_t version = 0;  // web::realized_version
+  std::uint32_t user = 0;     // non-zero only for a personalized slot
+  bool operator==(const SlotKey&) const = default;
+};
+
+// One crawl: every slot's key, indexed by template id.
+using Crawl = std::vector<SlotKey>;
+
+// Indexed by template id: the key every recent crawl agreed on, or nullopt
+// for a slot that changed between them.
+using StableSet = std::vector<std::optional<SlotKey>>;
+
+// The URL slot `id` of `model` realizes to under `key`.
+std::string slot_url(const web::PageModel& model, std::uint32_t id,
+                     const SlotKey& key);
+
+// The URL of every slot in `stable`, by template id.
+std::map<std::uint32_t, std::string> stable_urls(const web::PageModel& model,
+                                                 const StableSet& stable);
+
 // Whether `serving_domain` holds the user's cookie state for resources of
 // `resource_domain` (same organization).
 bool org_knows_user(const web::PageModel& model,
@@ -53,13 +88,13 @@ class OfflineResolver {
   OfflineResolver(const web::PageModel& model, OfflineConfig config);
 
   // Stable set as of `now`, from the perspective of `serving_domain` holding
-  // `user`'s cookie for its own organization only. Keys are template ids;
-  // values the URL consistently observed across the recent crawls. The
-  // returned reference points into the resolver's cache and stays valid for
-  // the resolver's lifetime.
-  const std::map<std::uint32_t, std::string>& stable_set(
-      sim::Time now, const web::DeviceProfile& client_device,
-      const std::string& serving_domain, std::uint32_t user) const;
+  // `user`'s cookie for its own organization only. The returned reference
+  // points into the resolver's cache and stays valid for the resolver's
+  // lifetime.
+  const StableSet& stable_set(sim::Time now,
+                              const web::DeviceProfile& client_device,
+                              const std::string& serving_domain,
+                              std::uint32_t user) const;
 
   // Crawl device chosen for a client device under the configured handling.
   const web::DeviceProfile& crawl_device(
@@ -69,19 +104,30 @@ class OfflineResolver {
   double device_iou(sim::Time now, const web::DeviceProfile& a,
                     const web::DeviceProfile& b) const;
 
-  // All URLs observed in one crawl at `when` (the Figure 17 baseline:
-  // "dependencies = everything seen in a prior load").
-  std::map<std::uint32_t, std::string> single_load_urls(
-      sim::Time when, const web::DeviceProfile& device,
-      const std::string& serving_domain, std::uint32_t user,
-      std::uint64_t nonce) const;
+  // One load of the page at `when` by `serving_domain` with `user`'s cookie
+  // (the Figure 17 baseline: "dependencies = everything seen in a prior
+  // load"; also the server-side load of online-only resolution).
+  Crawl crawl(sim::Time when, const web::DeviceProfile& device,
+              const std::string& serving_domain, std::uint32_t user,
+              std::uint64_t nonce) const;
 
   const OfflineConfig& config() const { return config_; }
 
  private:
-  const std::map<std::uint32_t, std::string>& crawl_intersection(
-      sim::Time now, const web::DeviceProfile& crawl_dev,
-      const std::string& serving_domain, std::uint32_t user) const;
+  // The user each slot's URL carries in a crawl by `serving_domain`: the
+  // crawler sends `user`'s cookie only to domains the serving organization
+  // controls, and only personalized slots put the user in the URL.
+  std::vector<std::uint32_t> slot_users(const std::string& serving_domain,
+                                        std::uint32_t user) const;
+
+  Crawl crawl(sim::Time when, const web::DeviceProfile& device,
+              const std::vector<std::uint32_t>& users,
+              std::uint64_t nonce) const;
+
+  const StableSet& crawl_intersection(sim::Time now,
+                                      const web::DeviceProfile& crawl_dev,
+                                      const std::string& serving_domain,
+                                      std::uint32_t user) const;
 
   // Collapses serving_domain to what the crawl outcome actually depends on:
   // with no user cookie the domain is irrelevant; every first-party-org
@@ -99,8 +145,7 @@ class OfflineResolver {
     return {d.name, d.screen, d.dpi, d.width};
   }
   using IntersectKey = std::tuple<sim::Time, DevKey, std::string, std::uint32_t>;
-  mutable std::map<IntersectKey, std::map<std::uint32_t, std::string>>
-      intersect_cache_;
+  mutable std::map<IntersectKey, StableSet> intersect_cache_;
   mutable std::map<std::tuple<sim::Time, DevKey, DevKey>, double> iou_cache_;
   // Greedy clustering outcome per crawl time: index of each known device's
   // class representative.

@@ -14,9 +14,11 @@ std::map<std::uint32_t, std::string> shared_stable_set(
     const std::string& serving_domain, std::uint32_t user,
     const OfflineConfig& config) {
   OfflineResolver resolver(crawled, config);
-  auto stable = resolver.stable_set(now, device, serving_domain, user);
+  const StableSet& stable =
+      resolver.stable_set(now, device, serving_domain, user);
   std::map<std::uint32_t, std::string> out;
-  for (const auto& [rid, url] : stable) {
+  for (std::uint32_t rid = 0; rid < stable.size(); ++rid) {
+    if (!stable[rid]) continue;
     const web::Resource& r = crawled.resource(rid);
     if (r.url_page_override == web::Resource::kNoPageOverride) continue;
     // Shared slots occupy the same ids on every sibling; verify the target
@@ -24,7 +26,7 @@ std::map<std::uint32_t, std::string> shared_stable_set(
     if (rid >= target.size()) continue;
     const web::Resource& t = target.resource(rid);
     if (t.url_page_override != r.url_page_override) continue;
-    out.emplace(rid, url);
+    out.emplace(rid, slot_url(crawled, rid, *stable[rid]));
   }
   return out;
 }
@@ -73,9 +75,8 @@ TypeSharingSample measure_type_sharing(const web::PageModel& target,
   };
 
   OfflineResolver own(target, config);
-  const auto own_stable =
-      own.stable_set(when, device, target.first_party(), user);
-  s.fn_per_page_crawl = fn_of(own_stable);
+  s.fn_per_page_crawl = fn_of(stable_urls(
+      target, own.stable_set(when, device, target.first_party(), user)));
 
   const auto shared = shared_stable_set(target, crawled_sibling, when, device,
                                         target.first_party(), user, config);

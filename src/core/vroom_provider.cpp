@@ -3,7 +3,6 @@
 #include <map>
 
 #include "sim/random.h"
-#include "web/url.h"
 
 namespace vroom::core {
 
@@ -33,15 +32,15 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
   // embedded HTML documents (§4.2).
   const std::vector<std::uint32_t> scope = model.hintable_descendants(doc_id);
 
+  // URL strings are made here, for the scope's slots only.
   std::map<std::uint32_t, std::string> by_id;
   switch (mode) {
     case ResolutionMode::OfflinePlusOnline:
     case ResolutionMode::OfflineOnly: {
-      const auto& stable =
+      const StableSet& stable =
           offline.stable_set(crawl_now, device, serving_domain, user);
       for (std::uint32_t id : scope) {
-        auto it = stable.find(id);
-        if (it != stable.end()) by_id.emplace(id, it->second);
+        if (stable[id]) by_id.emplace(id, slot_url(model, id, *stable[id]));
       }
       if (mode == ResolutionMode::OfflinePlusOnline) {
         // Exact URLs from the served markup win over (possibly stale)
@@ -51,33 +50,26 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
       }
       break;
     }
-    case ResolutionMode::OnlineOnly: {
-      // Full page load at the server, right now: current time and device,
-      // but the *server's* load nonce and only its own cookies.
-      const std::uint64_t server_nonce = sim::derive_seed(
-          served.identity().nonce ^ 0x5eedf00dULL, "server-online-load");
-      web::LoadIdentity id;
-      id.wall_time = now;
-      id.device = device;
-      id.nonce = server_nonce;
-      for (std::uint32_t rid : scope) {
-        const web::Resource& r = model.resource(rid);
-        id.user = org_knows_user(model, serving_domain, r.domain) ? user : 0;
-        by_id.emplace(rid, web::realize_url(model, r, id));
-      }
-      break;
-    }
+    case ResolutionMode::OnlineOnly:
     case ResolutionMode::PreviousLoad: {
-      // Everything seen in a single crawl within the past hour, per-load
-      // churn included.
-      const sim::Time when = now - sim::minutes(55);
-      const std::uint64_t nonce = sim::derive_seed(
-          static_cast<std::uint64_t>(when) ^ model.page_id(), "prev-load");
-      auto prev = offline.single_load_urls(when, device, serving_domain, user,
-                                           nonce);
+      sim::Time when = now;
+      std::uint64_t nonce = 0;
+      if (mode == ResolutionMode::OnlineOnly) {
+        // Full page load at the server, right now: current time and device,
+        // but the *server's* load nonce and only its own cookies.
+        nonce = sim::derive_seed(served.identity().nonce ^ 0x5eedf00dULL,
+                                 "server-online-load");
+      } else {
+        // Everything seen in a single crawl within the past hour, per-load
+        // churn included.
+        when = now - sim::minutes(55);
+        nonce = sim::derive_seed(
+            static_cast<std::uint64_t>(when) ^ model.page_id(), "prev-load");
+      }
+      const Crawl load =
+          offline.crawl(when, device, serving_domain, user, nonce);
       for (std::uint32_t id : scope) {
-        auto it = prev.find(id);
-        if (it != prev.end()) by_id.emplace(id, it->second);
+        by_id.emplace(id, slot_url(model, id, load[id]));
       }
       break;
     }
@@ -87,7 +79,7 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
   ordered.reserve(by_id.size());
   for (std::uint32_t id : scope) {  // scope is already in processing order
     auto it = by_id.find(id);
-    if (it != by_id.end()) ordered.emplace_back(id, it->second);
+    if (it != by_id.end()) ordered.emplace_back(id, std::move(it->second));
   }
   return ordered;
 }

@@ -1,6 +1,7 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 
@@ -42,10 +43,7 @@ browser::LoadResult run_page_load(const web::PageModel& page,
   // resets; consecutive loads on a worker then rebuild their world inside
   // the chunks this load grew (DESIGN.md §13).
   sim::PooledArena arena;
-  const net::NetworkConfig ncfg =
-      strategy.local_network
-          ? net::NetworkConfig::local_usb()
-          : options.network.value_or(net::NetworkConfig::lte());
+  const net::NetworkConfig ncfg = effective_network(strategy, options);
   // Per-domain RTT draws depend only on (seed, page), so every strategy sees
   // the same network conditions for the same page. The XOR fold here can
   // alias two (seed, page) pairs onto one RTT stream, but unlike the load
@@ -153,14 +151,37 @@ browser::LoadResult run_page_load(const web::PageModel& page,
     result.trace_counters.assign(values.begin(), values.end());
     if (options.trace_sink) options.trace_sink(*recorder);
     if (trace_to_dir) {
-      // One file per load, named by job identity so any VROOM_JOBS worker
-      // assignment produces the same set of files.
-      recorder->write_json(trace_dir + "/trace_" + slugify(strategy.name) +
-                           "_p" + std::to_string(page.page_id()) + "_n" +
-                           std::to_string(nonce) + ".json");
+      // One file per load, named by the load's full identity: any VROOM_JOBS
+      // worker assignment produces the same set of files, and loads of one
+      // (strategy, page, nonce) on other devices or networks keep their own.
+      recorder->write_json(trace_dir + "/" +
+                           trace_file_name(strategy, page.page_id(), options,
+                                           nonce));
     }
   }
   return result;
+}
+
+net::NetworkConfig effective_network(const baselines::Strategy& strategy,
+                                     const RunOptions& options) {
+  return strategy.local_network
+             ? net::NetworkConfig::local_usb()
+             : options.network.value_or(net::NetworkConfig::lte());
+}
+
+std::string trace_file_name(const baselines::Strategy& strategy,
+                            std::uint32_t page_id, const RunOptions& options,
+                            std::uint64_t nonce) {
+  char net[9];
+  std::snprintf(net, sizeof net, "%08llx",
+                static_cast<unsigned long long>(
+                    sim::hash64(effective_network(strategy, options)
+                                    .fingerprint()) &
+                    0xffffffffULL));
+  return "trace_" + slugify(strategy.name) + "_p" + std::to_string(page_id) +
+         "_n" + std::to_string(nonce) + "_" + slugify(options.device.name) +
+         "_u" + std::to_string(options.user) + "_t" +
+         std::to_string(options.when) + "_net" + net + ".json";
 }
 
 std::uint64_t derive_load_nonce(std::uint64_t seed, std::uint32_t page_id,

@@ -48,6 +48,20 @@ browser::LoadResult run_page_load(const web::PageModel& page,
                                   const RunOptions& options,
                                   std::uint64_t nonce);
 
+// The network a load actually runs on: the CPU-bottleneck strategy
+// overrides the run's profile with the USB-tethered one.
+net::NetworkConfig effective_network(const baselines::Strategy& strategy,
+                                     const RunOptions& options);
+
+// Name of the Chrome-trace file VROOM_TRACE=<dir> gets for one load:
+// trace_<strategy>_p<page>_n<nonce>_<device>_u<user>_t<when>_net<digest>.json,
+// where <when> is the wall time in microseconds and <digest> 8 hex digits
+// of the effective network's fingerprint. Loads that differ in any of
+// these never share a file.
+std::string trace_file_name(const baselines::Strategy& strategy,
+                            std::uint32_t page_id, const RunOptions& options,
+                            std::uint64_t nonce);
+
 // The paper's per-page procedure: N loads, keep the median-PLT load.
 browser::LoadResult run_page_median(const web::PageModel& page,
                                     const baselines::Strategy& strategy,

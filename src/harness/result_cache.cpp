@@ -45,22 +45,8 @@ void count_cache_event(const char* which) {
   }
 }
 
-// Canonical text for the profiles folded into the key. Exhaustive field
-// lists: a knob that is not here would silently alias two different worlds.
-void append_network(std::ostringstream& os, const net::NetworkConfig& n) {
-  os << "net{down=" << n.downlink_bps << ";up=" << n.uplink_bps
-     << ";cell_rtt=" << n.cellular_rtt << ";dns=" << n.dns_lookup
-     << ";mss=" << n.mss_bytes << ";icwnd=" << n.init_cwnd_segments
-     << ";maxcwnd=" << n.max_cwnd_segments
-     << ";h2win=" << n.h2_stream_window_bytes
-     << ";tls_rtts=" << n.tls_handshake_rtts << ";think=" << n.server_think
-     << ";rtt_med=" << n.domain_rtt_median << ";rtt_sig=" << n.domain_rtt_sigma
-     << ";rtt_min=" << n.domain_rtt_min << ";rtt_max=" << n.domain_rtt_max
-     << ";loss=" << n.loss_rate << ";rto_min=" << n.rto_min
-     << ";rrc=" << n.radio_promotion << ";rrc_idle=" << n.radio_idle_timeout
-     << "}";
-}
-
+// Canonical text for the device folded into the key. Exhaustive field list:
+// a knob that is not here would silently alias two different worlds.
 void append_device(std::ostringstream& os, const web::DeviceProfile& d) {
   os << "dev{" << d.name << ';' << d.screen << ';' << d.dpi << ';' << d.width
      << ';' << d.cpu_scale << "}";
@@ -85,15 +71,8 @@ CacheKey result_cache_key(const baselines::Strategy& strategy,
   os.precision(std::numeric_limits<double>::max_digits10);
   os << "v" << kResultCacheSaltVersion << "|seed=" << options.seed
      << "|page=" << page_id << "|nonce=" << nonce << "|when=" << options.when
-     << "|user=" << options.user << "|timeout=" << options.timeout << "|";
-  // The network the load actually sees: the CPU-bottleneck strategy
-  // overrides the run's profile with the USB-tethered one.
-  const net::NetworkConfig effective =
-      strategy.local_network ? net::NetworkConfig::local_usb()
-                             : options.network.value_or(net::NetworkConfig::
-                                                            lte());
-  append_network(os, effective);
-  os << "|";
+     << "|user=" << options.user << "|timeout=" << options.timeout << "|"
+     << effective_network(strategy, options).fingerprint() << "|";
   append_device(os, options.device);
   os << "|" << strategy.fingerprint();
   return CacheKey(os.str());

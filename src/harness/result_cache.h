@@ -44,7 +44,7 @@ namespace vroom::harness {
 // Code-version salt folded into every cache key. Bump on ANY change that can
 // alter simulated results (browser model, network model, seed derivation,
 // LoadResult fields, ...) so stale entries miss instead of lying.
-inline constexpr int kResultCacheSaltVersion = 5;
+inline constexpr int kResultCacheSaltVersion = 6;
 
 // A cache key with its 64-bit content hash computed once at construction.
 // get() and put() both need the hash (it names the entry file); carrying it

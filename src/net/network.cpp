@@ -1,6 +1,8 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <limits>
+#include <sstream>
 
 namespace vroom::net {
 
@@ -42,6 +44,23 @@ NetworkConfig NetworkConfig::local_usb() {
   c.domain_rtt_min = sim::us(50);
   c.domain_rtt_max = sim::us(200);
   return c;
+}
+
+std::string NetworkConfig::fingerprint() const {
+  std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  os << "net{down=" << downlink_bps << ";up=" << uplink_bps
+     << ";cell_rtt=" << cellular_rtt << ";dns=" << dns_lookup
+     << ";mss=" << mss_bytes << ";icwnd=" << init_cwnd_segments
+     << ";maxcwnd=" << max_cwnd_segments
+     << ";h2win=" << h2_stream_window_bytes
+     << ";tls_rtts=" << tls_handshake_rtts << ";think=" << server_think
+     << ";rtt_med=" << domain_rtt_median << ";rtt_sig=" << domain_rtt_sigma
+     << ";rtt_min=" << domain_rtt_min << ";rtt_max=" << domain_rtt_max
+     << ";loss=" << loss_rate << ";rto_min=" << rto_min
+     << ";rrc=" << radio_promotion << ";rrc_idle=" << radio_idle_timeout
+     << "}";
+  return os.str();
 }
 
 Network::Network(sim::EventLoop& loop, NetworkConfig config,

@@ -65,6 +65,10 @@ struct NetworkConfig {
   // Zero-latency, (effectively) infinite-bandwidth profile for the
   // CPU-bottleneck lower bound of Figure 2.
   static NetworkConfig local_usb();
+
+  // Every field as canonical text, doubles at full precision. A field left
+  // out would alias two different networks, so the list is exhaustive.
+  std::string fingerprint() const;
 };
 
 class Network {

@@ -42,9 +42,7 @@ std::int64_t realized_size(const Resource& r, std::uint64_t version) {
   return s < 64 ? 64 : s;
 }
 
-namespace {
-
-std::uint64_t full_version_of(const Resource& r, const LoadIdentity& id) {
+std::uint64_t realized_version(const Resource& r, const LoadIdentity& id) {
   std::uint64_t version;
   if (r.volatility == Volatility::PerLoad) {
     // Unpredictable across back-to-back loads: version derives from the
@@ -63,11 +61,9 @@ std::uint64_t full_version_of(const Resource& r, const LoadIdentity& id) {
   return version * kDeviceVariantSpace + variant;
 }
 
-}  // namespace
-
 std::string realize_url(const PageModel& model, const Resource& r,
                         const LoadIdentity& id) {
-  const std::uint64_t full_version = full_version_of(r, id);
+  const std::uint64_t full_version = realized_version(r, id);
   const std::uint32_t user_part =
       r.volatility == Volatility::Personalized ? id.user : 0;
   return make_url(r.domain, r.effective_page_id(model.page_id()), r.id,
@@ -84,7 +80,7 @@ PageInstance::PageInstance(const PageModel& model, const LoadIdentity& id,
   resources_.reserve(model.size());
   template_by_url_.reserve(model.size());
   for (const Resource& r : model.resources()) {
-    const std::uint64_t full_version = full_version_of(r, id);
+    const std::uint64_t full_version = realized_version(r, id);
     InstanceResource ir;
     ir.template_id = r.id;
     ir.url_id = interner_.url_id(realize_url(model, r, id));

@@ -50,6 +50,12 @@ std::uint64_t rotation_version(const Resource& r, sim::Time wall_time);
 // Realized size: base size with deterministic per-version jitter.
 std::int64_t realized_size(const Resource& r, std::uint64_t version);
 
+// The version a slot's URL carries under an identity: the rotation version
+// (or, for PerLoad slots, one derived from the load nonce) with the device
+// variant in the low bits. It ignores `id.user`. Server-side offline
+// resolution compares crawls on this integer instead of on URL strings.
+std::uint64_t realized_version(const Resource& r, const LoadIdentity& id);
+
 // Realizes one slot's URL under an identity. Exposed so server-side offline
 // resolution can realize with the knowledge a *server* has (its own domain's
 // cookie, an emulated device, its own load nonce).

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/accuracy.h"
 #include "core/client_scheduler.h"
@@ -10,6 +14,7 @@
 #include "core/vroom_provider.h"
 #include "harness/experiment.h"
 #include "harness/stats.h"
+#include "sim/random.h"
 #include "web/page_generator.h"
 
 namespace vroom::core {
@@ -43,8 +48,9 @@ TEST_F(CoreTest, OrgKnowsUserOnlyWithinOrganization) {
 
 TEST_F(CoreTest, StableSetExcludesVolatileClasses) {
   OfflineResolver resolver(page_, off_);
-  auto stable = resolver.stable_set(id_.wall_time, id_.device,
-                                    page_.first_party(), id_.user);
+  const auto stable = stable_urls(
+      page_, resolver.stable_set(id_.wall_time, id_.device,
+                                 page_.first_party(), id_.user));
   EXPECT_FALSE(stable.empty());
   for (const auto& [rid, url] : stable) {
     const web::Resource& r = page_.resource(rid);
@@ -63,6 +69,215 @@ TEST_F(CoreTest, StableSetExcludesVolatileClasses) {
     }
   }
   EXPECT_GT(covered, stable_class * 8 / 10);
+}
+
+// The crawl, intersect and cluster steps of §4.1.2 on realized URL strings,
+// as web::realize_url writes them: the reference the slot-key resolver must
+// match exactly.
+struct StringResolver {
+  using Urls = std::map<std::uint32_t, std::string>;
+  using Candidates = std::vector<std::pair<std::uint32_t, std::string>>;
+
+  const web::PageModel& model;
+  OfflineConfig config;
+
+  Urls load(sim::Time when, const web::DeviceProfile& device,
+            const std::string& serving, std::uint32_t user,
+            std::uint64_t nonce) const {
+    Urls out;
+    for (const web::Resource& r : model.resources()) {
+      web::LoadIdentity id;
+      id.wall_time = when;
+      id.device = device;
+      id.nonce = nonce;
+      id.user = org_knows_user(model, serving, r.domain) ? user : 0;
+      out.emplace(r.id, web::realize_url(model, r, id));
+    }
+    return out;
+  }
+
+  Urls intersection(sim::Time now, const web::DeviceProfile& device,
+                    const std::string& serving, std::uint32_t user) const {
+    Urls stable;
+    for (int i = 1; i <= config.loads; ++i) {
+      const sim::Time when = now - i * config.spacing;
+      const Urls crawl = load(
+          when, device, serving, user,
+          sim::derive_seed(static_cast<std::uint64_t>(when) ^ model.page_id(),
+                           "offline-crawl"));
+      if (i == 1) {
+        stable = crawl;
+        continue;
+      }
+      std::erase_if(stable, [&](const auto& slot) {
+        const auto it = crawl.find(slot.first);
+        return it == crawl.end() || it->second != slot.second;
+      });
+    }
+    return stable;
+  }
+
+  double iou(sim::Time now, const web::DeviceProfile& a,
+             const web::DeviceProfile& b) const {
+    std::set<std::string> ua, ub;
+    for (const auto& [id, url] : intersection(now, a, model.first_party(), 0)) {
+      ua.insert(url);
+    }
+    for (const auto& [id, url] : intersection(now, b, model.first_party(), 0)) {
+      ub.insert(url);
+    }
+    std::size_t inter = 0;
+    for (const std::string& u : ua) inter += ub.count(u);
+    const std::size_t uni = ua.size() + ub.size() - inter;
+    return uni == 0 ? 1.0
+                    : static_cast<double>(inter) / static_cast<double>(uni);
+  }
+
+  // Index of each known device's class representative.
+  std::vector<std::size_t> classes(sim::Time now) const {
+    const auto& known = config.known_devices;
+    std::vector<std::size_t> rep_of(known.size()), reps;
+    for (std::size_t i = 0; i < known.size(); ++i) {
+      rep_of[i] = i;
+      for (std::size_t rep : reps) {
+        if (iou(now, known[i], known[rep]) >= config.iou_threshold) {
+          rep_of[i] = rep;
+          break;
+        }
+      }
+      if (rep_of[i] == i) reps.push_back(i);
+    }
+    return rep_of;
+  }
+
+  Candidates candidates(const web::PageInstance& served, std::uint32_t doc,
+                        const std::string& serving, std::uint32_t user,
+                        ResolutionMode mode,
+                        const web::DeviceProfile& crawl_dev) const {
+    const sim::Time now = served.identity().wall_time;
+    const web::DeviceProfile& device = served.identity().device;
+    Urls by_id;
+    switch (mode) {
+      case ResolutionMode::OfflinePlusOnline:
+      case ResolutionMode::OfflineOnly:
+        by_id = intersection(now, crawl_dev, serving, user);
+        if (mode == ResolutionMode::OfflinePlusOnline) {
+          for (const auto& [id, url] : analyze_served_html(served, doc).links) {
+            by_id[id] = url;
+          }
+        }
+        break;
+      case ResolutionMode::OnlineOnly:
+        by_id = load(now, device, serving, user,
+                     sim::derive_seed(served.identity().nonce ^ 0x5eedf00dULL,
+                                      "server-online-load"));
+        break;
+      case ResolutionMode::PreviousLoad: {
+        const sim::Time when = now - sim::minutes(55);
+        by_id = load(when, device, serving, user,
+                     sim::derive_seed(
+                         static_cast<std::uint64_t>(when) ^ model.page_id(),
+                         "prev-load"));
+        break;
+      }
+    }
+    Candidates ordered;
+    for (std::uint32_t id : model.hintable_descendants(doc)) {
+      const auto it = by_id.find(id);
+      if (it != by_id.end()) ordered.emplace_back(id, it->second);
+    }
+    return ordered;
+  }
+};
+
+// Slot keys are exact: over pages of every class, every known device, with
+// and without a user cookie, served by the first party, another domain of
+// its organization and a third party, at a crawl time on an hour boundary
+// and one off it, the resolver agrees with the string reference on stable
+// sets, IoU doubles, cluster representatives and ordered advice.
+TEST(OfflineResolverEquivalence, SlotKeysMatchStringReference) {
+  const std::vector<web::PageModel> pages = {
+      web::generate_page(42, 7, web::PageClass::News),
+      web::generate_page(42, 3, web::PageClass::Sports),
+      web::generate_page(42, 11, web::PageClass::Top100),
+      web::generate_page(42, 5, web::PageClass::Mixed400)};
+  const sim::Time times[] = {sim::days(45),
+                             sim::days(45) + sim::minutes(37) + sim::seconds(11)};
+  const ResolutionMode modes[] = {
+      ResolutionMode::OfflinePlusOnline, ResolutionMode::OfflineOnly,
+      ResolutionMode::OnlineOnly, ResolutionMode::PreviousLoad};
+  const std::vector<web::DeviceProfile> devices = web::all_devices();
+  const OfflineConfig config;
+  int personalized_urls = 0;
+  for (const web::PageModel& page : pages) {
+    ASSERT_GT(page.first_party_group().size(), 1u);
+    // A third party, preferably one that personalizes a slot of its own.
+    std::string third_party;
+    for (const web::Resource& r : page.resources()) {
+      if (page.is_first_party_org(r.domain)) continue;
+      if (third_party.empty() ||
+          r.volatility == web::Volatility::Personalized) {
+        third_party = r.domain;
+        if (r.volatility == web::Volatility::Personalized) break;
+      }
+    }
+    ASSERT_FALSE(third_party.empty());
+    const std::string domains[] = {page.first_party(),
+                                   page.first_party_group()[1], third_party};
+    std::vector<std::uint32_t> docs = {0};
+    for (const web::Resource& r : page.resources()) {
+      if (r.is_iframe_doc) {
+        docs.push_back(r.id);
+        break;
+      }
+    }
+    const StringResolver ref{page, config};
+    for (const sim::Time now : times) {
+      const OfflineResolver resolver(page, config);
+      const std::vector<std::size_t> rep_of = ref.classes(now);
+      for (std::size_t d = 0; d < devices.size(); ++d) {
+        const web::DeviceProfile& device = devices[d];
+        for (const web::DeviceProfile& other : devices) {
+          EXPECT_EQ(resolver.device_iou(now, device, other),
+                    ref.iou(now, device, other))
+              << device.name << " vs " << other.name;
+        }
+        const web::DeviceProfile& crawl_dev = config.known_devices[rep_of[d]];
+        EXPECT_EQ(resolver.crawl_device(now, device).name, crawl_dev.name);
+        for (const std::uint32_t user : {0u, 1u}) {
+          web::LoadIdentity id;
+          id.wall_time = now;
+          id.device = device;
+          id.user = user;
+          id.nonce = 11;
+          const web::PageInstance served(page, id);
+          for (const std::string& domain : domains) {
+            SCOPED_TRACE(page.first_party() + " " + device.name + " user " +
+                         std::to_string(user) + " via " + domain + " at " +
+                         std::to_string(now));
+            EXPECT_EQ(
+                stable_urls(page,
+                            resolver.stable_set(now, device, domain, user)),
+                ref.intersection(now, crawl_dev, domain, user));
+            for (const std::uint32_t doc : docs) {
+              for (const ResolutionMode mode : modes) {
+                const auto got = resolve_candidates(served, doc, domain, user,
+                                                    mode, resolver);
+                EXPECT_EQ(got, ref.candidates(served, doc, domain, user, mode,
+                                              crawl_dev))
+                    << resolution_mode_name(mode) << " doc " << doc;
+                for (const auto& [rid, url] : got) {
+                  personalized_urls += url.find("u1.") != std::string::npos;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The user component of slot keys was exercised, not only the version.
+  EXPECT_GT(personalized_urls, 0);
 }
 
 TEST_F(CoreTest, DeviceIouHigherForSimilarDevices) {

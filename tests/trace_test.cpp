@@ -5,6 +5,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -20,7 +21,6 @@
 #include "fleet/fleet.h"
 #include "harness/env.h"
 #include "harness/experiment.h"
-#include "harness/export.h"
 #include "scoped_env.h"
 #include "sim/random.h"
 #include "trace/waterfall.h"
@@ -338,17 +338,16 @@ TEST(Trace, IdenticalSeedsGiveByteIdenticalTracesAtAnyJobCount) {
     fleet::run_corpus(corpus, baselines::vroom(), opt, parallel);
   }
 
-  // Filenames derive from job identity (strategy, page, nonce), so the two
-  // sweeps must produce the same set of files with the same bytes.
-  const std::string slug = harness::slugify(baselines::vroom().name);
+  // Filenames derive from load identity, so the two sweeps must produce the
+  // same set of files with the same bytes.
   int compared = 0;
   for (const auto& page : corpus.pages()) {
     for (int load = 0; load < opt.loads_per_page; ++load) {
       const std::uint64_t nonce =
           harness::derive_load_nonce(opt.seed, page.page_id(), load);
-      const std::string name = "/trace_" + slug + "_p" +
-          std::to_string(page.page_id()) + "_n" + std::to_string(nonce) +
-          ".json";
+      const std::string name =
+          "/" + harness::trace_file_name(baselines::vroom(), page.page_id(),
+                                         opt, nonce);
       const std::string a = read_file(dir1 + name);
       const std::string b = read_file(dir4 + name);
       ASSERT_FALSE(a.empty()) << "missing trace: " << dir1 + name;
@@ -359,6 +358,45 @@ TEST(Trace, IdenticalSeedsGiveByteIdenticalTracesAtAnyJobCount) {
     }
   }
   EXPECT_EQ(compared, static_cast<int>(corpus.size()) * opt.loads_per_page);
+}
+
+// The deploy micro table runs one (strategy, page, nonce) on several
+// devices, and the network ablation on several networks: each such load
+// must keep its own trace file rather than overwrite a sibling's.
+TEST(Trace, LoadsDifferingOnlyInDeviceOrNetworkWriteSeparateFiles) {
+  const std::string dir = testing::TempDir() + "vroom_trace_identity";
+  std::filesystem::remove_all(dir);
+  ScopedEnv trace_env("VROOM_TRACE", dir.c_str());
+  const web::PageModel page = web::generate_page(42, 3, web::PageClass::News);
+  const baselines::Strategy strategy = baselines::vroom();
+  harness::RunOptions phone;
+  harness::RunOptions tablet = phone;
+  tablet.device = web::nexus10();
+  harness::RunOptions slow = phone;
+  slow.network = net::NetworkConfig::threeg();
+  const std::uint64_t nonce =
+      harness::derive_load_nonce(phone.seed, page.page_id(), 0);
+
+  const std::string phone_name =
+      harness::trace_file_name(strategy, page.page_id(), phone, nonce);
+  EXPECT_EQ(phone_name.rfind("trace_vroom_p3_n" + std::to_string(nonce) +
+                                 "_nexus6_u1_t" +
+                                 std::to_string(phone.when) + "_net",
+                             0),
+            0u)
+      << phone_name;
+  std::set<std::string> expected;
+  for (const harness::RunOptions& opt : {phone, tablet, slow}) {
+    harness::run_page_load(page, strategy, opt, nonce);
+    expected.insert(
+        harness::trace_file_name(strategy, page.page_id(), opt, nonce));
+  }
+  EXPECT_EQ(expected.size(), 3u);
+  std::set<std::string> written;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    written.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(written, expected);
 }
 
 TEST(Trace, WriteJsonCreatesDirectoriesAndReportsFailure) {
