@@ -54,16 +54,8 @@ inline std::vector<harness::CorpusResult> run_matrix(
   return bench::run_plan(plan);
 }
 
-inline harness::Series plt_series(const web::Corpus& corpus,
-                                  const baselines::Strategy& strategy,
-                                  const harness::RunOptions& opt) {
-  auto res = harness::run_corpus(corpus, strategy, opt);
-  return {strategy.name, res.plt_seconds()};
-}
-
 // Sweeps the whole strategy grid through one shared pool and returns one
-// PLT series per strategy, in grid order. Equivalent to (but faster than)
-// one plt_series call per strategy: no pool tail between strategies.
+// PLT series per strategy, in grid order: no pool tail between strategies.
 inline std::vector<harness::Series> plt_matrix(
     const web::Corpus& corpus,
     const std::vector<baselines::Strategy>& strategies,

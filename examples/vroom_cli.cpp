@@ -11,8 +11,8 @@
 // Examples:
 //   vroom_cli --class news --pages 25 --strategy vroom --strategy http2
 //   vroom_cli --network 3g --loss 0.01 --strategy vroom
-//   vroom_cli --dump-trace page.trace && vim page.trace && \
-//       vroom_cli --trace page.trace --strategy vroom --strategy http2
+//   vroom_cli --dump-trace page.trace && vim page.trace
+//   vroom_cli --trace page.trace --strategy vroom --strategy http2
 #include <cstdio>
 #include <cstring>
 #include <fstream>

@@ -41,7 +41,8 @@ struct Strategy {
   // protocol, server-aid provider config including the offline-resolver
   // parameters, scheduler, writer discipline, bound modes). Two strategies
   // with equal fingerprints produce bit-identical loads for the same (seed,
-  // page, nonce, device, network); the result cache keys on it.
+  // page, nonce, device, network); the fleet manifest records it per cell
+  // (cell.N.fingerprint).
   std::string fingerprint() const;
 };
 

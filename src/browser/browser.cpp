@@ -520,6 +520,10 @@ void Browser::on_doc_done(std::uint32_t doc_id) {
         start_document(*fs.template_id);
       }
     }
+    // after_processed() above checked onload while root_done_ was still
+    // false. Re-check now: when the root is the last onload-gating item,
+    // nothing else will.
+    maybe_finish();
   }
 }
 

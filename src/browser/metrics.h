@@ -85,9 +85,12 @@ struct LoadResult {
 double speed_index_ms(const std::vector<std::pair<sim::Time, double>>& paints);
 
 // Stable binary (de)serialization of a LoadResult — every field including
-// per-resource timings and trace_counters — for the on-disk result cache.
-// Fixed-width little-endian integers, doubles as IEEE-754 bit patterns,
-// length-prefixed strings; a leading format version guards evolution.
+// per-resource timings and trace_counters. The serialized bytes are the
+// digest input for checking that two builds simulate identically
+// (DESIGN.md §8); the deserializer exists so a round-trip test can prove
+// the format covers every field. Fixed-width little-endian integers,
+// doubles as IEEE-754 bit patterns, length-prefixed strings; a leading
+// format version guards evolution.
 // deserialize_load_result returns false (leaving *out unspecified) on any
 // truncation, trailing bytes, or version mismatch.
 std::string serialize_load_result(const LoadResult& r);

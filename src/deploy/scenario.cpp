@@ -17,7 +17,6 @@
 #include "core/accuracy.h"
 #include "fleet/fleet.h"
 #include "harness/env.h"
-#include "harness/result_cache.h"
 #include "harness/stats.h"
 #include "net/link.h"
 #include "obs/manifest.h"
@@ -32,11 +31,6 @@
 namespace vroom::deploy {
 
 namespace {
-
-[[noreturn]] void fatal(const std::string& message) {
-  std::fprintf(stderr, "[deploy] fatal: %s\n", message.c_str());
-  std::abort();
-}
 
 double monotonic_seconds() {
   return std::chrono::duration<double>(
@@ -140,17 +134,6 @@ int MicroTable::bucket_for(HintSource source, sim::Time staleness) const {
 DeploymentReport run_deployment(const web::Corpus& corpus,
                                 const ScenarioConfig& cfg) {
   const harness::Env env = harness::Env::from_environment();
-  if (env.shard.has_value() || !env.shard_dir.empty()) {
-    // Mirror fleet::run_plan's warm-cache refusal: sharding would split the
-    // embedded micro SweepPlan by cell while every shard process silently
-    // re-ran the whole warm column and macro passes — n copies of the
-    // expensive part and a merge that never sees them.
-    fatal("VROOM_SHARD/VROOM_SHARD_DIR are set, but the deployment "
-          "scenario cannot shard: only its micro SweepPlan would split "
-          "while the warm column and macro passes re-run whole in every "
-          "shard process. Unset them for deployment runs (shard the "
-          "figure sweeps instead; DESIGN.md §14)");
-  }
 
   DeploymentReport report;
   const int pages = static_cast<int>(corpus.size());
@@ -599,8 +582,6 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
                  static_cast<std::int64_t>(env.deploy_arrivals));
     manifest.set("env.deploy_window_hours",
                  static_cast<std::int64_t>(env.deploy_window_hours));
-    manifest.set("result_cache_salt_version",
-                 static_cast<std::int64_t>(harness::kResultCacheSaltVersion));
     manifest.set("digest.metrics_prom",
                  hex(obs::registry().digest(obs::Plane::Virtual)));
     manifest.set("digest.wall_sidecar_prom",

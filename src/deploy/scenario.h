@@ -157,9 +157,6 @@ struct DeploymentReport {
 // VROOM_DEPLOY_WINDOW_HOURS (override cfg.population.window) for quick
 // runs; the caller sizes the corpus (apply VROOM_BENCH_PAGES via
 // harness::effective_page_count when constructing it, as the example does).
-// Refuses VROOM_SHARD / VROOM_SHARD_DIR with a hard diagnostic: the
-// embedded micro SweepPlan would shard by cell while the warm column and
-// macro passes silently re-ran whole in every shard process.
 DeploymentReport run_deployment(const web::Corpus& corpus,
                                 const ScenarioConfig& cfg);
 

@@ -1,28 +1,19 @@
 #include "fleet/fleet.h"
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <memory>
 #include <optional>
-#include <sstream>
-#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "fleet/job_queue.h"
 #include "harness/env.h"
 #include "harness/export.h"
-#include "harness/result_cache.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/phase_profiler.h"
-#include "sim/random.h"
 
 namespace vroom::fleet {
 
@@ -62,12 +53,10 @@ class ProgressTicker {
     }
     const std::size_t done = telemetry_.jobs_completed();
     const std::size_t total = queue_.size();
-    const std::size_t cached = telemetry_.jobs_from_cache();
     const double elapsed = now - start_;
     const double rate =
         elapsed > 0 ? static_cast<double>(done) / elapsed : 0.0;
-    // ETA from the running rate; "--" until the first job lands. Cache hits
-    // make the estimate conservative (hits are faster than the average).
+    // ETA from the running rate; "--" until the first job lands.
     char eta[32];
     if (rate > 0 && done <= total) {
       const double left = static_cast<double>(total - done) / rate;
@@ -85,13 +74,8 @@ class ProgressTicker {
     // previous redraw.
     std::fprintf(stderr,
                  "\r[fleet] %zu/%zu jobs (%zu unclaimed), %.1f jobs/s, "
-                 "%.0f%% cached, ETA %s   ",
-                 done, total, queue_.remaining(), rate,
-                 done > 0
-                     ? 100.0 * static_cast<double>(cached) /
-                           static_cast<double>(done)
-                     : 0.0,
-                 eta);
+                 "ETA %s   ",
+                 done, total, queue_.remaining(), rate, eta);
     std::fflush(stderr);
     printed_ = true;
   }
@@ -115,33 +99,29 @@ class ProgressTicker {
   std::atomic<double> next_redraw_{0};
 };
 
-// One plan cell, compiled: page/load extents, the flat-grid slot offset,
-// the resolved display label, and whether the result cache may serve it.
+// One plan cell, compiled: page/load extents, the flat-grid slot offset and
+// the resolved display label.
 struct CompiledCell {
   int pages = 0;
   int loads = 0;
   std::size_t slot_offset = 0;
-  bool cacheable = false;
   std::string label;
 };
 
-// Per-job metric recording (DESIGN.md §12). Job totals, cache hits, and the
-// summed virtual time are commutative adds, so the virtual-plane export is
+// Per-job metric recording (DESIGN.md §12). Job totals and the summed
+// virtual time are commutative adds, so the virtual-plane export is
 // byte-identical at any VROOM_JOBS; the job wall-time distribution is
 // nondeterministic by nature and goes to the wall sidecar.
-void record_job_metrics(const browser::LoadResult& result, bool from_cache,
+void record_job_metrics(const browser::LoadResult& result,
                         double wall_seconds) {
   if (!obs::metrics_enabled()) return;
   static obs::Counter& completed =
       obs::registry().counter("fleet.jobs.completed");
-  static obs::Counter& cached =
-      obs::registry().counter("fleet.jobs.from_cache");
   static obs::Counter& virtual_us =
       obs::registry().counter("fleet.sim.virtual_us");
   static obs::Histogram& wall_us =
       obs::registry().histogram("fleet.jobs.wall_us", obs::Plane::Wall);
   completed.add();
-  if (from_cache) cached.add();
   virtual_us.add(result.plt);
   wall_us.record(static_cast<std::int64_t>(wall_seconds * 1e6));
 }
@@ -153,139 +133,7 @@ std::string hex_digest(std::uint64_t v) {
   return buf;
 }
 
-// Misconfiguration of the shard/merge protocol is never papered over: a
-// silently partial or mismatched sweep is worse than no sweep.
-[[noreturn]] void fatal(const std::string& message) {
-  std::fprintf(stderr, "[fleet] fatal: %s\n", message.c_str());
-  std::abort();
-}
-
-constexpr char kShardCellMagic[4] = {'V', 'S', 'C', '1'};
-
-void put_u32_le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t read_u32_le(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-// Atomic publish of one finished cell, mirroring ResultCache::put: write a
-// process-unique temp file, then rename() into place — a concurrent merge
-// (or a retried shard racing its predecessor) never sees a torn file.
-void publish_shard_cell(const std::string& dir, int cell_index,
-                        const std::string& payload) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string final_path = shard_cell_path(dir, cell_index);
-  const std::string tmp_path =
-      final_path + ".tmp-" + std::to_string(::getpid());
-  std::string bytes;
-  bytes.reserve(12 + payload.size());
-  bytes.append(kShardCellMagic, sizeof kShardCellMagic);
-  put_u32_le(bytes, static_cast<std::uint32_t>(
-                        harness::kResultCacheSaltVersion));
-  put_u32_le(bytes, static_cast<std::uint32_t>(cell_index));
-  bytes.append(payload);
-  {
-    std::ofstream f(tmp_path, std::ios::binary | std::ios::trunc);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!f.good()) {
-      std::filesystem::remove(tmp_path, ec);
-      fatal("could not write shard cell file \"" + tmp_path + '"');
-    }
-  }
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_path, ec);
-    fatal("could not publish shard cell file \"" + final_path + '"');
-  }
-}
-
 }  // namespace
-
-std::pair<int, int> shard_cell_range(int n_cells, const ShardSpec& shard) {
-  const long long n = n_cells;
-  return {static_cast<int>(n * shard.index / shard.count),
-          static_cast<int>(n * (shard.index + 1) / shard.count)};
-}
-
-std::string shard_cell_path(const std::string& dir, int cell_index) {
-  return dir + "/cell_" + std::to_string(cell_index) + ".vsc";
-}
-
-ShardMerge merge_shards(const SweepPlan& plan, const std::string& dir) {
-  ShardMerge out;
-  const int n_cells = static_cast<int>(plan.cells.size());
-  out.results.resize(static_cast<std::size_t>(n_cells));
-  out.cell_digests.assign(static_cast<std::size_t>(n_cells), 0);
-  for (int c = 0; c < n_cells; ++c) {
-    const SweepCell& cell = plan.cells[static_cast<std::size_t>(c)];
-    const std::string path = shard_cell_path(dir, c);
-    const auto fail = [&](const std::string& why) {
-      out.error = "shard cell file \"" + path + "\" (cell " +
-                  std::to_string(c) + " of " + std::to_string(n_cells) +
-                  "): " + why;
-      return out;
-    };
-    std::string bytes;
-    {
-      std::ifstream f(path, std::ios::binary);
-      if (!f.is_open()) {
-        return fail("missing — did every shard 0..N-1 of this plan finish "
-                    "into this VROOM_SHARD_DIR?");
-      }
-      std::ostringstream ss;
-      ss << f.rdbuf();
-      if (!f.good() && !f.eof()) return fail("unreadable");
-      bytes = std::move(ss).str();
-    }
-    if (bytes.size() < 12 ||
-        std::string_view(bytes.data(), 4) !=
-            std::string_view(kShardCellMagic, 4)) {
-      return fail("not a shard cell file (bad magic)");
-    }
-    const std::uint32_t salt = read_u32_le(bytes.data() + 4);
-    if (salt != static_cast<std::uint32_t>(harness::kResultCacheSaltVersion)) {
-      return fail("stale salt generation v" + std::to_string(salt) +
-                  " (current v" +
-                  std::to_string(harness::kResultCacheSaltVersion) +
-                  ") — re-run the shards");
-    }
-    const std::uint32_t index = read_u32_le(bytes.data() + 8);
-    if (index != static_cast<std::uint32_t>(c)) {
-      return fail("claims cell index " + std::to_string(index));
-    }
-    const std::string_view payload(bytes.data() + 12, bytes.size() - 12);
-    harness::CorpusResult result;
-    if (!harness::deserialize_corpus_result(payload, &result)) {
-      return fail("corrupt payload");
-    }
-    const std::string label =
-        cell.label.empty() ? cell.strategy.name : cell.label;
-    if (result.strategy != label) {
-      return fail("labelled \"" + result.strategy + "\", plan expects \"" +
-                  label + "\" — merging against a different plan?");
-    }
-    const int pages = harness::effective_page_count(
-        static_cast<int>(cell.corpus->size()));
-    if (static_cast<int>(result.loads.size()) != pages) {
-      return fail("holds " + std::to_string(result.loads.size()) +
-                  " page loads, plan expects " + std::to_string(pages) +
-                  " — VROOM_BENCH_PAGES differed between shard and merge?");
-    }
-    out.cell_digests[static_cast<std::size_t>(c)] = sim::hash64(payload);
-    out.results[static_cast<std::size_t>(c)] = std::move(result);
-  }
-  return out;
-}
 
 int resolve_worker_count(int requested, const harness::Env& env) {
   if (requested > 0) return requested;
@@ -342,7 +190,6 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   std::vector<CompiledCell> cells(static_cast<std::size_t>(n_cells));
   std::size_t total_jobs = 0;
   bool any_warm_cache = false;
-  bool any_cacheable = false;
   for (int c = 0; c < n_cells; ++c) {
     const SweepCell& cell = plan.cells[static_cast<std::size_t>(c)];
     CompiledCell& cc = cells[static_cast<std::size_t>(c)];
@@ -350,79 +197,16 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
         static_cast<int>(cell.corpus->size()));
     cc.loads = cell.options.loads_per_page;
     cc.slot_offset = total_jobs;
-    cc.cacheable = harness::result_cache_usable(cell.options, env);
     cc.label = cell.label.empty() ? cell.strategy.name : cell.label;
     total_jobs += static_cast<std::size_t>(cc.pages) *
                   static_cast<std::size_t>(cc.loads);
     any_warm_cache |= cell.options.cache != nullptr;
-    any_cacheable |= cc.cacheable;
-  }
-
-  // Execution mode (header comment): plain sweep, shard worker
-  // (VROOM_SHARD + VROOM_SHARD_DIR), or merge (VROOM_SHARD_DIR alone).
-  const bool shard_mode = env.shard.has_value();
-  const bool merge_mode = !shard_mode && !env.shard_dir.empty();
-  if ((shard_mode || merge_mode) && any_warm_cache) {
-    // A shared warm browser::Cache is mutated in cross-cell load order; a
-    // per-shard cache would silently diverge from the one-process sweep.
-    fatal("warm-cache cells depend on cross-cell load order and cannot be "
-          "sharded or merged; run this plan in one process");
-  }
-  if (shard_mode && env.shard_dir.empty()) {
-    fatal("VROOM_SHARD=" + std::to_string(env.shard->index) + "/" +
-          std::to_string(env.shard->count) +
-          " requires VROOM_SHARD_DIR=<dir> to publish cell files");
-  }
-
-  if (merge_mode) {
-    ShardMerge merged = merge_shards(plan, env.shard_dir);
-    if (!merged.error.empty()) fatal("merge: " + merged.error);
-    // Replay the one-process run's per-cell export side effect so a bench
-    // binary re-run in merge mode leaves identical artifacts (no-op unless
-    // tracing produced counters and VROOM_OUT_DIR is set).
-    for (int c = 0; c < n_cells; ++c) {
-      harness::maybe_export_counters(
-          "trace counters " + cells[static_cast<std::size_t>(c)].label,
-          merged.results[static_cast<std::size_t>(c)].counter_totals());
-    }
-    if (env.metrics_enabled()) {
-      obs::Manifest manifest;
-      manifest.set("schema", std::int64_t{1});
-      manifest.set("kind", "fleet_merge");
-      manifest.set("shard.dir", env.shard_dir);
-      manifest.set("result_cache_salt_version",
-                   static_cast<std::int64_t>(
-                       harness::kResultCacheSaltVersion));
-      manifest.set("cells", static_cast<std::int64_t>(n_cells));
-      for (int c = 0; c < n_cells; ++c) {
-        const std::string prefix = "cell." + std::to_string(c) + ".";
-        manifest.set(prefix + "label",
-                     cells[static_cast<std::size_t>(c)].label);
-        manifest.set(prefix + "digest",
-                     hex_digest(
-                         merged.cell_digests[static_cast<std::size_t>(c)]));
-      }
-      std::error_code ec;
-      std::filesystem::create_directories(env.metrics_dir, ec);
-      manifest.write(env.metrics_dir + "/manifest.json");
-    }
-    return std::move(merged.results);
-  }
-
-  // A shard simulates only its contiguous cell slice; everything downstream
-  // (job list, telemetry plan, median assembly) iterates this range.
-  int cell_begin = 0;
-  int cell_end = n_cells;
-  if (shard_mode) {
-    const std::pair<int, int> range = shard_cell_range(n_cells, *env.shard);
-    cell_begin = range.first;
-    cell_end = range.second;
   }
 
   // The flat job list, first in serial (cell, page, load) visit order.
   std::vector<Job> jobs;
   jobs.reserve(total_jobs);
-  for (int c = cell_begin; c < cell_end; ++c) {
+  for (int c = 0; c < n_cells; ++c) {
     for (int p = 0; p < cells[static_cast<std::size_t>(c)].pages; ++p) {
       for (int l = 0; l < cells[static_cast<std::size_t>(c)].loads; ++l) {
         jobs.push_back(Job{c, p, l});
@@ -430,13 +214,12 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
     }
   }
 
-  const std::size_t owned_jobs = jobs.size();
   int workers = resolve_worker_count(fleet.workers, env);
   // A shared warm cache is mutated in load order; parallel execution would
   // change which loads hit it. Degrade to the serial order instead.
   if (any_warm_cache) workers = 1;
-  if (owned_jobs < static_cast<std::size_t>(workers)) {
-    workers = static_cast<int>(owned_jobs);
+  if (total_jobs < static_cast<std::size_t>(workers)) {
+    workers = static_cast<int>(total_jobs);
   }
   if (workers < 1) workers = 1;
 
@@ -475,24 +258,8 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   }
   ProgressTicker ticker(queue, *telemetry, env.progress);
 
-  // Opt-in result cache (VROOM_RESULT_CACHE=<dir>): identical jobs from
-  // earlier sweeps are answered from disk instead of re-simulated. Cells
-  // whose results the cache cannot represent faithfully — warm-cache
-  // (order-dependent) and traced (per-load side effects) — bypass it;
-  // other cells of the same plan still use it.
-  std::unique_ptr<harness::ResultCache> cache =
-      harness::ResultCache::from_env(env);
-  if (cache != nullptr && !any_cacheable) {
-    std::fprintf(stderr,
-                 "[fleet] note: VROOM_RESULT_CACHE set but this run is not "
-                 "cacheable (warm cache or tracing active); bypassing\n");
-    cache.reset();
-  }
-
   // Flat result grid, one pre-assigned slot per job: workers never write to
   // overlapping memory, and claim order cannot affect where results land.
-  // Sized by the full plan (slot offsets are plan-global); in shard mode
-  // the unowned slots simply stay default-empty.
   std::vector<browser::LoadResult> grid(total_jobs);
   auto slot = [&cells](const Job& job) -> std::size_t {
     const CompiledCell& cc = cells[static_cast<std::size_t>(job.cell_index)];
@@ -508,39 +275,16 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
       const double started = monotonic_seconds();
       const SweepCell& cell =
           plan.cells[static_cast<std::size_t>(job->cell_index)];
-      const bool cell_cacheable =
-          cells[static_cast<std::size_t>(job->cell_index)].cacheable;
       const web::PageModel& page =
           cell.corpus->page(static_cast<std::size_t>(job->page_index));
       // Seed derivation matches harness::run_page_median exactly: the nonce
       // depends only on (seed, page id, load index).
       const std::uint64_t nonce = harness::derive_load_nonce(
           cell.options.seed, page.page_id(), job->load_index);
-      browser::LoadResult result;
-      bool from_cache = false;
-      // CacheKey hashes its string once at construction; a miss-then-store
-      // pair reuses the same key object.
-      std::optional<harness::CacheKey> key;
-      if (cache != nullptr && cell_cacheable) {
-        obs::PhaseTimer lookup_phase(obs::Phase::CacheLookup);
-        key.emplace(harness::result_cache_key(cell.strategy, cell.options,
-                                              page.page_id(), nonce));
-        if (std::optional<browser::LoadResult> hit = cache->get(*key)) {
-          result = std::move(*hit);
-          from_cache = true;
-          telemetry->job_from_cache(worker_id, job->cell_index);
-        }
-      }
-      if (!from_cache) {
-        result = harness::run_page_load(page, cell.strategy, cell.options,
-                                        nonce);
-        if (cache != nullptr && cell_cacheable) {
-          obs::PhaseTimer store_phase(obs::Phase::CacheStore);
-          cache->put(*key, result);
-        }
-      }
+      browser::LoadResult result =
+          harness::run_page_load(page, cell.strategy, cell.options, nonce);
       const double job_seconds = monotonic_seconds() - started;
-      record_job_metrics(result, from_cache, job_seconds);
+      record_job_metrics(result, job_seconds);
       const sim::Time simulated = result.plt;
       grid[slot(*job)] = std::move(result);
       telemetry->job_finished(worker_id, job->cell_index, job_seconds,
@@ -564,38 +308,6 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   }
   telemetry->end_run();
   ticker.finish();
-  if (cache != nullptr) {
-    // Always on stderr (stdout must stay byte-identical with caching off).
-    const harness::ResultCacheStats cs = cache->stats();
-    std::fprintf(stderr,
-                 "[fleet] result cache \"%s\": %llu hits, %llu misses, "
-                 "%llu stored, %llu corrupt\n",
-                 cache->dir().c_str(), static_cast<unsigned long long>(cs.hits),
-                 static_cast<unsigned long long>(cs.misses),
-                 static_cast<unsigned long long>(cs.stores),
-                 static_cast<unsigned long long>(cs.errors));
-    if (env.cache_max_bytes > 0) {
-      // Post-sweep collection (DESIGN.md §14): sweep stale salt
-      // generations, then LRU-evict down to the cap. Running it here —
-      // after this sweep's entries landed and had their mtimes touched —
-      // means the cap applies to the cache the *next* run will see.
-      harness::GcPolicy policy;
-      policy.dir = cache->dir();
-      policy.max_bytes = env.cache_max_bytes;
-      const harness::GcStats gc = harness::cache_gc(policy);
-      std::fprintf(
-          stderr,
-          "[fleet] cache gc \"%s\": %llu scanned, %llu stale, %llu evicted, "
-          "%llu corrupt; %llu -> %llu bytes (cap %lld)\n",
-          cache->dir().c_str(), static_cast<unsigned long long>(gc.scanned),
-          static_cast<unsigned long long>(gc.stale_deleted),
-          static_cast<unsigned long long>(gc.evicted),
-          static_cast<unsigned long long>(gc.errors),
-          static_cast<unsigned long long>(gc.scanned_bytes),
-          static_cast<unsigned long long>(gc.remaining_bytes),
-          static_cast<long long>(env.cache_max_bytes));
-    }
-  }
   if (env.profile) {
     // Collected after the pool joins: every worker's thread-local table has
     // folded into the retired aggregate, so the table partitions the run's
@@ -608,33 +320,15 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   }
   if (env.metrics_enabled()) {
     obs::PhaseTimer export_phase(obs::Phase::Export);
-    // N shard processes sharing one VROOM_METRICS dir must not clobber each
-    // other's export: each shard gets an identity-named subdirectory.
-    std::string metrics_dir = env.metrics_dir;
-    if (shard_mode) {
-      metrics_dir += "/shard_" + std::to_string(env.shard->index) + "_of_" +
-                     std::to_string(env.shard->count);
-    }
     std::error_code ec;
-    std::filesystem::create_directories(metrics_dir, ec);
-    obs::registry().export_to(metrics_dir);
+    std::filesystem::create_directories(env.metrics_dir, ec);
+    obs::registry().export_to(env.metrics_dir);
     obs::Manifest manifest;
     manifest.set("schema", std::int64_t{1});
     manifest.set("kind", "fleet_sweep");
-    if (shard_mode) {
-      manifest.set("shard.index",
-                   static_cast<std::int64_t>(env.shard->index));
-      manifest.set("shard.count",
-                   static_cast<std::int64_t>(env.shard->count));
-      manifest.set("shard.dir", env.shard_dir);
-      manifest.set("shard.cells.begin",
-                   static_cast<std::int64_t>(cell_begin));
-      manifest.set("shard.cells.end", static_cast<std::int64_t>(cell_end));
-    }
     manifest.set("env.jobs", static_cast<std::int64_t>(env.jobs));
     manifest.set("env.bench_pages",
                  static_cast<std::int64_t>(env.bench_pages));
-    manifest.set("env.result_cache", env.result_cache_dir);
     manifest.set("env.trace", env.trace_dir);
     manifest.set("env.out_dir", env.out_dir);
     manifest.set("env.metrics", env.metrics_dir);
@@ -644,15 +338,8 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
                  static_cast<std::int64_t>(env.deploy_arrivals));
     manifest.set("env.deploy_window_hours",
                  static_cast<std::int64_t>(env.deploy_window_hours));
-    manifest.set("env.shard_dir", env.shard_dir);
-    manifest.set("env.cache_max_bytes",
-                 static_cast<std::int64_t>(env.cache_max_bytes));
-    manifest.set("result_cache_salt_version",
-                 static_cast<std::int64_t>(harness::kResultCacheSaltVersion));
     manifest.set("workers", static_cast<std::int64_t>(workers));
     manifest.set("jobs.total", static_cast<std::uint64_t>(total_jobs));
-    manifest.set("jobs.from_cache",
-                 static_cast<std::uint64_t>(telemetry->jobs_from_cache()));
     manifest.set("cells", static_cast<std::int64_t>(n_cells));
     for (int c = 0; c < n_cells; ++c) {
       const SweepCell& cell = plan.cells[static_cast<std::size_t>(c)];
@@ -669,18 +356,14 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
                  hex_digest(obs::registry().digest(obs::Plane::Virtual)));
     manifest.set("digest.wall_sidecar_prom",
                  hex_digest(obs::registry().digest(obs::Plane::Wall)));
-    manifest.write(metrics_dir + "/manifest.json");
+    manifest.write(env.metrics_dir + "/manifest.json");
   }
 
   // Median selection in load-index order, identical to run_page_median;
-  // per-cell results in plan order. A shard assembles only its owned slice
-  // (other slots stay default-empty) and publishes each owned cell for the
-  // merge pass instead of exporting counters itself — exports happen once,
-  // from the merge, so sharded and one-process sweeps leave identical
-  // artifacts.
+  // per-cell results in plan order.
   std::vector<harness::CorpusResult> results(
       static_cast<std::size_t>(n_cells));
-  for (int c = cell_begin; c < cell_end; ++c) {
+  for (int c = 0; c < n_cells; ++c) {
     const CompiledCell& cc = cells[static_cast<std::size_t>(c)];
     auto& out = results[static_cast<std::size_t>(c)];
     out.strategy = cc.label;
@@ -693,15 +376,10 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
       }
       out.loads.push_back(harness::select_median_load(std::move(runs)));
     }
-    if (shard_mode) {
-      publish_shard_cell(env.shard_dir, c,
-                         harness::serialize_corpus_result(out));
-    } else {
-      // Tracing runs export their aggregated counters alongside the figure
-      // CSVs (no-op when tracing was off or VROOM_OUT_DIR is unset).
-      harness::maybe_export_counters("trace counters " + cc.label,
-                                     out.counter_totals());
-    }
+    // Tracing runs export their aggregated counters alongside the figure
+    // CSVs (no-op when tracing was off or VROOM_OUT_DIR is unset).
+    harness::maybe_export_counters("trace counters " + cc.label,
+                                   out.counter_totals());
   }
   return results;
 }
@@ -725,16 +403,3 @@ harness::CorpusResult run_corpus(const web::Corpus& corpus,
 }
 
 }  // namespace vroom::fleet
-
-namespace vroom::harness {
-
-// The canonical corpus sweep now rides the fleet. Declared in
-// harness/experiment.h; defined here so the harness library stays free of
-// threading concerns (and of a link cycle with the fleet).
-CorpusResult run_corpus(const web::Corpus& corpus,
-                        const baselines::Strategy& strategy,
-                        const RunOptions& options) {
-  return fleet::run_corpus(corpus, strategy, options);
-}
-
-}  // namespace vroom::harness

@@ -7,14 +7,14 @@
 // pays one straggling pool tail per corpus. `run_corpus` and `run_matrix`
 // are thin wrappers over one-cell / one-corpus plans.
 //
-// Every job builds a fully private simulation world (event loop, network,
-// page instance, servers, browser) exactly as the serial harness does, and
-// derives its seeds purely from the job's identity — (cell options' seed,
-// page id, load index) — never from execution order. The determinism
-// contract: plan output is bit-identical, cell by cell, to standalone
-// serial `run_corpus` calls for any worker count. `VROOM_JOBS=1`
-// additionally preserves the serial execution *order*, not just its
-// results.
+// Every cell is simulated in this process. Each job builds a fully private
+// simulation world (event loop, network, page instance, servers, browser)
+// through harness::run_page_load, and derives its seeds purely from the
+// job's identity — (cell options' seed, page id, load index) — never from
+// execution order. The determinism contract: plan output is bit-identical,
+// cell by cell, to harness::run_page_median over every page, for any
+// worker count. `VROOM_JOBS=1` additionally preserves the serial execution
+// *order*, not just its results.
 //
 // With more than one worker, jobs dispatch in deterministic
 // longest-job-first order (page resource count as the size proxy, ties by
@@ -25,20 +25,9 @@
 // Warm-cache cells (RunOptions::cache != nullptr) share one mutable cache
 // whose state depends on load order, so the fleet degrades the whole plan
 // to a single worker automatically rather than silently changing semantics.
-//
-// Cross-process sharding (DESIGN.md §14): the same plan can be split across
-// processes by *cell*. With `VROOM_SHARD=i/N` and `VROOM_SHARD_DIR=<dir>`
-// set, run_plan simulates only shard i's contiguous cell slice
-// (shard_cell_range) and publishes each finished cell as a versioned binary
-// file in the shard dir; with only VROOM_SHARD_DIR set, run_plan skips
-// simulation entirely and reassembles the full plan-order results from
-// those files (merge_shards). Because every bench prints from the returned
-// CorpusResults, an unmodified bench binary re-run in merge mode emits
-// stdout and CSVs byte-identical to a single-process sweep.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -49,10 +38,6 @@
 #include "harness/experiment.h"
 
 namespace vroom::fleet {
-
-// Shard identity i-of-N, parsed from VROOM_SHARD by harness::Env (the fleet
-// and scripts/sweep_shards.sh share that one strict parser).
-using ShardSpec = harness::ShardSpec;
 
 struct FleetOptions {
   // Worker threads. 0 means "resolve": take VROOM_JOBS from the environment
@@ -121,64 +106,18 @@ struct SweepPlan {
   }
 };
 
-// Shard i of N owns the contiguous cell slice [n_cells*i/N,
-// n_cells*(i+1)/N) — integer arithmetic, so the N slices partition
-// [0, n_cells) exactly for any N (shards beyond the cell count own empty
-// slices and are valid no-ops). Splitting by cell keeps every cell's
-// median selection and counter export inside one process.
-std::pair<int, int> shard_cell_range(int n_cells, const ShardSpec& shard);
-
-// The file shard processes publish cell `cell_index` to:
-// `<dir>/cell_<index>.vsc`. Wire format: magic "VSC1", u32 LE result-cache
-// salt generation, u32 LE cell index, then the
-// harness::serialize_corpus_result payload. Published atomically
-// (temp file + rename), so a merge never observes a torn cell.
-std::string shard_cell_path(const std::string& dir, int cell_index);
-
-// The outcome of reassembling a sharded sweep. On success `error` is empty,
-// `results` holds one CorpusResult per plan cell in plan order —
-// byte-identical to a single-process run_plan — and `cell_digests` holds
-// each cell file's 64-bit payload hash (recorded in the merge manifest so
-// sweeps are auditable end to end). On failure `error` names the first
-// offending cell file and why (missing, wrong magic, stale salt
-// generation, wrong cell index, corrupt payload, label/page mismatch);
-// `results` is unspecified.
-struct ShardMerge {
-  std::vector<harness::CorpusResult> results;
-  std::vector<std::uint64_t> cell_digests;
-  std::string error;
-};
-
-// Reads every cell file of `plan` back from `dir`. Pure file I/O — no
-// simulation, no worker pool; safe to call while unrelated shards of a
-// *different* plan run, but requires every shard of this plan to have
-// finished (a missing cell is a hard error, never silently skipped).
-ShardMerge merge_shards(const SweepPlan& plan, const std::string& dir);
-
-// Executes every cell of the plan on one shared worker pool and returns one
-// CorpusResult per cell, in plan order, each bit-identical to a standalone
-// run_corpus call with that cell's arguments (any worker count). The result
-// cache and telemetry integrate per cell: cacheable cells hit the cache
-// even when other cells (warm-cache / traced) bypass it, and the telemetry
-// summary carries one row per cell.
-//
-// Environment-selected execution modes (see the header comment):
-//   - VROOM_SHARD=i/N + VROOM_SHARD_DIR: simulate only shard i's cell
-//     slice, publish each owned cell to the shard dir, return a partial
-//     results vector (owned cells filled, others empty). Callers driving a
-//     shard discard its stdout; warm-cache plans refuse to shard (abort).
-//   - VROOM_SHARD_DIR alone: merge mode — no simulation; returns
-//     merge_shards(plan, dir).results, aborting with the merge error on
-//     any missing/stale/corrupt cell file.
-// After a cached sweep, when VROOM_CACHE_MAX_BYTES is set, run_plan invokes
-// harness::cache_gc on the cache directory (stale-generation sweep + LRU
-// size cap) and reports the collection on stderr.
+// Simulates every cell of the plan in this process on one shared worker
+// pool and returns one CorpusResult per cell, in plan order, each
+// bit-identical to a standalone run_corpus call with that cell's arguments
+// (any worker count). The telemetry summary carries one row per cell.
 std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
                                             const FleetOptions& fleet = {});
 
 // Sweeps one strategy over the corpus: a one-cell plan. Same contract as
-// the serial harness::run_corpus — one median-of-N load per page, in page
-// order.
+// harness::run_page_median applied to every page — one median-of-N load
+// per page, in page order. The canonical corpus sweep: worker count from
+// VROOM_JOBS (default: hardware concurrency; VROOM_JOBS=1 preserves the
+// serial order), results bit-identical regardless of worker count.
 harness::CorpusResult run_corpus(const web::Corpus& corpus,
                                  const baselines::Strategy& strategy,
                                  const harness::RunOptions& options,

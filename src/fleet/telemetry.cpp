@@ -29,7 +29,6 @@ void Telemetry::begin_run(int workers, std::size_t jobs_submitted,
     slot.cells.assign(cell_plans_.size(), CellSlot{});
   }
   completed_.store(0, std::memory_order_relaxed);
-  from_cache_.store(0, std::memory_order_relaxed);
   in_flight_.store(0, std::memory_order_relaxed);
   peak_in_flight_.store(0, std::memory_order_relaxed);
   wall_start_ = monotonic_seconds();
@@ -43,14 +42,6 @@ void Telemetry::job_started(int worker) {
   int peak = peak_in_flight_.load(std::memory_order_relaxed);
   while (now > peak && !peak_in_flight_.compare_exchange_weak(
                            peak, now, std::memory_order_relaxed)) {
-  }
-}
-
-void Telemetry::job_from_cache(int worker, int cell) {
-  from_cache_.fetch_add(1, std::memory_order_relaxed);
-  WorkerSlot& slot = slots_[static_cast<std::size_t>(worker)];
-  if (static_cast<std::size_t>(cell) < slot.cells.size()) {
-    ++slot.cells[static_cast<std::size_t>(cell)].from_cache;
   }
 }
 
@@ -75,7 +66,6 @@ TelemetrySummary Telemetry::summary() const {
   s.workers = workers_;
   s.jobs_submitted = jobs_submitted_;
   s.jobs_completed = completed_.load(std::memory_order_relaxed);
-  s.jobs_from_cache = from_cache_.load(std::memory_order_relaxed);
   s.peak_in_flight = peak_in_flight_.load(std::memory_order_relaxed);
   s.wall_seconds = wall_seconds_;
   s.cells.resize(cell_plans_.size());
@@ -92,7 +82,6 @@ TelemetrySummary Telemetry::summary() const {
                     slot.job_seconds.end());
     for (std::size_t c = 0; c < slot.cells.size() && c < s.cells.size(); ++c) {
       s.cells[c].jobs_completed += slot.cells[c].completed;
-      s.cells[c].jobs_from_cache += slot.cells[c].from_cache;
       s.cells[c].busy_seconds += slot.cells[c].busy_seconds;
       s.cells[c].simulated_seconds += slot.cells[c].simulated_seconds;
     }
@@ -115,14 +104,6 @@ void Telemetry::print(std::FILE* out) const {
                "throughput=%.1f jobs/s peak_in_flight=%d\n",
                s.workers, s.jobs_completed, s.jobs_submitted, s.wall_seconds,
                s.jobs_per_second, s.peak_in_flight);
-  if (s.jobs_from_cache > 0) {
-    std::fprintf(out, "[fleet] result cache: %zu/%zu jobs (%.0f%% hits)\n",
-                 s.jobs_from_cache, s.jobs_completed,
-                 s.jobs_completed > 0
-                     ? 100.0 * static_cast<double>(s.jobs_from_cache) /
-                           static_cast<double>(s.jobs_completed)
-                     : 0.0);
-  }
   std::fprintf(out,
                "[fleet] busy=%.3fs (utilization %.0f%%)  simulated=%.1fs "
                "(%.0fx wall)  job p25/p50/p75=%.3f/%.3f/%.3fs\n",
@@ -134,10 +115,10 @@ void Telemetry::print(std::FILE* out) const {
     const CellTelemetrySummary& cell = s.cells[c];
     std::fprintf(out,
                  "[fleet]   cell %zu \"%s\": jobs=%zu/%zu busy=%.3fs "
-                 "simulated=%.1fs cache_hits=%zu\n",
+                 "simulated=%.1fs\n",
                  c, cell.label.c_str(), cell.jobs_completed,
                  cell.jobs_submitted, cell.busy_seconds,
-                 cell.simulated_seconds, cell.jobs_from_cache);
+                 cell.simulated_seconds);
   }
 }
 

@@ -9,7 +9,7 @@
 // A run is a set of *cells* — one (corpus, strategy, options) entry of a
 // SweepPlan — and every job belongs to exactly one cell. summary() rolls
 // jobs up per cell as well as per run, so a multi-corpus sweep shows where
-// its wall time and cache hits went.
+// its wall time went.
 #pragma once
 
 #include <atomic>
@@ -28,7 +28,6 @@ struct CellTelemetrySummary {
   std::string label;
   std::size_t jobs_submitted = 0;
   std::size_t jobs_completed = 0;
-  std::size_t jobs_from_cache = 0;
   double busy_seconds = 0;       // summed worker time spent on this cell
   double simulated_seconds = 0;  // summed virtual time of the cell's loads
 };
@@ -37,9 +36,6 @@ struct TelemetrySummary {
   int workers = 0;
   std::size_t jobs_submitted = 0;
   std::size_t jobs_completed = 0;
-  // Jobs satisfied from the on-disk result cache (VROOM_RESULT_CACHE)
-  // instead of being simulated; always <= jobs_completed.
-  std::size_t jobs_from_cache = 0;
   int peak_in_flight = 0;
   double wall_seconds = 0;        // begin_run() .. end_run()
   double jobs_per_second = 0;
@@ -71,19 +67,14 @@ class Telemetry {
   // Worker-side hooks. `worker` indexes [0, workers); `cell` indexes the
   // plan cells passed to begin_run. job_started / job_finished bracket each
   // job; the finished hook records the job's wall duration and the virtual
-  // time its simulation covered. A job answered by the result cache
-  // additionally reports job_from_cache between the two.
+  // time its simulation covered.
   void job_started(int worker);
-  void job_from_cache(int worker, int cell);
   void job_finished(int worker, int cell, double wall_seconds,
                     sim::Time simulated);
 
   std::size_t jobs_submitted() const { return jobs_submitted_; }
   std::size_t jobs_completed() const {
     return completed_.load(std::memory_order_relaxed);
-  }
-  std::size_t jobs_from_cache() const {
-    return from_cache_.load(std::memory_order_relaxed);
   }
 
   // Aggregates. Only valid once the pool has joined (no concurrent writers).
@@ -96,7 +87,6 @@ class Telemetry {
  private:
   struct CellSlot {  // per-worker per-cell accumulators
     std::size_t completed = 0;
-    std::size_t from_cache = 0;
     double busy_seconds = 0;
     double simulated_seconds = 0;
   };
@@ -114,7 +104,6 @@ class Telemetry {
   std::vector<CellPlan> cell_plans_;
   std::vector<WorkerSlot> slots_;
   std::atomic<std::size_t> completed_{0};
-  std::atomic<std::size_t> from_cache_{0};
   std::atomic<int> in_flight_{0};
   std::atomic<int> peak_in_flight_{0};
 };

@@ -25,46 +25,6 @@ int parse_positive_int(const char* name, const char* value) {
   return 0;
 }
 
-// 64-bit variant of the same contract for byte-sized knobs (an int caps at
-// ~2 GiB, too small for a cache cap).
-std::int64_t parse_positive_i64(const char* name, const char* value) {
-  if (value == nullptr) return 0;
-  std::int64_t parsed = 0;
-  const char* end = value + std::strlen(value);
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec == std::errc() && ptr == end && parsed > 0) return parsed;
-  std::fprintf(stderr,
-               "[env] warning: ignoring invalid %s=\"%s\" "
-               "(want a positive integer)\n",
-               name, value);
-  return 0;
-}
-
-// VROOM_SHARD=i/N: both halves strict whole-value digits (from_chars ends
-// exactly at the '/' and at the end of the string), N >= 1, 0 <= i < N.
-std::optional<ShardSpec> parse_shard(const char* name, const char* value) {
-  if (value == nullptr) return std::nullopt;
-  const char* end = value + std::strlen(value);
-  const char* slash = std::strchr(value, '/');
-  const auto reject = [&]() -> std::optional<ShardSpec> {
-    std::fprintf(stderr,
-                 "[env] warning: ignoring invalid %s=\"%s\" "
-                 "(want i/N with 0 <= i < N)\n",
-                 name, value);
-    return std::nullopt;
-  };
-  if (slash == nullptr || slash == value || slash + 1 == end) return reject();
-  ShardSpec spec;
-  const auto [ip, iec] = std::from_chars(value, slash, spec.index);
-  if (iec != std::errc() || ip != slash) return reject();
-  const auto [np, nec] = std::from_chars(slash + 1, end, spec.count);
-  if (nec != std::errc() || np != end) return reject();
-  if (spec.count < 1 || spec.index < 0 || spec.index >= spec.count) {
-    return reject();
-  }
-  return spec;
-}
-
 std::string string_or_empty(const char* value) {
   return value != nullptr ? std::string(value) : std::string();
 }
@@ -76,7 +36,6 @@ Env Env::from_environment() {
   env.jobs = parse_positive_int("VROOM_JOBS", std::getenv("VROOM_JOBS"));
   env.bench_pages = parse_positive_int("VROOM_BENCH_PAGES",
                                        std::getenv("VROOM_BENCH_PAGES"));
-  env.result_cache_dir = string_or_empty(std::getenv("VROOM_RESULT_CACHE"));
   env.trace_dir = string_or_empty(std::getenv("VROOM_TRACE"));
   env.out_dir = string_or_empty(std::getenv("VROOM_OUT_DIR"));
   env.deploy_arrivals = parse_positive_int(
@@ -90,10 +49,6 @@ Env Env::from_environment() {
   const char* profile = std::getenv("VROOM_PROFILE");
   env.profile = profile != nullptr && *profile != '\0' &&
                 std::strcmp(profile, "0") != 0;
-  env.shard = parse_shard("VROOM_SHARD", std::getenv("VROOM_SHARD"));
-  env.shard_dir = string_or_empty(std::getenv("VROOM_SHARD_DIR"));
-  env.cache_max_bytes = parse_positive_i64(
-      "VROOM_CACHE_MAX_BYTES", std::getenv("VROOM_CACHE_MAX_BYTES"));
   return env;
 }
 

@@ -10,7 +10,6 @@
 // The knobs:
 //   VROOM_JOBS=<n>          worker-pool size for corpus sweeps (fleet/)
 //   VROOM_BENCH_PAGES=<n>   cap corpus sizes for quick bench passes
-//   VROOM_RESULT_CACHE=<dir> on-disk LoadResult cache (DESIGN.md §8)
 //   VROOM_TRACE=<dir>       write one Chrome-trace JSON file per load
 //   VROOM_OUT_DIR=<dir>     export printed tables as CSV
 //   VROOM_PROGRESS=1        live stderr progress ticker for long sweeps
@@ -20,35 +19,16 @@
 //                           each fleet run (stderr; nondeterministic)
 //   VROOM_DEPLOY_ARRIVALS=<n>      cap arrivals per deployment load level
 //   VROOM_DEPLOY_WINDOW_HOURS=<n>  override the deployment traffic window
-//   VROOM_SHARD=i/N         run only plan cells of shard i (0-based) of N;
-//                           requires VROOM_SHARD_DIR (DESIGN.md §14)
-//   VROOM_SHARD_DIR=<dir>   shard output directory; set *without* VROOM_SHARD
-//                           it switches fleet::run_plan into merge mode
-//   VROOM_CACHE_MAX_BYTES=<n>  result-cache GC size cap, enforced after each
-//                           cached fleet run (harness::cache_gc)
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
-#include <optional>
 #include <string>
 
 namespace vroom::harness {
 
-// One shard of a cross-process sweep: this process owns shard `index` of
-// `count` total. Parsed from VROOM_SHARD=i/N with the same strict
-// whole-value contract as every numeric knob: both halves must be all
-// digits, N >= 1, 0 <= i < N; anything else warns and reads as unset.
-struct ShardSpec {
-  int index = 0;
-  int count = 1;
-  bool operator==(const ShardSpec&) const = default;
-};
-
 struct Env {
   int jobs = 0;                  // VROOM_JOBS; 0 = unset (hardware default)
   int bench_pages = 0;           // VROOM_BENCH_PAGES; 0 = uncapped
-  std::string result_cache_dir;  // VROOM_RESULT_CACHE; empty = caching off
   std::string trace_dir;         // VROOM_TRACE; empty = tracing off
   std::string out_dir;           // VROOM_OUT_DIR; empty = no CSV export
   bool progress = false;         // VROOM_PROGRESS; off unless set and != "0"
@@ -58,13 +38,6 @@ struct Env {
   // keeps its configured window and the population is never truncated.
   int deploy_arrivals = 0;       // VROOM_DEPLOY_ARRIVALS; 0 = uncapped
   int deploy_window_hours = 0;   // VROOM_DEPLOY_WINDOW_HOURS; 0 = default
-  // Cross-process sharding (src/fleet/, DESIGN.md §14). `shard` is the
-  // typed VROOM_SHARD=i/N accessor shared by the fleet and the
-  // scripts/sweep_shards.sh driver — nothing else parses the spec.
-  std::optional<ShardSpec> shard;  // VROOM_SHARD; nullopt = not a shard
-  std::string shard_dir;           // VROOM_SHARD_DIR; empty = no shard I/O
-  // Result-cache GC size cap in bytes (VROOM_CACHE_MAX_BYTES); 0 = uncapped.
-  std::int64_t cache_max_bytes = 0;
 
   // Parses the environment afresh (never cached: scoped setenv in tests and
   // long-lived tools both see the current values).

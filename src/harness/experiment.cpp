@@ -48,8 +48,8 @@ browser::LoadResult run_page_load(const web::PageModel& page,
   // the same network conditions for the same page. The XOR fold here can
   // alias two (seed, page) pairs onto one RTT stream, but unlike the load
   // nonce (see derive_load_nonce) that is a benign correlation: the draw is
-  // still a pure function of (seed, page), so reproducibility — and the
-  // result-cache key, which carries seed and page separately — is unaffected.
+  // still a pure function of (seed, page), so reproducibility is
+  // unaffected.
   net::Network network(loop, ncfg,
                        sim::derive_seed(options.seed ^ page.page_id(), "rtt"));
 
@@ -213,10 +213,6 @@ browser::LoadResult run_page_median(const web::PageModel& page,
   return select_median_load(std::move(runs));
 }
 
-// run_corpus is defined in fleet/fleet.cpp — the sweep executes on the
-// parallel fleet (VROOM_JOBS workers) and stays bit-identical to this
-// file's serial per-page procedure.
-
 std::vector<double> CorpusResult::plt_seconds() const {
   std::vector<double> v;
   v.reserve(loads.size());
@@ -266,17 +262,6 @@ void put_u32(std::string& out, std::uint32_t v) {
   }
 }
 
-bool take_u32(std::string_view& in, std::uint32_t* v) {
-  if (in.size() < 4) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[i]))
-          << (8 * i);
-  }
-  in.remove_prefix(4);
-  return true;
-}
-
 }  // namespace
 
 std::string serialize_corpus_result(const CorpusResult& r) {
@@ -293,41 +278,6 @@ std::string serialize_corpus_result(const CorpusResult& r) {
     out.append(payload);
   }
   return out;
-}
-
-bool deserialize_corpus_result(std::string_view bytes, CorpusResult* out) {
-  std::uint32_t version = 0;
-  if (!take_u32(bytes, &version) || version != kCorpusResultFormatVersion) {
-    return false;
-  }
-  std::uint32_t strategy_len = 0;
-  if (!take_u32(bytes, &strategy_len) || bytes.size() < strategy_len) {
-    return false;
-  }
-  CorpusResult result;
-  result.strategy.assign(bytes.substr(0, strategy_len));
-  bytes.remove_prefix(strategy_len);
-  std::uint32_t n_loads = 0;
-  if (!take_u32(bytes, &n_loads)) return false;
-  result.loads.reserve(n_loads);
-  for (std::uint32_t i = 0; i < n_loads; ++i) {
-    std::uint32_t payload_len = 0;
-    if (!take_u32(bytes, &payload_len) || bytes.size() < payload_len) {
-      return false;
-    }
-    browser::LoadResult load;
-    // The nested deserializer enforces exact consumption of its slice, so a
-    // mis-framed payload fails here instead of shifting later loads.
-    if (!browser::deserialize_load_result(bytes.substr(0, payload_len),
-                                          &load)) {
-      return false;
-    }
-    result.loads.push_back(std::move(load));
-    bytes.remove_prefix(payload_len);
-  }
-  if (!bytes.empty()) return false;  // trailing garbage
-  *out = std::move(result);
-  return true;
 }
 
 }  // namespace vroom::harness

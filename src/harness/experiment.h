@@ -9,7 +9,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -95,25 +94,14 @@ struct CorpusResult {
   std::vector<std::pair<std::string, std::int64_t>> counter_totals() const;
 };
 
-// Stable versioned LE binary (de)serialization of a CorpusResult — the
+// Stable versioned LE binary serialization of a CorpusResult — the
 // strategy label plus every per-page LoadResult, each through the
 // browser::serialize_load_result wire format (length-prefixed so the
-// framing survives LoadResult format evolution). This is the payload of a
-// shard cell file (DESIGN.md §14): a shard process publishes each owned
-// cell's CorpusResult and fleet::merge_shards reassembles them
-// byte-identically to a single-process run. deserialize_corpus_result
-// returns false (leaving *out unspecified) on truncation, trailing bytes,
-// or any version mismatch.
+// framing survives LoadResult format evolution). Equal results give equal
+// bytes, so this is the digest input for checking that two builds simulate
+// identically (DESIGN.md §8). Corpus sweeps themselves live in fleet/
+// (fleet::run_corpus / run_plan).
 std::string serialize_corpus_result(const CorpusResult& r);
-bool deserialize_corpus_result(std::string_view bytes, CorpusResult* out);
-
-// Sweeps the corpus under one strategy. Defined in fleet/fleet.cpp: the
-// sweep runs on the parallel fleet, with worker count taken from VROOM_JOBS
-// (default: hardware concurrency; VROOM_JOBS=1 preserves the serial order).
-// Results are bit-identical regardless of worker count.
-CorpusResult run_corpus(const web::Corpus& corpus,
-                        const baselines::Strategy& strategy,
-                        const RunOptions& options);
 
 // Honors VROOM_BENCH_PAGES (environment) to cap corpus size for quick runs;
 // returns `n` unchanged when unset. Malformed or non-positive values are

@@ -10,11 +10,10 @@
 //
 // The fleet writes `manifest.json` and the deployment scenario
 // `deploy_manifest.json` into the VROOM_METRICS directory; the entries
-// include every harness::Env knob, per-cell strategy fingerprints, the
-// result-cache salt version, and FNV digests of the exported metric
-// snapshots — enough to reconstruct (or refuse to trust) any committed
-// figure. Assembly happens at those call sites: this library is plain data
-// and stays free of harness dependencies.
+// include every harness::Env knob, per-cell strategy fingerprints, and FNV
+// digests of the exported metric snapshots — enough to reconstruct (or
+// refuse to trust) any committed figure. Assembly happens at those call
+// sites: this library is plain data and stays free of harness dependencies.
 #pragma once
 
 #include <optional>

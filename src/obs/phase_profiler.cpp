@@ -75,8 +75,6 @@ const char* phase_name(Phase phase) {
     case Phase::WorldBuild: return "world-build";
     case Phase::Intern: return "intern";
     case Phase::Sim: return "sim";
-    case Phase::CacheLookup: return "cache-lookup";
-    case Phase::CacheStore: return "cache-store";
     case Phase::TraceFlush: return "trace-flush";
     case Phase::Export: return "export";
     case Phase::kCount: break;

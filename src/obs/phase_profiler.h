@@ -1,7 +1,7 @@
 // Wall-clock phase profiler (DESIGN.md §12): where does worker time go?
 //
 // `PhaseTimer` is an RAII span over one of a fixed set of harness phases
-// (world-build, interning, sim, cache lookup/serialize, trace flush).
+// (world-build, interning, sim, trace flush, export).
 // Spans nest: a nested span's elapsed time is charged to the inner phase
 // and subtracted from the outer one, so phase totals partition wall time
 // instead of double counting. Each thread accumulates into a thread-local
@@ -28,8 +28,6 @@ enum class Phase : std::uint8_t {
   WorldBuild,      // per-load world: network, servers, pool, browser
   Intern,          // PageInstance realization incl. URL/domain interning
   Sim,             // event-loop execution of the load
-  CacheLookup,     // result-cache probe (hash, read, verify, deserialize)
-  CacheStore,      // result-cache serialize + atomic publish
   TraceFlush,      // recorder counter snapshot + Chrome-trace JSON write
   Export,          // metrics/manifest export at end of run
   kCount,

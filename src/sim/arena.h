@@ -15,8 +15,8 @@
 //
 // Lifetime hazard (see DESIGN.md §13): pointers and string_views into the
 // arena — including every interned URL — die at reset(). Nothing that
-// outlives a load (LoadResult, browser::Cache entries, the result cache) may
-// hold arena-backed storage; they copy at the edge.
+// outlives a load (LoadResult, browser::Cache entries) may hold arena-backed
+// storage; they copy at the edge.
 //
 // Single-threaded by design, like the page world it backs: each fleet worker
 // acquires its own arena (PooledArena below), so no synchronization.

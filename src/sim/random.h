@@ -20,8 +20,8 @@ std::uint64_t hash64(std::string_view s);
 // Mixes a root seed with a purpose tag into a child seed (splitmix64 finalizer).
 std::uint64_t derive_seed(std::uint64_t root, std::string_view purpose);
 
-// Mixes a root seed with a numeric child id (page id, load index, shard
-// number). The root passes through the splitmix64 finalizer *before* the
+// Mixes a root seed with a numeric child id (page id, load index, user
+// id). The root passes through the splitmix64 finalizer *before* the
 // child is folded in, so distinct (root, child) pairs land in unrelated
 // streams — unlike a bare `root ^ child`, which collides for every pair of
 // inputs with the same XOR (e.g. (seed, page) and (seed ^ d, page ^ d)).

@@ -14,8 +14,8 @@
 //     and Perfetto load directly (one pid per track, one tid per lane);
 //   * waterfall.h — a compact per-load text table for terminal use.
 // A `Counters` registry (monotonic counters + high-water gauges) rides on
-// the recorder; `harness::run_corpus` aggregates it across loads and exports
-// it through the VROOM_OUT_DIR CSV path.
+// the recorder; `fleet::run_plan` aggregates it across each cell's loads
+// and exports it through the VROOM_OUT_DIR CSV path.
 //
 // Enable per-process with VROOM_TRACE=<dir> (the harness then writes one
 // JSON file per load) or programmatically via RunOptions::trace.

@@ -53,16 +53,22 @@ std::optional<PageClass> class_from(const std::string& s) {
   return std::nullopt;
 }
 
-// Splits "key=value key=value ..." tokens of one line.
-std::map<std::string, std::string> parse_fields(std::istringstream& line) {
-  std::map<std::string, std::string> out;
+// Splits "key=value key=value ..." tokens of one line into `out`. A token
+// without '=' or a repeated key makes the record ambiguous, so both are
+// errors (returned as the message) rather than skipped or overwritten.
+std::optional<std::string> parse_fields(
+    std::istringstream& line, std::map<std::string, std::string>& out) {
   std::string token;
   while (line >> token) {
     const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) continue;
-    out[token.substr(0, eq)] = token.substr(eq + 1);
+    if (eq == std::string::npos) {
+      return "token '" + token + "' is not key=value";
+    }
+    if (!out.emplace(token.substr(0, eq), token.substr(eq + 1)).second) {
+      return "repeated key '" + token.substr(0, eq) + "'";
+    }
   }
-  return out;
+  return std::nullopt;
 }
 
 template <typename T>
@@ -161,8 +167,11 @@ std::optional<PageModel> page_from_trace(const std::string& text,
     std::istringstream ls(line);
     std::string kind;
     ls >> kind;
-    auto fields = parse_fields(ls);
     const std::string at = " (line " + std::to_string(line_no) + ")";
+    std::map<std::string, std::string> fields;
+    if (auto bad = parse_fields(ls, fields)) {
+      return fail(kind + ": " + *bad + at);
+    }
 
     if (kind == "page") {
       std::uint32_t id = 0;

@@ -2,13 +2,13 @@
 // persist generated pages, edit them, or import dependency trees derived
 // from real HAR/WProf captures and replay them through the simulator.
 //
-// Format (one resource per line, '#' comments, whitespace-separated
-// key=value pairs; the header line carries page-level fields):
+// Format (one record per line, '#' comments, whitespace-separated
+// key=value pairs, each key at most once per record; the header line
+// carries page-level fields):
 //
-//   page id=7 class=news first_party=news7.com shards=static.news7.com,...
-//   res id=0 parent=-1 type=html via=tag off=0 size=91234 domain=news7.com \
-//       vol=hourly period=1800000000 phase=0 flags=above_fold
-//   res id=1 parent=0 type=css ...
+//   page id=7 class=news first_party=news7.com shards=static.news7.com
+//   res id=0 parent=-1 type=html via=tag off=0 size=91234 domain=news7.com vol=hourly period=1800000000 phase=0 flags=above_fold
+//   res id=1 parent=0 type=css via=tag off=0.1 size=5000 domain=news7.com vol=stable period=864000000000 phase=0
 //
 // Every field of web::Resource round-trips.
 #pragma once

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "baselines/polaris.h"
 #include "baselines/strategies.h"
 #include "harness/experiment.h"
@@ -35,6 +41,81 @@ TEST(StrategiesTest, MakePolicyMatchesSched) {
   EXPECT_EQ(make_policy(http2_baseline()), nullptr);
   EXPECT_NE(make_policy(vroom()), nullptr);
   EXPECT_NE(make_policy(polaris()), nullptr);
+}
+
+// fingerprint() names every knob that affects simulation; the fleet
+// manifest records it per cell (cell.N.fingerprint), so two cells that
+// simulate differently must never share one.
+TEST(Strategy, FingerprintCoversProviderKnobs) {
+  std::set<std::string> prints;
+  prints.insert(vroom().fingerprint());
+  prints.insert(http2_baseline().fingerprint());
+  prints.insert(http11().fingerprint());
+  prints.insert(vroom_offline_only().fingerprint());
+  prints.insert(push_all_fetch_asap().fingerprint());
+  prints.insert(lower_bound_network().fingerprint());
+  // A knob change without a name change must still change the fingerprint.
+  Strategy tweaked = vroom();
+  tweaked.provider.max_hints = 10;
+  prints.insert(tweaked.fingerprint());
+  Strategy crawl = vroom();
+  crawl.provider.offline.spacing = sim::hours(2);
+  prints.insert(crawl.fingerprint());
+  EXPECT_EQ(prints.size(), 8u);
+  // Stable across calls.
+  EXPECT_EQ(vroom().fingerprint(), vroom().fingerprint());
+}
+
+// harness::serialize_corpus_result is the digest input for whole sweeps
+// (DESIGN.md §8): equal results must give equal bytes, and a different
+// label, load count or any single LoadResult field must give different
+// bytes.
+TEST(CorpusResultSerialization, BytesTrackEveryInput) {
+  harness::CorpusResult base;
+  base.strategy = "Vroom (News+Sports)";
+  browser::LoadResult a;
+  a.finished = true;
+  a.plt = sim::ms(4321);
+  a.speed_index_ms = 1.0 / 3.0;
+  a.requests = 12;
+  browser::ResourceTiming t;
+  t.url = "https://example.com/a?x=1&y=2";
+  t.bytes = 777;
+  a.timings.push_back(t);
+  a.trace_counters.emplace_back("net.bytes", INT64_MAX);
+  browser::LoadResult b;
+  b.net_wait = -1;
+  base.loads = {a, b};
+
+  const std::string bytes = harness::serialize_corpus_result(base);
+  const harness::CorpusResult copy = base;
+  EXPECT_EQ(harness::serialize_corpus_result(copy), bytes);
+
+  const std::vector<std::function<void(harness::CorpusResult&)>> changes = {
+      [](harness::CorpusResult& r) { r.strategy = "Vroom"; },
+      [](harness::CorpusResult& r) { r.loads.pop_back(); },
+      [](harness::CorpusResult& r) { r.loads.emplace_back(); },
+      [](harness::CorpusResult& r) { r.loads[0].finished = false; },
+      [](harness::CorpusResult& r) { r.loads[0].plt += 1; },
+      [](harness::CorpusResult& r) { r.loads[0].aft = 0; },
+      [](harness::CorpusResult& r) { r.loads[0].speed_index_ms += 1e-9; },
+      [](harness::CorpusResult& r) { r.loads[0].dom_content_loaded = 5; },
+      [](harness::CorpusResult& r) { r.loads[0].cpu_busy = 1; },
+      [](harness::CorpusResult& r) { r.loads[0].wasted_bytes = 1; },
+      [](harness::CorpusResult& r) { r.loads[0].cache_hits = 1; },
+      [](harness::CorpusResult& r) { r.loads[0].sim_events = 1; },
+      [](harness::CorpusResult& r) { r.loads[0].timings[0].bytes = 778; },
+      [](harness::CorpusResult& r) { r.loads[0].timings[0].url += "z"; },
+      [](harness::CorpusResult& r) { r.loads[0].timings[0].pushed = true; },
+      [](harness::CorpusResult& r) { r.loads[0].trace_counters[0].second = 0; },
+      [](harness::CorpusResult& r) { r.loads[1].net_wait = 0; },
+  };
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    harness::CorpusResult changed = base;
+    changes[i](changed);
+    EXPECT_NE(harness::serialize_corpus_result(changed), bytes)
+        << "change " << i << " left the bytes unchanged";
+  }
 }
 
 class BaselineLoadTest : public ::testing::Test {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "baselines/strategies.h"
 #include "browser/browser.h"
@@ -8,10 +12,13 @@
 #include "browser/metrics.h"
 #include "browser/task_queue.h"
 #include "harness/experiment.h"
+#include "scoped_env.h"
 #include "web/page_generator.h"
 
 namespace vroom::browser {
 namespace {
+
+using testutil::ScopedEnv;
 
 TEST(TaskQueueTest, RunsTasksSerially) {
   sim::EventLoop loop;
@@ -208,6 +215,129 @@ TEST_F(BrowserLoadTest, DeterministicAcrossRuns) {
   auto b = harness::run_page_load(page_, baselines::http2_baseline(), opt_, 1);
   EXPECT_EQ(a.plt, b.plt);
   EXPECT_EQ(a.bytes_fetched, b.bytes_fetched);
+}
+
+// Onload fires once every onload-gating resource is processed *and* the root
+// document has finished parsing. When the root document is itself the last
+// gating item, both conditions come true in the same step; the load must
+// still finish instead of running into the timeout.
+TEST(BrowserOnload, RootOnlyPageFinishes) {
+  web::PageModel page(1, web::PageClass::Top100, "solo.com");
+  web::Resource root;
+  root.id = 0;
+  root.type = web::ResourceType::Html;
+  root.base_size = 20000;
+  root.domain = "solo.com";
+  root.above_fold = true;
+  page.add(root);
+  harness::RunOptions opt;
+  for (const baselines::Strategy& s :
+       {baselines::http2_baseline(), baselines::vroom()}) {
+    const LoadResult r = harness::run_page_load(page, s, opt, 1);
+    EXPECT_TRUE(r.finished) << s.name;
+    EXPECT_LT(r.plt, opt.timeout) << s.name;
+    EXPECT_EQ(r.dom_content_loaded, r.plt) << s.name;
+  }
+}
+
+// browser::serialize_load_result is the digest input for checking that two
+// builds simulate identically, so the round trip through
+// deserialize_load_result must reproduce every LoadResult field: a field
+// the wire format drops would be invisible to the digest.
+void expect_identical(const LoadResult& a, const LoadResult& b) {
+  EXPECT_EQ(a.finished, b.finished);
+  EXPECT_EQ(a.plt, b.plt);
+  EXPECT_EQ(a.aft, b.aft);
+  EXPECT_EQ(a.speed_index_ms, b.speed_index_ms);  // bitwise, not approx
+  EXPECT_EQ(a.ttfb, b.ttfb);
+  EXPECT_EQ(a.first_paint, b.first_paint);
+  EXPECT_EQ(a.dom_content_loaded, b.dom_content_loaded);
+  EXPECT_EQ(a.all_discovered, b.all_discovered);
+  EXPECT_EQ(a.all_fetched, b.all_fetched);
+  EXPECT_EQ(a.high_prio_discovered, b.high_prio_discovered);
+  EXPECT_EQ(a.high_prio_fetched, b.high_prio_fetched);
+  EXPECT_EQ(a.net_wait, b.net_wait);
+  EXPECT_EQ(a.cpu_busy, b.cpu_busy);
+  EXPECT_EQ(a.bytes_fetched, b.bytes_fetched);
+  EXPECT_EQ(a.wasted_bytes, b.wasted_bytes);
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.sim_events, b.sim_events);
+  ASSERT_EQ(a.timings.size(), b.timings.size());
+  for (std::size_t i = 0; i < a.timings.size(); ++i) {
+    EXPECT_EQ(a.timings[i].url, b.timings[i].url);
+    EXPECT_EQ(a.timings[i].template_id, b.timings[i].template_id);
+    EXPECT_EQ(a.timings[i].referenced, b.timings[i].referenced);
+    EXPECT_EQ(a.timings[i].processable, b.timings[i].processable);
+    EXPECT_EQ(a.timings[i].in_iframe, b.timings[i].in_iframe);
+    EXPECT_EQ(a.timings[i].hinted, b.timings[i].hinted);
+    EXPECT_EQ(a.timings[i].pushed, b.timings[i].pushed);
+    EXPECT_EQ(a.timings[i].from_cache, b.timings[i].from_cache);
+    EXPECT_EQ(a.timings[i].bytes, b.timings[i].bytes);
+    EXPECT_EQ(a.timings[i].discovered, b.timings[i].discovered);
+    EXPECT_EQ(a.timings[i].requested, b.timings[i].requested);
+    EXPECT_EQ(a.timings[i].complete, b.timings[i].complete);
+    EXPECT_EQ(a.timings[i].processed, b.timings[i].processed);
+  }
+  ASSERT_EQ(a.trace_counters.size(), b.trace_counters.size());
+  for (std::size_t i = 0; i < a.trace_counters.size(); ++i) {
+    EXPECT_EQ(a.trace_counters[i], b.trace_counters[i]);
+  }
+}
+
+TEST(LoadResultSerialization, RealLoadRoundTripsEveryField) {
+  ScopedEnv trace_env("VROOM_TRACE", nullptr);
+  const web::PageModel page = web::generate_page(42, 5, web::PageClass::News);
+  harness::RunOptions opt;
+  // Trace so the trace_counters snapshot is non-empty and round-trips too.
+  opt.trace_sink = [](const trace::Recorder&) {};
+  const auto r = harness::run_page_load(page, baselines::vroom(), opt, 1);
+  ASSERT_TRUE(r.finished);
+  ASSERT_FALSE(r.timings.empty());
+  ASSERT_FALSE(r.trace_counters.empty());
+
+  const std::string bytes = serialize_load_result(r);
+  LoadResult back;
+  ASSERT_TRUE(deserialize_load_result(bytes, &back));
+  expect_identical(r, back);
+}
+
+TEST(LoadResultSerialization, SentinelAndEdgeValuesSurvive) {
+  LoadResult r;
+  r.finished = false;
+  r.plt = sim::kNever;
+  r.aft = sim::kNever;
+  r.speed_index_ms = 1.0 / 3.0;
+  r.net_wait = -1;  // sign must survive the unsigned wire format
+  ResourceTiming t;
+  t.url = "https://example.com/a?x=1&y=2";
+  t.template_id = std::nullopt;
+  t.discovered = sim::kNever;
+  r.timings.push_back(t);
+  r.trace_counters.emplace_back("net.bytes", INT64_MAX);
+
+  LoadResult back;
+  ASSERT_TRUE(deserialize_load_result(serialize_load_result(r), &back));
+  expect_identical(r, back);
+  EXPECT_FALSE(back.timings[0].template_id.has_value());
+}
+
+TEST(LoadResultSerialization, RejectsCorruptBytes) {
+  LoadResult r;
+  r.plt = sim::ms(1234);
+  const std::string bytes = serialize_load_result(r);
+  LoadResult out;
+  EXPECT_FALSE(deserialize_load_result("", &out));
+  for (std::size_t cut : {std::size_t{1}, bytes.size() / 2,
+                          bytes.size() - 1}) {
+    EXPECT_FALSE(
+        deserialize_load_result(std::string_view(bytes).substr(0, cut), &out))
+        << "truncated at " << cut;
+  }
+  EXPECT_FALSE(deserialize_load_result(bytes + "x", &out));
+  std::string wrong_version = bytes;
+  wrong_version[0] = static_cast<char>(wrong_version[0] + 1);
+  EXPECT_FALSE(deserialize_load_result(wrong_version, &out));
 }
 
 }  // namespace

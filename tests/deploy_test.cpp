@@ -213,7 +213,6 @@ TEST(FrontEnd, CrawlScheduleIsPeriodicAndThroughputBound) {
 // pool-parallel warm column, and the concurrent per-level macro passes —
 // is bit-identical at any worker count.
 TEST(Scenario, ReportBitIdenticalAcrossJobCounts) {
-  ScopedEnv cache(/*result cache off*/ "VROOM_RESULT_CACHE", nullptr);
   ScopedEnv trace("VROOM_TRACE", nullptr);
   ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "400");
   ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "2");
@@ -271,7 +270,6 @@ TEST(Scenario, ReportBitIdenticalAcrossJobCounts) {
 // histogram increments), so metrics.csv / metrics.prom must match byte for
 // byte whatever the worker pool looked like.
 TEST(Scenario, ExportedMetricsByteIdenticalAcrossJobCounts) {
-  ScopedEnv cache("VROOM_RESULT_CACHE", nullptr);
   ScopedEnv trace("VROOM_TRACE", nullptr);
   ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "300");
   ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "2");
@@ -306,27 +304,9 @@ TEST(Scenario, ExportedMetricsByteIdenticalAcrossJobCounts) {
   }
 }
 
-// Sharding splits figure sweeps; inside the deployment scenario it would
-// split only the embedded micro plan while every shard process re-ran the
-// warm column and macro passes whole. The scenario must die loudly instead
-// of producing n slightly-wrong copies.
-TEST(ScenarioDeathTest, RefusesShardEnvironment) {
-  const web::Corpus corpus = web::Corpus::smoke(42, 2);
-  const deploy::ScenarioConfig cfg;
-  {
-    ScopedEnv shard("VROOM_SHARD", "0/2");
-    EXPECT_DEATH((void)deploy::run_deployment(corpus, cfg), "cannot shard");
-  }
-  {
-    ScopedEnv dir("VROOM_SHARD_DIR", testing::TempDir().c_str());
-    EXPECT_DEATH((void)deploy::run_deployment(corpus, cfg), "cannot shard");
-  }
-}
-
 // Contention is simulated, not approximated: pushing offered load far past
 // the origin links' capacity must degrade tail PLT.
 TEST(Scenario, TailPltDegradesAcrossLinkCapacity) {
-  ScopedEnv cache("VROOM_RESULT_CACHE", nullptr);
   ScopedEnv trace("VROOM_TRACE", nullptr);
   ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "6000");
   ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "6");

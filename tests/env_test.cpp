@@ -20,15 +20,11 @@ using testutil::ScopedEnv;
 struct CleanEnv {
   ScopedEnv jobs{"VROOM_JOBS", nullptr};
   ScopedEnv pages{"VROOM_BENCH_PAGES", nullptr};
-  ScopedEnv cache{"VROOM_RESULT_CACHE", nullptr};
   ScopedEnv trace{"VROOM_TRACE", nullptr};
   ScopedEnv out{"VROOM_OUT_DIR", nullptr};
   ScopedEnv progress{"VROOM_PROGRESS", nullptr};
   ScopedEnv metrics{"VROOM_METRICS", nullptr};
   ScopedEnv profile{"VROOM_PROFILE", nullptr};
-  ScopedEnv shard{"VROOM_SHARD", nullptr};
-  ScopedEnv shard_dir{"VROOM_SHARD_DIR", nullptr};
-  ScopedEnv cache_max{"VROOM_CACHE_MAX_BYTES", nullptr};
 };
 
 TEST(Env, DefaultsWhenUnset) {
@@ -36,7 +32,6 @@ TEST(Env, DefaultsWhenUnset) {
   const harness::Env env = harness::Env::from_environment();
   EXPECT_EQ(env.jobs, 0);
   EXPECT_EQ(env.bench_pages, 0);
-  EXPECT_EQ(env.result_cache_dir, "");
   EXPECT_EQ(env.trace_dir, "");
   EXPECT_EQ(env.out_dir, "");
   EXPECT_FALSE(env.progress);
@@ -44,66 +39,6 @@ TEST(Env, DefaultsWhenUnset) {
   EXPECT_EQ(env.metrics_dir, "");
   EXPECT_FALSE(env.metrics_enabled());
   EXPECT_FALSE(env.profile);
-  EXPECT_FALSE(env.shard.has_value());
-  EXPECT_EQ(env.shard_dir, "");
-  EXPECT_EQ(env.cache_max_bytes, 0);
-}
-
-// The typed VROOM_SHARD=i/N accessor: the fleet and scripts/sweep_shards.sh
-// share this one parser, so its rejection rules are load-bearing.
-TEST(Env, ShardSpecParsesValidSpecs) {
-  CleanEnv clean;
-  {
-    ScopedEnv shard("VROOM_SHARD", "0/4");
-    const auto spec = harness::Env::from_environment().shard;
-    ASSERT_TRUE(spec.has_value());
-    EXPECT_EQ(spec->index, 0);
-    EXPECT_EQ(spec->count, 4);
-  }
-  {
-    ScopedEnv shard("VROOM_SHARD", "3/4");
-    const auto spec = harness::Env::from_environment().shard;
-    ASSERT_TRUE(spec.has_value());
-    EXPECT_EQ(*spec, (harness::ShardSpec{3, 4}));
-  }
-  {
-    // The degenerate single-shard sweep is valid: i/1 runs everything.
-    ScopedEnv shard("VROOM_SHARD", "0/1");
-    EXPECT_EQ(harness::Env::from_environment().shard,
-              (harness::ShardSpec{0, 1}));
-  }
-}
-
-TEST(Env, ShardSpecRejectsMalformedSpecs) {
-  CleanEnv clean;
-  // N == 0, i >= N, negatives, partial parses, missing halves — all read
-  // as unset through the unified [env] warning path.
-  for (const char* bad :
-       {"", "4", "4/", "/4", "1/0", "4/4", "5/4", "-1/4", "1/-4", "a/4",
-        "1/b", "1/4x", " 1/4", "1/4 ", "1//4", "0x1/4", "1.0/4"}) {
-    ScopedEnv shard("VROOM_SHARD", bad);
-    EXPECT_FALSE(harness::Env::from_environment().shard.has_value())
-        << "VROOM_SHARD=\"" << bad << '"';
-  }
-}
-
-TEST(Env, ShardDirAndCacheMaxBytes) {
-  CleanEnv clean;
-  ScopedEnv dir("VROOM_SHARD_DIR", "/tmp/vroom-shards");
-  // > INT_MAX on purpose: the cap is a 64-bit byte count.
-  ScopedEnv cap("VROOM_CACHE_MAX_BYTES", "5000000000");
-  const harness::Env env = harness::Env::from_environment();
-  EXPECT_EQ(env.shard_dir, "/tmp/vroom-shards");
-  EXPECT_EQ(env.cache_max_bytes, 5000000000LL);
-}
-
-TEST(Env, CacheMaxBytesRejectsMalformed) {
-  CleanEnv clean;
-  for (const char* bad : {"", "0", "-1", "1g", "1.5", " 1"}) {
-    ScopedEnv cap("VROOM_CACHE_MAX_BYTES", bad);
-    EXPECT_EQ(harness::Env::from_environment().cache_max_bytes, 0)
-        << "VROOM_CACHE_MAX_BYTES=\"" << bad << '"';
-  }
 }
 
 TEST(Env, MetricsAndProfileKnobs) {
@@ -134,14 +69,12 @@ TEST(Env, ParsesEveryVariable) {
   CleanEnv clean;
   ScopedEnv jobs("VROOM_JOBS", "4");
   ScopedEnv pages("VROOM_BENCH_PAGES", "8");
-  ScopedEnv cache("VROOM_RESULT_CACHE", "/tmp/vroom-rc");
   ScopedEnv trace("VROOM_TRACE", "/tmp/vroom-traces");
   ScopedEnv out("VROOM_OUT_DIR", "/tmp/vroom-out");
   ScopedEnv progress("VROOM_PROGRESS", "1");
   const harness::Env env = harness::Env::from_environment();
   EXPECT_EQ(env.jobs, 4);
   EXPECT_EQ(env.bench_pages, 8);
-  EXPECT_EQ(env.result_cache_dir, "/tmp/vroom-rc");
   EXPECT_EQ(env.trace_dir, "/tmp/vroom-traces");
   EXPECT_EQ(env.out_dir, "/tmp/vroom-out");
   EXPECT_TRUE(env.progress);

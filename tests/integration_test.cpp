@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/strategies.h"
+#include "fleet/fleet.h"
 #include "harness/experiment.h"
 #include "harness/stats.h"
 #include "web/corpus.h"
@@ -27,7 +28,7 @@ TEST_F(IntegrationTest, AllStrategiesFinishOnAllPages) {
       baselines::lower_bound_network(), baselines::lower_bound_cpu(),
   };
   for (const auto& s : strategies) {
-    auto res = harness::run_corpus(corpus_, s, opt_);
+    auto res = fleet::run_corpus(corpus_, s, opt_);
     for (const auto& load : res.loads) {
       EXPECT_TRUE(load.finished) << s.name;
     }
@@ -36,15 +37,15 @@ TEST_F(IntegrationTest, AllStrategiesFinishOnAllPages) {
 
 TEST_F(IntegrationTest, MedianOrderingMatchesPaper) {
   const double h1 =
-      harness::median(harness::run_corpus(corpus_, baselines::http11(), opt_)
+      harness::median(fleet::run_corpus(corpus_, baselines::http11(), opt_)
                           .plt_seconds());
   const double h2 = harness::median(
-      harness::run_corpus(corpus_, baselines::http2_baseline(), opt_)
+      fleet::run_corpus(corpus_, baselines::http2_baseline(), opt_)
           .plt_seconds());
   const double vr = harness::median(
-      harness::run_corpus(corpus_, baselines::vroom(), opt_).plt_seconds());
+      fleet::run_corpus(corpus_, baselines::vroom(), opt_).plt_seconds());
   const double pol = harness::median(
-      harness::run_corpus(corpus_, baselines::polaris(), opt_).plt_seconds());
+      fleet::run_corpus(corpus_, baselines::polaris(), opt_).plt_seconds());
   EXPECT_LT(h2, h1);
   EXPECT_LT(vr, h2);
   EXPECT_LT(vr, pol);
@@ -52,8 +53,8 @@ TEST_F(IntegrationTest, MedianOrderingMatchesPaper) {
 }
 
 TEST_F(IntegrationTest, VroomImprovesDiscoveryLatency) {
-  auto h2 = harness::run_corpus(corpus_, baselines::http2_baseline(), opt_);
-  auto vr = harness::run_corpus(corpus_, baselines::vroom(), opt_);
+  auto h2 = fleet::run_corpus(corpus_, baselines::http2_baseline(), opt_);
+  auto vr = fleet::run_corpus(corpus_, baselines::vroom(), opt_);
   int improved = 0;
   for (std::size_t i = 0; i < h2.loads.size(); ++i) {
     if (vr.loads[i].all_discovered < h2.loads[i].all_discovered) ++improved;
@@ -63,15 +64,15 @@ TEST_F(IntegrationTest, VroomImprovesDiscoveryLatency) {
 }
 
 TEST_F(IntegrationTest, VroomReducesNetWaitOnCriticalPath) {
-  auto h2 = harness::run_corpus(corpus_, baselines::http2_baseline(), opt_);
-  auto vr = harness::run_corpus(corpus_, baselines::vroom(), opt_);
+  auto h2 = fleet::run_corpus(corpus_, baselines::http2_baseline(), opt_);
+  auto vr = fleet::run_corpus(corpus_, baselines::vroom(), opt_);
   const double h2_wait = harness::median(h2.net_wait_fractions());
   const double vr_wait = harness::median(vr.net_wait_fractions());
   EXPECT_LT(vr_wait, h2_wait);
 }
 
 TEST_F(IntegrationTest, VroomWastesOnlyModestBandwidth) {
-  auto vr = harness::run_corpus(corpus_, baselines::vroom(), opt_);
+  auto vr = fleet::run_corpus(corpus_, baselines::vroom(), opt_);
   for (const auto& load : vr.loads) {
     EXPECT_LT(static_cast<double>(load.wasted_bytes),
               0.15 * static_cast<double>(load.bytes_fetched));
@@ -80,12 +81,12 @@ TEST_F(IntegrationTest, VroomWastesOnlyModestBandwidth) {
 
 TEST_F(IntegrationTest, PartialDeploymentBetweenFullAndBaseline) {
   const double h2 = harness::median(
-      harness::run_corpus(corpus_, baselines::http2_baseline(), opt_)
+      fleet::run_corpus(corpus_, baselines::http2_baseline(), opt_)
           .plt_seconds());
   const double vr = harness::median(
-      harness::run_corpus(corpus_, baselines::vroom(), opt_).plt_seconds());
+      fleet::run_corpus(corpus_, baselines::vroom(), opt_).plt_seconds());
   const double part = harness::median(
-      harness::run_corpus(corpus_, baselines::vroom_first_party_only(), opt_)
+      fleet::run_corpus(corpus_, baselines::vroom_first_party_only(), opt_)
           .plt_seconds());
   EXPECT_LE(vr, part + 0.05);
   EXPECT_LT(part, h2);

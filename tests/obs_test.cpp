@@ -223,7 +223,6 @@ TEST(Registry, DigestTracksContent) {
 // --- Fleet integration -----------------------------------------------------
 
 TEST(FleetMetrics, VirtualExportByteIdenticalAcrossJobCounts) {
-  ScopedEnv cache("VROOM_RESULT_CACHE", nullptr);
   ScopedEnv trace("VROOM_TRACE", nullptr);
   ScopedEnv pages("VROOM_BENCH_PAGES", nullptr);
   ScopedEnv profile("VROOM_PROFILE", nullptr);
@@ -264,7 +263,6 @@ TEST(FleetMetrics, VirtualExportByteIdenticalAcrossJobCounts) {
 }
 
 TEST(FleetMetrics, DisabledPathLeavesResultsIdentical) {
-  ScopedEnv cache("VROOM_RESULT_CACHE", nullptr);
   ScopedEnv trace("VROOM_TRACE", nullptr);
   ScopedEnv pages("VROOM_BENCH_PAGES", nullptr);
   ScopedEnv jobs_env("VROOM_JOBS", "2");
@@ -383,7 +381,6 @@ deploy::ScenarioConfig small_scenario() {
 }
 
 TEST(DeployObs, HistogramPercentilesTrackExactOnesWithinOneBucket) {
-  ScopedEnv cache("VROOM_RESULT_CACHE", nullptr);
   ScopedEnv trace("VROOM_TRACE", nullptr);
   ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "400");
   ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "2");
@@ -408,7 +405,6 @@ TEST(DeployObs, HistogramPercentilesTrackExactOnesWithinOneBucket) {
 }
 
 TEST(DeployObs, MacroTraceAuditPassesAndCatchesInjectedViolations) {
-  ScopedEnv cache("VROOM_RESULT_CACHE", nullptr);
   ScopedEnv trace("VROOM_TRACE", nullptr);
   ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "400");
   ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "2");
@@ -531,7 +527,6 @@ TEST(DeployObs, MacroTraceAuditPassesAndCatchesInjectedViolations) {
 }
 
 TEST(DeployObs, MetricsExportCoversMacroPassAndStaysByteIdentical) {
-  ScopedEnv cache("VROOM_RESULT_CACHE", nullptr);
   ScopedEnv trace("VROOM_TRACE", nullptr);
   ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "200");
   ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "2");

@@ -110,6 +110,25 @@ TEST(TraceErrors, RejectsMalformedInput) {
       "res id=0 parent=-1 type=js via=tag off=0 size=1000 domain=x.com "
       "vol=stable period=100 phase=0\n";
   EXPECT_FALSE(page_from_trace(bad_root, &error).has_value());
+  // A token without '=' is not silently skipped.
+  const char* stray =
+      "page id=1 class=news first_party=x.com\n"
+      "res id=0 parent=-1 type=html via=tag off=0 size=1000 domain=x.com "
+      "vol=hourly period=100 phase=0 stray\n";
+  EXPECT_FALSE(page_from_trace(stray, &error).has_value());
+  EXPECT_NE(error.find("stray"), std::string::npos) << error;
+  // A repeated key does not silently overwrite the earlier value: this page
+  // would otherwise load as a 5-byte document.
+  const char* repeated =
+      "page id=1 class=news first_party=x.com\n"
+      "res id=0 parent=-1 type=html via=tag off=0 size=91234 domain=x.com "
+      "vol=hourly period=100 phase=0 size=5\n";
+  EXPECT_FALSE(page_from_trace(repeated, &error).has_value());
+  EXPECT_NE(error.find("repeated key 'size'"), std::string::npos) << error;
+  // Same rule on the page header.
+  EXPECT_FALSE(page_from_trace("page id=1 id=2 class=news first_party=x.com\n",
+                               &error)
+                   .has_value());
 }
 
 // Numeric fields follow the strict whole-value contract (harness/env.cpp):
@@ -139,8 +158,7 @@ TEST(TraceErrors, AcceptsCommentsAndHandwrittenMinimalPage) {
       "res id=0 parent=-1 type=html via=tag off=0 size=20000 domain=tiny.com "
       "vol=hourly period=1800000000 phase=0 flags=above_fold\n"
       "res id=1 parent=0 type=css via=tag off=0.1 size=5000 domain=tiny.com "
-      "vol=stable period=864000000000 phase=0 flags=cacheable above\n";
-  // (note: trailing junk token without '=' is ignored by the field parser)
+      "vol=stable period=864000000000 phase=0 flags=cacheable\n";
   auto page = page_from_trace(text);
   ASSERT_TRUE(page.has_value());
   EXPECT_EQ(page->size(), 2u);
