@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "sim/random.h"
@@ -10,6 +12,13 @@
 namespace vroom::deploy {
 
 namespace {
+
+// The largest page count and device mix build_population accepts: Arrival
+// narrows page and device indices to these field widths.
+constexpr int kMaxPages =
+    std::numeric_limits<decltype(Arrival::page)>::max() + 1;
+constexpr int kMaxDevices =
+    std::numeric_limits<decltype(Arrival::device)>::max() + 1;
 
 // Zipf-style sampler over n ranks with exponent s: weight(r) = 1/(r+1)^s.
 // Rng::weighted is O(n) per draw; at population scale (10^4 users, 10^5
@@ -37,6 +46,24 @@ class ZipfSampler {
   std::vector<double> cum_;
 };
 
+// Scales a profile to mean 1.0: sum in order, then multiply each entry by
+// size / sum.
+std::vector<double> normalized_profile(std::vector<double> p) {
+  double sum = 0.0;
+  for (double v : p) {
+    if (!std::isfinite(v) || v < 0) {
+      throw std::invalid_argument(
+          "diurnal: entries must be finite and non-negative");
+    }
+    sum += v;
+  }
+  if (!(sum > 0) || !std::isfinite(sum)) {
+    throw std::invalid_argument("diurnal: sum must be positive and finite");
+  }
+  for (double& v : p) v *= static_cast<double>(p.size()) / sum;
+  return p;
+}
+
 }  // namespace
 
 std::vector<double> zipf_weights(int n, double s) {
@@ -58,47 +85,65 @@ std::vector<DeviceShare> default_device_mix() {
 
 std::vector<double> default_diurnal_profile() {
   // Hand-shaped weekday curve: overnight trough (hours 1-5), morning ramp,
-  // midday plateau, evening peak around hour 20. Mean is exactly 1.0 so the
-  // configured mean arrival rate is the true time average.
-  std::vector<double> p = {
+  // midday plateau, evening peak around hour 20.
+  return normalized_profile({
       0.45, 0.30, 0.22, 0.18, 0.18, 0.25,  // 00-05
       0.45, 0.75, 1.05, 1.20, 1.25, 1.30,  // 06-11
       1.35, 1.30, 1.25, 1.20, 1.25, 1.35,  // 12-17
       1.55, 1.75, 1.85, 1.65, 1.20, 0.72,  // 18-23
-  };
-  double sum = 0.0;
-  for (double v : p) sum += v;
-  for (double& v : p) v *= static_cast<double>(p.size()) / sum;
-  return p;
-}
-
-double diurnal_multiplier(const PopulationConfig& cfg, sim::Time t) {
-  const std::vector<double> profile =
-      cfg.diurnal.empty() ? default_diurnal_profile() : cfg.diurnal;
-  if (profile.empty()) return 1.0;
-  const auto hour = static_cast<std::size_t>((t / sim::hours(1)) %
-                                             static_cast<sim::Time>(
-                                                 profile.size()));
-  return profile[hour];
+  });
 }
 
 std::vector<Arrival> build_population(int num_pages,
                                       const PopulationConfig& cfg,
                                       std::uint64_t seed,
                                       int max_arrivals) {
+  const std::vector<DeviceShare> mix =
+      cfg.device_mix.empty() ? default_device_mix() : cfg.device_mix;
+  // Arrival narrows the page and device indices, and the warm-visit key
+  // packs the page into 16 bits: an index past the field would alias.
+  if (num_pages > kMaxPages) {
+    throw std::invalid_argument("build_population: more than " +
+                                std::to_string(kMaxPages) + " pages");
+  }
+  if (mix.size() > static_cast<std::size_t>(kMaxDevices)) {
+    throw std::invalid_argument("build_population: more than " +
+                                std::to_string(kMaxDevices) +
+                                " device classes");
+  }
+  const std::vector<double> profile =
+      cfg.diurnal.empty() ? default_diurnal_profile()
+                          : normalized_profile(cfg.diurnal);
+
   std::vector<Arrival> arrivals;
   if (num_pages <= 0 || cfg.users <= 0 || cfg.window <= 0 ||
-      cfg.mean_arrivals_per_sec <= 0.0) {
+      !(cfg.mean_arrivals_per_sec > 0.0)) {
     return arrivals;
   }
 
-  const std::vector<double> profile =
-      cfg.diurnal.empty() ? default_diurnal_profile() : cfg.diurnal;
   double max_mult = 1.0;
   for (double v : profile) max_mult = std::max(max_mult, v);
+  const auto hour_of = [&profile](sim::Time t) {
+    return static_cast<std::size_t>((t / sim::hours(1)) %
+                                    static_cast<sim::Time>(profile.size()));
+  };
+  // The expected arrival count: the rate integrated over the window.
+  double expected = 0.0;
+  for (sim::Time start = 0; start < cfg.window;) {
+    const sim::Time span = std::min(sim::hours(1), cfg.window - start);
+    expected += profile[hour_of(start)] * sim::to_seconds(span);
+    start += span;
+  }
+  expected *= cfg.mean_arrivals_per_sec;
+  // Four standard deviations of headroom: the stream practically never
+  // outgrows the reserve, so it never pays a doubling copy.
+  double reserve = expected + 4.0 * std::sqrt(expected) + 16.0;
+  if (max_arrivals > 0) {
+    reserve = std::min(reserve, static_cast<double>(max_arrivals));
+  }
+  arrivals.reserve(static_cast<std::size_t>(
+      std::min(reserve, static_cast<double>(arrivals.max_size()))));
 
-  const std::vector<DeviceShare> mix =
-      cfg.device_mix.empty() ? default_device_mix() : cfg.device_mix;
   std::vector<double> mix_weights;
   mix_weights.reserve(mix.size());
   for (const DeviceShare& share : mix) mix_weights.push_back(share.weight);
@@ -113,23 +158,17 @@ std::vector<Arrival> build_population(int num_pages,
   const ZipfSampler user_sampler(cfg.users, cfg.user_skew);
   const ZipfSampler page_sampler(num_pages, cfg.page_skew);
 
-  // Per-user traits are a pure function of (root, user): assigned lazily on
-  // first arrival, identical regardless of arrival order or truncation.
+  // Per-user traits are a pure function of (root, user), drawn on the
+  // user's first arrival, so they do not depend on arrival order or
+  // truncation. They are the device and cookie draws of the stream
+  // std::mt19937_64(derive_seed(root, user)), whose first two words
+  // Mt64Head yields without building the engine.
   struct UserTraits {
-    std::uint8_t device;
-    bool cookie;
+    std::uint8_t device = 0;
+    bool cookie = false;
+    bool drawn = false;
   };
-  std::unordered_map<std::uint32_t, UserTraits> traits;
-  const auto traits_for = [&](std::uint32_t user) {
-    auto it = traits.find(user);
-    if (it != traits.end()) return it->second;
-    sim::Rng r(sim::derive_seed(root, static_cast<std::uint64_t>(user)));
-    UserTraits t;
-    t.device = static_cast<std::uint8_t>(r.weighted(mix_weights));
-    t.cookie = r.chance(cfg.cookie_frac);
-    traits.emplace(user, t);
-    return t;
-  };
+  std::vector<UserTraits> traits(static_cast<std::size_t>(cfg.users));
 
   // Warm-cache bookkeeping: last visit time per (user, page).
   std::unordered_map<std::uint64_t, sim::Time> last_visit;
@@ -141,13 +180,20 @@ std::vector<Arrival> build_population(int num_pages,
   while (true) {
     t += sim::from_seconds(arrival_rng.exponential(1.0 / peak_rate));
     if (t >= cfg.window) break;
-    if (!arrival_rng.chance(diurnal_multiplier(cfg, t) / max_mult)) continue;
+    if (!arrival_rng.chance(profile[hour_of(t)] / max_mult)) continue;
 
     Arrival a;
     a.at = t;
     a.user = static_cast<std::uint32_t>(user_sampler.draw(who_rng));
     a.page = static_cast<std::uint16_t>(page_sampler.draw(page_rng));
-    const UserTraits ut = traits_for(a.user);
+    UserTraits& ut = traits[a.user];
+    if (!ut.drawn) {
+      sim::Mt64Head head(
+          sim::derive_seed(root, static_cast<std::uint64_t>(a.user)));
+      ut.device = static_cast<std::uint8_t>(sim::weighted(head, mix_weights));
+      ut.cookie = sim::chance(head, cfg.cookie_frac);
+      ut.drawn = true;
+    }
     a.device = ut.device;
     a.cookie = ut.cookie;
 

@@ -8,9 +8,10 @@
 // warm-cache arrivals emerge from the revisit history (a user returning to
 // a page within the cache TTL arrives warm). Everything derives from one
 // seed through the sim::derive_seed chain, so the stream is bit-identical
-// on every machine and at any VROOM_JOBS — the expensive per-condition page
-// loads run on the fleet, the population itself is generated in one cheap
-// serial pass.
+// on every machine and at any VROOM_JOBS. The expensive per-condition page
+// loads run on the fleet. Each offered-load level builds its own stream in
+// one serial pass on its own task; the pass's cost is a few draws per
+// candidate arrival plus, on a user's first arrival, two trait draws.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +38,10 @@ struct PopulationConfig {
   double cookie_frac = 0.55;   // fraction of users that send a login cookie
   sim::Time window = sim::hours(24);   // traffic window length
   double mean_arrivals_per_sec = 1.0;  // time-averaged offered load
-  // Rate multiplier per hour of day, cycled over the window; normalized to
-  // mean 1.0 at sampling time so mean_arrivals_per_sec stays the average.
-  // Empty = default_diurnal_profile().
+  // Rate multiplier per hour of day, cycled over the window. build_population
+  // scales it to mean 1.0, so mean_arrivals_per_sec stays the average over
+  // whole days; entries must be finite and non-negative with a positive
+  // sum. Empty = default_diurnal_profile().
   std::vector<double> diurnal;
   // A user re-arriving at the same page within this gap has a warm browser
   // cache (their previous visit's cacheable resources are still fresh).
@@ -60,9 +62,6 @@ std::vector<double> default_diurnal_profile();
 // caller's floating-point story stays exactly what it was).
 std::vector<double> zipf_weights(int n, double s);
 
-// Rate multiplier at virtual time `t` (hour-of-day resolution, cycling).
-double diurnal_multiplier(const PopulationConfig& cfg, sim::Time t);
-
 struct Arrival {
   sim::Time at = 0;            // within [0, window)
   std::uint32_t user = 0;
@@ -81,7 +80,10 @@ struct Arrival {
 // Deterministic in (num_pages, cfg, seed) only. `max_arrivals` truncates
 // the stream after generation (0 = no cap) — the VROOM_DEPLOY_ARRIVALS
 // quick-run knob; truncation keeps the prefix, so capped runs are prefixes
-// of uncapped ones.
+// of uncapped ones. Throws std::invalid_argument for more than 65,536
+// pages or 256 device classes (the widths of Arrival::page and
+// Arrival::device), for a malformed diurnal profile, and (from the first
+// trait draw) for device weights with a non-positive total.
 std::vector<Arrival> build_population(int num_pages,
                                       const PopulationConfig& cfg,
                                       std::uint64_t seed,

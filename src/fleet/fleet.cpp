@@ -3,7 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -159,16 +161,29 @@ void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
     return;
   }
   std::atomic<std::size_t> cursor{0};
+  // An exception must not escape a worker thread (that would terminate the
+  // process): the first one is kept, the cursor is run out so no worker
+  // claims another task, and it is rethrown after the join.
+  std::mutex error_mu;
+  std::exception_ptr first_error;
   auto worker = [&] {
     for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
          i < count; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+        cursor.store(count, std::memory_order_relaxed);
+        return;
+      }
     }
   };
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(resolved));
   for (int w = 0; w < resolved; ++w) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,

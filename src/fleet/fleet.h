@@ -59,6 +59,9 @@ int resolve_worker_count(int requested);
 // (0 = resolve like run_plan: VROOM_JOBS, else hardware), claiming indices
 // from one atomic cursor. With one worker — or one task — the tasks run in
 // index order on the calling thread, the VROOM_JOBS=1 serial-replay mode.
+// A task that throws stops the run: no further tasks are claimed, the
+// running ones finish, and the first exception reaches the caller at any
+// worker count.
 // The caller owns the fleet determinism contract: tasks must be mutually
 // independent (disjoint output slots, no claim-order-dependent state), so
 // results cannot depend on the worker count. Used by the deployment

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <stdexcept>
 
 namespace vroom::sim {
 
@@ -45,15 +43,10 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::uniform(double lo, double hi) {
-  std::uniform_real_distribution<double> d(lo, hi);
-  return d(engine_);
+  return sim::uniform(engine_, lo, hi);
 }
 
-bool Rng::chance(double p) {
-  if (p <= 0) return false;
-  if (p >= 1) return true;
-  return uniform() < p;
-}
+bool Rng::chance(double p) { return sim::chance(engine_, p); }
 
 double Rng::lognormal(double median, double sigma) {
   std::lognormal_distribution<double> d(std::log(median), sigma);
@@ -77,14 +70,31 @@ double Rng::normal(double mean, double stddev) {
 }
 
 std::size_t Rng::weighted(const std::vector<double>& weights) {
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  if (total <= 0) throw std::invalid_argument("weighted: non-positive total");
-  double x = uniform(0.0, total);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    if (x < weights[i]) return i;
-    x -= weights[i];
+  return sim::weighted(engine_, weights);
+}
+
+Mt64Head::Mt64Head(std::uint64_t seed) {
+  using Mt = std::mt19937_64;
+  constexpr std::size_t m = Mt::shift_size;
+  // Seeded words 0 .. m+1: x[i] = f * (x[i-1] ^ (x[i-1] >> (w-2))) + i.
+  std::array<std::uint64_t, m + 2> x{};
+  x[0] = seed;
+  for (std::size_t i = 1; i < x.size(); ++i) {
+    x[i] = Mt::initialization_multiplier *
+               (x[i - 1] ^ (x[i - 1] >> (Mt::word_size - 2))) +
+           i;
   }
-  return weights.size() - 1;
+  // The first regeneration's words 0 and 1, then the output tempering.
+  constexpr std::uint64_t upper = ~std::uint64_t{0} << Mt::mask_bits;
+  for (std::size_t k = 0; k < out_.size(); ++k) {
+    const std::uint64_t y = (x[k] & upper) | (x[k + 1] & ~upper);
+    std::uint64_t z = x[k + m] ^ (y >> 1) ^ ((y & 1) ? Mt::xor_mask : 0);
+    z ^= (z >> Mt::tempering_u) & Mt::tempering_d;
+    z ^= (z << Mt::tempering_s) & Mt::tempering_b;
+    z ^= (z << Mt::tempering_t) & Mt::tempering_c;
+    z ^= z >> Mt::tempering_l;
+    out_[k] = z;
+  }
 }
 
 }  // namespace vroom::sim

@@ -7,8 +7,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <numeric>
 #include <random>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -26,6 +29,66 @@ std::uint64_t derive_seed(std::uint64_t root, std::string_view purpose);
 // streams — unlike a bare `root ^ child`, which collides for every pair of
 // inputs with the same XOR (e.g. (seed, page) and (seed ^ d, page ^ d)).
 std::uint64_t derive_seed(std::uint64_t root, std::uint64_t child);
+
+// Engine-generic draws: the one definition of uniform, chance and weighted.
+// Rng's methods are these over its std::mt19937_64, so any other engine
+// that yields the same words (Mt64Head) yields the same values.
+
+// Uniform real in [lo, hi).
+template <typename Engine>
+double uniform(Engine& engine, double lo, double hi) {
+  std::uniform_real_distribution<double> d(lo, hi);
+  return d(engine);
+}
+
+// True with probability p; draws nothing when p <= 0 or p >= 1.
+template <typename Engine>
+bool chance(Engine& engine, double p) {
+  if (p <= 0) return false;
+  if (p >= 1) return true;
+  return uniform(engine, 0.0, 1.0) < p;
+}
+
+// Picks an index in [0, weights.size()) proportionally to weights.
+template <typename Engine>
+std::size_t weighted(Engine& engine, const std::vector<double>& weights) {
+  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
+  if (total <= 0) throw std::invalid_argument("weighted: non-positive total");
+  double x = uniform(engine, 0.0, total);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (x < weights[i]) return i;
+    x -= weights[i];
+  }
+  return weights.size() - 1;
+}
+
+// The first two outputs of std::mt19937_64(seed), without its 312-word
+// state. Output k twists seeded words k, k+1 and k+156, so running the
+// standard's seeding recurrence ([rand.eng.mers]) to word 157 and twisting
+// two words gives the same values as the engine, which seeds all 312 words
+// and then regenerates all 312 on its first draw. For a stream that is
+// drawn from at most twice, such as a user's traits.
+class Mt64Head {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit Mt64Head(std::uint64_t seed);
+
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+
+  // Throws std::out_of_range on a third draw.
+  result_type operator()() {
+    if (next_ == out_.size()) {
+      throw std::out_of_range("Mt64Head: only two outputs");
+    }
+    return out_[next_++];
+  }
+
+ private:
+  std::array<result_type, 2> out_{};
+  std::size_t next_ = 0;
+};
 
 class Rng {
  public:

@@ -5,10 +5,13 @@
 // capacity.
 #include "deploy/scenario.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,6 +53,54 @@ TEST(Population, MeanArrivalRateMatchesConfiguredWithinTolerance) {
   // One day at 0.5/s is ~43k draws; 5% covers Poisson noise comfortably.
   EXPECT_NEAR(got / expected, 1.0, 0.05)
       << got << " arrivals vs " << expected << " expected";
+}
+
+TEST(Population, CustomDiurnalProfileKeepsConfiguredMeanRate) {
+  // Only the profile's shape matters: a flat profile at any level is
+  // scaled to mean 1.0, so the day still averages the configured rate.
+  for (const double level : {2.0, 0.5}) {
+    deploy::PopulationConfig cfg = small_population();
+    cfg.diurnal.assign(24, level);
+    const auto arrivals = deploy::build_population(8, cfg, 1234);
+    const double expected =
+        cfg.mean_arrivals_per_sec * sim::to_seconds(cfg.window);
+    EXPECT_NEAR(static_cast<double>(arrivals.size()) / expected, 1.0, 0.05)
+        << arrivals.size() << " arrivals vs " << expected
+        << " expected, flat profile " << level;
+  }
+}
+
+TEST(Population, RejectsMalformedDiurnalProfile) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& bad :
+       {std::vector<double>{1.0, -0.5, 1.0}, std::vector<double>{1.0, nan},
+        std::vector<double>{inf, 1.0}, std::vector<double>(24, 0.0),
+        std::vector<double>{1e308, 1e308}}) {
+    deploy::PopulationConfig cfg = small_population();
+    cfg.diurnal = bad;
+    EXPECT_THROW(deploy::build_population(8, cfg, 1), std::invalid_argument);
+  }
+}
+
+TEST(Population, RejectsIndicesArrivalCannotHold) {
+  // Arrival::page is 16 bits and Arrival::device 8 bits: a larger corpus
+  // or device mix would alias onto low indices instead of failing.
+  deploy::PopulationConfig cfg = small_population();
+  cfg.page_skew = 0.0;
+  EXPECT_FALSE(deploy::build_population(65536, cfg, 3, 50).empty());
+  EXPECT_THROW(deploy::build_population(65537, cfg, 3, 50),
+               std::invalid_argument);
+
+  cfg.device_mix.assign(256, deploy::DeviceShare{web::nexus6(), 1.0});
+  const auto arrivals = deploy::build_population(8, cfg, 3, 2000);
+  ASSERT_FALSE(arrivals.empty());
+  std::uint8_t top = 0;
+  for (const deploy::Arrival& a : arrivals) top = std::max(top, a.device);
+  EXPECT_GT(top, 127) << "a 256-class mix never drew its upper half";
+  cfg.device_mix.push_back(deploy::DeviceShare{web::nexus6(), 1.0});
+  EXPECT_THROW(deploy::build_population(8, cfg, 3, 50),
+               std::invalid_argument);
 }
 
 TEST(Population, DiurnalShapeShowsUpInHourlyCounts) {
@@ -131,6 +182,55 @@ TEST(Population, BitIdenticalDrawsAcrossJobCounts) {
       ASSERT_TRUE(streams[0][i] == streams[j][i])
           << "stream diverged at arrival " << i;
     }
+  }
+}
+
+// FNV-1a over every field of every arrival, little-endian field by field
+// (not the struct's bytes: its padding is unspecified).
+std::uint64_t arrival_digest(const std::vector<deploy::Arrival>& arrivals) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const deploy::Arrival& a : arrivals) {
+    mix(static_cast<std::uint64_t>(a.at), 8);
+    mix(a.user, 4);
+    mix(a.page, 2);
+    mix(a.device, 1);
+    mix(a.cookie ? 1 : 0, 1);
+    mix(a.warm ? 1 : 0, 1);
+  }
+  return h;
+}
+
+// The arrival stream is part of every deployment figure, so a faster
+// generator must reproduce it bit for bit. The digests were recorded from
+// the generator that drew each user's traits from a full
+// std::mt19937_64(derive_seed(root, user)).
+TEST(Population, StreamMatchesRecordedDigest) {
+  // deploy_day's critical path: run_deployment's 3.2/s level at seed 42
+  // over a 30-page corpus, default population.
+  deploy::PopulationConfig day;
+  day.mean_arrivals_per_sec = 3.2;
+  const auto critical = deploy::build_population(
+      30, day, sim::derive_seed(42, "deploy:level-3"));
+  EXPECT_EQ(critical.size(), 276589u);
+  EXPECT_EQ(arrival_digest(critical), 0x7065aff4d4d28353ULL);
+
+  struct Recorded {
+    std::uint64_t seed;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  for (const Recorded& r : {Recorded{7, 42927, 0xb6d4ed4cf5571918ULL},
+                            Recorded{42, 43368, 0x3503084ee7938e1eULL}}) {
+    const auto arrivals =
+        deploy::build_population(8, small_population(), r.seed);
+    EXPECT_EQ(arrivals.size(), r.size) << "seed " << r.seed;
+    EXPECT_EQ(arrival_digest(arrivals), r.digest) << "seed " << r.seed;
   }
 }
 
@@ -301,6 +401,22 @@ TEST(Scenario, ExportedMetricsByteIdenticalAcrossJobCounts) {
       EXPECT_EQ(first, read_file(dirs[j] + file))
           << file << " diverged between jobs=1 and jobs=" << dirs[j].back();
     }
+  }
+}
+
+// A level task that throws must reach the caller as the exception, not
+// terminate the process from a pool thread.
+TEST(Scenario, LevelExceptionReachesCallerAtAnyJobCount) {
+  ScopedEnv trace("VROOM_TRACE", nullptr);
+  ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "100");
+  const web::Corpus corpus = web::Corpus::smoke(42, 2);
+  deploy::ScenarioConfig cfg;
+  cfg.stale_ages = {sim::hours(1)};
+  cfg.population.device_mix = {{web::nexus6(), 0.0}};
+  for (const char* jobs : {"1", "4"}) {
+    ScopedEnv env("VROOM_JOBS", jobs);
+    EXPECT_THROW(deploy::run_deployment(corpus, cfg), std::invalid_argument)
+        << "VROOM_JOBS=" << jobs;
   }
 }
 

@@ -2,6 +2,8 @@
 // worker-count resolution must be robust, and telemetry must add up.
 #include "fleet/fleet.h"
 
+#include <atomic>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -163,6 +165,30 @@ TEST(Fleet, RunTasksSerialPathPreservesIndexOrder) {
   std::atomic<int> calls{0};
   fleet::run_tasks(2, [&](std::size_t) { calls.fetch_add(1); }, 16);
   EXPECT_EQ(calls.load(), 2);
+}
+
+TEST(Fleet, RunTasksRethrowsTaskExceptionAtAnyWorkerCount) {
+  ScopedEnv jobs_env("VROOM_JOBS", nullptr);
+  for (const int workers : {1, 4}) {
+    std::atomic<int> calls{0};
+    try {
+      fleet::run_tasks(
+          64,
+          [&](std::size_t i) {
+            calls.fetch_add(1);
+            if (i == 5) throw std::invalid_argument("task 5");
+          },
+          workers);
+      ADD_FAILURE() << "no exception at " << workers << " workers";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "task 5");
+    }
+    // Serially the throw stops the run at once; in the pool, tasks other
+    // workers claimed before it may still finish.
+    if (workers == 1) {
+      EXPECT_EQ(calls.load(), 6);
+    }
+  }
 }
 
 TEST(Fleet, RunTasksHonorsVroomJobsEnv) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_loop.h"
@@ -136,6 +139,35 @@ TEST(RandomTest, WeightedRespectsZeroWeight) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(rng.weighted({0.0, 1.0, 0.0}), 1u);
   }
+}
+
+TEST(RandomTest, StreamHeadMatchesMt19937_64) {
+  std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0}};
+  for (std::uint64_t i = 0; i < 100000; ++i) seeds.push_back(derive_seed(9, i));
+  for (const std::uint64_t seed : seeds) {
+    std::mt19937_64 engine(seed);
+    Mt64Head head(seed);
+    ASSERT_EQ(head(), engine()) << "seed " << seed;
+    ASSERT_EQ(head(), engine()) << "seed " << seed;
+  }
+  Mt64Head head(3);
+  head();
+  head();
+  EXPECT_THROW(head(), std::out_of_range);
+}
+
+TEST(RandomTest, DrawsOverStreamHeadMatchRng) {
+  // The population's trait draws: weighted, then chance, on one stream.
+  const std::vector<double> weights = {0.45, 0.30, 0.25};
+  for (std::uint64_t user = 0; user < 2000; ++user) {
+    const std::uint64_t seed = derive_seed(42, user);
+    Rng rng(seed);
+    Mt64Head head(seed);
+    ASSERT_EQ(weighted(head, weights), rng.weighted(weights));
+    ASSERT_EQ(chance(head, 0.55), rng.chance(0.55));
+  }
+  Mt64Head head(1);
+  EXPECT_THROW(weighted(head, {0.0, 0.0}), std::invalid_argument);
 }
 
 TEST(RandomTest, ParetoIsCapped) {
