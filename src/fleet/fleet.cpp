@@ -1,16 +1,16 @@
 #include "fleet/fleet.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <mutex>
-#include <optional>
 #include <thread>
+#include <tuple>
 #include <utility>
 
-#include "fleet/job_queue.h"
 #include "harness/env.h"
 #include "harness/export.h"
 #include "obs/manifest.h"
@@ -32,75 +32,6 @@ int hardware_workers() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-// Opt-in live progress line (VROOM_PROGRESS=1): workers redraw a single
-// stderr line — `\r`, no newline — at most every 500 ms; a CAS on the
-// next-redraw deadline elects one worker per window, so the line never
-// interleaves. Goes to stderr so stdout stays byte-identical. finish()
-// prints the terminating newline.
-class ProgressTicker {
- public:
-  ProgressTicker(const JobQueue& queue, const Telemetry& telemetry,
-                 bool enabled)
-      : queue_(queue), telemetry_(telemetry), start_(monotonic_seconds()),
-        enabled_(enabled) {}
-
-  void tick() {
-    if (!enabled_) return;
-    const double now = monotonic_seconds();
-    double deadline = next_redraw_.load(std::memory_order_relaxed);
-    if (now < deadline ||
-        !next_redraw_.compare_exchange_strong(deadline, now + 0.5,
-                                              std::memory_order_relaxed)) {
-      return;
-    }
-    const std::size_t done = telemetry_.jobs_completed();
-    const std::size_t total = queue_.size();
-    const double elapsed = now - start_;
-    const double rate =
-        elapsed > 0 ? static_cast<double>(done) / elapsed : 0.0;
-    // ETA from the running rate; "--" until the first job lands.
-    char eta[32];
-    if (rate > 0 && done <= total) {
-      const double left = static_cast<double>(total - done) / rate;
-      if (left >= 3600) {
-        std::snprintf(eta, sizeof eta, "%.1fh", left / 3600);
-      } else if (left >= 60) {
-        std::snprintf(eta, sizeof eta, "%.1fm", left / 60);
-      } else {
-        std::snprintf(eta, sizeof eta, "%.0fs", left);
-      }
-    } else {
-      std::snprintf(eta, sizeof eta, "--");
-    }
-    // Trailing spaces scrub leftovers when this line is shorter than the
-    // previous redraw.
-    std::fprintf(stderr,
-                 "\r[fleet] %zu/%zu jobs (%zu unclaimed), %.1f jobs/s, "
-                 "ETA %s   ",
-                 done, total, queue_.remaining(), rate, eta);
-    std::fflush(stderr);
-    printed_ = true;
-  }
-
-  // Call after the pool joins: replaces the partial line with the final
-  // count and ends it with a newline.
-  void finish() {
-    if (!enabled_ || !printed_) return;
-    std::fprintf(stderr,
-                 "\r[fleet] %zu/%zu jobs done"
-                 "                                                  \n",
-                 telemetry_.jobs_completed(), queue_.size());
-  }
-
- private:
-  const JobQueue& queue_;
-  const Telemetry& telemetry_;
-  double start_;
-  bool enabled_ = false;
-  std::atomic<bool> printed_{false};
-  std::atomic<double> next_redraw_{0};
-};
-
 // One plan cell, compiled: page/load extents, the flat-grid slot offset and
 // the resolved display label.
 struct CompiledCell {
@@ -110,22 +41,52 @@ struct CompiledCell {
   std::string label;
 };
 
-// Per-job metric recording (DESIGN.md §12). Job totals and the summed
-// virtual time are commutative adds, so the virtual-plane export is
-// byte-identical at any VROOM_JOBS; the job wall-time distribution is
-// nondeterministic by nature and goes to the wall sidecar.
-void record_job_metrics(const browser::LoadResult& result,
-                        double wall_seconds) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& completed =
-      obs::registry().counter("fleet.jobs.completed");
-  static obs::Counter& virtual_us =
-      obs::registry().counter("fleet.sim.virtual_us");
-  static obs::Histogram& wall_us =
-      obs::registry().histogram("fleet.jobs.wall_us", obs::Plane::Wall);
-  completed.add();
-  virtual_us.add(result.plt);
-  wall_us.record(static_cast<std::int64_t>(wall_seconds * 1e6));
+// The run's summary, from the per-job slots: each cell's jobs occupy the
+// contiguous slot range that starts at its slot_offset.
+Telemetry summarize(int workers, double wall_seconds,
+                    const std::vector<CompiledCell>& cells,
+                    const std::vector<browser::LoadResult>& grid,
+                    const std::vector<double>& job_seconds) {
+  Telemetry t;
+  t.workers = workers;
+  t.jobs = grid.size();
+  t.wall_seconds = wall_seconds;
+  t.cells.reserve(cells.size());
+  for (const CompiledCell& cc : cells) {
+    CellTelemetry& row = t.cells.emplace_back();
+    row.label = cc.label;
+    row.jobs = static_cast<std::size_t>(cc.pages) *
+               static_cast<std::size_t>(cc.loads);
+    for (std::size_t i = cc.slot_offset; i < cc.slot_offset + row.jobs; ++i) {
+      row.busy_seconds += job_seconds[i];
+      row.simulated_seconds += sim::to_seconds(grid[i].plt);
+    }
+    t.busy_seconds += row.busy_seconds;
+    t.simulated_seconds += row.simulated_seconds;
+  }
+  t.job_seconds = harness::quartiles(job_seconds);
+  return t;
+}
+
+// The fleet's obs series (DESIGN.md §12), from the same slots. Job totals
+// and the summed virtual time are commutative adds, so the virtual-plane
+// export is byte-identical at any VROOM_JOBS; the worker count and the job
+// wall-time distribution are nondeterministic by nature and go to the wall
+// sidecar.
+void record_run_metrics(int workers,
+                        const std::vector<browser::LoadResult>& grid,
+                        const std::vector<double>& job_seconds) {
+  obs::Registry& registry = obs::registry();
+  registry.gauge("fleet.run.workers", obs::Plane::Wall).set_max(workers);
+  registry.counter("fleet.jobs.completed")
+      .add(static_cast<std::int64_t>(grid.size()));
+  obs::Counter& virtual_us = registry.counter("fleet.sim.virtual_us");
+  obs::Histogram& wall_us =
+      registry.histogram("fleet.jobs.wall_us", obs::Plane::Wall);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    virtual_us.add(grid[i].plt);
+    wall_us.record(static_cast<std::int64_t>(job_seconds[i] * 1e6));
+  }
 }
 
 std::string hex_digest(std::uint64_t v) {
@@ -136,6 +97,59 @@ std::string hex_digest(std::uint64_t v) {
 }
 
 }  // namespace
+
+double Telemetry::jobs_per_second() const {
+  return wall_seconds > 0 ? static_cast<double>(jobs) / wall_seconds : 0.0;
+}
+
+double Telemetry::utilization() const {
+  return wall_seconds > 0 && workers > 0
+             ? busy_seconds / (wall_seconds * workers)
+             : 0.0;
+}
+
+void Telemetry::print(std::FILE* out) const {
+  std::fprintf(out,
+               "[fleet] workers=%d jobs=%zu wall=%.3fs "
+               "throughput=%.1f jobs/s\n",
+               workers, jobs, wall_seconds, jobs_per_second());
+  std::fprintf(out,
+               "[fleet] busy=%.3fs (utilization %.0f%%)  simulated=%.1fs "
+               "(%.0fx wall)  job p25/p50/p75=%.3f/%.3f/%.3fs\n",
+               busy_seconds, utilization() * 100, simulated_seconds,
+               wall_seconds > 0 ? simulated_seconds / wall_seconds : 0.0,
+               job_seconds.p25, job_seconds.p50, job_seconds.p75);
+  if (cells.size() < 2) return;  // single-cell runs need no breakdown
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    std::fprintf(out,
+                 "[fleet]   cell %zu \"%s\": jobs=%zu busy=%.3fs "
+                 "simulated=%.1fs\n",
+                 c, cells[c].label.c_str(), cells[c].jobs,
+                 cells[c].busy_seconds, cells[c].simulated_seconds);
+  }
+}
+
+std::vector<Job> order_longest_first(
+    std::vector<Job> jobs,
+    const std::function<std::size_t(const Job&)>& size_of) {
+  // Sizes are looked up once per job, not once per comparison: size_of may
+  // walk corpus pages, and comparator calls are O(n log n).
+  std::vector<std::size_t> size(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) size[i] = size_of(jobs[i]);
+  std::vector<std::size_t> order(jobs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (size[a] != size[b]) return size[a] > size[b];
+    return std::tuple(jobs[a].cell_index, jobs[a].page_index,
+                      jobs[a].load_index) <
+           std::tuple(jobs[b].cell_index, jobs[b].page_index,
+                      jobs[b].load_index);
+  });
+  std::vector<Job> out;
+  out.reserve(jobs.size());
+  for (std::size_t i : order) out.push_back(jobs[i]);
+  return out;
+}
 
 int resolve_worker_count(int requested, const harness::Env& env) {
   if (requested > 0) return requested;
@@ -156,7 +170,7 @@ void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
   }
   if (resolved <= 1) {
     // Serial path: index order on the calling thread (VROOM_JOBS=1 replays
-    // the serial visit order, mirroring run_plan's one-worker mode).
+    // the serial visit order).
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -253,29 +267,12 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
               .size();
         });
   }
-  JobQueue queue(std::move(jobs));
 
-  Telemetry local_telemetry;
-  Telemetry* telemetry =
-      fleet.telemetry != nullptr ? fleet.telemetry : &local_telemetry;
-  std::vector<Telemetry::CellPlan> cell_plans;
-  cell_plans.reserve(static_cast<std::size_t>(n_cells));
-  for (const CompiledCell& cc : cells) {
-    cell_plans.push_back(Telemetry::CellPlan{
-        cc.label, static_cast<std::size_t>(cc.pages) *
-                      static_cast<std::size_t>(cc.loads)});
-  }
-  telemetry->begin_run(workers, queue.size(), std::move(cell_plans));
-  if (env.metrics_enabled()) {
-    obs::registry()
-        .gauge("fleet.run.workers", obs::Plane::Wall)
-        .set_max(workers);
-  }
-  ProgressTicker ticker(queue, *telemetry, env.progress);
-
-  // Flat result grid, one pre-assigned slot per job: workers never write to
-  // overlapping memory, and claim order cannot affect where results land.
+  // One pre-assigned slot per job for its result and its wall time: tasks
+  // never write to overlapping memory, and claim order cannot affect where
+  // results land.
   std::vector<browser::LoadResult> grid(total_jobs);
+  std::vector<double> job_seconds(total_jobs);
   auto slot = [&cells](const Job& job) -> std::size_t {
     const CompiledCell& cc = cells[static_cast<std::size_t>(job.cell_index)];
     return cc.slot_offset +
@@ -284,52 +281,37 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
            static_cast<std::size_t>(job.load_index);
   };
 
-  auto worker_loop = [&](int worker_id) {
-    while (std::optional<Job> job = queue.pop()) {
-      telemetry->job_started(worker_id);
-      const double started = monotonic_seconds();
-      const SweepCell& cell =
-          plan.cells[static_cast<std::size_t>(job->cell_index)];
-      const web::PageModel& page =
-          cell.corpus->page(static_cast<std::size_t>(job->page_index));
-      // Seed derivation matches harness::run_page_median exactly: the nonce
-      // depends only on (seed, page id, load index).
-      const std::uint64_t nonce = harness::derive_load_nonce(
-          cell.options.seed, page.page_id(), job->load_index);
-      browser::LoadResult result =
-          harness::run_page_load(page, cell.strategy, cell.options, nonce);
-      const double job_seconds = monotonic_seconds() - started;
-      record_job_metrics(result, job_seconds);
-      const sim::Time simulated = result.plt;
-      grid[slot(*job)] = std::move(result);
-      telemetry->job_finished(worker_id, job->cell_index, job_seconds,
-                              simulated);
-      ticker.tick();
-    }
-  };
-
-  if (workers == 1) {
-    // Serial path: drain the queue on the calling thread in grid order —
-    // cell-major then page-major then load-major, the exact visit order of
-    // the historical serial sweep.
-    worker_loop(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back(worker_loop, w);
-    }
-    for (std::thread& t : pool) t.join();
-  }
-  telemetry->end_run();
-  ticker.finish();
+  const double run_started = monotonic_seconds();
+  run_tasks(
+      jobs.size(),
+      [&](std::size_t i) {
+        const Job& job = jobs[i];
+        const double started = monotonic_seconds();
+        const SweepCell& cell =
+            plan.cells[static_cast<std::size_t>(job.cell_index)];
+        const web::PageModel& page =
+            cell.corpus->page(static_cast<std::size_t>(job.page_index));
+        // Seed derivation matches harness::run_page_median exactly: the
+        // nonce depends only on (seed, page id, load index).
+        const std::uint64_t nonce = harness::derive_load_nonce(
+            cell.options.seed, page.page_id(), job.load_index);
+        browser::LoadResult result =
+            harness::run_page_load(page, cell.strategy, cell.options, nonce);
+        const std::size_t s = slot(job);
+        job_seconds[s] = monotonic_seconds() - started;
+        grid[s] = std::move(result);
+      },
+      workers);
+  const Telemetry telemetry = summarize(
+      workers, monotonic_seconds() - run_started, cells, grid, job_seconds);
+  if (fleet.telemetry != nullptr) *fleet.telemetry = telemetry;
+  if (env.metrics_enabled()) record_run_metrics(workers, grid, job_seconds);
   if (env.profile) {
     // Collected after the pool joins: every worker's thread-local table has
     // folded into the retired aggregate, so the table partitions the run's
     // whole worker time. Stderr only — stdout stays frozen.
     std::fputs(obs::format_phase_profile(
-                   obs::collect_phase_profile(),
-                   telemetry->summary().busy_seconds_total)
+                   obs::collect_phase_profile(), telemetry.busy_seconds)
                    .c_str(),
                stderr);
   }
@@ -348,7 +330,6 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
     manifest.set("env.out_dir", env.out_dir);
     manifest.set("env.metrics", env.metrics_dir);
     manifest.set("env.profile", std::int64_t{env.profile ? 1 : 0});
-    manifest.set("env.progress", std::int64_t{env.progress ? 1 : 0});
     manifest.set("env.deploy_arrivals",
                  static_cast<std::int64_t>(env.deploy_arrivals));
     manifest.set("env.deploy_window_hours",
@@ -392,9 +373,11 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
       out.loads.push_back(harness::select_median_load(std::move(runs)));
     }
     // Tracing runs export their aggregated counters alongside the figure
-    // CSVs (no-op when tracing was off or VROOM_OUT_DIR is unset).
-    harness::maybe_export_counters("trace counters " + cc.label,
-                                   out.counter_totals());
+    // CSVs (no-op when tracing was off or VROOM_OUT_DIR is unset). The cell
+    // index keeps cells that share a label from sharing a file.
+    harness::maybe_export_counters(
+        "trace counters c" + std::to_string(c) + " " + cc.label,
+        out.counter_totals());
   }
   return results;
 }

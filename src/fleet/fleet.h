@@ -2,42 +2,78 @@
 //
 // The entry point is declarative: a `SweepPlan` lists (corpus × strategy ×
 // options) *cells*, and `run_plan` compiles the whole plan into one flat
-// (cell, page, load) job list executed by a single shared pool — so a
-// multi-corpus bench grid (the paper's Fig 13/21 evaluation shape) never
-// pays one straggling pool tail per corpus. `run_corpus` and `run_matrix`
-// are thin wrappers over one-cell / one-corpus plans.
+// (cell, page, load) job list and hands it to `run_tasks`, the fleet's one
+// worker pool — so a multi-corpus bench grid (the paper's Fig 13/21
+// evaluation shape) never pays one straggling pool tail per corpus.
+// `run_corpus` and `run_matrix` are thin wrappers over one-cell /
+// one-corpus plans.
 //
 // Every cell is simulated in this process. Each job builds a fully private
 // simulation world (event loop, network, page instance, servers, browser)
-// through harness::run_page_load, and derives its seeds purely from the
-// job's identity — (cell options' seed, page id, load index) — never from
-// execution order. The determinism contract: plan output is bit-identical,
-// cell by cell, to harness::run_page_median over every page, for any
-// worker count. `VROOM_JOBS=1` additionally preserves the serial execution
-// *order*, not just its results.
+// through harness::run_page_load, derives its seeds purely from the job's
+// identity — (cell options' seed, page id, load index) — never from
+// execution order, and writes its result and wall time into the job's
+// pre-assigned slot. The determinism contract: plan output is
+// bit-identical, cell by cell, to harness::run_page_median over every page,
+// for any worker count. `VROOM_JOBS=1` additionally preserves the serial
+// execution *order*, not just its results.
 //
 // With more than one worker, jobs dispatch in deterministic
 // longest-job-first order (page resource count as the size proxy, ties by
-// job identity — see job_queue.h) instead of FIFO, so the heaviest pages
-// cannot land last and leave the pool idling behind one straggler.
+// job identity — see order_longest_first) instead of FIFO, so the heaviest
+// pages cannot land last and leave the pool idling behind one straggler.
 // Dispatch order never affects results, only wall-clock time.
 //
 // Warm-cache cells (RunOptions::cache != nullptr) share one mutable cache
 // whose state depends on load order, so the fleet degrades the whole plan
 // to a single worker automatically rather than silently changing semantics.
+//
+// Run telemetry and the `fleet.*` obs series are computed once, after the
+// pool joins, from the per-job result and wall-time slots.
 #pragma once
 
 #include <cstddef>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "fleet/telemetry.h"
 #include "harness/env.h"
 #include "harness/experiment.h"
+#include "harness/stats.h"
 
 namespace vroom::fleet {
+
+// One cell's share of a run: its label, job count, and the summed wall
+// time and virtual time of its jobs.
+struct CellTelemetry {
+  std::string label;
+  std::size_t jobs = 0;
+  double busy_seconds = 0;
+  double simulated_seconds = 0;
+};
+
+// Summary of one run_plan call, computed after the pool joins from the
+// per-job wall times and load results. Printing goes wherever the caller
+// points it — benches send it to stderr so stdout stays byte-identical
+// across worker counts.
+struct Telemetry {
+  int workers = 0;
+  std::size_t jobs = 0;
+  double wall_seconds = 0;       // dispatch start .. pool join
+  double busy_seconds = 0;       // summed per-job wall time
+  double simulated_seconds = 0;  // summed virtual time of all loads
+  harness::Quartiles job_seconds;  // per-job wall-time distribution
+  std::vector<CellTelemetry> cells;  // plan order
+
+  double jobs_per_second() const;
+  // Busy time over wall time × workers.
+  double utilization() const;
+
+  // The run paragraph plus, for multi-cell plans, one row per cell.
+  void print(std::FILE* out) const;
+};
 
 struct FleetOptions {
   // Worker threads. 0 means "resolve": take VROOM_JOBS from the environment
@@ -47,6 +83,23 @@ struct FleetOptions {
   Telemetry* telemetry = nullptr;
 };
 
+// One unit of work: a single load of a single page under a single plan cell.
+struct Job {
+  int cell_index = 0;
+  int page_index = 0;
+  int load_index = 0;
+};
+
+// Deterministic longest-job-first dispatch order: sorts jobs by descending
+// `size_of(job)` (the caller's size proxy — the fleet uses the page's
+// resource count), with ties broken by job identity (cell, then page, then
+// load, ascending). The result is a pure function of the job set and the
+// size proxy — independent of the input order, the worker count, and any
+// prior run — so reordering can never make results irreproducible.
+std::vector<Job> order_longest_first(
+    std::vector<Job> jobs,
+    const std::function<std::size_t(const Job&)>& size_of);
+
 // Resolves a worker count: `requested` > 0 wins; otherwise VROOM_JOBS from
 // `env` (run_plan passes its plan-start snapshot, so one plan sees one
 // consistent knob set); otherwise the hardware concurrency (at least 1).
@@ -54,18 +107,19 @@ struct FleetOptions {
 int resolve_worker_count(int requested, const harness::Env& env);
 int resolve_worker_count(int requested);
 
-// Reusable pool entry point beneath run_plan's sweep machinery: runs
-// `count` independent tasks `fn(0) .. fn(count-1)` on `workers` threads
-// (0 = resolve like run_plan: VROOM_JOBS, else hardware), claiming indices
-// from one atomic cursor. With one worker — or one task — the tasks run in
-// index order on the calling thread, the VROOM_JOBS=1 serial-replay mode.
+// The fleet's worker pool: runs `count` independent tasks
+// `fn(0) .. fn(count-1)` on `workers` threads (0 = resolve: VROOM_JOBS,
+// else hardware), claiming indices from one atomic cursor. With one
+// worker — or one task — the tasks run in index order on the calling
+// thread, the VROOM_JOBS=1 serial-replay mode.
 // A task that throws stops the run: no further tasks are claimed, the
 // running ones finish, and the first exception reaches the caller at any
 // worker count.
 // The caller owns the fleet determinism contract: tasks must be mutually
 // independent (disjoint output slots, no claim-order-dependent state), so
-// results cannot depend on the worker count. Used by the deployment
-// scenario for its warm-revisit column and per-level macro passes.
+// results cannot depend on the worker count. run_plan dispatches its job
+// list through it; the deployment scenario uses it for its warm-revisit
+// column, page profiles and per-level macro passes.
 void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
                int workers = 0);
 
@@ -78,10 +132,8 @@ struct SweepCell {
   baselines::Strategy strategy;
   harness::RunOptions options;
   // Names the cell in telemetry rows, CorpusResult::strategy, and the
-  // trace-counter CSV export. Empty means "use strategy.name" (the
-  // historical run_matrix behaviour). Give distinct labels when one
-  // strategy appears over several corpora, or its counter exports collide
-  // on the same file slug.
+  // trace-counter CSV export (whose file name also carries the cell index).
+  // Empty means "use strategy.name".
   std::string label;
 };
 
@@ -112,7 +164,9 @@ struct SweepPlan {
 // Simulates every cell of the plan in this process on one shared worker
 // pool and returns one CorpusResult per cell, in plan order, each
 // bit-identical to a standalone run_corpus call with that cell's arguments
-// (any worker count). The telemetry summary carries one row per cell.
+// (any worker count). The telemetry summary carries one row per cell. A
+// load that throws stops the run, and the first exception reaches the
+// caller at any worker count.
 std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
                                             const FleetOptions& fleet = {});
 

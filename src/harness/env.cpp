@@ -42,9 +42,6 @@ Env Env::from_environment() {
       "VROOM_DEPLOY_ARRIVALS", std::getenv("VROOM_DEPLOY_ARRIVALS"));
   env.deploy_window_hours = parse_positive_int(
       "VROOM_DEPLOY_WINDOW_HOURS", std::getenv("VROOM_DEPLOY_WINDOW_HOURS"));
-  const char* progress = std::getenv("VROOM_PROGRESS");
-  env.progress = progress != nullptr && *progress != '\0' &&
-                 std::strcmp(progress, "0") != 0;
   env.metrics_dir = string_or_empty(std::getenv("VROOM_METRICS"));
   const char* profile = std::getenv("VROOM_PROFILE");
   env.profile = profile != nullptr && *profile != '\0' &&

@@ -12,7 +12,6 @@
 //   VROOM_BENCH_PAGES=<n>   cap corpus sizes for quick bench passes
 //   VROOM_TRACE=<dir>       write one Chrome-trace JSON file per load
 //   VROOM_OUT_DIR=<dir>     export printed tables as CSV
-//   VROOM_PROGRESS=1        live stderr progress ticker for long sweeps
 //   VROOM_METRICS=<dir>     export obs metrics (CSV + Prometheus text) and
 //                           run manifests after each fleet/deploy run
 //   VROOM_PROFILE=1         print the wall-clock phase-profile table after
@@ -31,7 +30,6 @@ struct Env {
   int bench_pages = 0;           // VROOM_BENCH_PAGES; 0 = uncapped
   std::string trace_dir;         // VROOM_TRACE; empty = tracing off
   std::string out_dir;           // VROOM_OUT_DIR; empty = no CSV export
-  bool progress = false;         // VROOM_PROGRESS; off unless set and != "0"
   std::string metrics_dir;       // VROOM_METRICS; empty = metrics off
   bool profile = false;          // VROOM_PROFILE; off unless set and != "0"
   // Deployment-scale simulation (src/deploy/). Both 0 = unset: the scenario

@@ -153,10 +153,10 @@ browser::LoadResult run_page_load(const web::PageModel& page,
     if (trace_to_dir) {
       // One file per load, named by the load's full identity: any VROOM_JOBS
       // worker assignment produces the same set of files, and loads of one
-      // (strategy, page, nonce) on other devices or networks keep their own.
+      // (strategy, page id, nonce) in another page class or on other
+      // devices or networks keep their own.
       recorder->write_json(trace_dir + "/" +
-                           trace_file_name(strategy, page.page_id(), options,
-                                           nonce));
+                           trace_file_name(strategy, page, options, nonce));
     }
   }
   return result;
@@ -170,16 +170,18 @@ net::NetworkConfig effective_network(const baselines::Strategy& strategy,
 }
 
 std::string trace_file_name(const baselines::Strategy& strategy,
-                            std::uint32_t page_id, const RunOptions& options,
-                            std::uint64_t nonce) {
+                            const web::PageModel& page,
+                            const RunOptions& options, std::uint64_t nonce) {
   char net[9];
   std::snprintf(net, sizeof net, "%08llx",
                 static_cast<unsigned long long>(
                     sim::hash64(effective_network(strategy, options)
                                     .fingerprint()) &
                     0xffffffffULL));
-  return "trace_" + slugify(strategy.name) + "_p" + std::to_string(page_id) +
-         "_n" + std::to_string(nonce) + "_" + slugify(options.device.name) +
+  return "trace_" + slugify(strategy.name) + "_" +
+         web::page_class_name(page.page_class()) + "_p" +
+         std::to_string(page.page_id()) + "_n" + std::to_string(nonce) +
+         "_" + slugify(options.device.name) +
          "_u" + std::to_string(options.user) + "_t" +
          std::to_string(options.when) + "_net" + net + ".json";
 }

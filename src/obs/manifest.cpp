@@ -58,6 +58,12 @@ struct Parser {
     return pos < text.size() && text[pos] == c;
   }
 
+  // Only whitespace is left.
+  bool at_end() {
+    skip_ws();
+    return pos == text.size();
+  }
+
   // Parses a JSON string (cursor on the opening quote).
   bool string(std::string* out) {
     skip_ws();
@@ -149,23 +155,20 @@ std::optional<Manifest> Manifest::from_json(const std::string& json) {
   Parser p{json};
   if (!p.expect('{')) return std::nullopt;
   Manifest m;
-  if (p.peek('}')) {
-    p.expect('}');
-    return m;
-  }
-  while (true) {
-    std::string key, value;
-    if (!p.string(&key)) return std::nullopt;
-    if (!p.expect(':')) return std::nullopt;
-    if (!p.string(&value)) return std::nullopt;
-    m.entries_.emplace_back(std::move(key), std::move(value));
-    if (p.peek(',')) {
+  if (!p.peek('}')) {
+    while (true) {
+      std::string key, value;
+      if (!p.string(&key)) return std::nullopt;
+      if (!p.expect(':')) return std::nullopt;
+      if (!p.string(&value)) return std::nullopt;
+      // set() keeps keys unique, so a repeated key is not a manifest.
+      if (m.find(key) != nullptr) return std::nullopt;
+      m.entries_.emplace_back(std::move(key), std::move(value));
+      if (!p.peek(',')) break;
       p.expect(',');
-      continue;
     }
-    break;
   }
-  if (!p.expect('}')) return std::nullopt;
+  if (!p.expect('}') || !p.at_end()) return std::nullopt;
   return m;
 }
 

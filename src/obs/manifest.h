@@ -40,8 +40,9 @@ class Manifest {
   // One flat JSON object, entries in insertion order, fully escaped.
   std::string to_json() const;
   // Parses to_json() output (a flat string->string object). Returns
-  // nullopt on malformed input. Exact round-trip: from_json(to_json())
-  // reproduces the entries byte for byte.
+  // nullopt on malformed input, including bytes after the closing brace and
+  // a repeated key. Exact round-trip: from_json(to_json()) reproduces the
+  // entries byte for byte.
   static std::optional<Manifest> from_json(const std::string& json);
 
   // Writes to_json() to `path` (parent directories created as needed);

@@ -74,8 +74,9 @@ PhaseProfile collect_phase_profile();
 void reset_phase_profile();
 
 // Human-readable table. `busy_seconds` is the externally measured worker
-// time the phases should explain (e.g. fleet Telemetry busy total); when
-// > 0 a coverage line (profiled / measured) is appended.
+// time the phases should explain (e.g. fleet::Telemetry::busy_seconds, the
+// summed per-job wall time); when > 0 a coverage line (profiled /
+// measured) is appended.
 std::string format_phase_profile(const PhaseProfile& profile,
                                  double busy_seconds);
 

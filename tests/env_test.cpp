@@ -22,7 +22,6 @@ struct CleanEnv {
   ScopedEnv pages{"VROOM_BENCH_PAGES", nullptr};
   ScopedEnv trace{"VROOM_TRACE", nullptr};
   ScopedEnv out{"VROOM_OUT_DIR", nullptr};
-  ScopedEnv progress{"VROOM_PROGRESS", nullptr};
   ScopedEnv metrics{"VROOM_METRICS", nullptr};
   ScopedEnv profile{"VROOM_PROFILE", nullptr};
 };
@@ -34,7 +33,6 @@ TEST(Env, DefaultsWhenUnset) {
   EXPECT_EQ(env.bench_pages, 0);
   EXPECT_EQ(env.trace_dir, "");
   EXPECT_EQ(env.out_dir, "");
-  EXPECT_FALSE(env.progress);
   EXPECT_FALSE(env.trace_enabled());
   EXPECT_EQ(env.metrics_dir, "");
   EXPECT_FALSE(env.metrics_enabled());
@@ -50,7 +48,7 @@ TEST(Env, MetricsAndProfileKnobs) {
     EXPECT_TRUE(env.metrics_enabled());
   }
   {
-    // Same truthiness rules as VROOM_PROGRESS: "0" and "" stay off.
+    // "0" and "" stay off; any other value turns profiling on.
     ScopedEnv profile("VROOM_PROFILE", "0");
     EXPECT_FALSE(harness::Env::from_environment().profile);
   }
@@ -71,13 +69,11 @@ TEST(Env, ParsesEveryVariable) {
   ScopedEnv pages("VROOM_BENCH_PAGES", "8");
   ScopedEnv trace("VROOM_TRACE", "/tmp/vroom-traces");
   ScopedEnv out("VROOM_OUT_DIR", "/tmp/vroom-out");
-  ScopedEnv progress("VROOM_PROGRESS", "1");
   const harness::Env env = harness::Env::from_environment();
   EXPECT_EQ(env.jobs, 4);
   EXPECT_EQ(env.bench_pages, 8);
   EXPECT_EQ(env.trace_dir, "/tmp/vroom-traces");
   EXPECT_EQ(env.out_dir, "/tmp/vroom-out");
-  EXPECT_TRUE(env.progress);
   EXPECT_TRUE(env.trace_enabled());
 }
 
@@ -106,23 +102,6 @@ TEST(Env, HugeIntegerOutOfRangeIgnored) {
   CleanEnv clean;
   ScopedEnv jobs("VROOM_JOBS", "99999999999999999999");
   EXPECT_EQ(harness::Env::from_environment().jobs, 0);
-}
-
-TEST(Env, ProgressTruthiness) {
-  CleanEnv clean;
-  {
-    ScopedEnv p("VROOM_PROGRESS", "0");
-    EXPECT_FALSE(harness::Env::from_environment().progress);
-  }
-  {
-    ScopedEnv p("VROOM_PROGRESS", "");
-    EXPECT_FALSE(harness::Env::from_environment().progress);
-  }
-  for (const char* on : {"1", "yes", "true"}) {
-    ScopedEnv p("VROOM_PROGRESS", on);
-    EXPECT_TRUE(harness::Env::from_environment().progress)
-        << "VROOM_PROGRESS=\"" << on << '"';
-  }
 }
 
 TEST(Env, EffectivePageCount) {

@@ -1,5 +1,6 @@
 // Fleet runner: parallel sweeps must be bit-identical to the serial path,
-// worker-count resolution must be robust, and telemetry must add up.
+// worker-count resolution must be robust, a failing load must reach the
+// caller, and telemetry must add up.
 #include "fleet/fleet.h"
 
 #include <atomic>
@@ -9,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "baselines/strategies.h"
-#include "fleet/job_queue.h"
 #include "harness/experiment.h"
 #include "scoped_env.h"
 #include "web/corpus.h"
@@ -58,28 +58,6 @@ harness::RunOptions small_options() {
   harness::RunOptions opt;
   opt.seed = 42;
   return opt;
-}
-
-TEST(JobQueue, GridOrderAndDrain) {
-  auto jobs = fleet::JobQueue::grid(2, 3, 2);
-  ASSERT_EQ(jobs.size(), 12u);
-  // Cell-major, then page, then load — the serial visit order.
-  EXPECT_EQ(jobs[0].cell_index, 0);
-  EXPECT_EQ(jobs[0].page_index, 0);
-  EXPECT_EQ(jobs[0].load_index, 0);
-  EXPECT_EQ(jobs[1].load_index, 1);
-  EXPECT_EQ(jobs[2].page_index, 1);
-  EXPECT_EQ(jobs.back().cell_index, 1);
-  EXPECT_EQ(jobs.back().page_index, 2);
-  EXPECT_EQ(jobs.back().load_index, 1);
-
-  fleet::JobQueue queue(jobs);
-  EXPECT_EQ(queue.size(), 12u);
-  std::size_t popped = 0;
-  while (queue.pop().has_value()) ++popped;
-  EXPECT_EQ(popped, 12u);
-  EXPECT_EQ(queue.remaining(), 0u);
-  EXPECT_FALSE(queue.pop().has_value());  // stays drained
 }
 
 TEST(Fleet, ParallelBitIdenticalToSerial) {
@@ -191,6 +169,24 @@ TEST(Fleet, RunTasksRethrowsTaskExceptionAtAnyWorkerCount) {
   }
 }
 
+TEST(Fleet, RunPlanForwardsLoadExceptionAtAnyWorkerCount) {
+  ScopedEnv jobs_env("VROOM_JOBS", nullptr);
+  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
+  const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
+  harness::RunOptions opt = small_options();
+  opt.trace_sink = [](const trace::Recorder&) {
+    throw std::runtime_error("sink failed");
+  };
+  for (const int workers : {1, 4}) {
+    try {
+      fleet::run_corpus(corpus, baselines::http2_baseline(), opt, {workers});
+      ADD_FAILURE() << "no exception at " << workers << " workers";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "sink failed");
+    }
+  }
+}
+
 TEST(Fleet, RunTasksHonorsVroomJobsEnv) {
   // workers=0 resolves through the same VROOM_JOBS path the sweeps use;
   // with jobs=1 the claim loop must degrade to the in-order serial path.
@@ -218,7 +214,7 @@ TEST(Fleet, MoreWorkersThanJobsStillIdentical) {
   const auto b = fleet::run_corpus(corpus, baselines::vroom(), opt, oversized);
   expect_identical(a, b);
   // The pool is clamped to the job count.
-  EXPECT_EQ(telemetry.summary().workers, 2);
+  EXPECT_EQ(telemetry.workers, 2);
 }
 
 TEST(Fleet, TelemetryCountersAddUp) {
@@ -237,23 +233,15 @@ TEST(Fleet, TelemetryCountersAddUp) {
 
   const std::size_t expected_jobs = strategies.size() * corpus.size() *
                                     static_cast<std::size_t>(opt.loads_per_page);
-  const fleet::TelemetrySummary s = telemetry.summary();
-  EXPECT_EQ(s.jobs_submitted, expected_jobs);
-  EXPECT_EQ(s.jobs_completed, s.jobs_submitted);
-  EXPECT_EQ(s.workers, 4);
-  EXPECT_EQ(s.worker_busy_seconds.size(), 4u);
-  EXPECT_GE(s.peak_in_flight, 1);
-  EXPECT_LE(s.peak_in_flight, s.workers);
-  EXPECT_GT(s.wall_seconds, 0.0);
-  EXPECT_GT(s.busy_seconds_total, 0.0);
-  EXPECT_GT(s.jobs_per_second, 0.0);
-  EXPECT_GT(s.simulated_seconds, 0.0);
-  EXPECT_LE(s.job_seconds.p25, s.job_seconds.p50);
-  EXPECT_LE(s.job_seconds.p50, s.job_seconds.p75);
-  // Per-worker busy times sum to the total the summary reports.
-  double busy = 0;
-  for (double w : s.worker_busy_seconds) busy += w;
-  EXPECT_DOUBLE_EQ(busy, s.busy_seconds_total);
+  EXPECT_EQ(telemetry.jobs, expected_jobs);
+  EXPECT_EQ(telemetry.workers, 4);
+  EXPECT_GT(telemetry.wall_seconds, 0.0);
+  EXPECT_GT(telemetry.busy_seconds, 0.0);
+  EXPECT_GT(telemetry.jobs_per_second(), 0.0);
+  EXPECT_GT(telemetry.utilization(), 0.0);
+  EXPECT_GT(telemetry.simulated_seconds, 0.0);
+  EXPECT_LE(telemetry.job_seconds.p25, telemetry.job_seconds.p50);
+  EXPECT_LE(telemetry.job_seconds.p50, telemetry.job_seconds.p75);
   // And the sweep still produced one median load per page per strategy.
   ASSERT_EQ(results.size(), strategies.size());
   for (const auto& r : results) EXPECT_EQ(r.loads.size(), corpus.size());

@@ -367,7 +367,15 @@ TEST(Manifest, RejectsMalformedInput) {
   EXPECT_FALSE(obs::Manifest::from_json("{\"a\":1}").has_value());  // number
   EXPECT_FALSE(obs::Manifest::from_json("{\"a\":\"b\"").has_value());
   EXPECT_FALSE(obs::Manifest::from_json("[\"a\"]").has_value());
+  EXPECT_FALSE(obs::Manifest::from_json("{\"a\":\"1\",}").has_value());
+  // Trailing bytes after the object, and a key stored twice.
+  EXPECT_FALSE(obs::Manifest::from_json("{\"a\":\"1\"} junk").has_value());
+  EXPECT_FALSE(obs::Manifest::from_json("{\"a\":\"1\"}}").has_value());
+  EXPECT_FALSE(obs::Manifest::from_json("{}{}").has_value());
+  EXPECT_FALSE(
+      obs::Manifest::from_json("{\"a\":\"1\",\"a\":\"2\"}").has_value());
   EXPECT_TRUE(obs::Manifest::from_json("{}").has_value());
+  EXPECT_TRUE(obs::Manifest::from_json(" {\"a\":\"1\"}\n\n").has_value());
 }
 
 // --- Deployment: histogram percentiles + macro-trace audit ----------------

@@ -13,7 +13,6 @@
 
 #include "baselines/strategies.h"
 #include "browser/cache.h"
-#include "fleet/job_queue.h"
 #include "harness/experiment.h"
 #include "scoped_env.h"
 #include "web/corpus.h"
@@ -147,29 +146,25 @@ TEST(SweepPlan, PerCellTelemetryAddsUp) {
   fo.telemetry = &telemetry;
   (void)fleet::run_plan(plan, fo);
 
-  const fleet::TelemetrySummary s = telemetry.summary();
-  ASSERT_EQ(s.cells.size(), plan.cells.size());
-  std::size_t submitted = 0, completed = 0;
+  ASSERT_EQ(telemetry.cells.size(), plan.cells.size());
+  std::size_t jobs = 0;
   double busy = 0.0, simulated = 0.0;
-  for (std::size_t c = 0; c < s.cells.size(); ++c) {
-    const fleet::CellTelemetrySummary& cell = s.cells[c];
+  for (std::size_t c = 0; c < telemetry.cells.size(); ++c) {
+    const fleet::CellTelemetry& cell = telemetry.cells[c];
     const std::size_t expected_jobs =
         plan.cells[c].corpus->size() *
         static_cast<std::size_t>(plan.cells[c].options.loads_per_page);
-    EXPECT_EQ(cell.jobs_submitted, expected_jobs) << "cell=" << c;
-    EXPECT_EQ(cell.jobs_completed, expected_jobs) << "cell=" << c;
+    EXPECT_EQ(cell.jobs, expected_jobs) << "cell=" << c;
     EXPECT_EQ(cell.label, plan.cells[c].strategy.name);
     EXPECT_GT(cell.busy_seconds, 0.0);
     EXPECT_GT(cell.simulated_seconds, 0.0);
-    submitted += cell.jobs_submitted;
-    completed += cell.jobs_completed;
+    jobs += cell.jobs;
     busy += cell.busy_seconds;
     simulated += cell.simulated_seconds;
   }
-  EXPECT_EQ(submitted, s.jobs_submitted);
-  EXPECT_EQ(completed, s.jobs_completed);
-  EXPECT_DOUBLE_EQ(busy, s.busy_seconds_total);
-  EXPECT_NEAR(simulated, s.simulated_seconds, 1e-9);
+  EXPECT_EQ(jobs, telemetry.jobs);
+  EXPECT_DOUBLE_EQ(busy, telemetry.busy_seconds);
+  EXPECT_NEAR(simulated, telemetry.simulated_seconds, 1e-9);
 }
 
 TEST(SweepPlan, WarmCacheCellDegradesPlanToOneWorker) {
@@ -195,18 +190,38 @@ TEST(SweepPlan, WarmCacheCellDegradesPlanToOneWorker) {
   fo.telemetry = &telemetry;
   const auto results = fleet::run_plan(plan, fo);
   ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(telemetry.summary().workers, 1);
+  EXPECT_EQ(telemetry.workers, 1);
   // The warm-cache runs actually hit the shared cache (order-dependent
   // state — the reason the fleet must not parallelize them).
   std::size_t warm_hits = 0;
   for (const auto& load : results[1].loads) warm_hits += load.cache_hits;
   EXPECT_GT(warm_hits, 0u);
+
+  // One worker visits the warm cell in (page, load) grid order: exactly the
+  // serial harness loop over a fresh cache. The cache makes every load
+  // depend on the ones before it, so any other visit order shows up here.
+  browser::Cache serial_cache;
+  harness::RunOptions serial = warm;
+  serial.cache = &serial_cache;
+  ASSERT_EQ(results[1].loads.size(), corpus.size());
+  for (std::size_t p = 0; p < corpus.size(); ++p) {
+    SCOPED_TRACE("page=" + std::to_string(p));
+    expect_identical(results[1].loads[p],
+                     harness::run_page_median(corpus.page(p),
+                                              baselines::http2_baseline(),
+                                              serial));
+  }
 }
 
 TEST(JobOrdering, LongestFirstIsDeterministicAndDescending) {
   // 2 cells × 3 pages × 2 loads with synthetic sizes: size depends only on
   // (cell, page), so the 2 loads of a page tie and must break by identity.
-  const auto jobs = fleet::JobQueue::grid(2, 3, 2);
+  std::vector<fleet::Job> jobs;
+  for (int c = 0; c < 2; ++c) {
+    for (int p = 0; p < 3; ++p) {
+      for (int l = 0; l < 2; ++l) jobs.push_back(fleet::Job{c, p, l});
+    }
+  }
   const auto size_of = [](const fleet::Job& j) -> std::size_t {
     const std::size_t sizes[2][3] = {{5, 9, 5}, {9, 2, 7}};
     return sizes[j.cell_index][j.page_index];

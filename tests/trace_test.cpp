@@ -21,6 +21,7 @@
 #include "fleet/fleet.h"
 #include "harness/env.h"
 #include "harness/experiment.h"
+#include "harness/export.h"
 #include "scoped_env.h"
 #include "sim/random.h"
 #include "trace/waterfall.h"
@@ -346,8 +347,8 @@ TEST(Trace, IdenticalSeedsGiveByteIdenticalTracesAtAnyJobCount) {
       const std::uint64_t nonce =
           harness::derive_load_nonce(opt.seed, page.page_id(), load);
       const std::string name =
-          "/" + harness::trace_file_name(baselines::vroom(), page.page_id(),
-                                         opt, nonce);
+          "/" + harness::trace_file_name(baselines::vroom(), page, opt,
+                                         nonce);
       const std::string a = read_file(dir1 + name);
       const std::string b = read_file(dir4 + name);
       ASSERT_FALSE(a.empty()) << "missing trace: " << dir1 + name;
@@ -362,12 +363,16 @@ TEST(Trace, IdenticalSeedsGiveByteIdenticalTracesAtAnyJobCount) {
 
 // The deploy micro table runs one (strategy, page, nonce) on several
 // devices, and the network ablation on several networks: each such load
-// must keep its own trace file rather than overwrite a sibling's.
+// must keep its own trace file rather than overwrite a sibling's. So must
+// a page of another class that shares the id (and so the nonce), as Top100
+// page k and News page k do in fig01.
 TEST(Trace, LoadsDifferingOnlyInDeviceOrNetworkWriteSeparateFiles) {
   const std::string dir = testing::TempDir() + "vroom_trace_identity";
   std::filesystem::remove_all(dir);
   ScopedEnv trace_env("VROOM_TRACE", dir.c_str());
   const web::PageModel page = web::generate_page(42, 3, web::PageClass::News);
+  const web::PageModel top =
+      web::generate_page(42, 3, web::PageClass::Top100);
   const baselines::Strategy strategy = baselines::vroom();
   harness::RunOptions phone;
   harness::RunOptions tablet = phone;
@@ -376,10 +381,11 @@ TEST(Trace, LoadsDifferingOnlyInDeviceOrNetworkWriteSeparateFiles) {
   slow.network = net::NetworkConfig::threeg();
   const std::uint64_t nonce =
       harness::derive_load_nonce(phone.seed, page.page_id(), 0);
+  ASSERT_EQ(top.page_id(), page.page_id());
 
   const std::string phone_name =
-      harness::trace_file_name(strategy, page.page_id(), phone, nonce);
-  EXPECT_EQ(phone_name.rfind("trace_vroom_p3_n" + std::to_string(nonce) +
+      harness::trace_file_name(strategy, page, phone, nonce);
+  EXPECT_EQ(phone_name.rfind("trace_vroom_news_p3_n" + std::to_string(nonce) +
                                  "_nexus6_u1_t" +
                                  std::to_string(phone.when) + "_net",
                              0),
@@ -388,14 +394,48 @@ TEST(Trace, LoadsDifferingOnlyInDeviceOrNetworkWriteSeparateFiles) {
   std::set<std::string> expected;
   for (const harness::RunOptions& opt : {phone, tablet, slow}) {
     harness::run_page_load(page, strategy, opt, nonce);
-    expected.insert(
-        harness::trace_file_name(strategy, page.page_id(), opt, nonce));
+    expected.insert(harness::trace_file_name(strategy, page, opt, nonce));
   }
-  EXPECT_EQ(expected.size(), 3u);
+  harness::run_page_load(top, strategy, phone, nonce);
+  expected.insert(harness::trace_file_name(strategy, top, phone, nonce));
+  EXPECT_EQ(expected.size(), 4u);
   std::set<std::string> written;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     written.insert(entry.path().filename().string());
   }
+  EXPECT_EQ(written, expected);
+}
+
+// fig01's shape: one strategy over two corpora, so both cells carry the
+// strategy name as their label. Each traced cell must still export its own
+// counter totals instead of the second overwriting the first.
+TEST(Trace, CellsSharingALabelExportSeparateCounterFiles) {
+  const std::string dir = testing::TempDir() + "vroom_trace_counters";
+  std::filesystem::remove_all(dir);
+  ScopedEnv out_env("VROOM_OUT_DIR", dir.c_str());
+  ScopedEnv trace_env("VROOM_TRACE", nullptr);
+  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
+  const web::Corpus a = web::Corpus::smoke(7, /*count=*/2);
+  const web::Corpus b = web::Corpus::smoke(11, /*count=*/2);
+  harness::RunOptions opt;
+  opt.seed = 42;
+  opt.loads_per_page = 1;
+  opt.trace_sink = [](const trace::Recorder&) {};  // record, write no file
+
+  fleet::SweepPlan plan;
+  plan.add(a, baselines::http2_baseline(), opt)
+      .add(b, baselines::http2_baseline(), opt);
+  const auto results = fleet::run_plan(plan, {2});
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_EQ(results[0].strategy, results[1].strategy);
+
+  std::multiset<std::string> written;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    written.insert(read_file(entry.path().string()));
+  }
+  const std::multiset<std::string> expected = {
+      harness::counters_to_csv(results[0].counter_totals()),
+      harness::counters_to_csv(results[1].counter_totals())};
   EXPECT_EQ(written, expected);
 }
 
