@@ -6,9 +6,11 @@
 // size for quick runs and VROOM_JOBS=<n> to size the worker pool (results
 // are bit-identical for any worker count; fleet telemetry goes to stderr).
 //
-// Benches sweep their entire (corpus × strategy) grid through one
+// Corpus sweeps run their entire (corpus × strategy) grid through one
 // fleet::SweepPlan pool — multi-corpus grids included — so no strategy or
 // corpus serializes behind another and the longest pages dispatch first.
+// Benches whose calls are not corpus loads (Fig 20's return visits, Fig
+// 21's accuracy samples) put them on fleet::run_tasks, one slot per call.
 #pragma once
 
 #include <cstdio>

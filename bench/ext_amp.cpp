@@ -12,31 +12,28 @@ int main() {
   bench::banner("AMP comparison", "legacy vs AMP-transformed pages");
   const harness::RunOptions opt = bench::default_options();
   const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
-  const int n = harness::effective_page_count(static_cast<int>(ns.size()));
-
-  std::vector<double> legacy_h2, legacy_vroom, amp_h2, amp_vroom;
-  for (int i = 0; i < n; ++i) {
-    const web::PageModel& page = ns.page(static_cast<std::size_t>(i));
-    const web::PageModel amp = web::amp_transform(page);
-    legacy_h2.push_back(sim::to_seconds(
-        harness::run_page_median(page, baselines::http2_baseline(), opt).plt));
-    legacy_vroom.push_back(sim::to_seconds(
-        harness::run_page_median(page, baselines::vroom(), opt).plt));
-    amp_h2.push_back(sim::to_seconds(
-        harness::run_page_median(amp, baselines::http2_baseline(), opt).plt));
-    amp_vroom.push_back(sim::to_seconds(
-        harness::run_page_median(amp, baselines::vroom(), opt).plt));
+  web::Corpus amp("amp", bench::kSeed);
+  for (const web::PageModel& page : ns.pages()) {
+    amp.add_page(web::amp_transform(page));
   }
-  harness::print_quartile_bars("Page Load Time", "seconds",
-                               {{"Legacy, HTTP/2", legacy_h2},
-                                {"Legacy, Vroom", legacy_vroom},
-                                {"AMP, HTTP/2", amp_h2},
-                                {"AMP, Vroom", amp_vroom}});
+
+  fleet::SweepPlan plan;
+  plan.add(ns, baselines::http2_baseline(), opt, "Legacy, HTTP/2")
+      .add(ns, baselines::vroom(), opt, "Legacy, Vroom")
+      .add(amp, baselines::http2_baseline(), opt, "AMP, HTTP/2")
+      .add(amp, baselines::vroom(), opt, "AMP, Vroom");
+  std::vector<harness::Series> rows;
+  for (const harness::CorpusResult& cell : bench::run_plan(plan)) {
+    rows.emplace_back(cell.strategy, cell.plt_seconds());
+  }
+  harness::print_quartile_bars("Page Load Time", "seconds", rows);
   harness::print_stat("median AMP improvement under HTTP/2",
-                      harness::median(legacy_h2) - harness::median(amp_h2),
+                      harness::median(rows[0].second) -
+                          harness::median(rows[2].second),
                       "s");
   harness::print_stat("median Vroom improvement on AMP pages",
-                      harness::median(amp_h2) - harness::median(amp_vroom),
+                      harness::median(rows[2].second) -
+                          harness::median(rows[3].second),
                       "s");
   return 0;
 }

@@ -1,39 +1,14 @@
 // Figure 20: Vroom keeps helping when the browser cache is warm — repeat
 // loads back-to-back, one day later, and one week later.
-#include "browser/cache.h"
-
 #include "bench_common.h"
 
-namespace {
-
-using namespace vroom;
-
-std::vector<double> warm_plts(const web::Corpus& corpus,
-                              const baselines::Strategy& strategy,
-                              sim::Time gap) {
-  std::vector<double> out;
-  const int n = harness::effective_page_count(static_cast<int>(corpus.size()));
-  for (int i = 0; i < n; ++i) {
-    const auto& page = corpus.page(static_cast<std::size_t>(i));
-    browser::Cache cache;
-    harness::RunOptions opt = bench::default_options();
-    opt.cache = &cache;
-    opt.loads_per_page = 1;
-    // Cold load warms the cache…
-    (void)harness::run_page_load(page, strategy, opt, 1);
-    // …then the measured load, `gap` later.
-    opt.when += gap;
-    out.push_back(
-        sim::to_seconds(harness::run_page_load(page, strategy, opt, 2).plt));
-  }
-  return out;
-}
-
-}  // namespace
-
 int main() {
+  using namespace vroom;
   bench::banner("Figure 20", "warm-cache repeat loads");
+  const harness::RunOptions opt = bench::default_options();
   const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
+  const auto n = static_cast<std::size_t>(
+      harness::effective_page_count(static_cast<int>(ns.size())));
 
   const struct {
     const char* label;
@@ -41,13 +16,27 @@ int main() {
   } scenarios[] = {{"Back-to-back", sim::minutes(1)},
                    {"1 Day Later", sim::days(1)},
                    {"1 Week Later", sim::days(7)}};
+  const baselines::Strategy strategies[] = {baselines::vroom(),
+                                            baselines::http2_baseline()};
 
-  for (const auto& sc : scenarios) {
+  // One return visit per (gap, strategy, page), each writing its revisit
+  // PLT into its own slot.
+  std::vector<double> plt(std::size(scenarios) * std::size(strategies) * n);
+  fleet::run_tasks(plt.size(), [&](std::size_t i) {
+    const harness::Revisit visit = harness::run_page_revisit(
+        ns.page(i % n), strategies[i / n % std::size(strategies)], opt,
+        scenarios[i / n / std::size(strategies)].gap);
+    plt[i] = sim::to_seconds(visit.revisit.plt);
+  });
+
+  auto series = [&](std::size_t row) {
+    return std::vector<double>(plt.begin() + row * n,
+                               plt.begin() + (row + 1) * n);
+  };
+  for (std::size_t g = 0; g < std::size(scenarios); ++g) {
     harness::print_quartile_bars(
-        std::string("Page Load Time, ") + sc.label, "seconds",
-        {{"Vroom", warm_plts(ns, baselines::vroom(), sc.gap)},
-         {"HTTP/2 Baseline",
-          warm_plts(ns, baselines::http2_baseline(), sc.gap)}});
+        std::string("Page Load Time, ") + scenarios[g].label, "seconds",
+        {{"Vroom", series(2 * g)}, {"HTTP/2 Baseline", series(2 * g + 1)}});
   }
   return 0;
 }

@@ -12,33 +12,37 @@ int main() {
   const web::Corpus acc = web::Corpus::accuracy_set(bench::kSeed);
   const int n = harness::effective_page_count(static_cast<int>(acc.size()));
   const core::OfflineConfig off;
+  constexpr core::ResolutionMode modes[] = {
+      core::ResolutionMode::OfflinePlusOnline,
+      core::ResolutionMode::OfflineOnly, core::ResolutionMode::OnlineOnly};
+  constexpr std::size_t kUsers = 4, kModes = std::size(modes);
+
+  // One sample per (page, user, mode), in that nesting order, each written
+  // into its own slot.
+  std::vector<core::AccuracySample> samples(static_cast<std::size_t>(n) *
+                                            kUsers * kModes);
+  fleet::run_tasks(samples.size(), [&](std::size_t i) {
+    const auto user = static_cast<std::uint32_t>(i / kModes % kUsers) + 1;
+    samples[i] = core::measure_accuracy(
+        acc.page(i / (kUsers * kModes)), sim::days(45), web::nexus6(), user,
+        modes[i % kModes], off);
+  });
 
   std::vector<double> pred_count, pred_bytes;
   std::vector<double> fn_vroom, fn_offline, fn_online;
   std::vector<double> fp_vroom, fp_offline, fp_online;
-
-  for (int i = 0; i < n; ++i) {
-    const auto& page = acc.page(static_cast<std::size_t>(i));
-    for (std::uint32_t user = 1; user <= 4; ++user) {
-      auto v = core::measure_accuracy(page, sim::days(45), web::nexus6(),
-                                      user,
-                                      core::ResolutionMode::OfflinePlusOnline,
-                                      off);
-      auto o = core::measure_accuracy(page, sim::days(45), web::nexus6(),
-                                      user, core::ResolutionMode::OfflineOnly,
-                                      off);
-      auto ol = core::measure_accuracy(page, sim::days(45), web::nexus6(),
-                                       user, core::ResolutionMode::OnlineOnly,
-                                       off);
-      pred_count.push_back(v.predictable_count_frac);
-      pred_bytes.push_back(v.predictable_bytes_frac);
-      fn_vroom.push_back(v.false_negative_frac);
-      fn_offline.push_back(o.false_negative_frac);
-      fn_online.push_back(ol.false_negative_frac);
-      fp_vroom.push_back(v.false_positive_frac);
-      fp_offline.push_back(o.false_positive_frac);
-      fp_online.push_back(ol.false_positive_frac);
-    }
+  for (std::size_t i = 0; i < samples.size(); i += kModes) {
+    const core::AccuracySample& v = samples[i];
+    const core::AccuracySample& o = samples[i + 1];
+    const core::AccuracySample& ol = samples[i + 2];
+    pred_count.push_back(v.predictable_count_frac);
+    pred_bytes.push_back(v.predictable_bytes_frac);
+    fn_vroom.push_back(v.false_negative_frac);
+    fn_offline.push_back(o.false_negative_frac);
+    fn_online.push_back(ol.false_negative_frac);
+    fp_vroom.push_back(v.false_positive_frac);
+    fp_offline.push_back(o.false_positive_frac);
+    fp_online.push_back(ol.false_positive_frac);
   }
 
   harness::print_cdf_table("(a) Predictable resources / total", "fraction",

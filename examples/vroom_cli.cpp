@@ -8,11 +8,17 @@
 //             [--csv FILE]          # also write per-page PLTs as CSV
 //             [--list]              # list strategy names and exit
 //
+// Numeric flags must parse whole and in range: --pages and --loads at least
+// 1, --seed a uint64, --loss in [0, 1), --rrc at least 0 ms. Anything else
+// prints the usage line and exits with status 2. Like every sweep, the page
+// set is capped by VROOM_BENCH_PAGES and sized to VROOM_JOBS workers.
+//
 // Examples:
 //   vroom_cli --class news --pages 25 --strategy vroom --strategy http2
 //   vroom_cli --network 3g --loss 0.01 --strategy vroom
 //   vroom_cli --dump-trace page.trace && vim page.trace
 //   vroom_cli --trace page.trace --strategy vroom --strategy http2
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -22,6 +28,7 @@
 #include <vector>
 
 #include "baselines/strategies.h"
+#include "fleet/fleet.h"
 #include "harness/experiment.h"
 #include "harness/export.h"
 #include "harness/report.h"
@@ -70,6 +77,19 @@ std::optional<web::PageClass> class_by_name(const std::string& n) {
   return std::nullopt;
 }
 
+// Parses the whole of `text` as a T with std::from_chars (no leading space
+// or '+', no sign on unsigned types, no suffix); nullopt for a missing or
+// malformed value.
+template <typename T>
+std::optional<T> parse_number(const char* text) {
+  if (text == nullptr) return std::nullopt;
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--class C] [--pages N] [--seed S] [--strategy "
@@ -105,12 +125,13 @@ int main(int argc, char** argv) {
       if (!c) return usage(argv[0]);
       cls = *c;
     } else if (arg == "--pages") {
-      const char* v = next();
-      if (!v || (pages = std::atoi(v)) <= 0) return usage(argv[0]);
+      const auto v = parse_number<int>(next());
+      if (!v || *v < 1) return usage(argv[0]);
+      pages = *v;
     } else if (arg == "--seed") {
-      const char* v = next();
+      const auto v = parse_number<std::uint64_t>(next());
       if (!v) return usage(argv[0]);
-      seed = std::strtoull(v, nullptr, 10);
+      seed = *v;
     } else if (arg == "--strategy") {
       const char* v = next();
       auto s = v ? strategy_by_name(v) : std::nullopt;
@@ -129,16 +150,17 @@ int main(int argc, char** argv) {
       else if (n == "loaded") network = net::NetworkConfig::lte_loaded();
       else return usage(argv[0]);
     } else if (arg == "--loss") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      network.loss_rate = std::atof(v);
+      const auto v = parse_number<double>(next());
+      if (!v || !(*v >= 0.0 && *v < 1.0)) return usage(argv[0]);
+      network.loss_rate = *v;
     } else if (arg == "--rrc") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      network.radio_promotion = sim::ms(std::atoi(v));
+      const auto v = parse_number<int>(next());
+      if (!v || *v < 0) return usage(argv[0]);
+      network.radio_promotion = sim::ms(*v);
     } else if (arg == "--loads") {
-      const char* v = next();
-      if (!v || (opt.loads_per_page = std::atoi(v)) <= 0) return usage(argv[0]);
+      const auto v = parse_number<int>(next());
+      if (!v || *v < 1) return usage(argv[0]);
+      opt.loads_per_page = *v;
     } else if (arg == "--trace") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -162,7 +184,7 @@ int main(int argc, char** argv) {
   opt.network = network;
 
   // Assemble the page set.
-  std::vector<web::PageModel> page_set;
+  web::Corpus page_set("cli", seed);
   if (!trace_file.empty()) {
     std::ifstream f(trace_file);
     if (!f) {
@@ -177,12 +199,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "trace parse error: %s\n", error.c_str());
       return 1;
     }
-    page_set.push_back(std::move(*page));
+    page_set.add_page(std::move(*page));
   } else {
-    for (int i = 0; i < pages; ++i) {
-      page_set.push_back(
-          web::generate_page(seed, static_cast<std::uint32_t>(i), cls));
-    }
+    page_set.add_pages(cls, pages);
   }
 
   if (!dump_trace.empty()) {
@@ -191,20 +210,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", dump_trace.c_str());
       return 1;
     }
-    web::write_trace(f, page_set.front());
+    web::write_trace(f, page_set.page(0));
     std::printf("wrote %s (%zu resources)\n", dump_trace.c_str(),
-                page_set.front().size());
+                page_set.page(0).size());
     return 0;
   }
 
+  fleet::SweepPlan plan;
+  plan.add_matrix(page_set, strategies, opt);
   std::vector<harness::Series> plt_series;
-  for (const auto& strategy : strategies) {
-    std::vector<double> plts;
-    for (const auto& page : page_set) {
-      const auto r = harness::run_page_median(page, strategy, opt);
-      plts.push_back(sim::to_seconds(r.plt));
-    }
-    plt_series.emplace_back(strategy.name, std::move(plts));
+  for (const harness::CorpusResult& cell : fleet::run_plan(plan)) {
+    plt_series.emplace_back(cell.strategy, cell.plt_seconds());
   }
   harness::print_cdf_table("Page Load Time", "seconds", plt_series);
   harness::print_quartile_bars("Page Load Time", "seconds", plt_series);

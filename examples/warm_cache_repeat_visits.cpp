@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "baselines/strategies.h"
-#include "browser/cache.h"
 #include "harness/experiment.h"
 #include "web/page_generator.h"
 
@@ -25,12 +24,8 @@ int main() {
        {baselines::vroom(), baselines::http2_baseline()}) {
     std::printf("\n=== %s ===\n", strategy.name.c_str());
     for (const auto& g : gaps) {
-      browser::Cache cache;
-      harness::RunOptions opt;
-      opt.cache = &cache;
-      const auto cold = harness::run_page_load(page, strategy, opt, 1);
-      opt.when += g.gap;
-      const auto warm = harness::run_page_load(page, strategy, opt, 2);
+      const auto [cold, warm] = harness::run_page_revisit(
+          page, strategy, harness::RunOptions{}, g.gap);
       std::printf(
           "%-15s cold %.2fs -> warm %.2fs  (%3d cache hits, %4.0f KB vs "
           "%4.0f KB over the air)\n",

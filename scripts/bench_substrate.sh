@@ -39,8 +39,9 @@ filter="${VROOM_BENCH_FILTER:-.}"
 min_time="${VROOM_BENCH_MIN_TIME:-0.5}"
 
 # Metrics snapshot (obs registry CSV/Prometheus export + wall sidecar)
-# recorded next to the JSON report, so a committed baseline carries its
-# quantitative context. Override by exporting VROOM_METRICS yourself.
+# written next to the JSON report for inspecting the run. It is not
+# committed (see .gitignore); no script or test reads it. Override by
+# exporting VROOM_METRICS yourself.
 metrics_dir="${VROOM_METRICS:-${out_file%.json}_metrics}"
 
 # Note: the bundled google-benchmark predates the "0.5s" suffix syntax.

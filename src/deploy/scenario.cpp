@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "browser/cache.h"
 #include "core/accuracy.h"
 #include "fleet/fleet.h"
 #include "harness/env.h"
@@ -193,10 +192,8 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   }
 
   // Warm revisit column (Figure 20 style: prime, wait, revisit). Each
-  // (device, page) pair is an independent two-load story — its private
-  // browser::Cache makes the prime -> revisit order matter *within* the
-  // pair only — so pairs fan out on the pool; slots are pre-assigned, and
-  // one worker replays today's d-major, p-minor serial order.
+  // (device, page) pair is one harness::run_page_revisit with its own
+  // cache, so pairs fan out on the pool into pre-assigned slots.
   const baselines::Strategy fresh = conditions[0];
   const double warm_started = monotonic_seconds();
   micro.warm_plt.assign(mix.size(),
@@ -206,26 +203,17 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   fleet::run_tasks(
       mix.size() * static_cast<std::size_t>(pages), [&](std::size_t task) {
         const std::size_t d = task / static_cast<std::size_t>(pages);
-        const int p = static_cast<int>(task % static_cast<std::size_t>(pages));
-        const web::PageModel& page = corpus.page(static_cast<std::size_t>(p));
-        browser::Cache cache;
+        const std::size_t p = task % static_cast<std::size_t>(pages);
         harness::RunOptions opt = cfg.micro;
         opt.seed = cfg.seed;
         opt.device = mix[d].device;
-        opt.cache = &cache;
-        const browser::LoadResult cold = harness::run_page_load(
-            page, fresh, opt,
-            harness::derive_load_nonce(cfg.seed, page.page_id(), 0));
-        opt.when += cfg.revisit_gap;
-        const browser::LoadResult warm = harness::run_page_load(
-            page, fresh, opt,
-            harness::derive_load_nonce(cfg.seed, page.page_id(), 1));
-        micro.warm_plt[d][static_cast<std::size_t>(p)] =
-            capped(warm.plt, cfg.micro.timeout);
-        if (d == 0 && cold.bytes_fetched > 0) {
-          warm_bytes_frac[static_cast<std::size_t>(p)] =
-              static_cast<double>(warm.bytes_fetched) /
-              static_cast<double>(cold.bytes_fetched);
+        const harness::Revisit visit = harness::run_page_revisit(
+            corpus.page(p), fresh, opt, cfg.revisit_gap);
+        micro.warm_plt[d][p] = capped(visit.revisit.plt, cfg.micro.timeout);
+        if (d == 0 && visit.prime.bytes_fetched > 0) {
+          warm_bytes_frac[p] =
+              static_cast<double>(visit.revisit.bytes_fetched) /
+              static_cast<double>(visit.prime.bytes_fetched);
         }
       });
   report.warm_wall_seconds = monotonic_seconds() - warm_started;

@@ -11,7 +11,7 @@
 //     from crawls {1h, 6h, 24h, ...} old (priced through
 //     VroomProviderConfig::hint_age: stale rotations become ghost
 //     fetches), and hintless serves — plus a warm-cache revisit column
-//     measured serially (prime + revisit, Figure 20 style).
+//     (one harness::run_page_revisit per device and page, Figure 20 style).
 //
 //   macro (parallel per level)   — the population's arrival stream runs
 //     against a deploy::FrontEnd and per-origin net::Link instances. Each
@@ -28,7 +28,7 @@
 //
 // Determinism: micro cells run on the fleet (bit-identical at any
 // VROOM_JOBS); the warm column parallelizes over independent (device,
-// page) pairs with each pair's prime -> revisit order kept serial; the
+// page) revisits, each priming and revisiting its own cache; the
 // offered-load levels run concurrently on the same pool because each level
 // owns its entire world (population, FrontEnd, links, recorder) — reports,
 // bucket-serve totals, and trace sinks are assembled in level order after

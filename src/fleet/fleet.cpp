@@ -7,6 +7,7 @@
 #include <exception>
 #include <filesystem>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -169,8 +170,7 @@ void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
     resolved = static_cast<int>(count);
   }
   if (resolved <= 1) {
-    // Serial path: index order on the calling thread (VROOM_JOBS=1 replays
-    // the serial visit order).
+    // Serial path: index order on the calling thread.
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -204,21 +204,12 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
                                             const FleetOptions& fleet) {
   const int n_cells = static_cast<int>(plan.cells.size());
 
-  // Observability gates, flipped once per run from the environment (the obs
-  // library itself never reads env). A fresh run owns the registry and the
-  // phase tables: the export and the printed profile cover exactly this run
-  // plus whatever the caller records before the next one starts.
   const harness::Env env = harness::Env::from_environment();
-  obs::set_metrics_enabled(env.metrics_enabled());
-  obs::set_profiling_enabled(env.profile);
-  if (env.metrics_enabled()) obs::registry().reset();
-  if (env.profile) obs::reset_phase_profile();
 
   // Compile the plan: per-cell extents and flat result-grid offsets. Each
   // cell may bring its own loads_per_page / options, so offsets accumulate.
   std::vector<CompiledCell> cells(static_cast<std::size_t>(n_cells));
   std::size_t total_jobs = 0;
-  bool any_warm_cache = false;
   for (int c = 0; c < n_cells; ++c) {
     const SweepCell& cell = plan.cells[static_cast<std::size_t>(c)];
     CompiledCell& cc = cells[static_cast<std::size_t>(c)];
@@ -229,10 +220,25 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
     cc.label = cell.label.empty() ? cell.strategy.name : cell.label;
     total_jobs += static_cast<std::size_t>(cc.pages) *
                   static_cast<std::size_t>(cc.loads);
-    any_warm_cache |= cell.options.cache != nullptr;
+    // A cache shared by a cell's loads would make each result depend on
+    // the loads before it; return visits own their cache instead.
+    if (cell.options.cache != nullptr) {
+      throw std::invalid_argument(
+          "fleet::run_plan: cell " + std::to_string(c) + " (\"" + cc.label +
+          "\") sets RunOptions::cache; use harness::run_page_revisit");
+    }
   }
 
-  // The flat job list, first in serial (cell, page, load) visit order.
+  // Observability gates, flipped once per run from the environment (the obs
+  // library itself never reads env). A fresh run owns the registry and the
+  // phase tables: the export and the printed profile cover exactly this run
+  // plus whatever the caller records before the next one starts.
+  obs::set_metrics_enabled(env.metrics_enabled());
+  obs::set_profiling_enabled(env.profile);
+  if (env.metrics_enabled()) obs::registry().reset();
+  if (env.profile) obs::reset_phase_profile();
+
+  // The flat job list, in (cell, page, load) grid order.
   std::vector<Job> jobs;
   jobs.reserve(total_jobs);
   for (int c = 0; c < n_cells; ++c) {
@@ -244,29 +250,22 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   }
 
   int workers = resolve_worker_count(fleet.workers, env);
-  // A shared warm cache is mutated in load order; parallel execution would
-  // change which loads hit it. Degrade to the serial order instead.
-  if (any_warm_cache) workers = 1;
   if (total_jobs < static_cast<std::size_t>(workers)) {
     workers = static_cast<int>(total_jobs);
   }
   if (workers < 1) workers = 1;
 
-  // Dispatch order. One worker keeps the serial grid order — that is the
-  // documented VROOM_JOBS=1 "replay the serial path" mode, and warm-cache
-  // cells depend on it. A real pool dispatches longest-job-first (page
-  // resource count as the size proxy) so the heaviest pages start early
-  // instead of straggling at the tail; the order is a pure function of the
-  // plan (ties by job identity), and results never depend on it — slots
-  // and seeds are job-identity-based.
-  if (workers > 1) {
-    jobs = order_longest_first(
-        std::move(jobs), [&plan](const Job& job) -> std::size_t {
-          return plan.cells[static_cast<std::size_t>(job.cell_index)]
-              .corpus->page(static_cast<std::size_t>(job.page_index))
-              .size();
-        });
-  }
+  // Dispatch order: longest-job-first (page resource count as the size
+  // proxy), so the heaviest pages start early instead of straggling at the
+  // tail. The order is a pure function of the plan (ties by job identity),
+  // and results never depend on it — slots and seeds are
+  // job-identity-based.
+  jobs = order_longest_first(
+      std::move(jobs), [&plan](const Job& job) -> std::size_t {
+        return plan.cells[static_cast<std::size_t>(job.cell_index)]
+            .corpus->page(static_cast<std::size_t>(job.page_index))
+            .size();
+      });
 
   // One pre-assigned slot per job for its result and its wall time: tasks
   // never write to overlapping memory, and claim order cannot affect where

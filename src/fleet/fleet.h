@@ -15,18 +15,15 @@
 // execution order, and writes its result and wall time into the job's
 // pre-assigned slot. The determinism contract: plan output is
 // bit-identical, cell by cell, to harness::run_page_median over every page,
-// for any worker count. `VROOM_JOBS=1` additionally preserves the serial
-// execution *order*, not just its results.
+// for any worker count.
 //
-// With more than one worker, jobs dispatch in deterministic
-// longest-job-first order (page resource count as the size proxy, ties by
-// job identity — see order_longest_first) instead of FIFO, so the heaviest
-// pages cannot land last and leave the pool idling behind one straggler.
-// Dispatch order never affects results, only wall-clock time.
-//
-// Warm-cache cells (RunOptions::cache != nullptr) share one mutable cache
-// whose state depends on load order, so the fleet degrades the whole plan
-// to a single worker automatically rather than silently changing semantics.
+// Jobs dispatch in deterministic longest-job-first order at any worker
+// count (page resource count as the size proxy, ties by job identity — see
+// order_longest_first), so the heaviest pages cannot land last and leave
+// the pool idling behind one straggler. Dispatch order never affects
+// results, only wall-clock time: no job reads state another job wrote, so
+// a cell may not set RunOptions::cache (return visits are
+// harness::run_page_revisit calls, one private cache each).
 //
 // Run telemetry and the `fleet.*` obs series are computed once, after the
 // pool joins, from the per-job result and wall-time slots.
@@ -111,7 +108,7 @@ int resolve_worker_count(int requested);
 // `fn(0) .. fn(count-1)` on `workers` threads (0 = resolve: VROOM_JOBS,
 // else hardware), claiming indices from one atomic cursor. With one
 // worker — or one task — the tasks run in index order on the calling
-// thread, the VROOM_JOBS=1 serial-replay mode.
+// thread.
 // A task that throws stops the run: no further tasks are claimed, the
 // running ones finish, and the first exception reaches the caller at any
 // worker count.
@@ -119,7 +116,9 @@ int resolve_worker_count(int requested);
 // independent (disjoint output slots, no claim-order-dependent state), so
 // results cannot depend on the worker count. run_plan dispatches its job
 // list through it; the deployment scenario uses it for its warm-revisit
-// column, page profiles and per-level macro passes.
+// column, page profiles and per-level macro passes, and the benches that
+// are not corpus sweeps (Fig 20's revisits, Fig 21's accuracy samples)
+// for their independent calls.
 void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
                int workers = 0);
 
@@ -166,15 +165,16 @@ struct SweepPlan {
 // bit-identical to a standalone run_corpus call with that cell's arguments
 // (any worker count). The telemetry summary carries one row per cell. A
 // load that throws stops the run, and the first exception reaches the
-// caller at any worker count.
+// caller at any worker count. A cell that sets RunOptions::cache throws
+// std::invalid_argument before any load runs.
 std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
                                             const FleetOptions& fleet = {});
 
 // Sweeps one strategy over the corpus: a one-cell plan. Same contract as
 // harness::run_page_median applied to every page — one median-of-N load
 // per page, in page order. The canonical corpus sweep: worker count from
-// VROOM_JOBS (default: hardware concurrency; VROOM_JOBS=1 preserves the
-// serial order), results bit-identical regardless of worker count.
+// VROOM_JOBS (default: hardware concurrency), results bit-identical
+// regardless of worker count.
 harness::CorpusResult run_corpus(const web::Corpus& corpus,
                                  const baselines::Strategy& strategy,
                                  const harness::RunOptions& options,

@@ -15,6 +15,7 @@
 #include "sim/arena.h"
 #include "sim/random.h"
 #include "trace/trace.h"
+#include "web/trace_io.h"
 
 namespace vroom::harness {
 
@@ -172,24 +173,42 @@ net::NetworkConfig effective_network(const baselines::Strategy& strategy,
 std::string trace_file_name(const baselines::Strategy& strategy,
                             const web::PageModel& page,
                             const RunOptions& options, std::uint64_t nonce) {
-  char net[9];
-  std::snprintf(net, sizeof net, "%08llx",
-                static_cast<unsigned long long>(
-                    sim::hash64(effective_network(strategy, options)
-                                    .fingerprint()) &
-                    0xffffffffULL));
+  auto digest = [](const std::string& s) {
+    char hex[9];
+    std::snprintf(hex, sizeof hex, "%08llx",
+                  static_cast<unsigned long long>(sim::hash64(s) &
+                                                  0xffffffffULL));
+    return std::string(hex);
+  };
   return "trace_" + slugify(strategy.name) + "_" +
          web::page_class_name(page.page_class()) + "_p" +
-         std::to_string(page.page_id()) + "_n" + std::to_string(nonce) +
+         std::to_string(page.page_id()) + "_tpl" +
+         digest(web::page_to_trace(page)) + "_n" + std::to_string(nonce) +
          "_" + slugify(options.device.name) +
          "_u" + std::to_string(options.user) + "_t" +
-         std::to_string(options.when) + "_net" + net + ".json";
+         std::to_string(options.when) + "_net" +
+         digest(effective_network(strategy, options).fingerprint()) + ".json";
 }
 
 std::uint64_t derive_load_nonce(std::uint64_t seed, std::uint32_t page_id,
                                 int load_index) {
   return sim::derive_seed(sim::derive_seed(seed, page_id),
                           "load-nonce-" + std::to_string(load_index));
+}
+
+Revisit run_page_revisit(const web::PageModel& page,
+                         const baselines::Strategy& strategy,
+                         const RunOptions& options, sim::Time gap) {
+  browser::Cache cache;
+  RunOptions opt = options;
+  opt.cache = &cache;
+  Revisit visit;
+  visit.prime = run_page_load(page, strategy, opt,
+                              derive_load_nonce(opt.seed, page.page_id(), 0));
+  opt.when += gap;
+  visit.revisit = run_page_load(
+      page, strategy, opt, derive_load_nonce(opt.seed, page.page_id(), 1));
+  return visit;
 }
 
 browser::LoadResult select_median_load(std::vector<browser::LoadResult> runs) {

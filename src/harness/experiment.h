@@ -28,7 +28,9 @@ struct RunOptions {
   std::uint32_t user = 1;
   int loads_per_page = 3;
   sim::Time timeout = sim::seconds(120);
-  browser::Cache* cache = nullptr;  // persistent cache for warm-load runs
+  // Browser cache carried across loads: run_page_revisit sets it;
+  // fleet::run_plan rejects it.
+  browser::Cache* cache = nullptr;
   // Access-network profile; defaults to the paper's good-signal LTE. The
   // CPU-bottleneck lower-bound strategy always overrides this with the
   // USB-tethered profile.
@@ -53,12 +55,13 @@ net::NetworkConfig effective_network(const baselines::Strategy& strategy,
                                      const RunOptions& options);
 
 // Name of the Chrome-trace file VROOM_TRACE=<dir> gets for one load:
-// trace_<strategy>_<class>_p<page>_n<nonce>_<device>_u<user>_t<when>_net<digest>.json,
-// where <class> is web::page_class_name, <when> the wall time in
-// microseconds and <digest> 8 hex digits of the effective network's
-// fingerprint. Page ids repeat across corpora of different classes, so the
-// class is part of the name; loads that differ in any of these never share
-// a file.
+// trace_<strategy>_<class>_p<page>_tpl<tpl>_n<nonce>_<device>_u<user>_t<when>_net<net>.json,
+// where <class> is web::page_class_name, <tpl> 8 hex digits of the hash of
+// web::page_to_trace(page), <when> the wall time in microseconds and <net>
+// 8 hex digits of the effective network's fingerprint. Page ids repeat
+// across corpora of different classes, and a transformed page (such as
+// web::amp_transform's) keeps its id and class, so the template digest is
+// part of the name; loads that differ in any of these never share a file.
 std::string trace_file_name(const baselines::Strategy& strategy,
                             const web::PageModel& page,
                             const RunOptions& options, std::uint64_t nonce);
@@ -67,6 +70,20 @@ std::string trace_file_name(const baselines::Strategy& strategy,
 browser::LoadResult run_page_median(const web::PageModel& page,
                                     const baselines::Strategy& strategy,
                                     const RunOptions& options);
+
+// A return visit (Figure 20): the prime load fills a private
+// browser::Cache, and the revisit loads the page again against it.
+struct Revisit {
+  browser::LoadResult prime, revisit;
+};
+
+// Primes a private cache at options.when with load index 0, then revisits
+// `gap` later with load index 1; both nonces come from derive_load_nonce.
+// options.cache is not used: the visit owns its cache, so return visits
+// are independent of each other and can run in parallel.
+Revisit run_page_revisit(const web::PageModel& page,
+                         const baselines::Strategy& strategy,
+                         const RunOptions& options, sim::Time gap);
 
 // The per-load instance nonce, shared by run_page_median, the fleet worker
 // loop, and every test that reconstructs a load: (seed, page id, load index)

@@ -22,6 +22,7 @@ class Corpus {
   const PageModel& page(std::size_t i) const { return pages_[i]; }
 
   void add_pages(PageClass cls, int count, std::uint32_t first_id = 0);
+  void add_page(PageModel page) { pages_.push_back(std::move(page)); }
 
   // Alexa US top-100 landing pages (Figures 1, 7, 9).
   static Corpus top100(std::uint64_t seed);

@@ -18,8 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/strategies.h"
+#include "browser/cache.h"
 #include "deploy/front_end.h"
 #include "deploy/population.h"
+#include "harness/experiment.h"
 #include "obs/metrics.h"
 #include "scoped_env.h"
 #include "web/corpus.h"
@@ -360,6 +363,51 @@ TEST(Scenario, ReportBitIdenticalAcrossJobCounts) {
       EXPECT_EQ(a.stale_buckets[i].serves, b.stale_buckets[i].serves);
       EXPECT_EQ(a.stale_buckets[i].persistence,
                 b.stale_buckets[i].persistence);
+    }
+  }
+}
+
+// The warm column is Figure 20's story per (device, page): prime a private
+// cache with the fresh-hint strategy at load index 0, revisit
+// `revisit_gap` later at load index 1, and cap the revisit's PLT at the
+// micro timeout.
+TEST(Scenario, WarmColumnIsPrimeThenRevisit) {
+  ScopedEnv trace("VROOM_TRACE", nullptr);
+  ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "100");
+  ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "1");
+  const web::Corpus corpus = web::Corpus::smoke(42, 3);
+  deploy::ScenarioConfig cfg;
+  cfg.offered_levels = {0.2};
+  cfg.stale_ages = {sim::hours(1)};
+  cfg.population.users = 100;
+  cfg.population.device_mix = {{web::nexus6(), 0.7}, {web::nexus10(), 0.3}};
+  const deploy::DeploymentReport report = deploy::run_deployment(corpus, cfg);
+
+  const baselines::Strategy fresh = baselines::vroom_stale_hints(0);
+  ASSERT_EQ(report.micro.warm_plt.size(), cfg.population.device_mix.size());
+  for (std::size_t d = 0; d < cfg.population.device_mix.size(); ++d) {
+    ASSERT_EQ(report.micro.warm_plt[d].size(), corpus.size());
+    for (std::size_t p = 0; p < corpus.size(); ++p) {
+      const web::PageModel& page = corpus.page(p);
+      browser::Cache cache;
+      harness::RunOptions opt = cfg.micro;
+      opt.seed = cfg.seed;
+      opt.device = cfg.population.device_mix[d].device;
+      opt.cache = &cache;
+      harness::run_page_load(
+          page, fresh, opt,
+          harness::derive_load_nonce(cfg.seed, page.page_id(), 0));
+      opt.when += cfg.revisit_gap;
+      const browser::LoadResult revisit = harness::run_page_load(
+          page, fresh, opt,
+          harness::derive_load_nonce(cfg.seed, page.page_id(), 1));
+      ASSERT_GT(revisit.cache_hits, 0);
+      const sim::Time expected = revisit.plt == sim::kNever
+                                     ? cfg.micro.timeout
+                                     : std::min(revisit.plt,
+                                                cfg.micro.timeout);
+      EXPECT_EQ(report.micro.warm_plt[d][p], expected)
+          << "device " << d << ", page " << p;
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/strategies.h"
+#include "browser/cache.h"
 #include "harness/experiment.h"
 #include "scoped_env.h"
 #include "web/corpus.h"
@@ -302,6 +303,44 @@ TEST(Harness, LoadNonceDerivationDoesNotCollideOnXorPairs) {
             harness::derive_load_nonce(seed, page, 1));
   EXPECT_NE(harness::derive_load_nonce(seed, page, 0),
             harness::derive_load_nonce(seed, page, 1));
+}
+
+// The revisit primitive is the hand-written Figure 20 visit, field by
+// field: a private cache primed at load index 0, then the revisit `gap`
+// later at load index 1, both nonces from derive_load_nonce. A cache in
+// the caller's options is not touched.
+TEST(Harness, RunPageRevisitMatchesHandWrittenVisit) {
+  const web::Corpus corpus = web::Corpus::smoke(42, /*count=*/1);
+  const web::PageModel& page = corpus.page(0);
+  const baselines::Strategy strategy = baselines::vroom();
+  const sim::Time gap = sim::days(1);
+  browser::Cache unused;
+  harness::RunOptions opt = small_options();
+  opt.cache = &unused;
+  const harness::Revisit visit =
+      harness::run_page_revisit(page, strategy, opt, gap);
+  EXPECT_EQ(unused.size(), 0u);
+
+  browser::Cache cache;
+  harness::RunOptions manual = small_options();
+  manual.cache = &cache;
+  const browser::LoadResult prime = harness::run_page_load(
+      page, strategy, manual,
+      harness::derive_load_nonce(manual.seed, page.page_id(), 0));
+  manual.when += gap;
+  const browser::LoadResult revisit = harness::run_page_load(
+      page, strategy, manual,
+      harness::derive_load_nonce(manual.seed, page.page_id(), 1));
+  {
+    SCOPED_TRACE("prime");
+    expect_identical(visit.prime, prime);
+  }
+  {
+    SCOPED_TRACE("revisit");
+    expect_identical(visit.revisit, revisit);
+  }
+  EXPECT_GT(visit.revisit.cache_hits, 0);
+  EXPECT_LT(visit.revisit.bytes_fetched, visit.prime.bytes_fetched);
 }
 
 TEST(Harness, EffectivePageCountValidation) {

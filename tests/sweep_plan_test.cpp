@@ -2,10 +2,12 @@
 // must return, cell by cell, results bit-identical to standalone serial
 // run_corpus calls — at any worker count. Longest-job-first dispatch must be
 // deterministic and must never leak into results; per-cell telemetry must
-// add up; warm-cache cells must degrade the plan to one worker.
+// add up; a cell that sets a shared browser cache must be rejected.
 #include "fleet/fleet.h"
 
+#include <atomic>
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -167,49 +169,37 @@ TEST(SweepPlan, PerCellTelemetryAddsUp) {
   EXPECT_NEAR(simulated, telemetry.simulated_seconds, 1e-9);
 }
 
-TEST(SweepPlan, WarmCacheCellDegradesPlanToOneWorker) {
+// A cache shared by a cell's loads would make each result depend on the
+// loads before it, so run_plan refuses such a cell, naming it, before any
+// load of the plan runs — at any worker count.
+TEST(SweepPlan, RejectsCellThatSetsACache) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
   ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
-  const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/3);
+  const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
+  std::atomic<int> loads{0};
   harness::RunOptions cold = small_options();
   cold.loads_per_page = 1;
+  cold.trace_sink = [&loads](const trace::Recorder&) { ++loads; };
   harness::RunOptions warm = cold;
-  browser::Cache shared_cache;
-  warm.cache = &shared_cache;
-  // Repeat loads per page so the cache populated by a page's first load is
-  // visible (and order-dependent) within the cell.
-  warm.loads_per_page = 3;
+  browser::Cache cache;
+  warm.cache = &cache;
 
   fleet::SweepPlan plan;
   plan.add(corpus, baselines::http2_baseline(), cold)
-      .add(corpus, baselines::http2_baseline(), warm);
-
-  fleet::Telemetry telemetry;
-  fleet::FleetOptions fo;
-  fo.workers = 4;  // requested parallel, but the warm cell forbids it
-  fo.telemetry = &telemetry;
-  const auto results = fleet::run_plan(plan, fo);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(telemetry.workers, 1);
-  // The warm-cache runs actually hit the shared cache (order-dependent
-  // state — the reason the fleet must not parallelize them).
-  std::size_t warm_hits = 0;
-  for (const auto& load : results[1].loads) warm_hits += load.cache_hits;
-  EXPECT_GT(warm_hits, 0u);
-
-  // One worker visits the warm cell in (page, load) grid order: exactly the
-  // serial harness loop over a fresh cache. The cache makes every load
-  // depend on the ones before it, so any other visit order shows up here.
-  browser::Cache serial_cache;
-  harness::RunOptions serial = warm;
-  serial.cache = &serial_cache;
-  ASSERT_EQ(results[1].loads.size(), corpus.size());
-  for (std::size_t p = 0; p < corpus.size(); ++p) {
-    SCOPED_TRACE("page=" + std::to_string(p));
-    expect_identical(results[1].loads[p],
-                     harness::run_page_median(corpus.page(p),
-                                              baselines::http2_baseline(),
-                                              serial));
+      .add(corpus, baselines::http2_baseline(), warm, "warm revisits");
+  for (int workers : {1, 4}) {
+    fleet::FleetOptions fo;
+    fo.workers = workers;
+    try {
+      fleet::run_plan(plan, fo);
+      ADD_FAILURE() << "no exception at workers=" << workers;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("cell 1 (\"warm revisits\")"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(loads.load(), 0) << "workers=" << workers;
+    EXPECT_EQ(cache.size(), 0u) << "workers=" << workers;
   }
 }
 

@@ -4,6 +4,7 @@
 #include "trace/trace.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -25,8 +26,10 @@
 #include "scoped_env.h"
 #include "sim/random.h"
 #include "trace/waterfall.h"
+#include "web/amp.h"
 #include "web/corpus.h"
 #include "web/page_generator.h"
+#include "web/trace_io.h"
 
 namespace vroom {
 namespace {
@@ -365,7 +368,8 @@ TEST(Trace, IdenticalSeedsGiveByteIdenticalTracesAtAnyJobCount) {
 // devices, and the network ablation on several networks: each such load
 // must keep its own trace file rather than overwrite a sibling's. So must
 // a page of another class that shares the id (and so the nonce), as Top100
-// page k and News page k do in fig01.
+// page k and News page k do in fig01, and an AMP rewrite of the page, which
+// keeps its id and class, as in ext_amp.
 TEST(Trace, LoadsDifferingOnlyInDeviceOrNetworkWriteSeparateFiles) {
   const std::string dir = testing::TempDir() + "vroom_trace_identity";
   std::filesystem::remove_all(dir);
@@ -383,9 +387,19 @@ TEST(Trace, LoadsDifferingOnlyInDeviceOrNetworkWriteSeparateFiles) {
       harness::derive_load_nonce(phone.seed, page.page_id(), 0);
   ASSERT_EQ(top.page_id(), page.page_id());
 
+  // The AMP rewrite keeps the page's id, class and first party.
+  const web::PageModel amp = web::amp_transform(page);
+  ASSERT_EQ(amp.page_id(), page.page_id());
+  ASSERT_EQ(amp.page_class(), page.page_class());
+
+  char tpl[9];
+  std::snprintf(tpl, sizeof tpl, "%08llx",
+                static_cast<unsigned long long>(
+                    sim::hash64(web::page_to_trace(page)) & 0xffffffffULL));
   const std::string phone_name =
       harness::trace_file_name(strategy, page, phone, nonce);
-  EXPECT_EQ(phone_name.rfind("trace_vroom_news_p3_n" + std::to_string(nonce) +
+  EXPECT_EQ(phone_name.rfind("trace_vroom_news_p3_tpl" + std::string(tpl) +
+                                 "_n" + std::to_string(nonce) +
                                  "_nexus6_u1_t" +
                                  std::to_string(phone.when) + "_net",
                              0),
@@ -396,9 +410,11 @@ TEST(Trace, LoadsDifferingOnlyInDeviceOrNetworkWriteSeparateFiles) {
     harness::run_page_load(page, strategy, opt, nonce);
     expected.insert(harness::trace_file_name(strategy, page, opt, nonce));
   }
-  harness::run_page_load(top, strategy, phone, nonce);
-  expected.insert(harness::trace_file_name(strategy, top, phone, nonce));
-  EXPECT_EQ(expected.size(), 4u);
+  for (const web::PageModel* other : {&top, &amp}) {
+    harness::run_page_load(*other, strategy, phone, nonce);
+    expected.insert(harness::trace_file_name(strategy, *other, phone, nonce));
+  }
+  EXPECT_EQ(expected.size(), 5u);
   std::set<std::string> written;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     written.insert(entry.path().filename().string());
