@@ -9,7 +9,6 @@
 
 #include "bench_common.h"
 #include "deploy/scenario.h"
-#include "harness/export.h"
 
 int main() {
   using namespace vroom;
@@ -51,7 +50,6 @@ int main() {
     cdf.push_back({label, l.plt_seconds});
   }
   harness::print_cdf_table("Deployment PLT CDF", "s", cdf);
-  harness::maybe_export("Deployment PLT CDF", cdf);
 
   std::printf("\n%10s %12s %10s %14s\n", "hint age", "persistence",
               "serves", "mean micro PLT");

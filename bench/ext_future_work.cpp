@@ -18,8 +18,11 @@ int main() {
 
   // 1. Vroom + Polaris, including the tail the paper highlights.
   {
+    // Only this sweep is capped: §3 samples every fourth page of the full
+    // corpus.
+    const web::Corpus swept = harness::capped(ns);
     const auto results = bench::run_matrix(
-        ns,
+        swept,
         {baselines::vroom(), baselines::vroom_plus_polaris(),
          baselines::polaris()},
         opt);

@@ -7,12 +7,10 @@
 int main() {
   using namespace vroom;
   bench::banner("Figure 7", "resource persistence over time");
-  const web::Corpus top = web::Corpus::top100(bench::kSeed);
-  const int n = harness::effective_page_count(static_cast<int>(top.size()));
+  const web::Corpus top = harness::capped(web::Corpus::top100(bench::kSeed));
 
   std::vector<double> hour, day, week;
-  for (int i = 0; i < n; ++i) {
-    const auto& p = top.page(static_cast<std::size_t>(i));
+  for (const web::PageModel& p : top.pages()) {
     hour.push_back(core::persistence_fraction(p, sim::days(45), web::nexus6(),
                                               1, sim::hours(1)));
     day.push_back(core::persistence_fraction(p, sim::days(45), web::nexus6(),

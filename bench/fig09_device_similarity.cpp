@@ -7,12 +7,10 @@
 int main() {
   using namespace vroom;
   bench::banner("Figure 9", "stable-set similarity across devices");
-  const web::Corpus top = web::Corpus::top100(bench::kSeed);
-  const int n = harness::effective_page_count(static_cast<int>(top.size()));
+  const web::Corpus top = harness::capped(web::Corpus::top100(bench::kSeed));
 
   std::vector<double> oneplus, tablet, nexus5;
-  for (int i = 0; i < n; ++i) {
-    const auto& p = top.page(static_cast<std::size_t>(i));
+  for (const web::PageModel& p : top.pages()) {
     core::OfflineResolver resolver(p, {});
     oneplus.push_back(
         resolver.device_iou(sim::days(45), web::nexus6(), web::oneplus3()));

@@ -6,9 +6,9 @@ int main() {
   using namespace vroom;
   bench::banner("Figure 20", "warm-cache repeat loads");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
-  const auto n = static_cast<std::size_t>(
-      harness::effective_page_count(static_cast<int>(ns.size())));
+  const web::Corpus ns =
+      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const std::size_t n = ns.size();
 
   const struct {
     const char* label;

@@ -9,8 +9,8 @@
 int main() {
   using namespace vroom;
   bench::banner("Figure 21", "server-side dependency-resolution accuracy");
-  const web::Corpus acc = web::Corpus::accuracy_set(bench::kSeed);
-  const int n = harness::effective_page_count(static_cast<int>(acc.size()));
+  const web::Corpus acc =
+      harness::capped(web::Corpus::accuracy_set(bench::kSeed));
   const core::OfflineConfig off;
   constexpr core::ResolutionMode modes[] = {
       core::ResolutionMode::OfflinePlusOnline,
@@ -19,8 +19,7 @@ int main() {
 
   // One sample per (page, user, mode), in that nesting order, each written
   // into its own slot.
-  std::vector<core::AccuracySample> samples(static_cast<std::size_t>(n) *
-                                            kUsers * kModes);
+  std::vector<core::AccuracySample> samples(acc.size() * kUsers * kModes);
   fleet::run_tasks(samples.size(), [&](std::size_t i) {
     const auto user = static_cast<std::uint32_t>(i / kModes % kUsers) + 1;
     samples[i] = core::measure_accuracy(

@@ -4,12 +4,11 @@
 //
 //   $ ./example_deployment_scale
 //
-// Knobs: VROOM_BENCH_PAGES caps the corpus, VROOM_DEPLOY_ARRIVALS caps
-// arrivals per level, VROOM_DEPLOY_WINDOW_HOURS shortens the traffic
-// window, VROOM_JOBS sizes the micro-table worker pool (stdout and CSV are
-// bit-identical for any worker count), VROOM_OUT_DIR exports the tables as
-// CSV, VROOM_TRACE writes one Chrome-trace JSON per load level with the
-// front-end's cache/stale/recrawl events.
+// Knobs: VROOM_BENCH_PAGES caps the corpus this program generates,
+// VROOM_JOBS sizes the worker pool (stdout and CSV are bit-identical for
+// any worker count), VROOM_OUT_DIR exports the tables as CSV, VROOM_TRACE
+// writes one Chrome-trace JSON per load level with the front-end's
+// cache/stale/recrawl events.
 #include <cstdio>
 #include <string>
 
@@ -76,7 +75,6 @@ int main() {
     cdf.push_back({label, l.plt_seconds});
   }
   harness::print_cdf_table("Deployment PLT vs offered load", "s", cdf);
-  harness::maybe_export("Deployment PLT vs offered load", cdf);
 
   // --- Hint staleness priced against content persistence (Fig 7 axis). ---
   std::printf("\n%10s %12s %10s %14s\n", "hint age", "persistence",

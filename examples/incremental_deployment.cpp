@@ -3,8 +3,13 @@
 // HTTP/2?
 //
 //   $ ./example_incremental_deployment [num_pages]
+//
+// num_pages (default 20) must parse whole as an integer of at least 1, the
+// rule vroom_cli applies to --pages; anything else prints the usage line
+// and exits with status 2.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 
 #include "baselines/strategies.h"
 #include "fleet/fleet.h"
@@ -14,7 +19,15 @@
 
 int main(int argc, char** argv) {
   using namespace vroom;
-  const int pages = argc > 1 ? std::atoi(argv[1]) : 20;
+  int pages = 20;
+  if (argc > 1) {
+    const char* end = argv[1] + std::strlen(argv[1]);
+    const auto [ptr, ec] = std::from_chars(argv[1], end, pages);
+    if (ec != std::errc() || ptr != end || pages < 1) {
+      std::fprintf(stderr, "usage: %s [num_pages >= 1]\n", argv[0]);
+      return 2;
+    }
+  }
 
   web::Corpus corpus("news+sports", 42);
   corpus.add_pages(web::PageClass::News, pages / 2);

@@ -1,21 +1,27 @@
 #!/usr/bin/env bash
-# ctest check for example_vroom_cli's numeric flags: every malformed or
+# ctest check for the examples' numeric arguments: every malformed or
 # out-of-range value must print the usage line and exit with status 2, and
-# a well-formed run must exit 0.
+# a well-formed run must exit 0. Covers example_vroom_cli's flags and
+# example_incremental_deployment's page count.
 #
-#   scripts/check_cli_args.sh <path to example_vroom_cli>
+#   scripts/check_cli_args.sh <example_vroom_cli> <example_incremental_deployment>
 set -uo pipefail
 
-cli="${1:?usage: check_cli_args.sh <example_vroom_cli>}"
+cli="${1:?usage: check_cli_args.sh <example_vroom_cli> <example_incremental_deployment>}"
+incremental="${2:?usage: check_cli_args.sh <example_vroom_cli> <example_incremental_deployment>}"
 unset VROOM_BENCH_PAGES VROOM_TRACE VROOM_OUT_DIR VROOM_METRICS
 failed=0
 
-expect() {  # expect <status> <args...>
-  local want="$1"; shift
-  "$cli" "$@" > /dev/null 2>&1
+expect() {  # expect <status> <binary> <args...>
+  local want="$1" bin="$2"; shift 2
+  local out
+  out="$("$bin" "$@" 2>&1 > /dev/null)"
   local got=$?
   if [[ "$got" != "$want" ]]; then
-    echo "FAIL: vroom_cli $* exited $got, expected $want" >&2
+    echo "FAIL: $(basename "$bin") $* exited $got, expected $want" >&2
+    failed=1
+  elif [[ "$want" == 2 && "$out" != usage:* ]]; then
+    echo "FAIL: $(basename "$bin") $* printed no usage line" >&2
     failed=1
   fi
 }
@@ -28,10 +34,15 @@ for bad in \
     "--rrc -500" "--rrc 250ms" "--rrc 1e3"; do
   # Word splitting on purpose: each entry is a flag and its value.
   # shellcheck disable=SC2086
-  expect 2 --pages 1 --loads 1 $bad
+  expect 2 "$cli" --pages 1 --loads 1 $bad
 done
-expect 2 --pages 1 --seed " 7"
-expect 2 --pages 1 --seed "7 "
-expect 0 --pages 1 --loads 1 --seed 7 --loss 0.001 --rrc 0 --strategy http2
+expect 2 "$cli" --pages 1 --seed " 7"
+expect 2 "$cli" --pages 1 --seed "7 "
+expect 0 "$cli" --pages 1 --loads 1 --seed 7 --loss 0.001 --rrc 0 --strategy http2
+
+for bad in -5 0 abc 3x "" " 3" 1.5 99999999999999999999; do
+  expect 2 "$incremental" "$bad"
+done
+expect 0 "$incremental" 1
 
 exit "$failed"

@@ -96,8 +96,7 @@ std::vector<double> default_diurnal_profile() {
 
 std::vector<Arrival> build_population(int num_pages,
                                       const PopulationConfig& cfg,
-                                      std::uint64_t seed,
-                                      int max_arrivals) {
+                                      std::uint64_t seed) {
   const std::vector<DeviceShare> mix =
       cfg.device_mix.empty() ? default_device_mix() : cfg.device_mix;
   // Arrival narrows the page and device indices, and the warm-visit key
@@ -137,10 +136,7 @@ std::vector<Arrival> build_population(int num_pages,
   expected *= cfg.mean_arrivals_per_sec;
   // Four standard deviations of headroom: the stream practically never
   // outgrows the reserve, so it never pays a doubling copy.
-  double reserve = expected + 4.0 * std::sqrt(expected) + 16.0;
-  if (max_arrivals > 0) {
-    reserve = std::min(reserve, static_cast<double>(max_arrivals));
-  }
+  const double reserve = expected + 4.0 * std::sqrt(expected) + 16.0;
   arrivals.reserve(static_cast<std::size_t>(
       std::min(reserve, static_cast<double>(arrivals.max_size()))));
 
@@ -159,9 +155,9 @@ std::vector<Arrival> build_population(int num_pages,
   const ZipfSampler page_sampler(num_pages, cfg.page_skew);
 
   // Per-user traits are a pure function of (root, user), drawn on the
-  // user's first arrival, so they do not depend on arrival order or
-  // truncation. They are the device and cookie draws of the stream
-  // std::mt19937_64(derive_seed(root, user)), whose first two words
+  // user's first arrival, so they do not depend on arrival order or on
+  // where the window ends. They are the device and cookie draws of the
+  // stream std::mt19937_64(derive_seed(root, user)), whose first two words
   // Mt64Head yields without building the engine.
   struct UserTraits {
     std::uint8_t device = 0;
@@ -204,10 +200,6 @@ std::vector<Arrival> build_population(int num_pages,
     last_visit[visit_key] = t;
 
     arrivals.push_back(a);
-    if (max_arrivals > 0 &&
-        arrivals.size() >= static_cast<std::size_t>(max_arrivals)) {
-      break;
-    }
   }
   return arrivals;
 }

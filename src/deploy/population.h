@@ -77,16 +77,13 @@ struct Arrival {
 };
 
 // Generates the full arrival stream over `cfg.window`, sorted by time.
-// Deterministic in (num_pages, cfg, seed) only. `max_arrivals` truncates
-// the stream after generation (0 = no cap) — the VROOM_DEPLOY_ARRIVALS
-// quick-run knob; truncation keeps the prefix, so capped runs are prefixes
-// of uncapped ones. Throws std::invalid_argument for more than 65,536
-// pages or 256 device classes (the widths of Arrival::page and
-// Arrival::device), for a malformed diurnal profile, and (from the first
-// trait draw) for device weights with a non-positive total.
+// Deterministic in (num_pages, cfg, seed) only. Throws
+// std::invalid_argument for more than 65,536 pages or 256 device classes
+// (the widths of Arrival::page and Arrival::device), for a malformed
+// diurnal profile, and (from the first trait draw) for device weights with
+// a non-positive total.
 std::vector<Arrival> build_population(int num_pages,
                                       const PopulationConfig& cfg,
-                                      std::uint64_t seed,
-                                      int max_arrivals = 0);
+                                      std::uint64_t seed);
 
 }  // namespace vroom::deploy

@@ -140,9 +140,6 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   if (pages == 0 || cfg.offered_levels.empty()) return report;
 
   PopulationConfig pop = cfg.population;
-  if (env.deploy_window_hours > 0) {
-    pop.window = sim::hours(env.deploy_window_hours);
-  }
   report.window = pop.window;
   const std::vector<DeviceShare> mix =
       pop.device_mix.empty() ? default_device_mix() : pop.device_mix;
@@ -294,8 +291,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
     level_pop.mean_arrivals_per_sec = cfg.offered_levels[li];
     const std::vector<Arrival> arrivals = build_population(
         pages, level_pop,
-        sim::derive_seed(cfg.seed, "deploy:level-" + std::to_string(li)),
-        env.deploy_arrivals);
+        sim::derive_seed(cfg.seed, "deploy:level-" + std::to_string(li)));
 
     run.loop = std::make_unique<sim::EventLoop>();
     sim::EventLoop& loop = *run.loop;
@@ -431,14 +427,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
       }
     }
 
-    // Truncated streams (VROOM_DEPLOY_ARRIVALS) end early; rate math uses
-    // the time actually covered, not the configured window.
-    const bool truncated =
-        env.deploy_arrivals > 0 &&
-        level.arrivals == static_cast<std::int64_t>(env.deploy_arrivals);
-    const double window_s = sim::to_seconds(
-        truncated && !arrivals.empty() ? arrivals.back().at
-                                       : level_pop.window);
+    const double window_s = sim::to_seconds(level_pop.window);
     const std::int64_t completed = level.arrivals - level.timeouts;
     level.served_per_sec =
         window_s > 0 ? static_cast<double>(completed) / window_s : 0.0;
@@ -566,10 +555,6 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
                  static_cast<std::int64_t>(cfg.offered_levels.size()));
     manifest.set("window_us", static_cast<std::int64_t>(report.window));
     manifest.set("origin_link_mbps", std::string(mbps));
-    manifest.set("env.deploy_arrivals",
-                 static_cast<std::int64_t>(env.deploy_arrivals));
-    manifest.set("env.deploy_window_hours",
-                 static_cast<std::int64_t>(env.deploy_window_hours));
     manifest.set("digest.metrics_prom",
                  hex(obs::registry().digest(obs::Plane::Virtual)));
     manifest.set("digest.wall_sidecar_prom",

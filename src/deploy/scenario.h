@@ -136,8 +136,7 @@ struct DeploymentReport {
   std::vector<std::string> device_names;
   double origin_link_mbps = 0;
   sim::Time effective_recrawl = 0;
-  // Traffic window actually simulated (population.window after the
-  // VROOM_DEPLOY_WINDOW_HOURS override).
+  // Traffic window simulated (cfg.population.window).
   sim::Time window = 0;
   MicroTable micro;
   std::vector<LevelReport> levels;
@@ -152,11 +151,10 @@ struct DeploymentReport {
 };
 
 // Runs the full scenario: micro table on the fleet, then the warm column
-// and one macro pass per offered level on the same worker pool. Honours
-// VROOM_DEPLOY_ARRIVALS (cap arrivals per level) and
-// VROOM_DEPLOY_WINDOW_HOURS (override cfg.population.window) for quick
-// runs; the caller sizes the corpus (apply VROOM_BENCH_PAGES via
-// harness::effective_page_count when constructing it, as the example does).
+// and one macro pass per offered level on the same worker pool. The report
+// is a function of (corpus, cfg) alone: every page of the corpus is in the
+// micro table, and cfg.population.window is the window simulated. A quick
+// run is a smaller corpus or window chosen by the caller.
 DeploymentReport run_deployment(const web::Corpus& corpus,
                                 const ScenarioConfig& cfg);
 

@@ -159,6 +159,7 @@ int resolve_worker_count(int requested, const harness::Env& env) {
 }
 
 int resolve_worker_count(int requested) {
+  if (requested > 0) return requested;
   return resolve_worker_count(requested, harness::Env::from_environment());
 }
 
@@ -213,8 +214,7 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   for (int c = 0; c < n_cells; ++c) {
     const SweepCell& cell = plan.cells[static_cast<std::size_t>(c)];
     CompiledCell& cc = cells[static_cast<std::size_t>(c)];
-    cc.pages = env.effective_page_count(
-        static_cast<int>(cell.corpus->size()));
+    cc.pages = static_cast<int>(cell.corpus->size());
     cc.loads = cell.options.loads_per_page;
     cc.slot_offset = total_jobs;
     cc.label = cell.label.empty() ? cell.strategy.name : cell.label;
@@ -329,10 +329,6 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
     manifest.set("env.out_dir", env.out_dir);
     manifest.set("env.metrics", env.metrics_dir);
     manifest.set("env.profile", std::int64_t{env.profile ? 1 : 0});
-    manifest.set("env.deploy_arrivals",
-                 static_cast<std::int64_t>(env.deploy_arrivals));
-    manifest.set("env.deploy_window_hours",
-                 static_cast<std::int64_t>(env.deploy_window_hours));
     manifest.set("workers", static_cast<std::int64_t>(workers));
     manifest.set("jobs.total", static_cast<std::uint64_t>(total_jobs));
     manifest.set("cells", static_cast<std::int64_t>(n_cells));

@@ -100,7 +100,8 @@ std::vector<Job> order_longest_first(
 // Resolves a worker count: `requested` > 0 wins; otherwise VROOM_JOBS from
 // `env` (run_plan passes its plan-start snapshot, so one plan sees one
 // consistent knob set); otherwise the hardware concurrency (at least 1).
-// The one-argument overload takes a fresh environment snapshot.
+// The one-argument overload reads the environment only when `requested` is
+// not positive.
 int resolve_worker_count(int requested, const harness::Env& env);
 int resolve_worker_count(int requested);
 
@@ -160,7 +161,7 @@ struct SweepPlan {
   }
 };
 
-// Simulates every cell of the plan in this process on one shared worker
+// Simulates every page of every cell in this process on one shared worker
 // pool and returns one CorpusResult per cell, in plan order, each
 // bit-identical to a standalone run_corpus call with that cell's arguments
 // (any worker count). The telemetry summary carries one row per cell. A

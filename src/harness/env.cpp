@@ -36,17 +36,17 @@ Env Env::from_environment() {
   env.jobs = parse_positive_int("VROOM_JOBS", std::getenv("VROOM_JOBS"));
   env.bench_pages = parse_positive_int("VROOM_BENCH_PAGES",
                                        std::getenv("VROOM_BENCH_PAGES"));
-  env.trace_dir = string_or_empty(std::getenv("VROOM_TRACE"));
+  env.trace_dir = trace_dir_from_environment();
   env.out_dir = string_or_empty(std::getenv("VROOM_OUT_DIR"));
-  env.deploy_arrivals = parse_positive_int(
-      "VROOM_DEPLOY_ARRIVALS", std::getenv("VROOM_DEPLOY_ARRIVALS"));
-  env.deploy_window_hours = parse_positive_int(
-      "VROOM_DEPLOY_WINDOW_HOURS", std::getenv("VROOM_DEPLOY_WINDOW_HOURS"));
   env.metrics_dir = string_or_empty(std::getenv("VROOM_METRICS"));
   const char* profile = std::getenv("VROOM_PROFILE");
   env.profile = profile != nullptr && *profile != '\0' &&
                 std::strcmp(profile, "0") != 0;
   return env;
+}
+
+std::string Env::trace_dir_from_environment() {
+  return string_or_empty(std::getenv("VROOM_TRACE"));
 }
 
 }  // namespace vroom::harness

@@ -20,7 +20,17 @@
 namespace vroom::harness {
 
 int effective_page_count(int n) {
-  return Env::from_environment().effective_page_count(n);
+  const int cap = Env::from_environment().bench_pages;
+  return cap > 0 ? std::min(n, cap) : n;
+}
+
+web::Corpus capped(web::Corpus corpus) {
+  const auto n = static_cast<std::size_t>(
+      effective_page_count(static_cast<int>(corpus.size())));
+  if (n == corpus.size()) return corpus;
+  web::Corpus prefix(corpus.name(), corpus.seed());
+  for (std::size_t i = 0; i < n; ++i) prefix.add_page(corpus.page(i));
+  return prefix;
 }
 
 browser::LoadResult run_page_load(const web::PageModel& page,
@@ -74,7 +84,7 @@ browser::LoadResult run_page_load(const web::PageModel& page,
   // Tracing: off unless VROOM_TRACE=<dir> is set or the caller supplied a
   // sink. The recorder attaches itself to this load's event loop, so every
   // layer's hooks (null-checked pointer reads) start emitting.
-  const std::string trace_dir = Env::from_environment().trace_dir;
+  const std::string trace_dir = Env::trace_dir_from_environment();
   const bool trace_to_dir = !trace_dir.empty();
   std::unique_ptr<trace::Recorder> recorder;
   if (trace_to_dir || options.trace_sink) {

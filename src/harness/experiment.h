@@ -127,4 +127,9 @@ std::string serialize_corpus_result(const CorpusResult& r);
 // rejected with a warning on stderr.
 int effective_page_count(int n);
 
+// The first effective_page_count(corpus.size()) pages of `corpus`: where a
+// program builds the corpus it sweeps, the one place the quick-run cap
+// applies. Sweeps themselves run every page they are given.
+web::Corpus capped(web::Corpus corpus);
+
 }  // namespace vroom::harness

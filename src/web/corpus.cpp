@@ -1,8 +1,15 @@
 #include "web/corpus.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace vroom::web {
 
 void Corpus::add_pages(PageClass cls, int count, std::uint32_t first_id) {
+  if (count < 0) {
+    throw std::invalid_argument("Corpus::add_pages: negative count " +
+                                std::to_string(count));
+  }
   pages_.reserve(pages_.size() + static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     pages_.push_back(

@@ -21,6 +21,8 @@ class Corpus {
   std::size_t size() const { return pages_.size(); }
   const PageModel& page(std::size_t i) const { return pages_[i]; }
 
+  // Appends `count` generated pages with ids first_id, first_id + 1, ...;
+  // throws std::invalid_argument for a negative count.
   void add_pages(PageClass cls, int count, std::uint32_t first_id = 0);
   void add_page(PageModel page) { pages_.push_back(std::move(page)); }
 

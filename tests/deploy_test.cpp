@@ -47,6 +47,17 @@ deploy::PopulationConfig small_population() {
   return cfg;
 }
 
+// A light level and a heavier one over the first 30 minutes of the default
+// diurnal profile: about 160 and 1,600 arrivals.
+deploy::ScenarioConfig two_level_scenario() {
+  deploy::ScenarioConfig cfg;
+  cfg.offered_levels = {0.2, 2.0};
+  cfg.stale_ages = {sim::hours(1)};
+  cfg.population.users = 200;
+  cfg.population.window = sim::minutes(30);
+  return cfg;
+}
+
 TEST(Population, MeanArrivalRateMatchesConfiguredWithinTolerance) {
   const deploy::PopulationConfig cfg = small_population();
   const auto arrivals = deploy::build_population(8, cfg, 1234);
@@ -91,19 +102,19 @@ TEST(Population, RejectsIndicesArrivalCannotHold) {
   // or device mix would alias onto low indices instead of failing.
   deploy::PopulationConfig cfg = small_population();
   cfg.page_skew = 0.0;
-  EXPECT_FALSE(deploy::build_population(65536, cfg, 3, 50).empty());
-  EXPECT_THROW(deploy::build_population(65537, cfg, 3, 50),
+  cfg.window = sim::hours(5);  // the overnight trough: ~2,400 arrivals
+  EXPECT_FALSE(deploy::build_population(65536, cfg, 3).empty());
+  EXPECT_THROW(deploy::build_population(65537, cfg, 3),
                std::invalid_argument);
 
   cfg.device_mix.assign(256, deploy::DeviceShare{web::nexus6(), 1.0});
-  const auto arrivals = deploy::build_population(8, cfg, 3, 2000);
+  const auto arrivals = deploy::build_population(8, cfg, 3);
   ASSERT_FALSE(arrivals.empty());
   std::uint8_t top = 0;
   for (const deploy::Arrival& a : arrivals) top = std::max(top, a.device);
   EXPECT_GT(top, 127) << "a 256-class mix never drew its upper half";
   cfg.device_mix.push_back(deploy::DeviceShare{web::nexus6(), 1.0});
-  EXPECT_THROW(deploy::build_population(8, cfg, 3, 50),
-               std::invalid_argument);
+  EXPECT_THROW(deploy::build_population(8, cfg, 3), std::invalid_argument);
 }
 
 TEST(Population, DiurnalShapeShowsUpInHourlyCounts) {
@@ -158,16 +169,6 @@ TEST(Population, WarmFlagsFollowRevisitsWithinTtl) {
     last[key] = a.at;
   }
   EXPECT_GT(warm, 0) << "test setup produced no revisits";
-}
-
-TEST(Population, TruncationIsAPrefixOfTheFullStream) {
-  const deploy::PopulationConfig cfg = small_population();
-  const auto full = deploy::build_population(8, cfg, 5);
-  const auto capped = deploy::build_population(8, cfg, 5, 100);
-  ASSERT_EQ(capped.size(), 100u);
-  for (std::size_t i = 0; i < capped.size(); ++i) {
-    EXPECT_TRUE(capped[i] == full[i]) << "diverged at arrival " << i;
-  }
 }
 
 TEST(Population, BitIdenticalDrawsAcrossJobCounts) {
@@ -317,14 +318,8 @@ TEST(FrontEnd, CrawlScheduleIsPeriodicAndThroughputBound) {
 // is bit-identical at any worker count.
 TEST(Scenario, ReportBitIdenticalAcrossJobCounts) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
-  ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "400");
-  ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "2");
   const web::Corpus corpus = web::Corpus::smoke(42, 3);
-
-  deploy::ScenarioConfig cfg;
-  cfg.offered_levels = {0.2, 2.0};
-  cfg.stale_ages = {sim::hours(1)};
-  cfg.population.users = 200;
+  const deploy::ScenarioConfig cfg = two_level_scenario();
 
   std::vector<deploy::DeploymentReport> reports;
   for (const char* jobs : {"1", "2", "4"}) {
@@ -373,13 +368,12 @@ TEST(Scenario, ReportBitIdenticalAcrossJobCounts) {
 // micro timeout.
 TEST(Scenario, WarmColumnIsPrimeThenRevisit) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
-  ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "100");
-  ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "1");
   const web::Corpus corpus = web::Corpus::smoke(42, 3);
   deploy::ScenarioConfig cfg;
   cfg.offered_levels = {0.2};
   cfg.stale_ages = {sim::hours(1)};
   cfg.population.users = 100;
+  cfg.population.window = sim::hours(1);
   cfg.population.device_mix = {{web::nexus6(), 0.7}, {web::nexus10(), 0.3}};
   const deploy::DeploymentReport report = deploy::run_deployment(corpus, cfg);
 
@@ -419,14 +413,8 @@ TEST(Scenario, WarmColumnIsPrimeThenRevisit) {
 // byte whatever the worker pool looked like.
 TEST(Scenario, ExportedMetricsByteIdenticalAcrossJobCounts) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
-  ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "300");
-  ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "2");
   const web::Corpus corpus = web::Corpus::smoke(42, 3);
-
-  deploy::ScenarioConfig cfg;
-  cfg.offered_levels = {0.2, 2.0};
-  cfg.stale_ages = {sim::hours(1)};
-  cfg.population.users = 200;
+  const deploy::ScenarioConfig cfg = two_level_scenario();
 
   const std::string base = testing::TempDir() + "vroom_deploy_metrics_j";
   std::vector<std::string> dirs;
@@ -452,11 +440,39 @@ TEST(Scenario, ExportedMetricsByteIdenticalAcrossJobCounts) {
   }
 }
 
+// The report is a function of (corpus, cfg). VROOM_BENCH_PAGES caps corpora
+// where programs build them; it must not shorten the micro table, which the
+// macro pass indexes by corpus page.
+TEST(Scenario, ReportIgnoresBenchPageCap) {
+  ScopedEnv trace("VROOM_TRACE", nullptr);
+  const web::Corpus corpus = web::Corpus::smoke(42, 3);
+  const deploy::ScenarioConfig cfg = two_level_scenario();
+
+  deploy::DeploymentReport uncapped;
+  {
+    ScopedEnv pages("VROOM_BENCH_PAGES", nullptr);
+    uncapped = deploy::run_deployment(corpus, cfg);
+  }
+  ScopedEnv pages("VROOM_BENCH_PAGES", "2");
+  const deploy::DeploymentReport capped = deploy::run_deployment(corpus, cfg);
+  for (const auto& device_columns : capped.micro.plt) {
+    for (const auto& column : device_columns) {
+      EXPECT_EQ(column.size(), corpus.size());
+    }
+  }
+  EXPECT_EQ(capped.micro.plt, uncapped.micro.plt);
+  EXPECT_EQ(capped.micro.warm_plt, uncapped.micro.warm_plt);
+  ASSERT_EQ(capped.levels.size(), uncapped.levels.size());
+  for (std::size_t i = 0; i < capped.levels.size(); ++i) {
+    EXPECT_EQ(capped.levels[i].plt_seconds, uncapped.levels[i].plt_seconds)
+        << "level " << i;
+  }
+}
+
 // A level task that throws must reach the caller as the exception, not
 // terminate the process from a pool thread.
 TEST(Scenario, LevelExceptionReachesCallerAtAnyJobCount) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
-  ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "100");
   const web::Corpus corpus = web::Corpus::smoke(42, 2);
   deploy::ScenarioConfig cfg;
   cfg.stale_ages = {sim::hours(1)};
@@ -472,19 +488,18 @@ TEST(Scenario, LevelExceptionReachesCallerAtAnyJobCount) {
 // the origin links' capacity must degrade tail PLT.
 TEST(Scenario, TailPltDegradesAcrossLinkCapacity) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
-  ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "6000");
-  ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "6");
   const web::Corpus corpus = web::Corpus::smoke(42, 3);
 
   deploy::ScenarioConfig cfg;
   cfg.offered_levels = {0.05, 8.0};
   cfg.stale_ages = {sim::hours(1)};
   cfg.population.users = 300;
-  // Flat profile: the capped arrival prefix would otherwise fall in the
-  // diurnal overnight trough, where even the heavy level is under capacity.
+  // Flat profile: a short window would otherwise fall in the diurnal
+  // overnight trough, where even the heavy level is under capacity.
   cfg.population.diurnal.assign(24, 1.0);
-  // Deeper overload (2.5x the hottest origin's link) so the ~12 simulated
-  // minutes of capped traffic build an unambiguous backlog.
+  cfg.population.window = sim::minutes(15);
+  // Deeper overload (2.5x the hottest origin's link) so 15 simulated
+  // minutes of traffic build an unambiguous backlog.
   cfg.origin_capacity_frac = 0.4;
   // Links sized to 60% of the hottest origin's demand at 8/s: the low
   // level idles at ~0.4% utilization, the high level queues hard.

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/experiment.h"
 #include "scoped_env.h"
+#include "web/corpus.h"
 
 namespace vroom {
 namespace {
@@ -104,17 +106,35 @@ TEST(Env, HugeIntegerOutOfRangeIgnored) {
   EXPECT_EQ(harness::Env::from_environment().jobs, 0);
 }
 
+// The one cap function, and the corpus helper programs apply it through.
 TEST(Env, EffectivePageCount) {
   CleanEnv clean;
-  {
-    const harness::Env env = harness::Env::from_environment();
-    EXPECT_EQ(env.effective_page_count(100), 100);  // uncapped
-  }
+  EXPECT_EQ(harness::effective_page_count(100), 100);  // uncapped
   {
     ScopedEnv pages("VROOM_BENCH_PAGES", "8");
-    const harness::Env env = harness::Env::from_environment();
-    EXPECT_EQ(env.effective_page_count(100), 8);
-    EXPECT_EQ(env.effective_page_count(5), 5);  // cap never raises
+    EXPECT_EQ(harness::effective_page_count(100), 8);
+    EXPECT_EQ(harness::effective_page_count(5), 5);  // cap never raises
+  }
+  // Garbage and non-positive values are rejected (with a stderr warning)
+  // instead of silently truncating the corpus.
+  for (const char* bad :
+       {"", "abc", "-3", "0", "7pages", "1e3", " 4", "4 ", "3.5"}) {
+    ScopedEnv pages("VROOM_BENCH_PAGES", bad);
+    EXPECT_EQ(harness::effective_page_count(10), 10)
+        << "VROOM_BENCH_PAGES=\"" << bad << '"';
+  }
+  // capped keeps the corpus's first pages, its name and its seed.
+  const web::Corpus full = web::Corpus::smoke(42, 3);
+  EXPECT_EQ(harness::capped(full).size(), 3u);
+  {
+    ScopedEnv pages("VROOM_BENCH_PAGES", "2");
+    const web::Corpus prefix = harness::capped(full);
+    ASSERT_EQ(prefix.size(), 2u);
+    EXPECT_EQ(prefix.name(), full.name());
+    EXPECT_EQ(prefix.seed(), full.seed());
+    for (std::size_t i = 0; i < prefix.size(); ++i) {
+      EXPECT_EQ(prefix.page(i).page_id(), full.page(i).page_id());
+    }
   }
 }
 

@@ -63,7 +63,6 @@ harness::RunOptions small_options() {
 
 TEST(Fleet, ParallelBitIdenticalToSerial) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(7);
   const harness::RunOptions opt = small_options();
 
@@ -81,7 +80,6 @@ TEST(Fleet, ParallelBitIdenticalToSerial) {
 
 TEST(Fleet, MatrixMatchesPerStrategyRuns) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(7);
   const harness::RunOptions opt = small_options();
   const std::vector<baselines::Strategy> strategies = {
@@ -115,6 +113,28 @@ TEST(Fleet, WorkerCountResolution) {
     ScopedEnv env("VROOM_JOBS", bad);
     EXPECT_GE(fleet::resolve_worker_count(0), 1) << "VROOM_JOBS=" << bad;
   }
+}
+
+// A malformed knob warns once per run, not once per load: run_plan parses
+// the environment once, the pool reads nothing for the worker count
+// run_plan resolved, and each load reads VROOM_TRACE alone.
+TEST(Fleet, MalformedKnobWarnsOncePerRun) {
+  ScopedEnv jobs_env("VROOM_JOBS", "abc");
+  // Another malformed knob would add its own line.
+  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
+  ScopedEnv trace_env("VROOM_TRACE", nullptr);
+  const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
+  testing::internal::CaptureStderr();
+  const harness::CorpusResult result =
+      fleet::run_corpus(corpus, baselines::http2_baseline(), small_options());
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(result.loads.size(), 2u);
+  int warnings = 0;
+  for (std::size_t at = err.find("[env] warning"); at != std::string::npos;
+       at = err.find("[env] warning", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_EQ(warnings, 1) << err;
 }
 
 TEST(Fleet, RunTasksCoversEveryIndexExactlyOnce) {
@@ -172,7 +192,6 @@ TEST(Fleet, RunTasksRethrowsTaskExceptionAtAnyWorkerCount) {
 
 TEST(Fleet, RunPlanForwardsLoadExceptionAtAnyWorkerCount) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
   harness::RunOptions opt = small_options();
   opt.trace_sink = [](const trace::Recorder&) {
@@ -200,7 +219,6 @@ TEST(Fleet, RunTasksHonorsVroomJobsEnv) {
 
 TEST(Fleet, MoreWorkersThanJobsStillIdentical) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
   harness::RunOptions opt = small_options();
   opt.loads_per_page = 1;  // 2 jobs total
@@ -220,7 +238,6 @@ TEST(Fleet, MoreWorkersThanJobsStillIdentical) {
 
 TEST(Fleet, TelemetryCountersAddUp) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(7);
   const harness::RunOptions opt = small_options();
   const std::vector<baselines::Strategy> strategies = {
@@ -341,25 +358,6 @@ TEST(Harness, RunPageRevisitMatchesHandWrittenVisit) {
   }
   EXPECT_GT(visit.revisit.cache_hits, 0);
   EXPECT_LT(visit.revisit.bytes_fetched, visit.prime.bytes_fetched);
-}
-
-TEST(Harness, EffectivePageCountValidation) {
-  {
-    ScopedEnv env("VROOM_BENCH_PAGES", nullptr);
-    EXPECT_EQ(harness::effective_page_count(10), 10);
-  }
-  {
-    ScopedEnv env("VROOM_BENCH_PAGES", "4");
-    EXPECT_EQ(harness::effective_page_count(10), 4);
-    EXPECT_EQ(harness::effective_page_count(2), 2);  // cap never raises
-  }
-  // Garbage and non-positive values are rejected (with a stderr warning)
-  // instead of silently truncating the corpus.
-  for (const char* bad : {"", "abc", "-3", "0", "7pages", "1e3"}) {
-    ScopedEnv env("VROOM_BENCH_PAGES", bad);
-    EXPECT_EQ(harness::effective_page_count(10), 10)
-        << "VROOM_BENCH_PAGES=" << bad;
-  }
 }
 
 }  // namespace

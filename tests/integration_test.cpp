@@ -92,13 +92,5 @@ TEST_F(IntegrationTest, PartialDeploymentBetweenFullAndBaseline) {
   EXPECT_LT(part, h2);
 }
 
-TEST_F(IntegrationTest, EffectivePageCountHonorsEnvCap) {
-  ASSERT_EQ(harness::effective_page_count(10), 10);
-  ::setenv("VROOM_BENCH_PAGES", "3", 1);
-  EXPECT_EQ(harness::effective_page_count(10), 3);
-  EXPECT_EQ(harness::effective_page_count(2), 2);
-  ::unsetenv("VROOM_BENCH_PAGES");
-}
-
 }  // namespace
 }  // namespace vroom

@@ -224,7 +224,6 @@ TEST(Registry, DigestTracksContent) {
 
 TEST(FleetMetrics, VirtualExportByteIdenticalAcrossJobCounts) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
-  ScopedEnv pages("VROOM_BENCH_PAGES", nullptr);
   ScopedEnv profile("VROOM_PROFILE", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(7);
   harness::RunOptions opt;
@@ -264,7 +263,6 @@ TEST(FleetMetrics, VirtualExportByteIdenticalAcrossJobCounts) {
 
 TEST(FleetMetrics, DisabledPathLeavesResultsIdentical) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
-  ScopedEnv pages("VROOM_BENCH_PAGES", nullptr);
   ScopedEnv jobs_env("VROOM_JOBS", "2");
   const web::Corpus corpus = web::Corpus::smoke(7);
   harness::RunOptions opt;
@@ -385,13 +383,12 @@ deploy::ScenarioConfig small_scenario() {
   cfg.offered_levels = {0.2, 2.0};
   cfg.stale_ages = {sim::hours(1)};
   cfg.population.users = 200;
+  cfg.population.window = sim::minutes(30);
   return cfg;
 }
 
 TEST(DeployObs, HistogramPercentilesTrackExactOnesWithinOneBucket) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
-  ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "400");
-  ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "2");
   const web::Corpus corpus = web::Corpus::smoke(42, 3);
 
   const deploy::DeploymentReport report =
@@ -414,8 +411,6 @@ TEST(DeployObs, HistogramPercentilesTrackExactOnesWithinOneBucket) {
 
 TEST(DeployObs, MacroTraceAuditPassesAndCatchesInjectedViolations) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
-  ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "400");
-  ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "2");
   const web::Corpus corpus = web::Corpus::smoke(42, 3);
 
   std::vector<trace::Recorder::Event> events;
@@ -536,9 +531,6 @@ TEST(DeployObs, MacroTraceAuditPassesAndCatchesInjectedViolations) {
 
 TEST(DeployObs, MetricsExportCoversMacroPassAndStaysByteIdentical) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
-  ScopedEnv cap("VROOM_DEPLOY_ARRIVALS", "200");
-  ScopedEnv window("VROOM_DEPLOY_WINDOW_HOURS", "2");
-  ScopedEnv pages("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(42, 3);
 
   std::vector<std::string> proms;

@@ -77,9 +77,32 @@ fleet::SweepPlan mixed_plan(const web::Corpus& a, const web::Corpus& b) {
   return plan;
 }
 
+// VROOM_BENCH_PAGES caps corpora where programs build them
+// (harness::capped); a plan runs every page it is given.
+TEST(SweepPlan, EveryPageRunsUnderAPageCap) {
+  ScopedEnv jobs_env("VROOM_JOBS", nullptr);
+  const web::Corpus corpus = web::Corpus::smoke(42, 3);
+  fleet::SweepPlan plan;
+  plan.add(corpus, baselines::http2_baseline(), small_options())
+      .add(corpus, baselines::vroom(), small_options());
+
+  std::vector<harness::CorpusResult> uncapped;
+  {
+    ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
+    uncapped = fleet::run_plan(plan);
+  }
+  ScopedEnv pages_env("VROOM_BENCH_PAGES", "1");
+  const std::vector<harness::CorpusResult> capped = fleet::run_plan(plan);
+  ASSERT_EQ(capped.size(), uncapped.size());
+  for (std::size_t c = 0; c < capped.size(); ++c) {
+    SCOPED_TRACE("cell " + std::to_string(c));
+    EXPECT_EQ(capped[c].loads.size(), corpus.size());
+    expect_identical_loads(capped[c], uncapped[c]);
+  }
+}
+
 TEST(SweepPlan, MultiCorpusBitIdenticalToStandaloneRuns) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus a = web::Corpus::smoke(7);
   const web::Corpus b = web::Corpus::smoke(11, /*count=*/3);
   const fleet::SweepPlan plan = mixed_plan(a, b);
@@ -109,7 +132,6 @@ TEST(SweepPlan, MultiCorpusBitIdenticalToStandaloneRuns) {
 
 TEST(SweepPlan, CustomLabelsFlowToResults) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus a = web::Corpus::smoke(7, /*count=*/2);
   const web::Corpus b = web::Corpus::smoke(11, /*count=*/2);
   harness::RunOptions opt = small_options();
@@ -137,7 +159,6 @@ TEST(SweepPlan, CustomLabelsFlowToResults) {
 
 TEST(SweepPlan, PerCellTelemetryAddsUp) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus a = web::Corpus::smoke(7);
   const web::Corpus b = web::Corpus::smoke(11, /*count=*/3);
   const fleet::SweepPlan plan = mixed_plan(a, b);
@@ -174,7 +195,6 @@ TEST(SweepPlan, PerCellTelemetryAddsUp) {
 // load of the plan runs — at any worker count.
 TEST(SweepPlan, RejectsCellThatSetsACache) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
   std::atomic<int> loads{0};
   harness::RunOptions cold = small_options();

@@ -320,7 +320,6 @@ TEST(Trace, DisabledRecorderAddsNothingAndLoadIsIdentical) {
 
 TEST(Trace, IdenticalSeedsGiveByteIdenticalTracesAtAnyJobCount) {
   ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
   harness::RunOptions opt;
   opt.seed = 42;
@@ -430,7 +429,6 @@ TEST(Trace, CellsSharingALabelExportSeparateCounterFiles) {
   std::filesystem::remove_all(dir);
   ScopedEnv out_env("VROOM_OUT_DIR", dir.c_str());
   ScopedEnv trace_env("VROOM_TRACE", nullptr);
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   const web::Corpus a = web::Corpus::smoke(7, /*count=*/2);
   const web::Corpus b = web::Corpus::smoke(11, /*count=*/2);
   harness::RunOptions opt;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "web/corpus.h"
 #include "web/html_scanner.h"
@@ -253,6 +254,15 @@ TEST(CorpusTest, PageIdsUnique) {
   std::set<std::uint32_t> ids;
   for (const auto& p : c.pages()) ids.insert(p.page_id());
   EXPECT_EQ(ids.size(), c.size());
+}
+
+// A negative count is an error, not a huge reserve or an empty corpus.
+TEST(CorpusTest, AddPagesRejectsNegativeCount) {
+  Corpus c("negative", 1);
+  EXPECT_THROW(c.add_pages(PageClass::News, -2), std::invalid_argument);
+  EXPECT_EQ(c.size(), 0u);
+  c.add_pages(PageClass::News, 0);
+  EXPECT_EQ(c.size(), 0u);
 }
 
 }  // namespace
