@@ -8,7 +8,7 @@
 namespace vroom::net {
 
 Link::Link(sim::EventLoop& loop, double bps, const char* name)
-    : loop_(loop), bps_(bps), name_(name) {
+    : loop_(loop), completions_(loop.add_lane()), bps_(bps), name_(name) {
   assert(bps > 0);
 }
 
@@ -36,9 +36,9 @@ sim::Time Link::enqueue(std::int64_t bytes) {
   return done;
 }
 
-void Link::transmit(std::int64_t bytes, std::function<void()> on_delivered) {
-  const sim::Time done = enqueue(bytes);
-  loop_.schedule_at(done, std::move(on_delivered));
+void Link::transmit(std::int64_t bytes,
+                    sim::EventLoop::Callback on_delivered) {
+  loop_.schedule_at(completions_, enqueue(bytes), std::move(on_delivered));
 }
 
 double Link::utilization() const {

@@ -6,10 +6,14 @@
 // between concurrently pushed/fetched resources — the effect Vroom's
 // cooperative scheduler exists to manage (§4.3 of the paper) — emerges
 // directly from this FIFO.
+//
+// A link's completion times never decrease, so its completion events run on
+// one event-loop lane (sim::EventLoop::add_lane()) instead of each taking a
+// heap push and pop, and the callback is the loop's SmallFn: a TCP segment's
+// completion allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/event_loop.h"
 
@@ -26,14 +30,14 @@ class Link {
 
   // Serializes `bytes` through the link; `on_delivered` fires when the last
   // bit clears the link. Transmissions queue FIFO behind earlier ones.
-  void transmit(std::int64_t bytes, std::function<void()> on_delivered);
+  void transmit(std::int64_t bytes, sim::EventLoop::Callback on_delivered);
 
   // transmit() minus the completion event: identical FIFO accounting
   // (busy_until/busy_time/total_bytes) and the identical trace counters,
   // but nothing is scheduled. Returns the time the last bit clears the
   // link. For direct-replay callers (deploy's macro pass) that only need
   // the queueing arithmetic — the FIFO story is busy_until_ plus tx_time,
-  // so the heap event behind transmit() is pure overhead there.
+  // so the completion event behind transmit() is pure overhead there.
   sim::Time enqueue(std::int64_t bytes);
 
   // Time the link becomes idle given everything queued so far.
@@ -54,6 +58,7 @@ class Link {
 
  private:
   sim::EventLoop& loop_;
+  sim::LaneId completions_;
   double bps_;
   const char* name_;
   sim::Time busy_until_ = 0;

@@ -17,7 +17,8 @@ TcpConnection::TcpConnection(Network& net, std::string domain, bool needs_dns,
       lane_("conn#" + std::to_string(net.alloc_conn_id())),
       needs_dns_(needs_dns),
       discipline_(discipline),
-      rtt_(net_.rtt(domain_id, domain_)) {
+      rtt_(net_.rtt(domain_id, domain_)),
+      delay_line_(net_.loop().add_lane()) {
   const auto& cfg = net_.config();
   cwnd_ = static_cast<std::int64_t>(cfg.init_cwnd_segments) * cfg.mss_bytes;
   max_cwnd_ = static_cast<std::int64_t>(cfg.max_cwnd_segments) * cfg.mss_bytes;
@@ -54,7 +55,7 @@ void TcpConnection::send_request(std::int64_t bytes,
   const sim::Time half_rtt = rtt_ / 2;
   net_.uplink().transmit(bytes,
                          [this, half_rtt, cb = std::move(deliver_at_server)] {
-                           net_.loop().schedule_in(half_rtt, cb);
+                           net_.loop().schedule_in(delay_line_, half_rtt, cb);
                          });
 }
 
@@ -171,11 +172,12 @@ void TcpConnection::pump() {
     }
     // Propagation from origin to the access-link bottleneck, then FIFO
     // serialization shared with every other connection.
-    net_.loop().schedule_in(rtt_ / 2 + extra, [this, stream_index, seg] {
-      net_.downlink().transmit(seg, [this, stream_index, seg] {
-        on_segment_at_client(stream_index, seg);
-      });
-    });
+    net_.loop().schedule_in(
+        delay_line_, rtt_ / 2 + extra, [this, stream_index, seg] {
+          net_.downlink().transmit(seg, [this, stream_index, seg] {
+            on_segment_at_client(stream_index, seg);
+          });
+        });
   }
 }
 
@@ -203,7 +205,7 @@ void TcpConnection::on_segment_at_client(std::size_t stream_index,
     }
   }
   // ACK (and the stream's WINDOW_UPDATE) travels back to the origin.
-  net_.loop().schedule_in(rtt_ / 2, [this, stream_index, seg] {
+  net_.loop().schedule_in(delay_line_, rtt_ / 2, [this, stream_index, seg] {
     on_ack(stream_index, seg);
   });
 }
@@ -212,7 +214,8 @@ void TcpConnection::on_ack(std::size_t stream_index, std::int64_t seg) {
   inflight_ -= seg;
   streams_[stream_index].inflight -= seg;
   // Slow start: cwnd grows by one MSS per acked segment (doubling per RTT)
-  // up to the configured cap; no loss, so we never leave slow start.
+  // up to the configured cap. A loss halves cwnd in pump(); there is no
+  // ssthresh, so growth resumes at this rate afterwards.
   const std::int64_t before = cwnd_;
   cwnd_ = std::min(cwnd_ + net_.config().mss_bytes, max_cwnd_);
   if (cwnd_ != before) {

@@ -3,8 +3,16 @@
 // Models the pieces of TCP that shape page-load timing on an LTE access
 // link: DNS lookup, 3-way handshake, TLS setup RTTs, slow start from an
 // initial window, and in-order byte delivery through the shared bottleneck
-// (`Network::downlink`). Loss is not modeled — the paper's replay runs over
-// a good-signal LTE hotspot where retransmissions are rare; see DESIGN.md.
+// (`Network::downlink`). Random segment loss is drawn per segment when
+// `NetworkConfig::loss_rate` is set (off by default: the paper's replay runs
+// over a good-signal LTE hotspot): a lost segment arrives one retransmission
+// timeout late and halves the congestion window.
+//
+// Every half-RTT delay of a connection (request and segment propagation,
+// ACKs) is now() plus one constant, so the connection's delay line runs on
+// one event-loop lane (sim::EventLoop::add_lane()). A lost segment's RTO
+// is the one delay that puts the line out of order: events scheduled after
+// it that fire before it go through the heap, so event order is unchanged.
 //
 // Server-to-client data is enqueued as `Chunk`s tagged with a stream id.
 // Two writer disciplines are supported:
@@ -118,6 +126,7 @@ class TcpConnection {
   bool needs_dns_;
   WriterDiscipline discipline_;
   sim::Time rtt_;
+  sim::LaneId delay_line_;
   bool established_ = false;
 
   std::vector<Stream> streams_;  // in first-write order

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 namespace vroom::sim {
 
 std::uint32_t EventLoop::acquire_slot() {
-  if (free_head_ != kNoFreeSlot) {
+  if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
+    free_head_ = slots_[slot].next;
     return slot;
   }
   slots_.emplace_back();
@@ -18,53 +19,99 @@ std::uint32_t EventLoop::acquire_slot() {
 void EventLoop::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.cb.reset();
-  s.seq = 0;
-  s.next_free = free_head_;
+  s.next = free_head_;
   free_head_ = slot;
 }
 
-EventId EventLoop::schedule_at(Time at, Callback cb) {
-  if (at < now_) at = now_;
-  const std::uint64_t seq = next_seq_++;
+EventLoop::HeapEntry EventLoop::make_entry(Time at, Callback&& cb,
+                                           std::uint32_t lane) {
   const std::uint32_t slot = acquire_slot();
   slots_[slot].cb = std::move(cb);
-  slots_[slot].seq = seq;
-  heap_.push_back(HeapEntry{at, seq, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
-  return EventId{slot, seq};
+  return HeapEntry{at < now_ ? now_ : at, next_seq_++, slot, lane};
 }
 
-void EventLoop::cancel(EventId id) {
-  if (id.seq_ == 0 || id.slot_ >= slots_.size()) return;
-  if (slots_[id.slot_].seq != id.seq_) return;  // fired or already cancelled
-  release_slot(id.slot_);
-  --live_;
-  // The heap entry stays behind as a tombstone; step() skips it when its seq
-  // no longer matches the slot's generation.
+void EventLoop::heap_push(const HeapEntry& e) {
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void EventLoop::sift_down_front() {
+  const std::size_t n = heap_.size();
+  const HeapEntry moving = heap_.front();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && Later{}(heap_[child], heap_[child + 1])) ++child;
+    if (!Later{}(moving, heap_[child])) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = moving;
+}
+
+void EventLoop::schedule_at(Time at, Callback cb) {
+  heap_push(make_entry(at, std::move(cb), kNoLane));
+}
+
+LaneId EventLoop::add_lane() {
+  if (open_lanes_ == lanes_.size()) lanes_.emplace_back();
+  lanes_[open_lanes_] = Lane{};
+  return LaneId(open_lanes_++);
+}
+
+void EventLoop::schedule_at(LaneId id, Time at, Callback cb) {
+  if (id.index_ >= open_lanes_) {
+    throw std::out_of_range("EventLoop::schedule_at: unknown lane");
+  }
+  Lane& lane = lanes_[id.index_];
+  HeapEntry e = make_entry(at, std::move(cb), id.index_);
+  if (!lane.has_head) {  // an empty lane: the event is its head
+    lane.has_head = true;
+    lane.tail = e.at;
+    heap_push(e);
+  } else if (e.at >= lane.tail) {  // in order: wait behind the tail
+    lane.tail = e.at;
+    Slot& s = slots_[e.slot];
+    s.at = e.at;
+    s.seq = e.seq;
+    s.next = kNoSlot;
+    if (lane.last == kNoSlot) {
+      lane.first = e.slot;
+    } else {
+      slots_[lane.last].next = e.slot;
+    }
+    lane.last = e.slot;
+  } else {  // earlier than the lane's latest event: an ordinary event
+    e.lane = kNoLane;
+    heap_push(e);
+  }
 }
 
 bool EventLoop::step(Time until) {
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    if (slots_[top.slot].seq != top.seq) {  // cancelled: drop the tombstone
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-      continue;
-    }
-    if (top.at > until) return false;
+  if (heap_.empty() || heap_.front().at > until) return false;
+  const HeapEntry top = heap_.front();
+  Lane* lane = top.lane == kNoLane ? nullptr : &lanes_[top.lane];
+  if (lane != nullptr && lane->first != kNoSlot) {
+    // The lane's next event takes the fired head's place in the heap.
+    const std::uint32_t slot = lane->first;
+    const Slot& s = slots_[slot];
+    heap_.front() = HeapEntry{s.at, s.seq, slot, top.lane};
+    lane->first = s.next;
+    if (lane->first == kNoSlot) lane->last = kNoSlot;
+    sift_down_front();
+  } else {
+    if (lane != nullptr) lane->has_head = false;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
-    // Move the callback out and free the slot before invoking: the callback
-    // may schedule more events, which can grow the slab.
-    Callback cb = std::move(slots_[top.slot].cb);
-    release_slot(top.slot);
-    --live_;
-    now_ = top.at;
-    cb();
-    return true;
   }
-  return false;
+  // Move the callback out and free the slot before invoking: the callback
+  // may schedule more events, which can grow the slab.
+  Callback cb = std::move(slots_[top.slot].cb);
+  release_slot(top.slot);
+  --live_;
+  now_ = top.at;
+  cb();
+  return true;
 }
 
 std::size_t EventLoop::run(Time until) {
@@ -79,11 +126,12 @@ void EventLoop::reset() {
   const std::size_t capacity = slots_.size();
   slots_.clear();
   slots_.resize(capacity);
-  free_head_ = kNoFreeSlot;
+  free_head_ = kNoSlot;
   for (std::size_t i = capacity; i-- > 0;) {
-    slots_[i].next_free = free_head_;
+    slots_[i].next = free_head_;
     free_head_ = static_cast<std::uint32_t>(i);
   }
+  open_lanes_ = 0;  // add_lane() clears a lane when it reopens it
   live_ = 0;
   now_ = 0;
   next_seq_ = 1;

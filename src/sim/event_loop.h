@@ -8,11 +8,16 @@
 // Internals are built for the per-load hot path (a page load executes a few
 // thousand events, a fleet run hundreds of millions): callbacks live in a
 // recycled slab of SmallFn slots (no per-event heap allocation for typical
-// closures), the heap orders 24-byte POD entries, and cancellation is O(1)
-// and idempotent — a cancelled entry becomes a tombstone that the pop path
-// skips when its generation no longer matches the slot. reset() keeps the
-// slab and heap capacity so fleet workers reuse one loop's storage across
-// consecutive loads.
+// closures), and a binary min-heap orders 24-byte POD entries. Most events
+// of a load come from streams that are already in time order — a link's
+// completions, a TCP connection's half-RTT delay line — so such a stream
+// can run on a FIFO *lane*: only the lane's earliest event sits in the
+// heap, the rest wait in a list threaded through their slab slots, and
+// when the head fires the lane's next event replaces it in the heap with
+// one sift-down. The heap still merges every lane head with every other
+// event by (time, seq), so the execution order is exactly the order
+// without lanes. reset() keeps the slab, heap and lane capacity so fleet
+// workers reuse one loop's storage across consecutive loads.
 #pragma once
 
 #include <cstdint>
@@ -28,18 +33,16 @@ class Recorder;
 
 namespace vroom::sim {
 
-// Handle used to cancel a pending event. Holds the event's slab slot and its
-// generation (the global insertion seq); cancelling a fired, re-used, or
-// default-constructed id is a no-op because the generation no longer matches.
-class EventId {
+// Names one FIFO lane of one EventLoop (see EventLoop::add_lane()). A
+// default-constructed id names no lane.
+class LaneId {
  public:
-  EventId() = default;
+  LaneId() = default;
 
  private:
   friend class EventLoop;
-  EventId(std::uint32_t slot, std::uint64_t seq) : slot_(slot), seq_(seq) {}
-  std::uint32_t slot_ = 0;
-  std::uint64_t seq_ = 0;  // 0 means "no event"
+  explicit LaneId(std::uint32_t index) : index_(index) {}
+  std::uint32_t index_ = 0xffffffffu;
 };
 
 class EventLoop {
@@ -53,16 +56,27 @@ class EventLoop {
   Time now() const { return now_; }
 
   // Schedules `cb` at absolute virtual time `at` (clamped to now()).
-  EventId schedule_at(Time at, Callback cb);
+  void schedule_at(Time at, Callback cb);
 
   // Schedules `cb` after `delay` microseconds of virtual time.
-  EventId schedule_in(Time delay, Callback cb) {
-    return schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(cb));
+  void schedule_in(Time delay, Callback cb) {
+    schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(cb));
   }
 
-  // Drops a pending event. Idempotent: default-constructed, already-fired,
-  // and already-cancelled ids are no-ops, and never perturb pending().
-  void cancel(EventId id);
+  // Opens a FIFO lane for a stream of events scheduled in non-decreasing
+  // time order. The id stays valid until reset().
+  LaneId add_lane();
+
+  // schedule_at()/schedule_in() through `lane`: same time and same
+  // execution order, with no heap operation unless the lane is empty. An
+  // event earlier than the lane's latest one goes to the heap as an
+  // ordinary event, so the order stays exact for any input. Throws
+  // std::out_of_range for a lane this loop has not opened since its last
+  // reset().
+  void schedule_at(LaneId lane, Time at, Callback cb);
+  void schedule_in(LaneId lane, Time delay, Callback cb) {
+    schedule_at(lane, now_ + (delay < 0 ? 0 : delay), std::move(cb));
+  }
 
   // Runs events until the queue is empty or `until` is reached, whichever
   // comes first. Returns the number of events executed.
@@ -87,10 +101,11 @@ class EventLoop {
   std::size_t pending() const { return live_; }
 
   // Returns the loop to its just-constructed state (now()==0, fresh seqs, no
-  // recorder) but keeps the slab and heap capacity, so a pooled loop reused
-  // across page loads stops paying per-load allocation warmup. A reset loop
-  // is indistinguishable from a new one: seqs restart at 1, so event
-  // ordering — and therefore every simulated number — is unchanged.
+  // lanes, no recorder) but keeps the slab, heap and lane capacity, so a
+  // pooled loop reused across page loads stops paying per-load allocation
+  // warmup. A reset loop is indistinguishable from a new one: seqs restart
+  // at 1, so event ordering — and therefore every simulated number — is
+  // unchanged.
   void reset();
 
   // Structured-trace recorder attached to this simulation world (see
@@ -101,13 +116,15 @@ class EventLoop {
   void set_recorder(trace::Recorder* recorder) { recorder_ = recorder; }
 
  private:
-  // Min-heap entry; the callback lives in slots_[slot]. An entry is live iff
-  // its seq still matches the slot's generation — cancel() frees the slot,
-  // leaving the entry behind as a tombstone for the pop path to skip.
+  static constexpr std::uint32_t kNoLane = 0xffffffffu;
+
+  // Min-heap entry; the callback lives in slots_[slot]. `lane` is the lane
+  // whose head the entry is, or kNoLane for an ordinary event.
   struct HeapEntry {
     Time at;
     std::uint64_t seq;
     std::uint32_t slot;
+    std::uint32_t lane;
   };
   struct Later {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
@@ -115,23 +132,44 @@ class EventLoop {
       return a.seq > b.seq;
     }
   };
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   struct Slot {
     Callback cb;
-    std::uint64_t seq = 0;        // generation; 0 means "free"
-    std::uint32_t next_free = 0;  // free-list link, valid while free
+    // While the event waits in a lane behind its head: its time and seq,
+    // and `next` links to the lane's next waiting event. While the slot is
+    // free, `next` links the free list.
+    Time at = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t next = kNoSlot;
   };
-  static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
+  // A lane's earliest event is in the heap (`has_head`); the events behind
+  // it wait in slots first..last, so a lane costs no storage beyond its
+  // backlog's slots.
+  struct Lane {
+    std::uint32_t first = kNoSlot;
+    std::uint32_t last = kNoSlot;
+    Time tail = 0;  // time of the lane's latest event
+    bool has_head = false;
+  };
 
+  // Stores `cb` in a slot and stamps the entry with the next seq and its
+  // time clamped to now().
+  HeapEntry make_entry(Time at, Callback&& cb, std::uint32_t lane);
+  void heap_push(const HeapEntry& e);
+  // Restores heap order after heap_.front() was replaced by a later entry.
+  void sift_down_front();
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
 
   Time now_ = 0;
   trace::Recorder* recorder_ = nullptr;
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;  // scheduled and neither fired nor cancelled
+  std::size_t live_ = 0;  // scheduled and not yet fired
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNoFreeSlot;
+  std::uint32_t free_head_ = kNoSlot;
+  std::vector<Lane> lanes_;  // [0, open_lanes_) are open
+  std::uint32_t open_lanes_ = 0;
 };
 
 // Thread-local pool of EventLoops: acquire on construction, reset-and-return

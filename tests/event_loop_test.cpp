@@ -1,11 +1,13 @@
-// Regression tests for the EventLoop rework: O(1) idempotent cancellation,
-// correct pending()/empty() accounting under pathological cancels (the seed
-// implementation corrupted both when cancelling fired, doubly-cancelled, or
-// default-constructed ids), storage reuse via reset()/PooledEventLoop, and
+// Tests for the EventLoop internals: FIFO lanes keep the (time, seq) order
+// of the plain heap exactly, storage reuse via reset()/PooledEventLoop, and
 // the SmallFn small-buffer callable the slab stores.
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <random>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,88 +19,128 @@
 namespace vroom::sim {
 namespace {
 
-TEST(EventLoopCancelTest, CancelAfterFireIsANoOp) {
-  EventLoop loop;
-  bool ran = false;
-  EventId id = loop.schedule_at(ms(10), [&] { ran = true; });
-  loop.schedule_at(ms(20), [] {});
-  EXPECT_TRUE(loop.step());  // fires the ms(10) event
-  EXPECT_TRUE(ran);
+// What a script observed: every fired event as (now(), event id), every
+// run() return value, and the events still pending when it stopped.
+struct ScriptRun {
+  std::vector<std::pair<Time, int>> fired;
+  std::vector<std::size_t> run_counts;
+  std::size_t pending_at_stop = 0;
+};
 
-  loop.cancel(id);  // already fired: must not disturb accounting
-  EXPECT_EQ(loop.pending(), 1u);
-  EXPECT_FALSE(loop.empty());
-  EXPECT_EQ(loop.run(), 1u);
-  EXPECT_TRUE(loop.empty());
-  EXPECT_EQ(loop.pending(), 0u);
-}
-
-TEST(EventLoopCancelTest, DoubleCancelIsIdempotent) {
-  EventLoop loop;
-  bool ran = false;
-  EventId id = loop.schedule_at(ms(10), [&] { ran = true; });
-  loop.schedule_at(ms(20), [] {});
-  EXPECT_EQ(loop.pending(), 2u);
-
-  loop.cancel(id);
-  EXPECT_EQ(loop.pending(), 1u);
-  loop.cancel(id);  // second cancel of the same id: no-op
-  loop.cancel(id);  // and a third
-  EXPECT_EQ(loop.pending(), 1u);
-  EXPECT_FALSE(loop.empty());
-
-  EXPECT_EQ(loop.run(), 1u);
-  EXPECT_FALSE(ran);
-  EXPECT_TRUE(loop.empty());
-}
-
-TEST(EventLoopCancelTest, CancelDefaultIdIsANoOp) {
-  EventLoop loop;
-  loop.schedule_at(ms(10), [] {});
-  loop.cancel(EventId{});
-  loop.cancel(EventId{});
-  EXPECT_EQ(loop.pending(), 1u);
-  EXPECT_FALSE(loop.empty());
-  EXPECT_EQ(loop.run(), 1u);
-  EXPECT_TRUE(loop.empty());
-}
-
-TEST(EventLoopCancelTest, CancelledSlotReuseDoesNotCancelNewEvent) {
-  EventLoop loop;
-  bool first = false, second = false;
-  EventId id = loop.schedule_at(ms(10), [&] { first = true; });
-  loop.cancel(id);
-  // The slab slot is recycled for the next event; the stale id's generation
-  // no longer matches, so cancelling it again must not kill the new event.
-  EventId id2 = loop.schedule_at(ms(20), [&] { second = true; });
-  (void)id2;
-  loop.cancel(id);
-  EXPECT_EQ(loop.pending(), 1u);
-  loop.run();
-  EXPECT_FALSE(first);
-  EXPECT_TRUE(second);
-}
-
-TEST(EventLoopCancelTest, ManyCancelsKeepOrderingDeterministic) {
-  EventLoop loop;
-  std::vector<int> order;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 100; ++i) {
-    ids.push_back(loop.schedule_at(ms(10 + i % 3), [&order, i] {
-      order.push_back(i);
-    }));
-  }
-  for (int i = 0; i < 100; i += 2) loop.cancel(ids[i]);
-  EXPECT_EQ(loop.pending(), 50u);
-  loop.run();
-  // Survivors fire in (time, insertion-seq) order.
-  std::vector<int> expected;
-  for (int t = 0; t < 3; ++t) {
-    for (int i = 1; i < 100; i += 2) {
-      if (i % 3 == t) expected.push_back(i);
+// A seeded random event script. Events are drawn as they fire, so two runs
+// of one seed draw the same events only while they fire them in the same
+// order. Each event goes to a lane or to the heap directly: with
+// `use_lanes` false every event goes to the heap, with the same draws.
+class LaneScript {
+ public:
+  LaneScript(EventLoop& loop, std::uint64_t seed, bool use_lanes)
+      : loop_(loop), rng_(seed), use_lanes_(use_lanes) {
+    for (int i = draw(4); i >= 0; --i) {
+      lanes_.push_back(loop_.add_lane());
+      lane_delay_.push_back(10 * (3 + draw(5)));
     }
   }
-  EXPECT_EQ(order, expected);
+
+  ScriptRun run() {
+    for (int i = 0; i < 30; ++i) add_event();
+    // run(until) stops wherever `until` falls, often between two events of
+    // one lane; more events arrive from outside between the runs. The
+    // script stops at a drawn horizon, often with events still pending.
+    const Time horizon = 100 + 20 * draw(30);
+    Time until = 0;
+    while (!loop_.empty() && until < horizon) {
+      until += 1 + draw(40);
+      out_.run_counts.push_back(loop_.run(until));
+      if (draw(3) == 0) add_event();
+    }
+    out_.pending_at_stop = loop_.pending();
+    return out_;
+  }
+
+ private:
+  int draw(int n) {
+    return static_cast<int>(rng_() % static_cast<std::uint64_t>(n));
+  }
+
+  void add_event() {
+    const int id = next_id_++;
+    const std::size_t pick = static_cast<std::size_t>(
+        draw(static_cast<int>(lanes_.size()) + 1));
+    const bool on_lane = use_lanes_ && pick < lanes_.size();
+    Time at = loop_.now();  // simultaneous with the running event
+    switch (draw(4)) {
+      case 0:
+        break;
+      case 1:  // in the past: clamped to now()
+        at -= 10;
+        break;
+      case 2:  // often earlier than the lane's latest event
+        at += 10 * draw(3);
+        break;
+      default:  // the lane's own delay line, in time order
+        at += pick < lanes_.size() ? lane_delay_[pick] : 10 * draw(8);
+        break;
+    }
+    const bool relative = draw(2) == 0;
+    auto fire = [this, id] { on_fire(id); };
+    if (on_lane && relative) {
+      loop_.schedule_in(lanes_[pick], at - loop_.now(), fire);
+    } else if (on_lane) {
+      loop_.schedule_at(lanes_[pick], at, fire);
+    } else if (relative) {
+      loop_.schedule_in(at - loop_.now(), fire);
+    } else {
+      loop_.schedule_at(at, fire);
+    }
+  }
+
+  void on_fire(int id) {
+    out_.fired.emplace_back(loop_.now(), id);
+    if (next_id_ >= 1000) return;
+    for (int children = draw(3); children > 0; --children) add_event();
+  }
+
+  EventLoop& loop_;
+  std::mt19937_64 rng_;
+  bool use_lanes_;
+  std::vector<LaneId> lanes_;
+  std::vector<Time> lane_delay_;
+  ScriptRun out_;
+  int next_id_ = 0;
+};
+
+TEST(EventLoopLaneTest, LanesKeepTheHeapOrderExactly) {
+  // One loop reset between scripts, and the thread's pooled loop reused
+  // across them: each often starts where the previous script stopped with
+  // lane events pending.
+  EventLoop reused;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    EventLoop fresh;
+    const ScriptRun expected = LaneScript(fresh, seed, false).run();
+    reused.reset();
+    const ScriptRun after_reset = LaneScript(reused, seed, true).run();
+    ScriptRun pooled_run;
+    {
+      PooledEventLoop pooled;
+      pooled_run = LaneScript(*pooled, seed, true).run();
+    }
+    for (const ScriptRun& got : {after_reset, pooled_run}) {
+      EXPECT_EQ(got.fired, expected.fired) << "seed " << seed;
+      EXPECT_EQ(got.run_counts, expected.run_counts) << "seed " << seed;
+      EXPECT_EQ(got.pending_at_stop, expected.pending_at_stop)
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(EventLoopLaneTest, UnknownLaneThrows) {
+  EventLoop loop;
+  EXPECT_THROW(loop.schedule_at(LaneId{}, ms(1), [] {}), std::out_of_range);
+  const LaneId lane = loop.add_lane();
+  loop.schedule_in(lane, ms(1), [] {});
+  loop.reset();  // closes every lane
+  EXPECT_THROW(loop.schedule_in(lane, ms(1), [] {}), std::out_of_range);
+  EXPECT_TRUE(loop.empty());
 }
 
 TEST(EventLoopResetTest, ResetRestoresFreshState) {

@@ -63,16 +63,6 @@ TEST(EventLoopTest, PastSchedulingClampsToNow) {
   EXPECT_EQ(fired, ms(10));
 }
 
-TEST(EventLoopTest, CancelDropsCallback) {
-  EventLoop loop;
-  bool ran = false;
-  EventId id = loop.schedule_at(ms(10), [&] { ran = true; });
-  loop.cancel(id);
-  loop.run();
-  EXPECT_FALSE(ran);
-  EXPECT_TRUE(loop.empty());
-}
-
 TEST(EventLoopTest, RunUntilStopsEarly) {
   EventLoop loop;
   int count = 0;
