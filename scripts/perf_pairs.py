@@ -15,8 +15,19 @@ Only the last line of each run's stdout is read: perfbench's JSON object
 run's correct flag, failure count and end-to-end metrics, then, for each
 metric that BENCHMARK.json declares and every run reported, each side's
 median and quartiles and how many pairs each side won (by the metric's
-"better" direction; equal values count for neither). It writes no files.
-Exit status 1 means some run was not correct.
+"better" direction; equal values count for neither).
+
+Last comes one verdict line per end-to-end metric, reading tree A as the
+parent and tree B as the change, checked in this order:
+  gain                B won at least 9 of every 10 pairs, and B's median
+                      is better than A's by more than A's interquartile
+                      range;
+  worse beyond bound  B's median is worse than A's by more than the
+                      metric's relative `bound` in BENCHMARK.json;
+  unresolved          either side's interquartile range, relative to its
+                      median, is wider than the bound;
+  no regression       otherwise.
+It writes no files. Exit status 1 means some run was not correct.
 """
 
 import argparse
@@ -47,6 +58,30 @@ def quartiles(values):
         return values[0], values[0]
     q = statistics.quantiles(values, n=4, method="inclusive")
     return q[0], q[2]
+
+
+def verdict(metric, values, won, pairs):
+    """The verdict line's label and its supporting numbers."""
+    sign = 1 if metric["better"] == "lower" else -1
+    med = {side: statistics.median(values[side]) for side in values}
+    iqr = {side: quartiles(values[side])[1] - quartiles(values[side])[0]
+           for side in values}
+    gap = sign * (med["a"] - med["b"])  # > 0 when B is better
+    bound = metric["bound"]
+    worse = -gap / abs(med["a"]) if med["a"] else 0.0
+    spread = max(iqr[side] / abs(med[side]) if med[side] else 0.0
+                 for side in med)
+    detail = ("b won %d/%d, median gap %+.4g %s, a IQR %.4g, worse by "
+              "%+.1f%%, spread %.1f%%, bound %g%%"
+              % (won["b"], pairs, gap, metric["unit"], iqr["a"],
+                 100 * worse, 100 * spread, 100 * bound))
+    if 10 * won["b"] >= 9 * pairs and gap > iqr["a"]:
+        return "gain", detail
+    if worse > bound:
+        return "worse beyond bound", detail
+    if spread > bound:
+        return "unresolved", detail
+    return "no regression", detail
 
 
 def main():
@@ -90,6 +125,7 @@ def main():
     print("%-28s %-5s %12s %12s %12s %12s %12s %12s %7s %6s %6s"
           % ("metric", "unit", "a_median", "a_q1", "a_q3", "b_median",
              "b_q1", "b_q3", "b/a", "a_won", "b_won"))
+    verdicts = []
     for metric in declared:
         name = metric["name"]
         if not all(name in r["metrics"] for side in results
@@ -111,6 +147,11 @@ def main():
               "%6d %6d" % (name, metric["unit"], med["a"], qa[0], qa[1],
                            med["b"], qb[0], qb[1], ratio, won["a"],
                            won["b"]))
+        if "bound" in metric:
+            verdicts.append((name,) + verdict(metric, values, won,
+                                              args.pairs))
+    for name, label, detail in verdicts:
+        print("verdict %-20s %-18s (%s)" % (name, label, detail))
     if not all_correct:
         print("# some run was not correct")
         sys.exit(1)

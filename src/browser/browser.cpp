@@ -45,7 +45,8 @@ Browser::Browser(net::Network& net, http::ConnectionPool& pool,
       net_wait_(net.loop()),
       fetches_(instance.memory()),
       touch_order_(instance.memory()),
-      docs_(instance.memory()) {
+      docs_(instance.memory()),
+      css_waiters_(instance.memory()) {
   if (config_.policy == nullptr) {
     default_policy_ = std::make_unique<StatusQuoPolicy>();
     policy_ = default_policy_.get();
@@ -99,7 +100,6 @@ void Browser::note_hinted(web::UrlId id) {
 void Browser::start() {
   assert(!started_);
   started_ = true;
-  policy_->on_load_start(*this);
   if (config_.know_all_upfront) {
     // Figure 2's network-bound experiment: the root HTML was rewritten to
     // list every resource; the browser fetches all of them but evaluates
@@ -197,20 +197,20 @@ void Browser::fetch_url(web::UrlId id, int priority, FetchReason reason) {
   req.device = instance_->identity().device;
   req.user = instance_->identity().user;
   req.conditional = config_.cache != nullptr && config_.cache->has(url);
-  req.is_document = info.parse_ok && info.type == web::ResourceType::Html;
 
   http::ResponseHandlers handlers;
-  handlers.on_headers = [this](const http::ResponseMeta& meta) {
+  handlers.on_headers = [this](http::ResponseMeta& meta) {
     handle_headers(meta);
   };
   handlers.on_complete = [this](const http::ResponseMeta& meta) {
-    handle_complete(meta);
+    finish_fetch(meta.url_id, meta.body_bytes, /*from_cache=*/false,
+                 meta.not_modified);
   };
   pool_.endpoint(info.domain, instance_->interner().domain(info.domain))
-      .fetch(req, std::move(handlers));
+      .fetch(std::move(req), std::move(handlers));
 }
 
-void Browser::handle_headers(const http::ResponseMeta& meta) {
+void Browser::handle_headers(http::ResponseMeta& meta) {
   if (result_.ttfb == sim::kNever && instance_->size() > 0 &&
       meta.url_id == instance_->resource(0).url_id) {
     result_.ttfb = net_.loop().now();
@@ -228,12 +228,9 @@ void Browser::handle_headers(const http::ResponseMeta& meta) {
   // The request scheduler examines hint headers on the main thread; a busy
   // CPU delays it (§5.2).
   tasks_.post(config_.cpu.task_overhead, TaskPriority::Scheduler,
-              [this, hints = meta.hints] { policy_->on_hints(*this, hints); });
-}
-
-void Browser::handle_complete(const http::ResponseMeta& meta) {
-  finish_fetch(meta.url_id, meta.body_bytes, /*from_cache=*/false,
-               meta.not_modified);
+              [this, hints = std::move(meta.hints)] {
+                policy_->on_hints(*this, hints);
+              });
 }
 
 void Browser::finish_fetch(web::UrlId id, std::int64_t bytes, bool from_cache,
@@ -340,7 +337,7 @@ void Browser::maybe_process(web::UrlId id) {
   schedule_processing(id, tid);
 }
 
-bool Browser::blocked_on_css(std::function<void()> resume) {
+bool Browser::blocked_on_css(sim::SmallFn resume) {
   if (css_blocking_ == 0) return false;
   if (trace::Recorder* tr = trace::of(net_.loop())) {
     tr->instant(trace::Layer::Browser, "browser", "main-thread",
@@ -405,7 +402,6 @@ void Browser::start_document(std::uint32_t doc_id) {
   DocState& d = docs_[doc_id];
   if (d.started) return;
   d.started = true;
-  d.doc_id = doc_id;
   const web::PageModel& model = instance_->model();
   for (std::uint32_t c : model.children(doc_id)) {
     if (model.resource(c).via == web::DiscoveryVia::HtmlTag) {
@@ -497,8 +493,6 @@ void Browser::exec_sync_script(std::uint32_t doc_id, std::uint32_t script_id) {
 }
 
 void Browser::on_doc_done(std::uint32_t doc_id) {
-  DocState& d = docs_[doc_id];
-  d.done = true;
   const web::UrlId url = instance_->resource(doc_id).url_id;
   after_processed(url, doc_id);  // paints the document, may fire onload
   if (doc_id == 0) {
@@ -616,10 +610,13 @@ void Browser::finalize_result() {
   }
 
   sim::Time all_disc = 0, all_fetch = 0, hp_disc = 0, hp_fetch = 0;
+  // Exact sizes, as the result outlives the load (a view assigned to an
+  // empty string would reserve 30).
+  result_.timings.reserve(touch_order_.size());
   for (const auto& [u, id] : touch_order_) {
     const FetchState& fs = fetches_[id];
     ResourceTiming t;
-    t.url = url_of(id);
+    t.url = std::string(url_of(id));
     t.template_id = fs.template_id;
     t.referenced = fs.referenced;
     t.processable = instance_->interner().info(id).processable;

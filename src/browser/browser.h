@@ -16,15 +16,15 @@
 // edges (trace events, result timings, the cross-load cache).
 //
 // Per-load tables — the dense fetch table, the touch-order shadow map, doc
-// parser states, and the main-thread task queue — allocate from the page
-// world's arena (instance.memory(), see sim/arena.h and DESIGN.md §13):
-// they live exactly one load and are reclaimed wholesale when the fleet
-// worker resets its arena. LoadResult is the exception — it escapes the
-// load, so it stays on owned heap storage.
+// parser states, CSSOM waiters and the main-thread task queue — allocate
+// from the page world's arena (instance.memory(), see sim/arena.h and
+// DESIGN.md §13): they live exactly one load and are reclaimed wholesale
+// when the fleet worker resets its arena. LoadResult is the exception — it
+// escapes the load, so it stays on owned heap storage; take_result() moves
+// it out. Task bodies and waiters are SmallFns of `this` and ids.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <memory_resource>
 #include <optional>
@@ -39,6 +39,7 @@
 #include "browser/metrics.h"
 #include "browser/task_queue.h"
 #include "http/connection_pool.h"
+#include "sim/small_fn.h"
 #include "web/page_instance.h"
 
 namespace vroom::browser {
@@ -57,7 +58,6 @@ enum class FetchReason : std::uint8_t {
 class FetchPolicy {
  public:
   virtual ~FetchPolicy() = default;
-  virtual void on_load_start(Browser&) {}
   // The engine needs the resource (parser/exec discovery). The default
   // requests it immediately — today's browser behaviour.
   virtual void on_discovered(Browser& b, web::UrlId url, bool processable);
@@ -86,7 +86,7 @@ class Browser {
   void start();
 
   bool finished() const { return result_.finished; }
-  const LoadResult& result() const { return result_; }
+  LoadResult take_result() { return std::move(result_); }  // once, at end
 
   // ---- API for policies and push wiring ----
 
@@ -107,9 +107,6 @@ class Browser {
   // cached copies. Safe to call with URLs foreign to the current instance
   // (stale hints become "ghost" fetches counted as wasted bytes).
   void fetch_url(web::UrlId id, int priority, FetchReason reason);
-  void fetch_url(const std::string& url, int priority, FetchReason reason) {
-    fetch_url(intern(url), priority, reason);
-  }
 
   bool url_complete(web::UrlId id) const;
   bool url_outstanding(web::UrlId id) const;
@@ -117,7 +114,6 @@ class Browser {
   // Records that the client learned the URL from a dependency hint even if
   // it has not been requested yet (discovery-latency accounting, Figure 16).
   void note_hinted(web::UrlId id);
-  int outstanding_fetches() const { return outstanding_; }
 
   // True if `url` is a processable type (HTML/CSS/JS) per its extension.
   static bool url_processable(std::string_view url);
@@ -153,7 +149,7 @@ class Browser {
     sim::Time requested = sim::kNever;
     sim::Time complete_t = sim::kNever;
     sim::Time processed_t = sim::kNever;
-    std::vector<std::function<void()>> on_complete_waiters;
+    std::vector<sim::SmallFn> on_complete_waiters;
   };
 
   struct DocState {
@@ -163,20 +159,17 @@ class Browser {
     DocState() = default;
     explicit DocState(const allocator_type& alloc) : children(alloc) {}
 
-    std::uint32_t doc_id = 0;
     std::pmr::vector<std::uint32_t> children;  // HtmlTag children by offset
     std::size_t next = 0;
     double pos = 0.0;
     sim::Time parse_total = 0;
     bool started = false;
-    bool done = false;
   };
 
   FetchState& state_for(web::UrlId id);
   const FetchState* find_state(web::UrlId id) const;
 
-  void handle_headers(const http::ResponseMeta& meta);
-  void handle_complete(const http::ResponseMeta& meta);
+  void handle_headers(http::ResponseMeta& meta);
   void finish_fetch(web::UrlId id, std::int64_t bytes, bool from_cache,
                     bool not_modified);
 
@@ -191,7 +184,7 @@ class Browser {
   // CSSOM dependency: script execution waits until every discovered
   // render-blocking stylesheet of the main document has been fetched and
   // parsed. Returns true if `resume` was queued (caller must not proceed).
-  bool blocked_on_css(std::function<void()> resume);
+  bool blocked_on_css(sim::SmallFn resume);
 
   void start_document(std::uint32_t doc_id);
   void advance_parser(std::uint32_t doc_id);
@@ -232,11 +225,10 @@ class Browser {
   // allocator cannot perturb libstdc++'s bucket order — DESIGN.md §13).
   std::pmr::unordered_map<std::string_view, web::UrlId> touch_order_;
   std::pmr::unordered_map<std::uint32_t, DocState> docs_;
-  int docs_pending_ = 0;
   int referenced_incomplete_ = 0;
   int outstanding_ = 0;
   int css_blocking_ = 0;  // render-blocking stylesheets not yet parsed
-  std::vector<std::function<void()>> css_waiters_;
+  std::pmr::vector<sim::SmallFn> css_waiters_;
   bool root_done_ = false;
   bool started_ = false;
 

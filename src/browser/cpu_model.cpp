@@ -15,12 +15,6 @@ CpuCosts CpuCosts::zero() {
 
 CpuCosts CpuCosts::nexus6() { return CpuCosts{}; }
 
-bool CpuCosts::is_zero() const {
-  return html_parse_us_per_byte == 0 && css_parse_us_per_byte == 0 &&
-         js_exec_us_per_byte == 0 && image_decode_us_per_byte == 0 &&
-         task_overhead == 0;
-}
-
 sim::Time CpuCosts::process_cost(web::ResourceType type,
                                  std::int64_t bytes) const {
   double us_per_byte = 0;

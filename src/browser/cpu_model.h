@@ -26,7 +26,6 @@ struct CpuCosts {
   static CpuCosts nexus6();
 
   sim::Time process_cost(web::ResourceType type, std::int64_t bytes) const;
-  bool is_zero() const;
 };
 
 }  // namespace vroom::browser

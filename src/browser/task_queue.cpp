@@ -19,9 +19,8 @@ const char* task_name(int priority) {
 }  // namespace
 
 void TaskQueue::post(sim::Time duration, TaskPriority priority,
-                     std::function<void()> body) {
-  queue_.push_back(Task{duration, static_cast<int>(priority), next_seq_++,
-                        std::move(body)});
+                     sim::SmallFn body) {
+  queue_.push_back(Task{duration, static_cast<int>(priority), std::move(body)});
   if (!running_) start_next();
 }
 
@@ -38,23 +37,24 @@ void TaskQueue::start_next() {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (it->priority > best->priority) best = it;
   }
-  Task task = std::move(*best);
+  const sim::Time duration = best->duration;
+  const int priority = best->priority;
+  running_body_ = std::move(best->body);
   queue_.erase(best);
   if (!running_) {
     running_ = true;
     if (observer_) observer_(true);
   }
-  total_busy_ += task.duration;
+  total_busy_ += duration;
   const sim::Time started = loop_.now();
-  loop_.schedule_in(task.duration, [this, started,
-                                    priority = task.priority,
-                                    body = std::move(task.body)] {
+  loop_.schedule_in(duration, [this, started, priority] {
     if (trace::Recorder* tr = trace::of(loop_)) {
       tr->complete(trace::Layer::Browser, "browser", "main-thread",
                    task_name(priority), started);
       tr->counters().add("browser.tasks_executed");
       tr->counters().add("browser.cpu_busy_us", loop_.now() - started);
     }
+    sim::SmallFn body = std::move(running_body_);
     body();  // may post more tasks
     start_next();
   });

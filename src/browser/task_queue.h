@@ -4,6 +4,8 @@
 // priority — which is exactly why Vroom's JavaScript request scheduler can
 // be delayed by a long-running script (§5.2), an effect the client-side
 // scheduler experiments depend on.
+// The running task's body waits in running_body_, not in its completion
+// event, so that event's closure stays in SmallFn's inline buffer.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <memory_resource>
 
 #include "sim/event_loop.h"
+#include "sim/small_fn.h"
 
 namespace vroom::browser {
 
@@ -34,11 +37,8 @@ class TaskQueue {
 
   // Enqueues a task occupying the CPU for `duration`; `body` runs at task
   // completion.
-  void post(sim::Time duration, TaskPriority priority,
-            std::function<void()> body);
+  void post(sim::Time duration, TaskPriority priority, sim::SmallFn body);
 
-  bool busy() const { return running_; }
-  bool idle() const { return !running_ && queue_.empty(); }
   sim::Time total_busy() const { return total_busy_; }
 
   // Observer invoked whenever the CPU transitions busy <-> idle (used by the
@@ -51,16 +51,15 @@ class TaskQueue {
   struct Task {
     sim::Time duration;
     int priority;
-    std::uint64_t seq;
-    std::function<void()> body;
+    sim::SmallFn body;
   };
 
   void start_next();
 
   sim::EventLoop& loop_;
   std::pmr::deque<Task> queue_;
+  sim::SmallFn running_body_;  // runs when the running task completes
   bool running_ = false;
-  std::uint64_t next_seq_ = 0;
   sim::Time total_busy_ = 0;
   std::function<void(bool)> observer_;
 };

@@ -7,15 +7,6 @@
 
 namespace vroom::browser {
 
-const char* path_kind_name(PathKind k) {
-  switch (k) {
-    case PathKind::Network: return "network";
-    case PathKind::Compute: return "compute";
-    case PathKind::Queue: return "queue";
-  }
-  return "?";
-}
-
 sim::Time CriticalPathReport::total() const {
   sim::Time t = 0;
   for (const auto& s : segments) t += s.duration();

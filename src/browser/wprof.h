@@ -22,8 +22,6 @@ namespace vroom::browser {
 
 enum class PathKind : std::uint8_t { Network, Compute, Queue };
 
-const char* path_kind_name(PathKind k);
-
 struct PathSegment {
   std::string url;
   sim::Time start = 0;

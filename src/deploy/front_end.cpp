@@ -96,7 +96,6 @@ int FrontEnd::generate(int page_index, const web::DeviceProfile& device,
   http::Request root;
   root.url = crawl.resource(0).url;
   root.url_id = 0;
-  root.is_document = true;
   root.priority = 100;
   root.device = device;
   const server::DependencyAdvice advice =

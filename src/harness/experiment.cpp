@@ -62,7 +62,8 @@ browser::LoadResult run_page_load(const web::PageModel& page,
   // still a pure function of (seed, page), so reproducibility is
   // unaffected.
   net::Network network(loop, ncfg,
-                       sim::derive_seed(options.seed ^ page.page_id(), "rtt"));
+                       sim::derive_seed(options.seed ^ page.page_id(), "rtt"),
+                       arena.get());
 
   web::LoadIdentity ident;
   ident.wall_time = options.when;
@@ -149,7 +150,7 @@ browser::LoadResult run_page_load(const web::PageModel& page,
     executed = loop.run(options.timeout);
   }
 
-  browser::LoadResult result = browser.result();
+  browser::LoadResult result = browser.take_result();
   result.sim_events = static_cast<std::int64_t>(executed);
   if (!result.finished) {
     // Timed out: report the timeout as the PLT so tails stay visible.

@@ -14,53 +14,20 @@ ConnectionPool::ConnectionPool(net::Network& net, HandlerLookup lookup,
       push_observer_(std::move(push_observer)),
       h2_discipline_(h2_discipline) {}
 
-Endpoint& ConnectionPool::endpoint(const std::string& domain) {
-  auto it = endpoints_.find(domain);
-  if (it != endpoints_.end()) return *it->second;
-  return create_endpoint(domain, 0xffffffffu);
-}
-
 Endpoint& ConnectionPool::endpoint(std::uint32_t domain_id,
                                    std::string_view domain) {
-  if (domain_id < by_domain_id_.size() &&
-      by_domain_id_[domain_id] != nullptr) {
-    return *by_domain_id_[domain_id];
-  }
-  const std::string key(domain);
-  auto it = endpoints_.find(key);
-  Endpoint& ep = it != endpoints_.end() ? *it->second
-                                        : create_endpoint(key, domain_id);
-  if (domain_id != 0xffffffffu) {
-    if (domain_id >= by_domain_id_.size()) {
-      by_domain_id_.resize(domain_id + 1, nullptr);
-    }
-    by_domain_id_[domain_id] = &ep;
-  }
-  return ep;
-}
-
-Endpoint& ConnectionPool::create_endpoint(const std::string& domain,
-                                          std::uint32_t domain_id) {
-  RequestHandler& handler = lookup_(domain);
-  std::unique_ptr<Endpoint> ep;
-  if (protocol_(domain) == Protocol::Http2) {
-    ep = std::make_unique<Http2Session>(net_, domain, handler, push_observer_,
+  if (domain_id >= by_domain_id_.size()) by_domain_id_.resize(domain_id + 1);
+  std::unique_ptr<Endpoint>& ep = by_domain_id_[domain_id];
+  if (ep) return *ep;
+  const std::string name(domain);
+  RequestHandler& handler = lookup_(name);
+  if (protocol_(name) == Protocol::Http2) {
+    ep = std::make_unique<Http2Session>(net_, name, handler, push_observer_,
                                         h2_discipline_, domain_id);
   } else {
-    ep = std::make_unique<Http1Group>(net_, domain, handler, domain_id);
+    ep = std::make_unique<Http1Group>(net_, name, handler, domain_id);
   }
-  auto [pos, _] = endpoints_.emplace(domain, std::move(ep));
-  return *pos->second;
-}
-
-std::int64_t ConnectionPool::h2_bytes() const {
-  std::int64_t sum = 0;
-  for (const auto& [dom, ep] : endpoints_) {
-    if (auto* h2 = dynamic_cast<const Http2Session*>(ep.get())) {
-      sum += h2->bytes_received();
-    }
-  }
-  return sum;
+  return *ep;
 }
 
 }  // namespace vroom::http

@@ -6,8 +6,8 @@
 // loader.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -31,29 +31,17 @@ class ConnectionPool {
                  net::WriterDiscipline h2_discipline =
                      net::WriterDiscipline::RoundRobin);
 
-  // Returns (creating on first use) the endpoint for a domain.
-  Endpoint& endpoint(const std::string& domain);
-
-  // Id-keyed fast path: `domain_id` is the page world's interner id for
-  // `domain` (see web/intern.h). After the first call for a domain the
-  // lookup is one vector index — no string hashing or map walk. Identical
-  // endpoints to the string path (the id only memoizes).
+  // Returns (creating on first use) the endpoint for a domain, by the page
+  // world's interner id for it (web/intern.h): one vector index per lookup.
   Endpoint& endpoint(std::uint32_t domain_id, std::string_view domain);
 
-  // Total response bytes received over HTTP/2 sessions (stats).
-  std::int64_t h2_bytes() const;
-
  private:
-  Endpoint& create_endpoint(const std::string& domain,
-                            std::uint32_t domain_id);
-
   net::Network& net_;
   HandlerLookup lookup_;
   ProtocolChooser protocol_;
   PushObserver push_observer_;
   net::WriterDiscipline h2_discipline_;
-  std::map<std::string, std::unique_ptr<Endpoint>> endpoints_;
-  std::vector<Endpoint*> by_domain_id_;  // nullptr where not yet resolved
+  std::vector<std::unique_ptr<Endpoint>> by_domain_id_;  // null until used
 };
 
 }  // namespace vroom::http

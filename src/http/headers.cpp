@@ -18,15 +18,6 @@ void append_entry(std::ostringstream& os, HintPriority p,
 
 }  // namespace
 
-const char* hint_header_name(HintPriority p) {
-  switch (p) {
-    case HintPriority::Preload: return "Link preload";
-    case HintPriority::SemiImportant: return "x-semi-important";
-    case HintPriority::Unimportant: return "x-unimportant";
-  }
-  return "?";
-}
-
 std::int64_t HintSet::header_bytes() const {
   // Each listed URL costs roughly its length plus separators; our synthetic
   // URLs are ~45-60 bytes.

@@ -20,8 +20,6 @@ enum class HintPriority : std::uint8_t {
   Unimportant = 2,    // x-unimportant
 };
 
-const char* hint_header_name(HintPriority p);
-
 struct Hint {
   std::string url;
   HintPriority priority = HintPriority::Preload;

@@ -4,11 +4,16 @@
 // Requests beyond the parallelism limit queue (higher `Request::priority`
 // first, FIFO within a priority) — the browser behaviour whose head-of-line
 // blocking HTTP/2 was designed to remove.
+//
+// The queue and each connection's in-flight slot hold exchange indices;
+// callbacks capture `this` and the connection, so none allocates
+// (DESIGN.md §10). Handlers may fetch again.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -26,31 +31,29 @@ class Http1Group : public Endpoint {
   Http1Group(net::Network& net, std::string domain, RequestHandler& handler,
              std::uint32_t domain_id = 0xffffffffu);
 
-  void fetch(const Request& req, ResponseHandlers handlers) override;
-  const std::string& domain() const override { return domain_; }
+  void fetch(Request req, ResponseHandlers handlers) override;
 
  private:
   struct Conn {
     std::unique_ptr<net::TcpConnection> tcp;
-    bool connecting = false;
     bool busy = false;
-  };
-  struct Pending {
-    Request req;
-    ResponseHandlers handlers;
-    sim::Time enqueued = 0;  // for head-of-line wait tracing
+    std::uint32_t ex = 0;  // the in-flight exchange while busy
   };
 
   void pump();
-  void claim(Conn& c, Pending pending);
-  void run_request(Conn& c, Request req, ResponseHandlers handlers);
+  // Pops the queue's head into `c` and sends it.
+  void claim(Conn& c);
+  void at_server(Conn& c);
+  void write_response(Conn& c);
+  void on_body(Conn& c);
 
   net::Network& net_;
   std::string domain_;
   RequestHandler& handler_;
   std::uint32_t domain_id_;
   std::vector<std::unique_ptr<Conn>> conns_;
-  std::deque<Pending> queue_;
+  ExchangePool exchanges_;
+  std::pmr::deque<std::uint32_t> queue_;
   bool dns_done_ = false;  // only the first connection pays the DNS lookup
 };
 

@@ -7,12 +7,14 @@
 // wrote them — the ordered response writer Vroom adds to Mahimahi (§5.1).
 // The PUSH_PROMISE becomes visible to the client when the triggering
 // response's headers arrive.
+//
+// Every callback on a request's path captures `this` and its exchange's
+// index, so none allocates (DESIGN.md §10). Handlers may fetch again.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "http/message.h"
 #include "net/tcp.h"
@@ -29,16 +31,15 @@ class Http2Session : public Endpoint {
                    net::WriterDiscipline::RoundRobin,
                std::uint32_t domain_id = 0xffffffffu);
 
-  void fetch(const Request& req, ResponseHandlers handlers) override;
-  const std::string& domain() const override { return domain_; }
-
-  std::int64_t bytes_received() const { return conn_->bytes_delivered(); }
+  void fetch(Request req, ResponseHandlers handlers) override;
 
  private:
-  void ensure_connected();
-  void dispatch(const Request& req, ResponseHandlers handlers);
-  void write_response(const Request& req, sim::Time requested,
-                      ServerReply reply, ResponseHandlers handlers);
+  void dispatch(std::uint32_t ex);
+  void at_server(std::uint32_t ex);
+  void write_response(std::uint32_t ex);
+  void on_headers(std::uint32_t ex);
+  void on_body(std::uint32_t ex);
+  void on_pushed(std::uint32_t ex, std::uint32_t push);
 
   net::Network& net_;
   std::string domain_;
@@ -47,11 +48,10 @@ class Http2Session : public Endpoint {
   net::WriterDiscipline discipline_;
   std::uint32_t domain_id_;
   std::unique_ptr<net::TcpConnection> conn_;
-  bool connecting_ = false;
   std::uint32_t next_stream_ = 1;
   int requests_sent_ = 0;   // HPACK dynamic-table warm-up accounting
   int responses_sent_ = 0;
-  std::vector<std::pair<Request, ResponseHandlers>> pending_;
+  ExchangePool exchanges_;
 };
 
 }  // namespace vroom::http

@@ -64,9 +64,10 @@ std::string NetworkConfig::fingerprint() const {
 }
 
 Network::Network(sim::EventLoop& loop, NetworkConfig config,
-                 std::uint64_t rtt_seed)
+                 std::uint64_t rtt_seed, std::pmr::memory_resource* memory)
     : loop_(loop),
       config_(config),
+      memory_(memory),
       downlink_(loop, config.downlink_bps, "downlink"),
       uplink_(loop, config.uplink_bps, "uplink"),
       rtt_seed_(rtt_seed) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -73,10 +74,14 @@ struct NetworkConfig {
 
 class Network {
  public:
-  Network(sim::EventLoop& loop, NetworkConfig config, std::uint64_t rtt_seed);
+  // `memory` backs the request path's stores (run_page_load: its arena).
+  Network(sim::EventLoop& loop, NetworkConfig config, std::uint64_t rtt_seed,
+          std::pmr::memory_resource* memory =
+              std::pmr::get_default_resource());
 
   sim::EventLoop& loop() { return loop_; }
   const NetworkConfig& config() const { return config_; }
+  std::pmr::memory_resource* memory() const { return memory_; }
   Link& downlink() { return downlink_; }
   Link& uplink() { return uplink_; }
 
@@ -109,6 +114,7 @@ class Network {
  private:
   sim::EventLoop& loop_;
   NetworkConfig config_;
+  std::pmr::memory_resource* memory_;
   Link downlink_;
   Link uplink_;
   std::uint64_t rtt_seed_;

@@ -21,16 +21,19 @@
 //   * Ordered   — streams drain strictly in first-write order, the ordered
 //     response writer Vroom adds to Mahimahi (§5.1).
 // HTTP/1.1 uses a single stream per connection, where the two coincide.
+// Per-connection stores (DESIGN.md §10): chunks linked per stream by index,
+// delivered slots reused, and a FIFO of connect/delivery callbacks, so event
+// closures hold only `this` and ids. Callbacks may write on their own
+// connection, so none runs in place and no store reference outlives one.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <memory_resource>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.h"
+#include "sim/small_fn.h"
 
 namespace vroom::net {
 
@@ -40,8 +43,8 @@ class TcpConnection {
  public:
   struct Chunk {
     std::int64_t bytes = 0;
-    std::function<void()> on_first_byte;  // first segment delivered (headers)
-    std::function<void()> on_delivered;   // all bytes delivered
+    sim::SmallFn on_first_byte;  // first segment delivered (headers)
+    sim::SmallFn on_delivered;   // all bytes delivered
   };
 
   // `needs_dns` should be true for the first connection to a domain within a
@@ -54,8 +57,6 @@ class TcpConnection {
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
 
-  const std::string& domain() const { return domain_; }
-  sim::Time rtt() const { return rtt_; }
   bool established() const { return established_; }
   // Trace lane for this connection ("conn#<n>"), stable across worker
   // counts because connection ids follow event-loop creation order.
@@ -63,62 +64,57 @@ class TcpConnection {
 
   // Performs DNS + TCP handshake + TLS setup, then fires `on_established`.
   // Must be called exactly once.
-  void connect(std::function<void()> on_established);
-
-  // Per-stream flow-control window; defaults to the network config's value.
-  // Multi-stream (HTTP/2) connections enforce it; single-stream HTTP/1.1
-  // connections pass 0 to disable.
-  void set_stream_window(std::int64_t bytes) { stream_window_ = bytes; }
+  void connect(sim::SmallFn on_established);
 
   // Client -> server. `deliver_at_server` fires when the request reaches the
   // origin (uplink serialization + half RTT). Valid once established.
-  void send_request(std::int64_t bytes,
-                    std::function<void()> deliver_at_server);
+  void send_request(std::int64_t bytes, sim::SmallFn deliver_at_server);
 
   // Server -> client. Chunks within one stream drain FIFO; across streams
   // the writer discipline decides: RoundRobin serves the highest-priority
   // active streams first (HTTP/2 priority tree), cycling within a priority;
-  // Ordered ignores priority and drains streams in first-write order.
+  // Ordered ignores priority and drains streams in first-write order. A new
+  // stream's id must exceed every earlier one; std::invalid_argument if not.
   void send_chunk(std::uint32_t stream_id, int priority, Chunk chunk);
   void send_chunk(Chunk chunk) { send_chunk(0, 0, std::move(chunk)); }
 
   std::int64_t bytes_delivered() const { return bytes_delivered_total_; }
 
  private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
   struct PendingChunk {
     Chunk chunk;
     std::int64_t to_send;
     std::int64_t to_deliver;
+    std::uint32_t next = kNone;  // the stream's next chunk, or next free
     bool first_byte_fired = false;
   };
   struct Stream {
     std::uint32_t id = 0;
     int priority = 0;
-    std::deque<PendingChunk> chunks;
-    std::size_t send_cursor = 0;     // first chunk with to_send > 0
-    std::size_t deliver_cursor = 0;  // first chunk with to_deliver > 0
-    std::int64_t inflight = 0;       // un-acknowledged bytes (flow control)
-    // Exact "no bytes left to send": chunks after send_cursor always have
-    // to_send > 0 (pump drains strictly in order), so checking the cursor
-    // chunk suffices. Transitions are tracked in `active_` — pick_stream()
-    // scans only non-exhausted streams per pumped segment.
-    bool exhausted() const {
-      return send_cursor >= chunks.size() ||
-             (send_cursor == chunks.size() - 1 &&
-              chunks[send_cursor].to_send == 0);
-    }
+    // Into chunks_ (kNone if none): the first chunk with bytes left to
+    // send (none: the stream is exhausted), the first with bytes left to
+    // deliver, and the latest written.
+    std::uint32_t send = kNone;
+    std::uint32_t deliver = kNone;
+    std::uint32_t last = kNone;
+    std::int64_t inflight = 0;  // un-acknowledged bytes (flow control)
   };
 
-  Stream& stream_for(std::uint32_t id, int priority);
-  Stream* pick_stream();
+  // Indices into streams_; pick_stream() returns kNone if none may send.
+  std::uint32_t stream_for(std::uint32_t id, int priority);
+  std::uint32_t pick_stream();
   // Maintain `active_` (sorted indices of non-exhausted streams) across the
   // two transitions: a send_chunk() on a drained stream re-activates it, a
   // pump() that takes a stream's last pending byte exhausts it.
-  void activate(std::size_t stream_index);
-  void deactivate(std::size_t stream_index);
+  void activate(std::uint32_t stream_index);
+  void deactivate(std::uint32_t stream_index);
   void pump();
-  void on_segment_at_client(std::size_t stream_index, std::int64_t seg);
-  void on_ack(std::size_t stream_index, std::int64_t seg);
+  void on_segment_at_client(std::uint32_t stream_index, std::int64_t seg);
+  void on_ack(std::uint32_t stream_index, std::int64_t seg);
+  // Pops the oldest waiting connect/delivery callback and runs it.
+  void run_next_waiting();
 
   Network& net_;
   std::string domain_;
@@ -129,14 +125,18 @@ class TcpConnection {
   sim::LaneId delay_line_;
   bool established_ = false;
 
-  std::vector<Stream> streams_;  // in first-write order
-  // Stream id -> index into streams_ (stream_for without the linear scan).
-  std::unordered_map<std::uint32_t, std::size_t> stream_index_;
+  std::pmr::vector<PendingChunk> chunks_;  // every stream's
+  std::uint32_t free_chunk_ = kNone;       // delivered slots, linked by next
+  std::pmr::vector<Stream> streams_;       // in first-write (so id) order
   // Sorted indices of non-exhausted streams; the subsequence of streams_
   // both writer disciplines actually consider, so scanning it preserves
   // their pick order exactly while skipping the drained (typical) majority.
-  std::vector<std::size_t> active_;
-  std::size_t rr_next_ = 0;
+  std::pmr::vector<std::uint32_t> active_;
+  std::uint32_t rr_next_ = 0;
+  // Unfired connect()/send_request() callbacks from waiting_head_ on;
+  // cleared for reuse once drained.
+  std::pmr::vector<sim::SmallFn> waiting_;
+  std::size_t waiting_head_ = 0;
 
   std::int64_t cwnd_ = 0;
   std::int64_t max_cwnd_ = 0;

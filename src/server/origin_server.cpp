@@ -72,7 +72,6 @@ http::ServerReply OriginServer::handle(const http::Request& req) {
         }
       }
       if (!do_push) continue;
-      push_bytes_ += p.body_bytes;
       reply.pushes.push_back(std::move(p));
     }
   }

@@ -45,8 +45,6 @@ class OriginServer : public http::RequestHandler {
 
   OriginServer(std::string domain, const ReplayStore& store);
 
-  const std::string& domain() const { return domain_; }
-
   // nullptr disables server aid (plain HTTP/1.1-or-2 origin).
   void set_provider(DependencyProvider* provider) { provider_ = provider; }
   void set_cache_digest(CacheDigest digest) { digest_ = std::move(digest); }
@@ -58,7 +56,6 @@ class OriginServer : public http::RequestHandler {
   http::ServerReply handle(const http::Request& req) override;
 
   int requests_served() const { return requests_served_; }
-  std::int64_t push_bytes() const { return push_bytes_; }
 
  private:
   std::string domain_;
@@ -68,7 +65,6 @@ class OriginServer : public http::RequestHandler {
   trace::Recorder* recorder_ = nullptr;
   sim::Time extra_think_ = 0;
   int requests_served_ = 0;
-  std::int64_t push_bytes_ = 0;
 };
 
 // All origins participating in one page load, keyed by domain.

@@ -10,7 +10,7 @@
 //
 // The arena is a std::pmr::memory_resource, so per-load containers opt in
 // with std::pmr types and keep running their destructors normally — only the
-// *memory* is bulk-recycled, which keeps non-trivial members (std::function
+// *memory* is bulk-recycled, which keeps non-trivial members (SmallFn
 // waiters, std::string edges) safe without arena-awareness.
 //
 // Lifetime hazard (see DESIGN.md §13): pointers and string_views into the

@@ -4,7 +4,7 @@
 // handful of pointers and small ids; std::function heap-allocates most of
 // them (libstdc++'s inline buffer is 16 bytes). SmallFn stores captures up
 // to kInlineSize bytes inline in the event slab and only falls back to the
-// heap for oversized closures (e.g. ones capturing whole Request objects).
+// heap for oversized closures (e.g. one capturing another SmallFn).
 // Move-only, so closures may own move-only state.
 #pragma once
 

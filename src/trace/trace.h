@@ -112,8 +112,6 @@ class Recorder {
 
   const std::string& track_name(int track) const { return tracks_[static_cast<
       std::size_t>(track)]; }
-  const std::string& lane_name(int lane) const { return lanes_[static_cast<
-      std::size_t>(lane)].second; }
 
   // Chrome Trace Event Format (JSON object with "traceEvents"), loadable in
   // chrome://tracing and Perfetto. Deterministic for a deterministic world.

@@ -94,10 +94,6 @@ class Interner {
   std::size_t url_count() const { return urls_.size(); }
 
   DomainId domain_id(std::string_view domain);
-  DomainId find_domain(std::string_view domain) const {
-    auto it = domain_index_.find(domain);
-    return it == domain_index_.end() ? kInvalidId : it->second;
-  }
   std::string_view domain(DomainId id) const {
     assert(id < domains_.size() && "DomainId from a different interner/load");
     return domains_[id];

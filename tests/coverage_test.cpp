@@ -109,10 +109,11 @@ TEST_F(OriginEdgeTest, StaleVersionsServedWithPlausibleSizes) {
   server::OriginServer s(page_.first_party(), *store_);
   auto parsed = web::parse_url(instance_->resource(0).url);
   for (std::uint64_t delta : {8u, 16u, 80u}) {
+    const std::string stale =
+        web::make_url(parsed->domain, parsed->page_id, parsed->resource_id,
+                      parsed->version + delta, parsed->user, parsed->ext);
     http::Request req;
-    req.url = web::make_url(parsed->domain, parsed->page_id,
-                            parsed->resource_id, parsed->version + delta,
-                            parsed->user, parsed->ext);
+    req.url = stale;
     const auto reply = s.handle(req);
     EXPECT_GT(reply.body_bytes, 1000);  // real content, not the error page
   }

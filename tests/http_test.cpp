@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "http/connection_pool.h"
@@ -14,7 +17,7 @@ namespace {
 class FakeServer : public RequestHandler {
  public:
   ServerReply handle(const Request& req) override {
-    requests.push_back(req.url);
+    requests.emplace_back(req.url);
     ServerReply r = next;
     if (req.conditional && serve_304) r.not_modified = true;
     return r;
@@ -27,6 +30,16 @@ class FakeServer : public RequestHandler {
   }();
   bool serve_304 = false;
 };
+
+// "a.com/p1/r<i>v1.<ext>" for i in [0, n). A Request views its URL, so a
+// test keeps these alive until its loop has run.
+std::vector<std::string> numbered_urls(int n, const std::string& ext) {
+  std::vector<std::string> urls;
+  for (int i = 0; i < n; ++i) {
+    urls.push_back("a.com/p1/r" + std::to_string(i) + "v1." + ext);
+  }
+  return urls;
+}
 
 class HttpTest : public ::testing::Test {
  protected:
@@ -59,9 +72,10 @@ TEST_F(HttpTest, Http2SingleFetchDeliversHeadersThenBody) {
 TEST_F(HttpTest, Http2MultiplexesOnOneConnection) {
   Http2Session session(net_, "a.com", server_, {});
   int done = 0;
+  const std::vector<std::string> urls = numbered_urls(8, "js");
   for (int i = 0; i < 8; ++i) {
     Request req;
-    req.url = "a.com/p1/r" + std::to_string(i) + "v1.js";
+    req.url = urls[i];
     ResponseHandlers h;
     h.on_complete = [&](const ResponseMeta&) { ++done; };
     session.fetch(req, std::move(h));
@@ -76,9 +90,10 @@ TEST_F(HttpTest, Http2MultiplexesOnOneConnection) {
 TEST_F(HttpTest, Http2ResponsesArriveInRequestOrder) {
   Http2Session session(net_, "a.com", server_, {});
   std::vector<int> order;
+  const std::vector<std::string> urls = numbered_urls(4, "js");
   for (int i = 0; i < 4; ++i) {
     Request req;
-    req.url = "a.com/p1/r" + std::to_string(i) + "v1.js";
+    req.url = urls[i];
     ResponseHandlers h;
     h.on_complete = [&order, i](const ResponseMeta&) { order.push_back(i); };
     session.fetch(req, std::move(h));
@@ -176,9 +191,10 @@ TEST_F(HttpTest, Http1LimitsParallelismToSixConnections) {
   Http1Group group(net_, "a.com", server_);
   int done = 0;
   std::vector<sim::Time> completions;
+  const std::vector<std::string> urls = numbered_urls(12, "js");
   for (int i = 0; i < 12; ++i) {
     Request req;
-    req.url = "a.com/p1/r" + std::to_string(i) + "v1.js";
+    req.url = urls[i];
     ResponseHandlers h;
     h.on_complete = [&](const ResponseMeta&) {
       ++done;
@@ -197,21 +213,20 @@ TEST_F(HttpTest, Http1LimitsParallelismToSixConnections) {
 TEST_F(HttpTest, Http1HigherPriorityJumpsQueue) {
   Http1Group group(net_, "a.com", server_);
   std::vector<std::string> completed;
-  auto submit = [&](const std::string& url, int prio) {
+  auto submit = [&](std::string_view url, int prio) {
     Request req;
     req.url = url;
     req.priority = prio;
     ResponseHandlers h;
     h.on_complete = [&completed, url](const ResponseMeta&) {
-      completed.push_back(url);
+      completed.emplace_back(url);
     };
     group.fetch(req, std::move(h));
   };
   // Fill all six lanes plus queue, then add a high-priority request; it must
   // finish before the earlier-queued low-priority ones.
-  for (int i = 0; i < 8; ++i) {
-    submit("a.com/p1/r" + std::to_string(i) + "v1.jpg", 0);
-  }
+  const std::vector<std::string> urls = numbered_urls(8, "jpg");
+  for (int i = 0; i < 8; ++i) submit(urls[i], 0);
   submit("a.com/p1/r99v1.js", 5);
   loop_.run();
   auto pos = [&](const std::string& u) {
@@ -219,6 +234,96 @@ TEST_F(HttpTest, Http1HigherPriorityJumpsQueue) {
            completed.begin();
   };
   EXPECT_LT(pos("a.com/p1/r99v1.js"), pos("a.com/p1/r7v1.jpg"));
+}
+
+// Replies with a body size derived from the request's url_id; the reply
+// to url_id 0 also pushes one resource.
+class SizedServer : public RequestHandler {
+ public:
+  ServerReply handle(const Request& req) override {
+    ServerReply r;
+    r.body_bytes = 1'000 + 500 * static_cast<std::int64_t>(req.url_id);
+    if (req.url_id == 0) r.pushes = {PushItem{"a.com/p1/r50v1.css", 3'000}};
+    return r;
+  }
+};
+
+// Fetches url ids 0..6 on one endpoint, each but the first from inside
+// another exchange's on_headers or on_complete handler.
+class Refetcher {
+ public:
+  explicit Refetcher(Endpoint& ep) : ep_(ep) {}
+
+  void fetch(web::UrlId id) {
+    Request req;
+    req.url = urls_[id];
+    req.url_id = id;
+    ResponseHandlers h;
+    h.on_headers = [this, id](const ResponseMeta& m) {
+      EXPECT_EQ(m.url_id, id);
+      ++headers;
+      if (id == 0) {
+        fetch(1);
+        fetch(2);
+      }
+      if (id == 1) fetch(3);
+    };
+    h.on_complete = [this, id](const ResponseMeta& m) {
+      EXPECT_EQ(m.url_id, id);
+      EXPECT_EQ(m.url, urls_[id]);
+      EXPECT_TRUE(body_bytes.emplace(id, m.body_bytes).second) << id;
+      if (id == 0) fetch(4);
+      if (id == 2) {
+        fetch(5);
+        fetch(6);
+      }
+    };
+    ep_.fetch(req, std::move(h));
+  }
+
+  // Every exchange completed once, with its own url_id and body size.
+  void expect_all_complete() const {
+    EXPECT_EQ(headers, 7);
+    ASSERT_EQ(body_bytes.size(), 7u);
+    for (const auto& [id, bytes] : body_bytes) {
+      EXPECT_EQ(bytes, 1'000 + 500 * static_cast<std::int64_t>(id)) << id;
+    }
+  }
+
+  int headers = 0;
+  std::map<web::UrlId, std::int64_t> body_bytes;
+
+ private:
+  Endpoint& ep_;
+  const std::vector<std::string> urls_ = numbered_urls(7, "js");
+};
+
+TEST_F(HttpTest, Http2HandlersMayFetchAgain) {
+  SizedServer server;
+  int promised = 0, pushed = 0;
+  PushObserver obs;
+  obs.on_promise = [&](const std::string&, std::int64_t) { ++promised; };
+  obs.on_complete = [&](const std::string& url, std::int64_t bytes) {
+    ++pushed;
+    EXPECT_EQ(url, "a.com/p1/r50v1.css");
+    EXPECT_EQ(bytes, 3'000);
+  };
+  Http2Session session(net_, "a.com", server, obs);
+  Refetcher client(session);
+  client.fetch(0);
+  loop_.run();
+  client.expect_all_complete();
+  EXPECT_EQ(promised, 1);
+  EXPECT_EQ(pushed, 1);
+}
+
+TEST_F(HttpTest, Http1HandlersMayFetchAgain) {
+  SizedServer server;
+  Http1Group group(net_, "a.com", server);
+  Refetcher client(group);
+  client.fetch(0);
+  loop_.run();
+  client.expect_all_complete();
 }
 
 TEST_F(HttpTest, PoolCreatesOneEndpointPerDomain) {
@@ -230,9 +335,9 @@ TEST_F(HttpTest, PoolCreatesOneEndpointPerDomain) {
                             : static_cast<RequestHandler&>(s2);
       },
       [](const std::string&) { return Protocol::Http2; }, {});
-  Endpoint& a1 = pool.endpoint("a.com");
-  Endpoint& a2 = pool.endpoint("a.com");
-  Endpoint& b = pool.endpoint("b.com");
+  Endpoint& a1 = pool.endpoint(0, "a.com");
+  Endpoint& a2 = pool.endpoint(0, "a.com");
+  Endpoint& b = pool.endpoint(1, "b.com");
   EXPECT_EQ(&a1, &a2);
   EXPECT_NE(static_cast<Endpoint*>(&a1), &b);
 }

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "net/link.h"
 #include "net/network.h"
 #include "net/tcp.h"
@@ -195,6 +201,67 @@ TEST_F(TcpTest, TwoConnectionsShareTheAccessLink) {
   loop_.run();
   // Together they move 2 MB; the shared 10 Mbps link needs >= 1.6s.
   EXPECT_GT(std::max(d1, d2), sim::from_seconds(2 * bytes * 8.0 / 10e6));
+}
+
+// Chunk callbacks may write more chunks on their own connection, on the
+// same stream and on another one. Every callback fires exactly once, each
+// stream delivers its chunks in write order, and every byte is counted.
+TEST(TcpReentrancyTest, ChunkCallbacksMayWriteMoreChunks) {
+  for (const WriterDiscipline discipline :
+       {WriterDiscipline::RoundRobin, WriterDiscipline::Ordered}) {
+    sim::EventLoop loop;
+    Network net(loop, NetworkConfig::lte(), 1);
+    net.set_rtt("a.com", sim::ms(100));
+    TcpConnection conn(net, "a.com", false, discipline);
+    std::map<std::uint32_t, std::vector<std::string>> written, delivered;
+    std::map<std::string, int> first_bytes, completions;
+    std::int64_t bytes_written = 0;
+    std::function<void(std::uint32_t, const std::string&, std::int64_t,
+                       std::function<void()>, std::function<void()>)>
+        write = [&](std::uint32_t stream, const std::string& name,
+                    std::int64_t bytes, std::function<void()> then_first,
+                    std::function<void()> then_done) {
+          written[stream].push_back(name);
+          bytes_written += bytes;
+          TcpConnection::Chunk c;
+          c.bytes = bytes;
+          c.on_first_byte = [&first_bytes, name, then_first] {
+            ++first_bytes[name];
+            if (then_first) then_first();
+          };
+          c.on_delivered = [&completions, &delivered, stream, name,
+                            then_done] {
+            ++completions[name];
+            delivered[stream].push_back(name);
+            if (then_done) then_done();
+          };
+          conn.send_chunk(stream, 0, std::move(c));
+        };
+    conn.connect([&] {
+      write(1, "a", 40'000,
+            [&] {  // mid-chunk: its own stream and the other one
+              write(1, "b", 3'000, nullptr, nullptr);
+              write(2, "d", 5'000, nullptr, nullptr);
+            },
+            [&] {  // after its last byte
+              write(1, "c", 2'000, nullptr,
+                    [&] { write(2, "f", 1'000, nullptr, nullptr); });
+              write(2, "e", 1'000, nullptr, nullptr);
+            });
+      write(2, "g", 20'000, nullptr,
+            [&] { write(1, "h", 7'000, nullptr, nullptr); });
+    });
+    loop.run();
+    EXPECT_EQ(delivered, written);
+    for (const auto& [stream, names] : written) {
+      for (const std::string& name : names) {
+        EXPECT_EQ(first_bytes[name], 1) << name;
+        EXPECT_EQ(completions[name], 1) << name;
+      }
+    }
+    EXPECT_EQ(first_bytes.size(), 8u);
+    EXPECT_EQ(conn.bytes_delivered(), bytes_written);
+  }
 }
 
 }  // namespace

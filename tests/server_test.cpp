@@ -72,8 +72,10 @@ TEST_F(ServerTest, Conditional304OnlyForCurrentVersion) {
   EXPECT_TRUE(s.handle(req).not_modified);
 
   auto parsed = web::parse_url(req.url);
-  req.url = web::make_url(parsed->domain, parsed->page_id, parsed->resource_id,
-                          parsed->version + 8, parsed->user, parsed->ext);
+  const std::string newer =
+      web::make_url(parsed->domain, parsed->page_id, parsed->resource_id,
+                    parsed->version + 8, parsed->user, parsed->ext);
+  req.url = newer;
   EXPECT_FALSE(s.handle(req).not_modified);
 }
 
