@@ -1,7 +1,5 @@
 #include "browser/task_queue.h"
 
-#include <algorithm>
-
 #include "trace/trace.h"
 
 namespace vroom::browser {
@@ -20,27 +18,33 @@ const char* task_name(int priority) {
 
 void TaskQueue::post(sim::Time duration, TaskPriority priority,
                      sim::SmallFn body) {
-  queue_.push_back(Task{duration, static_cast<int>(priority), std::move(body)});
+  fifos_[static_cast<std::size_t>(priority)].tasks.push_back(
+      Task{duration, std::move(body)});
   if (!running_) start_next();
 }
 
 void TaskQueue::start_next() {
-  if (queue_.empty()) {
+  // Highest priority first; FIFO within a priority.
+  int priority = static_cast<int>(kPriorities) - 1;
+  while (priority >= 0 &&
+         fifos_[priority].head == fifos_[priority].tasks.size()) {
+    --priority;
+  }
+  if (priority < 0) {
     if (running_) {
       running_ = false;
       if (observer_) observer_(false);
     }
     return;
   }
-  // Highest priority first; FIFO within a priority.
-  auto best = queue_.begin();
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->priority > best->priority) best = it;
+  Fifo& fifo = fifos_[priority];
+  Task& task = fifo.tasks[fifo.head++];
+  const sim::Time duration = task.duration;
+  running_body_ = std::move(task.body);
+  if (fifo.head == fifo.tasks.size()) {
+    fifo.tasks.clear();
+    fifo.head = 0;
   }
-  const sim::Time duration = best->duration;
-  const int priority = best->priority;
-  running_body_ = std::move(best->body);
-  queue_.erase(best);
   if (!running_) {
     running_ = true;
     if (observer_) observer_(true);

@@ -4,14 +4,20 @@
 // priority — which is exactly why Vroom's JavaScript request scheduler can
 // be delayed by a long-running script (§5.2), an effect the client-side
 // scheduler experiments depend on.
-// The running task's body waits in running_body_, not in its completion
-// event, so that event's closure stays in SmallFn's inline buffer.
+// Waiting tasks sit in one FIFO per priority, so starting the next task
+// pops the front of the highest non-empty FIFO: highest priority first,
+// FIFO within a priority. A FIFO that drains is cleared, so its storage is
+// reused. The running task's body waits in running_body_, not in its
+// completion event, so that event's closure stays in SmallFn's inline
+// buffer.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory_resource>
+#include <vector>
 
 #include "sim/event_loop.h"
 #include "sim/small_fn.h"
@@ -27,13 +33,13 @@ enum class TaskPriority : int {
 
 class TaskQueue {
  public:
-  // Queue storage (deque blocks) comes from `memory` — the page world's
-  // per-load arena when the browser constructs it, the default heap
-  // resource otherwise.
+  // Queue storage comes from `memory` — the page world's per-load arena
+  // when the browser constructs it, the default heap resource otherwise.
   explicit TaskQueue(sim::EventLoop& loop,
                      std::pmr::memory_resource* memory =
                          std::pmr::get_default_resource())
-      : loop_(loop), queue_(memory) {}
+      : loop_(loop),
+        fifos_{Fifo(memory), Fifo(memory), Fifo(memory), Fifo(memory)} {}
 
   // Enqueues a task occupying the CPU for `duration`; `body` runs at task
   // completion.
@@ -50,14 +56,21 @@ class TaskQueue {
  private:
   struct Task {
     sim::Time duration;
-    int priority;
     sim::SmallFn body;
   };
+  // Tasks [head, tasks.size()) wait, oldest first.
+  struct Fifo {
+    explicit Fifo(std::pmr::memory_resource* memory) : tasks(memory) {}
+    std::pmr::vector<Task> tasks;
+    std::size_t head = 0;
+  };
+  static constexpr std::size_t kPriorities =
+      static_cast<std::size_t>(TaskPriority::Scheduler) + 1;
 
   void start_next();
 
   sim::EventLoop& loop_;
-  std::pmr::deque<Task> queue_;
+  std::array<Fifo, kPriorities> fifos_;  // indexed by TaskPriority
   sim::SmallFn running_body_;  // runs when the running task completes
   bool running_ = false;
   sim::Time total_busy_ = 0;

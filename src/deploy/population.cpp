@@ -158,7 +158,7 @@ std::vector<Arrival> build_population(int num_pages,
   // user's first arrival, so they do not depend on arrival order or on
   // where the window ends. They are the device and cookie draws of the
   // stream std::mt19937_64(derive_seed(root, user)), whose first two words
-  // Mt64Head yields without building the engine.
+  // Mt64Lazy yields without building the engine.
   struct UserTraits {
     std::uint8_t device = 0;
     bool cookie = false;
@@ -184,10 +184,11 @@ std::vector<Arrival> build_population(int num_pages,
     a.page = static_cast<std::uint16_t>(page_sampler.draw(page_rng));
     UserTraits& ut = traits[a.user];
     if (!ut.drawn) {
-      sim::Mt64Head head(
+      sim::Mt64Lazy stream(
           sim::derive_seed(root, static_cast<std::uint64_t>(a.user)));
-      ut.device = static_cast<std::uint8_t>(sim::weighted(head, mix_weights));
-      ut.cookie = sim::chance(head, cfg.cookie_frac);
+      ut.device =
+          static_cast<std::uint8_t>(sim::weighted(stream, mix_weights));
+      ut.cookie = sim::chance(stream, cfg.cookie_frac);
       ut.drawn = true;
     }
     a.device = ut.device;

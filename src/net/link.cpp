@@ -36,11 +36,6 @@ sim::Time Link::enqueue(std::int64_t bytes) {
   return done;
 }
 
-void Link::transmit(std::int64_t bytes,
-                    sim::EventLoop::Callback on_delivered) {
-  loop_.schedule_at(completions_, enqueue(bytes), std::move(on_delivered));
-}
-
 double Link::utilization() const {
   if (loop_.now() == 0) return 0.0;
   return static_cast<double>(busy_time_) / static_cast<double>(loop_.now());

@@ -9,11 +9,12 @@
 //
 // A link's completion times never decrease, so its completion events run on
 // one event-loop lane (sim::EventLoop::add_lane()) instead of each taking a
-// heap push and pop, and the callback is the loop's SmallFn: a TCP segment's
-// completion allocates nothing.
+// heap push and pop, and the callback is built directly in the loop's slab
+// slot: a TCP segment's completion allocates nothing.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_loop.h"
 
@@ -28,9 +29,14 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  // Serializes `bytes` through the link; `on_delivered` fires when the last
-  // bit clears the link. Transmissions queue FIFO behind earlier ones.
-  void transmit(std::int64_t bytes, sim::EventLoop::Callback on_delivered);
+  // Serializes `bytes` through the link; `on_delivered` (a closure or a
+  // SmallFn, forwarded to the event loop) fires when the last bit clears
+  // the link. Transmissions queue FIFO behind earlier ones.
+  template <typename F>
+  void transmit(std::int64_t bytes, F&& on_delivered) {
+    loop_.schedule_at(completions_, enqueue(bytes),
+                      std::forward<F>(on_delivered));
+  }
 
   // transmit() minus the completion event: identical FIFO accounting
   // (busy_until/busy_time/total_bytes) and the identical trace counters,

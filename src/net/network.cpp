@@ -95,10 +95,12 @@ bool Network::draw_loss() {
 sim::Time Network::rtt(const std::string& domain) {
   auto it = rtt_cache_.find(domain);
   if (it != rtt_cache_.end()) return it->second;
-  sim::Rng rng(rtt_seed_, "domain_rtt:" + domain);
+  // A few draws of the stream sim::Rng(rtt_seed_, "domain_rtt:" + domain)
+  // would make, without seeding its whole engine.
+  sim::Mt64Lazy engine(sim::derive_seed(rtt_seed_, "domain_rtt:" + domain));
   auto wide_area = static_cast<sim::Time>(
-      rng.lognormal(static_cast<double>(config_.domain_rtt_median),
-                    config_.domain_rtt_sigma));
+      sim::lognormal(engine, static_cast<double>(config_.domain_rtt_median),
+                     config_.domain_rtt_sigma));
   wide_area = std::clamp(wide_area, config_.domain_rtt_min,
                          config_.domain_rtt_max);
   const sim::Time total = config_.cellular_rtt + wide_area;

@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-// (sim::Rng is used for deterministic loss draws.)
-
 #include "net/link.h"
 #include "sim/random.h"
 #include "sim/time.h"

@@ -6,29 +6,11 @@
 
 namespace vroom::sim {
 
-std::uint32_t EventLoop::acquire_slot() {
-  if (free_head_ != kNoSlot) {
-    const std::uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next;
-    return slot;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
-void EventLoop::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.cb.reset();
-  s.next = free_head_;
-  free_head_ = slot;
-}
-
-EventLoop::HeapEntry EventLoop::make_entry(Time at, Callback&& cb,
-                                           std::uint32_t lane) {
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].cb = std::move(cb);
-  ++live_;
-  return HeapEntry{at < now_ ? now_ : at, next_seq_++, slot, lane};
+void EventLoop::add_chunk() {
+  // Every heap entry names a distinct pending slot, so with an entry
+  // reserved per slot a push never reallocates (and never throws).
+  heap_.reserve((chunks_.size() + 1) * kChunkSlots);
+  chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
 }
 
 void EventLoop::heap_push(const HeapEntry& e) {
@@ -49,8 +31,9 @@ void EventLoop::sift_down_front() {
   heap_[hole] = moving;
 }
 
-void EventLoop::schedule_at(Time at, Callback cb) {
-  heap_push(make_entry(at, std::move(cb), kNoLane));
+void EventLoop::push_event(Time at, std::uint32_t index) {
+  ++live_;
+  heap_push(HeapEntry{at < now_ ? now_ : at, next_seq_++, index, kNoLane});
 }
 
 LaneId EventLoop::add_lane() {
@@ -59,28 +42,31 @@ LaneId EventLoop::add_lane() {
   return LaneId(open_lanes_++);
 }
 
-void EventLoop::schedule_at(LaneId id, Time at, Callback cb) {
-  if (id.index_ >= open_lanes_) {
-    throw std::out_of_range("EventLoop::schedule_at: unknown lane");
-  }
-  Lane& lane = lanes_[id.index_];
-  HeapEntry e = make_entry(at, std::move(cb), id.index_);
+void EventLoop::throw_unknown_lane() {
+  throw std::out_of_range("EventLoop::schedule_at: unknown lane");
+}
+
+void EventLoop::push_lane_event(std::uint32_t lane_index, Time at,
+                                std::uint32_t index) {
+  ++live_;
+  HeapEntry e{at < now_ ? now_ : at, next_seq_++, index, lane_index};
+  Lane& lane = lanes_[lane_index];
   if (!lane.has_head) {  // an empty lane: the event is its head
     lane.has_head = true;
     lane.tail = e.at;
     heap_push(e);
   } else if (e.at >= lane.tail) {  // in order: wait behind the tail
     lane.tail = e.at;
-    Slot& s = slots_[e.slot];
+    Slot& s = slot(index);
     s.at = e.at;
     s.seq = e.seq;
     s.next = kNoSlot;
     if (lane.last == kNoSlot) {
-      lane.first = e.slot;
+      lane.first = index;
     } else {
-      slots_[lane.last].next = e.slot;
+      slot(lane.last).next = index;
     }
-    lane.last = e.slot;
+    lane.last = index;
   } else {  // earlier than the lane's latest event: an ordinary event
     e.lane = kNoLane;
     heap_push(e);
@@ -93,9 +79,9 @@ bool EventLoop::step(Time until) {
   Lane* lane = top.lane == kNoLane ? nullptr : &lanes_[top.lane];
   if (lane != nullptr && lane->first != kNoSlot) {
     // The lane's next event takes the fired head's place in the heap.
-    const std::uint32_t slot = lane->first;
-    const Slot& s = slots_[slot];
-    heap_.front() = HeapEntry{s.at, s.seq, slot, top.lane};
+    const std::uint32_t next = lane->first;
+    const Slot& s = slot(next);
+    heap_.front() = HeapEntry{s.at, s.seq, next, top.lane};
     lane->first = s.next;
     if (lane->first == kNoSlot) lane->last = kNoSlot;
     sift_down_front();
@@ -104,13 +90,16 @@ bool EventLoop::step(Time until) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
-  // Move the callback out and free the slot before invoking: the callback
-  // may schedule more events, which can grow the slab.
-  Callback cb = std::move(slots_[top.slot].cb);
-  release_slot(top.slot);
   --live_;
   now_ = top.at;
-  cb();
+  // The callback runs in its slot; the slot is freed once it has returned
+  // or thrown, so the events it schedules never reuse it.
+  struct FreeSlot {
+    EventLoop& loop;
+    std::uint32_t index;
+    ~FreeSlot() { loop.release_slot(index); }
+  } free_slot{*this, top.slot};
+  slot(top.slot).cb.call_and_reset();
   return true;
 }
 
@@ -121,15 +110,20 @@ std::size_t EventLoop::run(Time until) {
 }
 
 void EventLoop::reset() {
+  // Only pending events hold callbacks: the heap's entries and the events
+  // waiting behind the lanes' heads.
+  const auto drop = [this](std::uint32_t index) {
+    slot(index).cb.reset();
+    release_slot(index);
+  };
+  for (const HeapEntry& e : heap_) drop(e.slot);
   heap_.clear();
-  // Destroy any surviving callbacks but keep the slab's capacity.
-  const std::size_t capacity = slots_.size();
-  slots_.clear();
-  slots_.resize(capacity);
-  free_head_ = kNoSlot;
-  for (std::size_t i = capacity; i-- > 0;) {
-    slots_[i].next = free_head_;
-    free_head_ = static_cast<std::uint32_t>(i);
+  for (std::uint32_t l = 0; l < open_lanes_; ++l) {
+    for (std::uint32_t index = lanes_[l].first; index != kNoSlot;) {
+      const std::uint32_t next = slot(index).next;
+      drop(index);
+      index = next;
+    }
   }
   open_lanes_ = 0;  // add_lane() clears a lane when it reopens it
   live_ = 0;

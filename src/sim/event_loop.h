@@ -6,21 +6,27 @@
 // instantaneously, which makes week-long page-evolution experiments cheap.
 //
 // Internals are built for the per-load hot path (a page load executes a few
-// thousand events, a fleet run hundreds of millions): callbacks live in a
-// recycled slab of SmallFn slots (no per-event heap allocation for typical
-// closures), and a binary min-heap orders 24-byte POD entries. Most events
-// of a load come from streams that are already in time order — a link's
-// completions, a TCP connection's half-RTT delay line — so such a stream
-// can run on a FIFO *lane*: only the lane's earliest event sits in the
-// heap, the rest wait in a list threaded through their slab slots, and
+// thousand events, a fleet run hundreds of millions): each callback is a
+// SmallFn built directly in a recycled slab slot (no per-event heap
+// allocation for typical closures) and run there, and a binary min-heap
+// orders 24-byte POD entries. The slab is a list of fixed-size chunks, so a
+// slot never moves: a running callback may schedule events that grow the
+// slab, and its slot is freed only after it returns (or throws). Most
+// events of a load come from streams that are already in time order — a
+// link's completions, a TCP connection's half-RTT delay line — so such a
+// stream can run on a FIFO *lane*: only the lane's earliest event sits in
+// the heap, the rest wait in a list threaded through their slab slots, and
 // when the head fires the lane's next event replaces it in the heap with
 // one sift-down. The heap still merges every lane head with every other
 // event by (time, seq), so the execution order is exactly the order
-// without lanes. reset() keeps the slab, heap and lane capacity so fleet
-// workers reuse one loop's storage across consecutive loads.
+// without lanes. reset() frees only the slots of events still pending and
+// keeps the slab, heap and lane capacity, so fleet workers reuse one loop's
+// storage across consecutive loads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -47,7 +53,8 @@ class LaneId {
 
 class EventLoop {
  public:
-  using Callback = SmallFn;
+  // Slots per slab chunk.
+  static constexpr std::size_t kChunkSlots = 256;
 
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
@@ -55,12 +62,18 @@ class EventLoop {
 
   Time now() const { return now_; }
 
-  // Schedules `cb` at absolute virtual time `at` (clamped to now()).
-  void schedule_at(Time at, Callback cb);
+  // Schedules the callable `cb` (a closure or a SmallFn) at absolute
+  // virtual time `at` (clamped to now()). A closure is constructed directly
+  // in its slab slot.
+  template <typename F>
+  void schedule_at(Time at, F&& cb) {
+    push_event(at, store(std::forward<F>(cb)));
+  }
 
   // Schedules `cb` after `delay` microseconds of virtual time.
-  void schedule_in(Time delay, Callback cb) {
-    schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(cb));
+  template <typename F>
+  void schedule_in(Time delay, F&& cb) {
+    schedule_at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(cb));
   }
 
   // Opens a FIFO lane for a stream of events scheduled in non-decreasing
@@ -71,15 +84,22 @@ class EventLoop {
   // execution order, with no heap operation unless the lane is empty. An
   // event earlier than the lane's latest one goes to the heap as an
   // ordinary event, so the order stays exact for any input. Throws
-  // std::out_of_range for a lane this loop has not opened since its last
-  // reset().
-  void schedule_at(LaneId lane, Time at, Callback cb);
-  void schedule_in(LaneId lane, Time delay, Callback cb) {
-    schedule_at(lane, now_ + (delay < 0 ? 0 : delay), std::move(cb));
+  // std::out_of_range, storing nothing, for a lane this loop has not opened
+  // since its last reset().
+  template <typename F>
+  void schedule_at(LaneId lane, Time at, F&& cb) {
+    if (lane.index_ >= open_lanes_) throw_unknown_lane();
+    push_lane_event(lane.index_, at, store(std::forward<F>(cb)));
+  }
+  template <typename F>
+  void schedule_in(LaneId lane, Time delay, F&& cb) {
+    schedule_at(lane, now_ + (delay < 0 ? 0 : delay), std::forward<F>(cb));
   }
 
   // Runs events until the queue is empty or `until` is reached, whichever
-  // comes first. Returns the number of events executed.
+  // comes first. Returns the number of events executed. An exception from
+  // a callback propagates to the caller; the event counts as run and its
+  // slot is freed, so the loop stays usable.
   std::size_t run(Time until = kNever);
 
   // Runs at most one event; returns false if the queue was empty or the next
@@ -101,11 +121,12 @@ class EventLoop {
   std::size_t pending() const { return live_; }
 
   // Returns the loop to its just-constructed state (now()==0, fresh seqs, no
-  // lanes, no recorder) but keeps the slab, heap and lane capacity, so a
-  // pooled loop reused across page loads stops paying per-load allocation
-  // warmup. A reset loop is indistinguishable from a new one: seqs restart
-  // at 1, so event ordering — and therefore every simulated number — is
-  // unchanged.
+  // lanes, no recorder): destroys the callbacks still pending and frees
+  // their slots, so its cost is proportional to the pending events, and
+  // keeps the slab, heap and lane capacity, so a pooled loop reused across
+  // page loads stops paying per-load allocation warmup. A reset loop is
+  // indistinguishable from a new one: seqs restart at 1, so event ordering
+  // — and therefore every simulated number — is unchanged.
   void reset();
 
   // Structured-trace recorder attached to this simulation world (see
@@ -118,7 +139,7 @@ class EventLoop {
  private:
   static constexpr std::uint32_t kNoLane = 0xffffffffu;
 
-  // Min-heap entry; the callback lives in slots_[slot]. `lane` is the lane
+  // Min-heap entry; the callback lives in slot `slot`. `lane` is the lane
   // whose head the entry is, or kNoLane for an ordinary event.
   struct HeapEntry {
     Time at;
@@ -134,7 +155,7 @@ class EventLoop {
   };
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   struct Slot {
-    Callback cb;
+    SmallFn cb;
     // While the event waits in a lane behind its head: its time and seq,
     // and `next` links to the lane's next waiting event. While the slot is
     // free, `next` links the free list.
@@ -152,21 +173,59 @@ class EventLoop {
     bool has_head = false;
   };
 
-  // Stores `cb` in a slot and stamps the entry with the next seq and its
-  // time clamped to now().
-  HeapEntry make_entry(Time at, Callback&& cb, std::uint32_t lane);
+  Slot& slot(std::uint32_t index) {
+    return chunks_[index / kChunkSlots][index % kChunkSlots];
+  }
+
+  // Builds `cb` in a free slot and returns the slot's index.
+  template <typename F>
+  std::uint32_t store(F&& cb) {
+    const std::uint32_t index = acquire_slot();
+    try {
+      slot(index).cb.emplace(std::forward<F>(cb));
+    } catch (...) {
+      release_slot(index);
+      throw;
+    }
+    return index;
+  }
+
+  std::uint32_t acquire_slot() {
+    if (free_head_ != kNoSlot) {
+      const std::uint32_t index = free_head_;
+      free_head_ = slot(index).next;
+      return index;
+    }
+    if (used_ == chunks_.size() * kChunkSlots) add_chunk();
+    return used_++;
+  }
+  // Puts an empty slot on the free list.
+  void release_slot(std::uint32_t index) {
+    slot(index).next = free_head_;
+    free_head_ = index;
+  }
+  void add_chunk();
+
+  // Stamps the event in slot `index` with the next seq and its time
+  // clamped to now(), and queues it in the heap or on lane `lane`.
+  void push_event(Time at, std::uint32_t index);
+  void push_lane_event(std::uint32_t lane, Time at, std::uint32_t index);
+  [[noreturn]] static void throw_unknown_lane();
+  // Never reallocates: add_chunk() reserves an entry per slot.
   void heap_push(const HeapEntry& e);
   // Restores heap order after heap_.front() was replaced by a later entry.
   void sift_down_front();
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot);
 
   Time now_ = 0;
   trace::Recorder* recorder_ = nullptr;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;  // scheduled and not yet fired
   std::vector<HeapEntry> heap_;
-  std::vector<Slot> slots_;
+  // Fixed-size chunks of slots; a slot's address never changes. Slots
+  // [0, used_) have been handed out; those not holding an event are on
+  // the free list.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t used_ = 0;
   std::uint32_t free_head_ = kNoSlot;
   std::vector<Lane> lanes_;  // [0, open_lanes_) are open
   std::uint32_t open_lanes_ = 0;

@@ -49,8 +49,7 @@ double Rng::uniform(double lo, double hi) {
 bool Rng::chance(double p) { return sim::chance(engine_, p); }
 
 double Rng::lognormal(double median, double sigma) {
-  std::lognormal_distribution<double> d(std::log(median), sigma);
-  return d(engine_);
+  return sim::lognormal(engine_, median, sigma);
 }
 
 double Rng::pareto(double scale, double shape, double cap) {
@@ -73,28 +72,26 @@ std::size_t Rng::weighted(const std::vector<double>& weights) {
   return sim::weighted(engine_, weights);
 }
 
-Mt64Head::Mt64Head(std::uint64_t seed) {
+Mt64Lazy::result_type Mt64Lazy::twist(std::size_t k) const {
   using Mt = std::mt19937_64;
-  constexpr std::size_t m = Mt::shift_size;
-  // Seeded words 0 .. m+1: x[i] = f * (x[i-1] ^ (x[i-1] >> (w-2))) + i.
-  std::array<std::uint64_t, m + 2> x{};
-  x[0] = seed;
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    x[i] = Mt::initialization_multiplier *
-               (x[i - 1] ^ (x[i - 1] >> (Mt::word_size - 2))) +
-           i;
-  }
-  // The first regeneration's words 0 and 1, then the output tempering.
+  // The first regeneration's word k, then the output tempering.
   constexpr std::uint64_t upper = ~std::uint64_t{0} << Mt::mask_bits;
-  for (std::size_t k = 0; k < out_.size(); ++k) {
-    const std::uint64_t y = (x[k] & upper) | (x[k + 1] & ~upper);
-    std::uint64_t z = x[k + m] ^ (y >> 1) ^ ((y & 1) ? Mt::xor_mask : 0);
-    z ^= (z >> Mt::tempering_u) & Mt::tempering_d;
-    z ^= (z << Mt::tempering_s) & Mt::tempering_b;
-    z ^= (z << Mt::tempering_t) & Mt::tempering_c;
-    z ^= z >> Mt::tempering_l;
-    out_[k] = z;
+  const std::uint64_t y = (words_[k] & upper) | (words_[k + 1] & ~upper);
+  std::uint64_t z = words_[(k + kShift) % kWords] ^ (y >> 1) ^
+                    ((y & 1) ? Mt::xor_mask : 0);
+  z ^= (z >> Mt::tempering_u) & Mt::tempering_d;
+  z ^= (z << Mt::tempering_s) & Mt::tempering_b;
+  z ^= (z << Mt::tempering_t) & Mt::tempering_c;
+  z ^= z >> Mt::tempering_l;
+  return z;
+}
+
+Mt64Lazy::result_type Mt64Lazy::from_engine() {
+  if (engine_ == nullptr) {
+    engine_ = std::make_unique<std::mt19937_64>(seed_);
+    engine_->discard(next_);
   }
+  return (*engine_)();
 }
 
 }  // namespace vroom::sim

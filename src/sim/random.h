@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <stdexcept>
@@ -30,9 +32,9 @@ std::uint64_t derive_seed(std::uint64_t root, std::string_view purpose);
 // inputs with the same XOR (e.g. (seed, page) and (seed ^ d, page ^ d)).
 std::uint64_t derive_seed(std::uint64_t root, std::uint64_t child);
 
-// Engine-generic draws: the one definition of uniform, chance and weighted.
-// Rng's methods are these over its std::mt19937_64, so any other engine
-// that yields the same words (Mt64Head) yields the same values.
+// Engine-generic draws: the one definition of uniform, chance, weighted and
+// lognormal. Rng's methods are these over its std::mt19937_64, so any other
+// engine that yields the same words (Mt64Lazy) yields the same values.
 
 // Uniform real in [lo, hi).
 template <typename Engine>
@@ -62,32 +64,61 @@ std::size_t weighted(Engine& engine, const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-// The first two outputs of std::mt19937_64(seed), without its 312-word
-// state. Output k twists seeded words k, k+1 and k+156, so running the
-// standard's seeding recurrence ([rand.eng.mers]) to word 157 and twisting
-// two words gives the same values as the engine, which seeds all 312 words
-// and then regenerates all 312 on its first draw. For a stream that is
-// drawn from at most twice, such as a user's traits.
-class Mt64Head {
+// Log-normal parameterized by the *median* and sigma of the underlying
+// normal — resource sizes and RTTs on the web are classically log-normal.
+template <typename Engine>
+double lognormal(Engine& engine, double median, double sigma) {
+  std::lognormal_distribution<double> d(std::log(median), sigma);
+  return d(engine);
+}
+
+// Exactly the output stream of std::mt19937_64(seed), for a stream drawn
+// from only a few times. The engine seeds all 312 state words and then
+// regenerates all 312 on its first draw; output k < 156 of a fresh engine,
+// though, only twists seeded words k, k+1 and k+156. So the first draw runs
+// the standard's seeding recurrence ([rand.eng.mers]) to word 156 and each
+// later draw one word further. A stream that reaches output 156 builds the
+// full engine once, discards the outputs already drawn and continues from
+// it, so any number of draws (a rejection loop's, say) stays exact.
+class Mt64Lazy {
  public:
   using result_type = std::uint64_t;
 
-  explicit Mt64Head(std::uint64_t seed);
+  explicit Mt64Lazy(std::uint64_t seed) : seed_(seed) { words_[0] = seed; }
 
   static constexpr result_type min() { return std::mt19937_64::min(); }
   static constexpr result_type max() { return std::mt19937_64::max(); }
 
-  // Throws std::out_of_range on a third draw.
   result_type operator()() {
-    if (next_ == out_.size()) {
-      throw std::out_of_range("Mt64Head: only two outputs");
-    }
-    return out_[next_++];
+    if (next_ >= kShift) return from_engine();
+    while (seeded_ <= next_ + kShift) seed_next();
+    return twist(next_++);
   }
 
  private:
-  std::array<result_type, 2> out_{};
-  std::size_t next_ = 0;
+  static constexpr std::size_t kShift = std::mt19937_64::shift_size;  // 156
+  // Output k reads seeded words k, k+1 and k+kShift, so the last kShift+1
+  // seeded words suffice: word i lives at i % kWords, and word k+kShift+1,
+  // seeded for output k+1, takes the place of word k.
+  static constexpr std::size_t kWords = kShift + 1;
+
+  void seed_next() {
+    using Mt = std::mt19937_64;
+    const std::uint64_t prev = words_[(seeded_ - 1) % kWords];
+    words_[seeded_ % kWords] = Mt::initialization_multiplier *
+                                   (prev ^ (prev >> (Mt::word_size - 2))) +
+                               seeded_;
+    ++seeded_;
+  }
+  // Output k < kShift from seeded words k, k+1 and k+kShift.
+  result_type twist(std::size_t k) const;
+  result_type from_engine();
+
+  std::uint64_t seed_;
+  std::array<std::uint64_t, kWords> words_{};
+  std::size_t seeded_ = 1;  // words [0, seeded_) have been seeded
+  std::size_t next_ = 0;    // index of the next output
+  std::unique_ptr<std::mt19937_64> engine_;  // from output kShift on
 };
 
 class Rng {
@@ -102,8 +133,7 @@ class Rng {
   double uniform(double lo = 0.0, double hi = 1.0);
   bool chance(double p);
 
-  // Log-normal parameterized by the *median* and sigma of the underlying
-  // normal — resource sizes and RTTs on the web are classically log-normal.
+  // See sim::lognormal.
   double lognormal(double median, double sigma);
 
   // Bounded Pareto, for heavy-tailed object counts/sizes.

@@ -15,6 +15,22 @@ std::int8_t native_priority_of(ResourceType t) {
   }
 }
 
+// The facts of a URL in the canonical grammar, except its domain id.
+UrlInfo canonical_info(ResourceType type, std::uint32_t page_id,
+                       std::uint32_t resource_id, std::uint64_t version,
+                       std::uint32_t user) {
+  UrlInfo info;
+  info.parse_ok = true;
+  info.type = type;
+  info.processable = is_processable(type);
+  info.native_priority = native_priority_of(type);
+  info.resource_id = resource_id;
+  info.page_id = page_id;
+  info.version = version;
+  info.user = user;
+  return info;
+}
+
 }  // namespace
 
 Interner::Interner(sim::Arena* arena)
@@ -29,25 +45,41 @@ Interner::Interner(sim::Arena* arena)
 UrlId Interner::url_id(std::string_view url) {
   auto it = url_index_.find(url);
   if (it != url_index_.end()) return it->second;
-
-  const UrlId id = static_cast<UrlId>(urls_.size());
-  const std::string_view stored = arena_->copy_string(url);
-  urls_.push_back(stored);
   UrlInfo info;
-  info.domain = domain_id(url_domain_view(stored));
-  if (auto parsed = parse_url(stored)) {
-    info.parse_ok = true;
-    info.type = type_from_ext(parsed->ext);
-    info.processable = is_processable(info.type);
-    info.native_priority = native_priority_of(info.type);
-    info.resource_id = parsed->resource_id;
-    info.page_id = parsed->page_id;
-    info.version = parsed->version;
-    info.user = parsed->user;
+  if (auto parsed = parse_url(url)) {
+    info = canonical_info(type_from_ext(parsed->ext), parsed->page_id,
+                          parsed->resource_id, parsed->version, parsed->user);
   }
+  const std::string_view stored = arena_->copy_string(url);
+  url_index_.emplace(stored, static_cast<UrlId>(urls_.size()));
+  return append(stored, info);
+}
+
+UrlId Interner::url_id(std::string_view url, ResourceType type,
+                       std::uint32_t page_id, std::uint32_t resource_id,
+                       std::uint64_t version, std::uint32_t user) {
+  // A URL just written is nearly always new, so it is copied and inserted
+  // with one hash; a known URL costs only the copy's arena bytes.
+  const std::string_view stored = arena_->copy_string(url);
+  const auto [it, inserted] =
+      url_index_.emplace(stored, static_cast<UrlId>(urls_.size()));
+  if (!inserted) return it->second;
+  return append(stored,
+                canonical_info(type, page_id, resource_id, version, user));
+}
+
+UrlId Interner::append(std::string_view stored, UrlInfo info) {
+  const UrlId id = static_cast<UrlId>(urls_.size());
+  urls_.push_back(stored);
+  info.domain = domain_id(url_domain_view(stored));
   info_.push_back(info);
-  url_index_.emplace(stored, id);
   return id;
+}
+
+void Interner::reserve(std::size_t urls) {
+  urls_.reserve(urls_.size() + urls);
+  info_.reserve(info_.size() + urls);
+  url_index_.reserve(url_index_.size() + urls);
 }
 
 DomainId Interner::domain_id(std::string_view domain) {

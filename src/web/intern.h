@@ -20,7 +20,9 @@
 // Ownership and lifetime: the interner is owned by the `PageInstance` (the
 // page world); every realized resource URL and its origin are pre-interned
 // at build time, so instance resources get ids 0..N-1 in resource order.
-// Foreign URLs (stale hints, ghost fetches) intern lazily on first touch.
+// The page world wrote each of those URLs from its fields, so it hands the
+// fields over and the URL is never parsed back. Foreign URLs (stale hints,
+// ghost fetches) intern lazily on first touch and are parsed then.
 // Ids are meaningful only relative to one interner — they never cross loads
 // or appear in results, so interning cannot affect simulated numbers. An id
 // minted by a *different* interner (e.g. retained across an arena reset) is
@@ -74,6 +76,16 @@ class Interner {
   // Interns `url`, returning its stable id (existing id if already known).
   UrlId url_id(std::string_view url);
 
+  // Interns `url`, which its caller wrote with make_url from these fields:
+  // the same id and UrlInfo as url_id(url), with the info taken from the
+  // fields instead of from parsing the URL back.
+  UrlId url_id(std::string_view url, ResourceType type, std::uint32_t page_id,
+               std::uint32_t resource_id, std::uint64_t version,
+               std::uint32_t user);
+
+  // Makes room for `urls` more URLs.
+  void reserve(std::size_t urls);
+
   // Non-inserting lookup: kInvalidId if `url` was never interned.
   UrlId find_url(std::string_view url) const {
     auto it = url_index_.find(url);
@@ -106,6 +118,10 @@ class Interner {
   std::pmr::memory_resource* memory() const { return arena_; }
 
  private:
+  // Assigns the next id to `stored`, an arena copy just added to the index,
+  // with `info` completed by the URL's domain id.
+  UrlId append(std::string_view stored, UrlInfo info);
+
   sim::Arena* arena_;                        // never null after construction
   std::unique_ptr<sim::Arena> owned_arena_;  // set iff no arena was passed
   // Views into arena chunks: chunk memory never moves, so the index maps can

@@ -1,5 +1,6 @@
 #include "web/page_instance.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "sim/random.h"
@@ -13,6 +14,19 @@ constexpr std::uint64_t kDeviceVariantSpace = 8;
 
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return sim::derive_seed(a, "mix") ^ sim::derive_seed(b, "mix2");
+}
+
+// What a slot's realized URL says besides its domain, id and extension.
+struct RealizedFields {
+  std::uint32_t page_id;
+  std::uint64_t version;
+  std::uint32_t user;
+};
+
+RealizedFields realized_fields(const PageModel& model, const Resource& r,
+                               const LoadIdentity& id) {
+  return {r.effective_page_id(model.page_id()), realized_version(r, id),
+          r.volatility == Volatility::Personalized ? id.user : 0};
 }
 
 }  // namespace
@@ -63,11 +77,9 @@ std::uint64_t realized_version(const Resource& r, const LoadIdentity& id) {
 
 std::string realize_url(const PageModel& model, const Resource& r,
                         const LoadIdentity& id) {
-  const std::uint64_t full_version = realized_version(r, id);
-  const std::uint32_t user_part =
-      r.volatility == Volatility::Personalized ? id.user : 0;
-  return make_url(r.domain, r.effective_page_id(model.page_id()), r.id,
-                  full_version, user_part, type_ext(r.type));
+  const RealizedFields f = realized_fields(model, r, id);
+  return make_url(r.domain, f.page_id, r.id, f.version, f.user,
+                  type_ext(r.type));
 }
 
 PageInstance::PageInstance(const PageModel& model, const LoadIdentity& id,
@@ -79,15 +91,29 @@ PageInstance::PageInstance(const PageModel& model, const LoadIdentity& id,
       template_by_url_(interner_.memory()) {
   resources_.reserve(model.size());
   template_by_url_.reserve(model.size());
+  interner_.reserve(model.size());
+  // Each URL is written into one buffer that fits the longest, then
+  // interned with the fields it was written from.
+  std::size_t longest = 0;
   for (const Resource& r : model.resources()) {
-    const std::uint64_t full_version = realized_version(r, id);
+    longest = std::max(longest, max_url_size(r.domain, type_ext(r.type)));
+  }
+  std::pmr::vector<char> buf(longest, interner_.memory());
+  for (const Resource& r : model.resources()) {
+    // A domain with a '/' would not parse back to the fields.
+    assert(r.domain.find('/') == std::string::npos);
+    const RealizedFields f = realized_fields(model, r, id);
+    const std::string_view url = make_url(buf.data(), r.domain, f.page_id,
+                                          r.id, f.version, f.user,
+                                          type_ext(r.type));
     InstanceResource ir;
     ir.template_id = r.id;
-    ir.url_id = interner_.url_id(realize_url(model, r, id));
+    ir.url_id =
+        interner_.url_id(url, r.type, f.page_id, r.id, f.version, f.user);
     // The interner's arena copy is the one stored string per URL; the
     // instance keeps a view of it.
     ir.url = interner_.url(ir.url_id);
-    ir.size = realized_size(r, full_version);
+    ir.size = realized_size(r, f.version);
     // Realized URLs are distinct per slot, so pre-interning in build order
     // assigns resource i the UrlId i.
     assert(ir.url_id == template_by_url_.size());

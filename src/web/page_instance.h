@@ -10,6 +10,10 @@
 // match — the same set-intersection semantics the paper uses for page
 // persistence (Fig 7), device similarity (Fig 9), and server accuracy
 // (Fig 21).
+//
+// Building an instance writes each realized URL once, with make_url into a
+// scratch buffer, and interns it together with the fields it was written
+// from, so the interner never parses a realized URL back (see intern.h).
 #pragma once
 
 #include <cstdint>

@@ -211,6 +211,11 @@ std::optional<PageModel> page_from_trace(const std::string& text,
     }
     auto dom = fields.find("domain");
     if (dom == fields.end()) return fail("res: missing domain" + at);
+    // A realized URL is "<domain>/p...": a '/' in the domain would make it
+    // parse back to other fields.
+    if (dom->second.find('/') != std::string::npos) {
+      return fail("res: '/' in domain" + at);
+    }
     r.domain = dom->second;
     auto vol = volatility_from(fields.count("vol") ? fields.at("vol") : "");
     if (!vol) return fail("res: bad vol" + at);

@@ -1,5 +1,6 @@
 #include "web/url.h"
 
+#include <algorithm>
 #include <charconv>
 
 namespace vroom::web {
@@ -18,18 +19,36 @@ bool parse_uint(std::string_view s, std::size_t& pos, T& out) {
 
 }  // namespace
 
+std::string_view make_url(char* buf, std::string_view domain,
+                          std::uint32_t page_id, std::uint32_t resource_id,
+                          std::uint64_t version, std::uint32_t user,
+                          std::string_view ext) {
+  // Each number has room for its longest decimal form (max_url_size).
+  char* out = std::copy(domain.begin(), domain.end(), buf);
+  *out++ = '/';
+  *out++ = 'p';
+  out = std::to_chars(out, out + 10, page_id).ptr;
+  *out++ = '/';
+  *out++ = 'r';
+  out = std::to_chars(out, out + 10, resource_id).ptr;
+  *out++ = 'v';
+  out = std::to_chars(out, out + 20, version).ptr;
+  if (user != 0) {
+    *out++ = 'u';
+    out = std::to_chars(out, out + 10, user).ptr;
+  }
+  *out++ = '.';
+  out = std::copy(ext.begin(), ext.end(), out);
+  return {buf, static_cast<std::size_t>(out - buf)};
+}
+
 std::string make_url(std::string_view domain, std::uint32_t page_id,
                      std::uint32_t resource_id, std::uint64_t version,
                      std::uint32_t user, std::string_view ext) {
-  std::string url;
-  url.reserve(domain.size() + ext.size() + 32);
-  url.append(domain);
-  url.append("/p").append(std::to_string(page_id));
-  url.append("/r").append(std::to_string(resource_id));
-  url.append("v").append(std::to_string(version));
-  if (user != 0) url.append("u").append(std::to_string(user));
-  url.push_back('.');
-  url.append(ext);
+  std::string url(max_url_size(domain, ext), '\0');
+  url.resize(
+      make_url(url.data(), domain, page_id, resource_id, version, user, ext)
+          .size());
   return url;
 }
 

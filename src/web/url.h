@@ -11,6 +11,7 @@
 // non-zero only for personalized resources.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -29,7 +30,23 @@ struct ParsedUrl {
   bool operator==(const ParsedUrl&) const = default;
 };
 
-// Builds the canonical URL string.
+// An upper bound on the size of make_url's output for `domain` and `ext`:
+// "/p", "/r", "v", "u" and "." with the most digits each number can have.
+constexpr std::size_t max_url_size(std::string_view domain,
+                                   std::string_view ext) {
+  return domain.size() + (2 + 10) + (2 + 10) + (1 + 20) + (1 + 10) + 1 +
+         ext.size();
+}
+
+// Writes the canonical URL into `buf`, which holds at least
+// max_url_size(domain, ext) chars, and returns a view of the written text.
+// The one writer of the URL grammar.
+std::string_view make_url(char* buf, std::string_view domain,
+                          std::uint32_t page_id, std::uint32_t resource_id,
+                          std::uint64_t version, std::uint32_t user,
+                          std::string_view ext);
+
+// The canonical URL as a string.
 std::string make_url(std::string_view domain, std::uint32_t page_id,
                      std::uint32_t resource_id, std::uint64_t version,
                      std::uint32_t user, std::string_view ext);

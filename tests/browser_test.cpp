@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "baselines/strategies.h"
 #include "browser/browser.h"
@@ -53,6 +58,125 @@ TEST(TaskQueueTest, ObserverSeesBusyTransitions) {
   q.post(sim::ms(1), TaskPriority::Parse, [] {});
   loop.run();
   EXPECT_EQ(transitions, (std::vector<bool>{true, false}));
+}
+
+// The reference order for TaskQueue: one FIFO list, scanned for the first
+// task of the highest priority, which is erased and started. A task's body
+// runs in its completion event, which then starts the next task.
+class ScanQueue {
+ public:
+  explicit ScanQueue(sim::EventLoop& loop) : loop_(loop) {}
+
+  void post(sim::Time duration, TaskPriority priority, sim::SmallFn body) {
+    queue_.push_back(
+        Task{duration, static_cast<int>(priority), std::move(body)});
+    if (!running_) start_next();
+  }
+  sim::Time total_busy() const { return total_busy_; }
+  void set_state_observer(std::function<void(bool busy)> obs) {
+    observer_ = std::move(obs);
+  }
+
+ private:
+  struct Task {
+    sim::Time duration;
+    int priority;
+    sim::SmallFn body;
+  };
+
+  void start_next() {
+    if (queue_.empty()) {
+      if (running_) {
+        running_ = false;
+        if (observer_) observer_(false);
+      }
+      return;
+    }
+    auto best = queue_.begin();
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (it->priority > best->priority) best = it;
+    }
+    Task task = std::move(*best);
+    queue_.erase(best);
+    if (!running_) {
+      running_ = true;
+      if (observer_) observer_(true);
+    }
+    total_busy_ += task.duration;
+    loop_.schedule_in(task.duration,
+                      [this, body = std::move(task.body)]() mutable {
+                        body();
+                        start_next();
+                      });
+  }
+
+  sim::EventLoop& loop_;
+  std::deque<Task> queue_;
+  bool running_ = false;
+  sim::Time total_busy_ = 0;
+  std::function<void(bool)> observer_;
+};
+
+// What a task script observed: each task as (id, start, end), each
+// busy/idle transition with its time, and the queue's busy total.
+struct TaskRecord {
+  int id;
+  sim::Time start;
+  sim::Time end;
+  bool operator==(const TaskRecord&) const = default;
+};
+struct TaskScriptRun {
+  std::vector<TaskRecord> tasks;
+  std::vector<std::pair<sim::Time, bool>> transitions;
+  sim::Time total_busy = 0;
+};
+
+// A seeded random task script: random priorities, durations that are often
+// 0, posts from inside task bodies and from outside events at drawn times
+// (some while the queue is busy, some after it went idle). Tasks are drawn
+// as they run, so two queues draw the same tasks only while they run them
+// in the same order.
+template <typename Queue>
+TaskScriptRun run_task_script(std::uint64_t seed) {
+  sim::EventLoop loop;
+  Queue queue(loop);
+  TaskScriptRun out;
+  std::mt19937_64 rng(seed);
+  const auto draw = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  queue.set_state_observer(
+      [&](bool busy) { out.transitions.emplace_back(loop.now(), busy); });
+  int next_id = 0;
+  std::function<void()> post = [&] {
+    const int id = next_id++;
+    const sim::Time duration = draw(3) == 0 ? 0 : 1 + draw(20);
+    const auto priority = static_cast<TaskPriority>(draw(4));
+    queue.post(duration, priority, [&, id, duration] {
+      out.tasks.push_back(TaskRecord{id, loop.now() - duration, loop.now()});
+      if (next_id >= 400) return;
+      for (int children = draw(3); children > 0; --children) post();
+    });
+  };
+  for (int burst = 0; burst < 20; ++burst) {
+    loop.schedule_at(draw(600), [&] {
+      for (int n = 1 + draw(4); n > 0; --n) post();
+    });
+  }
+  loop.run();
+  out.total_busy = queue.total_busy();
+  return out;
+}
+
+TEST(TaskQueueTest, MatchesPriorityScanReference) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const TaskScriptRun expected = run_task_script<ScanQueue>(seed);
+    const TaskScriptRun got = run_task_script<TaskQueue>(seed);
+    ASSERT_GT(expected.tasks.size(), 20u) << "seed " << seed;
+    EXPECT_EQ(got.tasks, expected.tasks) << "seed " << seed;
+    EXPECT_EQ(got.transitions, expected.transitions) << "seed " << seed;
+    EXPECT_EQ(got.total_busy, expected.total_busy) << "seed " << seed;
+  }
 }
 
 TEST(CacheTest, FreshnessWindow) {

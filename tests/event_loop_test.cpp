@@ -1,6 +1,7 @@
 // Tests for the EventLoop internals: FIFO lanes keep the (time, seq) order
-// of the plain heap exactly, storage reuse via reset()/PooledEventLoop, and
-// the SmallFn small-buffer callable the slab stores.
+// of the plain heap exactly, storage reuse via reset()/PooledEventLoop,
+// callbacks that run in slots which never move, and the SmallFn
+// small-buffer callable the slab stores.
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -166,14 +167,41 @@ TEST(EventLoopResetTest, ResetRestoresFreshState) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+// A closure too large for SmallFn's inline buffer, stored on the heap.
+struct Oversized {
+  std::uint64_t pad[8] = {};
+};
+static_assert(sizeof(Oversized) > SmallFn::kInlineSize);
+
 TEST(EventLoopResetTest, ResetDropsUnfiredCallbacks) {
   EventLoop loop;
-  auto token = std::make_shared<int>(7);
-  std::weak_ptr<int> watch = token;
-  loop.schedule_at(ms(10), [keep = std::move(token)] {});
-  EXPECT_FALSE(watch.expired());
+  auto fired = std::make_shared<int>(1);
+  auto plain = std::make_shared<int>(2);
+  auto head = std::make_shared<int>(3);
+  auto backlog = std::make_shared<int>(4);
+  auto oversized = std::make_shared<int>(5);
+  const std::weak_ptr<int> fired_watch = fired;
+  const std::vector<std::weak_ptr<int>> pending = {plain, head, backlog,
+                                                   oversized};
+  const LaneId lane = loop.add_lane();
+  loop.schedule_at(ms(1), [keep = std::move(fired)] {});
+  loop.schedule_at(ms(10), [keep = std::move(plain)] {});
+  loop.schedule_at(lane, ms(10), [keep = std::move(head)] {});
+  // Waits in the lane's backlog behind its head, outside the heap.
+  loop.schedule_at(lane, ms(20), [keep = std::move(backlog)] {});
+  loop.schedule_at(ms(30), [big = Oversized{}, keep = std::move(oversized)] {
+    (void)big;
+  });
+
+  // A fired closure is destroyed as soon as it has run.
+  EXPECT_EQ(loop.run(ms(1)), 1u);
+  EXPECT_TRUE(fired_watch.expired());
+  for (const auto& watch : pending) EXPECT_FALSE(watch.expired());
+
   loop.reset();
-  EXPECT_TRUE(watch.expired());  // slab released the closure
+  for (const auto& watch : pending) {
+    EXPECT_TRUE(watch.expired());  // reset released the closure
+  }
   EXPECT_TRUE(loop.empty());
 }
 
@@ -194,6 +222,65 @@ TEST(EventLoopResetTest, PooledLoopReuseIsTransparent) {
     pooled->schedule_at(ms(1), [&] { ++fired; });
     EXPECT_EQ(pooled->run(), 1u);
     EXPECT_EQ(fired, 1);
+  }
+}
+
+TEST(EventLoopTest, CallbackStateSurvivesSlabGrowth) {
+  // A callback runs in its slab slot. While it runs it schedules several
+  // chunks' worth of events, then reads its own captures: the slot must not
+  // have moved (under ASan a moved slot is a use after free).
+  EventLoop loop;
+  const std::size_t added = 4 * EventLoop::kChunkSlots;
+  std::uint64_t sum = 0;
+  int fired = 0;
+  auto grow = [&loop, &sum, &fired, added, a = std::uint64_t{7},
+               b = std::uint64_t{35}] {
+    for (std::size_t i = 0; i < added; ++i) {
+      loop.schedule_in(ms(1), [&fired] { ++fired; });
+    }
+    sum = a + b + added;
+  };
+  static_assert(sizeof(grow) <= SmallFn::kInlineSize, "stored in the slot");
+  loop.schedule_at(ms(1), grow);
+  EXPECT_EQ(loop.run(), added + 1);
+  EXPECT_EQ(sum, 42 + added);
+  EXPECT_EQ(fired, static_cast<int>(added));
+}
+
+TEST(EventLoopTest, ThrowingCallbackLeavesLoopReusable) {
+  for (const bool inline_closure : {true, false}) {
+    EventLoop loop;
+    auto token = std::make_shared<int>(1);
+    const std::weak_ptr<int> watch = token;
+    int later = 0;
+    if (inline_closure) {
+      loop.schedule_at(ms(1), [keep = std::move(token)] {
+        throw std::runtime_error("inline");
+      });
+    } else {
+      loop.schedule_at(ms(1), [big = Oversized{}, keep = std::move(token)] {
+        (void)big;
+        throw std::runtime_error("oversized");
+      });
+    }
+    loop.schedule_at(ms(2), [&later] { ++later; });
+
+    // The exception reaches run()'s caller; the event counts as run and its
+    // closure is destroyed.
+    EXPECT_THROW(loop.run(), std::runtime_error);
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(loop.now(), ms(1));
+    EXPECT_EQ(loop.pending(), 1u);
+
+    loop.reset();
+    EXPECT_TRUE(loop.empty());
+    std::vector<int> order;
+    for (int i = 0; i < 3; ++i) {
+      loop.schedule_in(ms(3 - i), [&order, i] { order.push_back(i); });
+    }
+    EXPECT_EQ(loop.run(), 3u);
+    EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
+    EXPECT_EQ(later, 0);
   }
 }
 

@@ -14,7 +14,6 @@
 #include "harness/experiment.h"
 #include "scoped_env.h"
 #include "trace/trace.h"
-#include "web/corpus.h"
 #include "web/page_generator.h"
 #include "web/page_instance.h"
 #include "web/url.h"
@@ -105,34 +104,75 @@ TEST(Interner, IdsStableAcrossIdenticalInstanceBuilds) {
 }
 
 TEST(Interner, IdLookupsMatchStringLookupsOnCorpusPage) {
-  const web::Corpus corpus = web::Corpus::news_sports(42);
-  const web::PageInstance inst(corpus.pages().front(), test_identity(3));
-  web::Interner& in = inst.interner();
-
-  for (const web::InstanceResource& r : inst.resources()) {
-    // String-keyed and id-keyed template lookup agree.
-    const auto by_string = inst.find_by_url(r.url);
-    const auto by_id = inst.template_of(r.url_id);
-    ASSERT_TRUE(by_string.has_value()) << r.url;
-    ASSERT_TRUE(by_id.has_value()) << r.url;
-    EXPECT_EQ(*by_string, *by_id);
-    EXPECT_EQ(*by_id, r.template_id);
-    // The cached UrlInfo agrees with a fresh parse of the string.
-    const web::UrlInfo& info = in.info(r.url_id);
-    const auto parsed = web::parse_url(r.url);
-    ASSERT_TRUE(parsed.has_value()) << r.url;
-    EXPECT_TRUE(info.parse_ok);
-    EXPECT_EQ(in.domain(info.domain), parsed->domain);
-    EXPECT_EQ(info.resource_id, parsed->resource_id);
-    EXPECT_EQ(info.version, parsed->version);
-    EXPECT_EQ(info.user, parsed->user);
-    EXPECT_EQ(info.processable, browser::Browser::url_processable(r.url));
+  // One page of each class under two devices, users 0 and 1 (personalized
+  // slots carry the user in their URL) and two nonces (per-load slots).
+  std::vector<web::PageModel> pages;
+  for (const web::PageClass cls :
+       {web::PageClass::Top100, web::PageClass::News, web::PageClass::Sports,
+        web::PageClass::Mixed400}) {
+    pages.push_back(web::generate_page(42, 3, cls));
   }
+  int personalized = 0;  // URLs that carry a user
+  for (const web::PageModel& page : pages) {
+    for (const web::DeviceProfile& device : {web::nexus6(), web::nexus10()}) {
+      for (const std::uint32_t user : {0u, 1u}) {
+        for (const std::uint64_t nonce : {3u, 4u}) {
+          web::LoadIdentity ident = test_identity(nonce);
+          ident.device = device;
+          ident.user = user;
+          const web::PageInstance inst(page, ident);
+          web::Interner& in = inst.interner();
+          const std::string where = std::string(web::page_class_name(
+                                        page.page_class())) +
+                                    " " + device.name + " user " +
+                                    std::to_string(user) + " nonce " +
+                                    std::to_string(nonce);
 
-  // A foreign URL interned after build is never mistaken for a resource.
-  const web::UrlId ghost = in.url_id("ghost.example/p9/r99v1u0.js");
-  EXPECT_GE(ghost, inst.size());
-  EXPECT_EQ(inst.template_of(ghost), std::nullopt);
+          for (const web::InstanceResource& r : inst.resources()) {
+            // The bytes are realize_url's.
+            const web::Resource& slot = page.resource(r.template_id);
+            EXPECT_EQ(r.url, web::realize_url(page, slot, ident)) << where;
+            // String-keyed and id-keyed template lookup agree.
+            const auto by_string = inst.find_by_url(r.url);
+            const auto by_id = inst.template_of(r.url_id);
+            ASSERT_TRUE(by_string.has_value()) << r.url;
+            ASSERT_TRUE(by_id.has_value()) << r.url;
+            EXPECT_EQ(*by_string, *by_id);
+            EXPECT_EQ(*by_id, r.template_id);
+            // Every field of the cached UrlInfo equals what interning the
+            // string anew derives from parsing it.
+            const web::UrlInfo& info = in.info(r.url_id);
+            web::Interner fresh;
+            const web::UrlInfo& parsed = fresh.info(fresh.url_id(r.url));
+            EXPECT_TRUE(info.parse_ok) << r.url;
+            EXPECT_EQ(info.parse_ok, parsed.parse_ok) << r.url;
+            EXPECT_EQ(in.domain(info.domain), fresh.domain(parsed.domain))
+                << r.url;
+            EXPECT_EQ(info.type, parsed.type) << r.url;
+            EXPECT_EQ(info.type, slot.type) << r.url;
+            EXPECT_EQ(info.processable, parsed.processable) << r.url;
+            EXPECT_EQ(info.processable,
+                      browser::Browser::url_processable(r.url))
+                << r.url;
+            EXPECT_EQ(info.native_priority, parsed.native_priority) << r.url;
+            EXPECT_EQ(info.resource_id, parsed.resource_id) << r.url;
+            EXPECT_EQ(info.resource_id, r.template_id) << r.url;
+            EXPECT_EQ(info.page_id, parsed.page_id) << r.url;
+            EXPECT_EQ(info.version, parsed.version) << r.url;
+            EXPECT_EQ(info.user, parsed.user) << r.url;
+            if (info.user != 0) ++personalized;
+          }
+
+          // A foreign URL interned after build is never mistaken for a
+          // resource.
+          const web::UrlId ghost = in.url_id("ghost.example/p9/r99v1u0.js");
+          EXPECT_GE(ghost, inst.size());
+          EXPECT_EQ(inst.template_of(ghost), std::nullopt);
+        }
+      }
+    }
+  }
+  EXPECT_GT(personalized, 0);
 }
 
 // Interning is pure bookkeeping: two runs of the same load produce

@@ -132,32 +132,37 @@ TEST(RandomTest, WeightedRespectsZeroWeight) {
 }
 
 TEST(RandomTest, StreamHeadMatchesMt19937_64) {
+  // Outputs 0..400 cross the switch to the full engine at output 156.
   std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0}};
   for (std::uint64_t i = 0; i < 100000; ++i) seeds.push_back(derive_seed(9, i));
   for (const std::uint64_t seed : seeds) {
     std::mt19937_64 engine(seed);
-    Mt64Head head(seed);
-    ASSERT_EQ(head(), engine()) << "seed " << seed;
-    ASSERT_EQ(head(), engine()) << "seed " << seed;
+    Mt64Lazy lazy(seed);
+    for (int k = 0; k <= 400; ++k) {
+      ASSERT_EQ(lazy(), engine()) << "seed " << seed << " output " << k;
+    }
   }
-  Mt64Head head(3);
-  head();
-  head();
-  EXPECT_THROW(head(), std::out_of_range);
 }
 
 TEST(RandomTest, DrawsOverStreamHeadMatchRng) {
-  // The population's trait draws: weighted, then chance, on one stream.
+  // The population's trait draws (weighted, then chance) and a domain's
+  // RTT draw (lognormal, whose normal draw may reject and draw again).
   const std::vector<double> weights = {0.45, 0.30, 0.25};
   for (std::uint64_t user = 0; user < 2000; ++user) {
     const std::uint64_t seed = derive_seed(42, user);
     Rng rng(seed);
-    Mt64Head head(seed);
-    ASSERT_EQ(weighted(head, weights), rng.weighted(weights));
-    ASSERT_EQ(chance(head, 0.55), rng.chance(0.55));
+    Mt64Lazy lazy(seed);
+    ASSERT_EQ(weighted(lazy, weights), rng.weighted(weights));
+    ASSERT_EQ(chance(lazy, 0.55), rng.chance(0.55));
+    // A few streams draw long enough to reach the full engine.
+    const int draws = user < 20 ? 100 : 3;
+    for (int draw = 0; draw < draws; ++draw) {
+      ASSERT_EQ(lognormal(lazy, 55000.0, 0.6), rng.lognormal(55000.0, 0.6))
+          << "seed " << seed;
+    }
   }
-  Mt64Head head(1);
-  EXPECT_THROW(weighted(head, {0.0, 0.0}), std::invalid_argument);
+  Mt64Lazy lazy(1);
+  EXPECT_THROW(weighted(lazy, {0.0, 0.0}), std::invalid_argument);
 }
 
 TEST(RandomTest, ParetoIsCapped) {

@@ -110,6 +110,12 @@ TEST(TraceErrors, RejectsMalformedInput) {
       "res id=0 parent=-1 type=js via=tag off=0 size=1000 domain=x.com "
       "vol=stable period=100 phase=0\n";
   EXPECT_FALSE(page_from_trace(bad_root, &error).has_value());
+  // A domain with a '/' would realize URLs that parse back wrong.
+  const char* slash_domain =
+      "page id=1 class=news first_party=x.com\n"
+      "res id=0 parent=-1 type=html via=tag off=0 size=1000 domain=x.com/a "
+      "vol=stable period=100 phase=0\n";
+  EXPECT_FALSE(page_from_trace(slash_domain, &error).has_value());
   // A token without '=' is not silently skipped.
   const char* stray =
       "page id=1 class=news first_party=x.com\n"

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
@@ -22,6 +23,17 @@ TEST(UrlTest, RoundTrip) {
   EXPECT_EQ(p->version, 42u);
   EXPECT_EQ(p->user, 2u);
   EXPECT_EQ(p->ext, "js");
+
+  // The largest value of every field fills max_url_size exactly.
+  constexpr std::uint32_t kMax32 = 0xffffffffu;
+  constexpr std::uint64_t kMax64 = ~std::uint64_t{0};
+  const std::string longest =
+      make_url("news3.com", kMax32, kMax32, kMax64, kMax32, "woff");
+  EXPECT_EQ(longest.size(), max_url_size("news3.com", "woff"));
+  const auto q = parse_url(longest);
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ(*q, (ParsedUrl{"news3.com", kMax32, kMax32, kMax64, kMax32,
+                           "woff"}));
 }
 
 TEST(UrlTest, NoUserComponentWhenZero) {
