@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Times every figure bench at full corpus size and prints the wall seconds
-# of each binary and of the whole suite. micro_substrate (the
-# google-benchmark harness) is left out. The worker count is the caller's
+# of each binary and of the whole suite. The worker count is the caller's
 # VROOM_JOBS; bench output is discarded.
 #
 #   VROOM_JOBS=4 scripts/time_benches.sh <build_dir>
@@ -16,7 +15,7 @@ unset VROOM_BENCH_PAGES VROOM_TRACE VROOM_OUT_DIR VROOM_METRICS VROOM_PROFILE
 total=0
 for bin in "$build_dir"/bench/*; do
   name="$(basename "$bin")"
-  [[ -f "$bin" && -x "$bin" && "$name" != micro_substrate ]] || continue
+  [[ -f "$bin" && -x "$bin" ]] || continue
   start=$EPOCHREALTIME
   if ! "$bin" > /dev/null 2>&1; then
     echo "error: $name failed" >&2

@@ -4,6 +4,26 @@
 
 namespace vroom::baselines {
 
+void ChainPriorityQueue::push(browser::Browser& b, web::UrlId url,
+                              int priority) {
+  auto it = std::find_if(queue_.begin(), queue_.end(), [&](const Pending& p) {
+    return p.priority < priority;
+  });
+  queue_.insert(it, Pending{url, priority});
+  pump(b);
+}
+
+void ChainPriorityQueue::pump(browser::Browser& b) {
+  while (outstanding_ < max_concurrent_ && !queue_.empty()) {
+    Pending p = queue_.front();
+    queue_.pop_front();
+    if (b.url_complete(p.url) || b.url_outstanding(p.url)) continue;
+    issued_.insert(p.url);
+    ++outstanding_;
+    b.fetch_url(p.url, p.priority, browser::FetchReason::Parser);
+  }
+}
+
 int PolarisScheduler::priority_of(browser::Browser& b, web::UrlId url,
                                   bool processable) const {
   const web::PageModel& model = b.instance().model();
@@ -19,30 +39,15 @@ int PolarisScheduler::priority_of(browser::Browser& b, web::UrlId url,
 
 void PolarisScheduler::on_discovered(browser::Browser& b, web::UrlId url,
                                      bool processable) {
-  if (issued_.count(url) > 0 || b.url_complete(url) || b.url_outstanding(url)) {
+  if (queue_.issued(url) || b.url_complete(url) || b.url_outstanding(url)) {
     return;
   }
-  const int prio = priority_of(b, url, processable);
-  auto it = std::find_if(queue_.begin(), queue_.end(),
-                         [&](const Pending& p) { return p.priority < prio; });
-  queue_.insert(it, Pending{url, prio});
-  pump(b);
+  queue_.push(b, url, priority_of(b, url, processable));
 }
 
 void PolarisScheduler::on_fetch_complete(browser::Browser& b, web::UrlId url) {
-  if (issued_.erase(url) > 0) --outstanding_;
-  pump(b);
-}
-
-void PolarisScheduler::pump(browser::Browser& b) {
-  while (outstanding_ < max_concurrent_ && !queue_.empty()) {
-    Pending p = queue_.front();
-    queue_.pop_front();
-    if (b.url_complete(p.url) || b.url_outstanding(p.url)) continue;
-    issued_.insert(p.url);
-    ++outstanding_;
-    b.fetch_url(p.url, p.priority, browser::FetchReason::Parser);
-  }
+  queue_.complete(url);
+  queue_.pump(b);
 }
 
 }  // namespace vroom::baselines

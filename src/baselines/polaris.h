@@ -16,14 +16,25 @@
 
 namespace vroom::baselines {
 
-class PolarisScheduler : public browser::FetchPolicy {
+// The bounded-parallelism chain-priority queue both Polaris schedulers
+// fetch through: at most `max_concurrent` of its fetches are outstanding,
+// and a queued URL waits behind every URL of equal or higher priority.
+class ChainPriorityQueue {
  public:
-  explicit PolarisScheduler(int max_concurrent = 10)
+  explicit ChainPriorityQueue(int max_concurrent)
       : max_concurrent_(max_concurrent) {}
 
-  void on_discovered(browser::Browser& b, web::UrlId url,
-                     bool processable) override;
-  void on_fetch_complete(browser::Browser& b, web::UrlId url) override;
+  bool issued(web::UrlId url) const { return issued_.count(url) > 0; }
+
+  // Queues `url` ahead of the first entry of lower priority, then pumps.
+  void push(browser::Browser& b, web::UrlId url, int priority);
+  // Frees the slot of a fetch this queue issued; other URLs are ignored.
+  void complete(web::UrlId url) {
+    if (issued_.erase(url) > 0) --outstanding_;
+  }
+  // Issues queued URLs, best first, while slots are free. A URL the
+  // browser already has or is fetching is dropped.
+  void pump(browser::Browser& b);
 
  private:
   struct Pending {
@@ -31,14 +42,25 @@ class PolarisScheduler : public browser::FetchPolicy {
     int priority;
   };
 
-  int priority_of(browser::Browser& b, web::UrlId url,
-                  bool processable) const;
-  void pump(browser::Browser& b);
-
   int max_concurrent_;
   int outstanding_ = 0;
   std::deque<Pending> queue_;
   std::unordered_set<web::UrlId> issued_;
+};
+
+class PolarisScheduler : public browser::FetchPolicy {
+ public:
+  explicit PolarisScheduler(int max_concurrent = 10) : queue_(max_concurrent) {}
+
+  void on_discovered(browser::Browser& b, web::UrlId url,
+                     bool processable) override;
+  void on_fetch_complete(browser::Browser& b, web::UrlId url) override;
+
+ private:
+  int priority_of(browser::Browser& b, web::UrlId url,
+                  bool processable) const;
+
+  ChainPriorityQueue queue_;
 };
 
 }  // namespace vroom::baselines

@@ -1,15 +1,12 @@
 #include "baselines/vroom_polaris.h"
 
-#include <algorithm>
-
 namespace vroom::baselines {
 
 void VroomPolarisScheduler::on_discovered(browser::Browser& b, web::UrlId url,
                                           bool processable) {
   // Resources already covered by hints (or pushes) are in flight; the
   // chain-priority queue is only for what the client discovers itself.
-  if (b.url_complete(url) || b.url_outstanding(url) ||
-      issued_.count(url) > 0) {
+  if (b.url_complete(url) || b.url_outstanding(url) || queue_.issued(url)) {
     // Still let the base class account for pending documents.
     core::VroomClientScheduler::on_discovered(b, url, processable);
     return;
@@ -25,28 +22,14 @@ void VroomPolarisScheduler::on_discovered(browser::Browser& b, web::UrlId url,
       return;
     }
   }
-  auto it = std::find_if(queue_.begin(), queue_.end(),
-                         [&](const Pending& p) { return p.priority < prio; });
-  queue_.insert(it, Pending{url, prio, processable});
-  pump(b);
+  queue_.push(b, url, prio);
 }
 
 void VroomPolarisScheduler::on_fetch_complete(browser::Browser& b,
                                               web::UrlId url) {
-  if (issued_.erase(url) > 0) --outstanding_;
+  queue_.complete(url);
   core::VroomClientScheduler::on_fetch_complete(b, url);
-  pump(b);
-}
-
-void VroomPolarisScheduler::pump(browser::Browser& b) {
-  while (outstanding_ < max_concurrent_ && !queue_.empty()) {
-    Pending p = queue_.front();
-    queue_.pop_front();
-    if (b.url_complete(p.url) || b.url_outstanding(p.url)) continue;
-    issued_.insert(p.url);
-    ++outstanding_;
-    b.fetch_url(p.url, p.priority, browser::FetchReason::Parser);
-  }
+  queue_.pump(b);
 }
 
 }  // namespace vroom::baselines

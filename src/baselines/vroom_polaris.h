@@ -9,9 +9,7 @@
 // crowd the link at the moment hinted high-priority resources arrive.
 #pragma once
 
-#include <deque>
-#include <unordered_set>
-
+#include "baselines/polaris.h"
 #include "core/client_scheduler.h"
 
 namespace vroom::baselines {
@@ -19,25 +17,14 @@ namespace vroom::baselines {
 class VroomPolarisScheduler final : public core::VroomClientScheduler {
  public:
   explicit VroomPolarisScheduler(int max_concurrent_discoveries = 8)
-      : max_concurrent_(max_concurrent_discoveries) {}
+      : queue_(max_concurrent_discoveries) {}
 
   void on_discovered(browser::Browser& b, web::UrlId url,
                      bool processable) override;
   void on_fetch_complete(browser::Browser& b, web::UrlId url) override;
 
  private:
-  struct Pending {
-    web::UrlId url;
-    int priority;
-    bool processable;
-  };
-
-  void pump(browser::Browser& b);
-
-  int max_concurrent_;
-  int outstanding_ = 0;
-  std::deque<Pending> queue_;
-  std::unordered_set<web::UrlId> issued_;
+  ChainPriorityQueue queue_;
 };
 
 }  // namespace vroom::baselines

@@ -4,12 +4,7 @@ namespace vroom::core {
 
 OnlineScan analyze_served_html(const web::PageInstance& instance,
                                std::uint32_t doc_id) {
-  OnlineScan scan;
-  for (const web::ScannedLink& link : web::scan_html(instance, doc_id)) {
-    scan.links.emplace(link.template_id, link.url);
-  }
-  scan.cost = web::scan_cost(instance.resource(doc_id).size);
-  return scan;
+  return OnlineScan{web::scan_html(instance, doc_id)};
 }
 
 }  // namespace vroom::core

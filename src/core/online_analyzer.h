@@ -3,22 +3,20 @@
 // When serving an HTML object, the origin parses it on the fly and returns
 // every URL present in the markup. This catches content flux the hourly
 // offline crawls miss (new stories, rotated modules) with exactly-current
-// URLs, at a modeled serving delay of ~100 ms for a typical front page.
+// URLs, at a modeled serving delay of ~100 ms for a typical front page
+// (web::scan_cost).
 #pragma once
 
-#include <map>
-#include <string>
+#include <vector>
 
-#include "sim/time.h"
 #include "web/html_scanner.h"
 #include "web/page_instance.h"
 
 namespace vroom::core {
 
 struct OnlineScan {
-  // template id -> exact URL as present in the served HTML.
-  std::map<std::uint32_t, std::string> links;
-  sim::Time cost = 0;  // added serving delay
+  // Exact URLs as present in the served HTML, in markup order.
+  std::vector<web::ScannedLink> links;
 };
 
 // Scans the HTML instance being served to the client.

@@ -1,6 +1,6 @@
 #include "core/vroom_provider.h"
 
-#include <map>
+#include <stdexcept>
 
 #include "sim/random.h"
 
@@ -32,21 +32,35 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
   // embedded HTML documents (§4.2).
   const std::vector<std::uint32_t> scope = model.hintable_descendants(doc_id);
 
-  // URL strings are made here, for the scope's slots only.
-  std::map<std::uint32_t, std::string> by_id;
+  // URL strings are made here, for the scope's slots only, in scope
+  // (processing) order.
+  std::vector<std::pair<std::uint32_t, std::string>> ordered;
+  ordered.reserve(scope.size());
   switch (mode) {
     case ResolutionMode::OfflinePlusOnline:
     case ResolutionMode::OfflineOnly: {
       const StableSet& stable =
           offline.stable_set(crawl_now, device, serving_domain, user);
-      for (std::uint32_t id : scope) {
-        if (stable[id]) by_id.emplace(id, slot_url(model, id, *stable[id]));
-      }
+      // Exact URLs from the served markup win over (possibly stale)
+      // crawl-derived URLs for the same slot. The scanned links are the
+      // document's markup children in markup order, which is also their
+      // order within `scope`, so one cursor merges them.
+      OnlineScan scan;
       if (mode == ResolutionMode::OfflinePlusOnline) {
-        // Exact URLs from the served markup win over (possibly stale)
-        // crawl-derived URLs for the same slot.
-        OnlineScan scan = analyze_served_html(served, doc_id);
-        for (auto& [id, url] : scan.links) by_id[id] = url;
+        scan = analyze_served_html(served, doc_id);
+      }
+      auto link = scan.links.begin();
+      for (std::uint32_t id : scope) {
+        if (link != scan.links.end() && link->template_id == id) {
+          ordered.emplace_back(id, std::move(link->url));
+          ++link;
+        } else if (stable[id]) {
+          ordered.emplace_back(id, slot_url(model, id, *stable[id]));
+        }
+      }
+      if (link != scan.links.end()) {
+        throw std::logic_error(
+            "resolve_candidates: markup links out of scope order");
       }
       break;
     }
@@ -69,17 +83,10 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
       const Crawl load =
           offline.crawl(when, device, serving_domain, user, nonce);
       for (std::uint32_t id : scope) {
-        by_id.emplace(id, slot_url(model, id, load[id]));
+        ordered.emplace_back(id, slot_url(model, id, load[id]));
       }
       break;
     }
-  }
-
-  std::vector<std::pair<std::uint32_t, std::string>> ordered;
-  ordered.reserve(by_id.size());
-  for (std::uint32_t id : scope) {  // scope is already in processing order
-    auto it = by_id.find(id);
-    if (it != by_id.end()) ordered.emplace_back(id, std::move(it->second));
   }
   return ordered;
 }

@@ -92,20 +92,18 @@ bool Network::draw_loss() {
   return loss_rng_->chance(config_.loss_rate);
 }
 
-sim::Time Network::rtt(const std::string& domain) {
-  auto it = rtt_cache_.find(domain);
-  if (it != rtt_cache_.end()) return it->second;
+sim::Time Network::rtt(const std::string& domain) const {
+  auto it = rtt_overrides_.find(domain);
+  if (it != rtt_overrides_.end()) return it->second;
   // A few draws of the stream sim::Rng(rtt_seed_, "domain_rtt:" + domain)
   // would make, without seeding its whole engine.
-  sim::Mt64Lazy engine(sim::derive_seed(rtt_seed_, "domain_rtt:" + domain));
+  sim::Mt64Lazy engine(sim::derive_seed(rtt_seed_, "domain_rtt:", domain));
   auto wide_area = static_cast<sim::Time>(
       sim::lognormal(engine, static_cast<double>(config_.domain_rtt_median),
                      config_.domain_rtt_sigma));
   wide_area = std::clamp(wide_area, config_.domain_rtt_min,
                          config_.domain_rtt_max);
-  const sim::Time total = config_.cellular_rtt + wide_area;
-  rtt_cache_.emplace(domain, total);
-  return total;
+  return config_.cellular_rtt + wide_area;
 }
 
 namespace {
@@ -126,8 +124,8 @@ sim::Time Network::rtt(std::uint32_t domain_id, const std::string& domain) {
 }
 
 void Network::set_rtt(const std::string& domain, sim::Time rtt) {
-  rtt_cache_[domain] = rtt;
-  // Drop the id overlay: ids are not recorded against domains here, so the
+  rtt_overrides_[domain] = rtt;
+  // Drop the id memo: ids are not recorded against domains here, so the
   // conservative invalidation is to forget every memoized entry.
   rtt_by_id_.assign(rtt_by_id_.size(), kRttUnset);
 }

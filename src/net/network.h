@@ -84,13 +84,12 @@ class Network {
   Link& uplink() { return uplink_; }
 
   // Full client<->origin RTT for a domain: cellular leg + per-domain wide-area
-  // leg. Deterministic per (seed, domain).
-  sim::Time rtt(const std::string& domain);
+  // leg. Deterministic per (seed, domain): a set_rtt override, else a draw
+  // made again on each call.
+  sim::Time rtt(const std::string& domain) const;
 
-  // Id-keyed overlay on the RTT cache: `domain_id` is the caller's dense
-  // interner id for `domain` (see web/intern.h). The draw stays a pure
-  // function of (seed, domain string) — the id only indexes the memo, so
-  // results are identical to the string path.
+  // The same value, memoized by `domain_id`, the caller's dense interner id
+  // for `domain` (see web/intern.h); 0xffffffff (no id) draws each time.
   sim::Time rtt(std::uint32_t domain_id, const std::string& domain);
 
   // Overrides the drawn RTT (used by tests and by record/replay fidelity
@@ -117,7 +116,7 @@ class Network {
   Link uplink_;
   std::uint64_t rtt_seed_;
   int conn_seq_ = 0;
-  std::map<std::string, sim::Time> rtt_cache_;
+  std::map<std::string, sim::Time> rtt_overrides_;  // set_rtt's
   std::vector<sim::Time> rtt_by_id_;  // kRttUnset where not yet drawn
   // Starts deep in the past: the radio is idle when a session begins.
   sim::Time radio_active_until_ = INT64_MIN / 2;

@@ -48,8 +48,8 @@ class TcpConnection {
   };
 
   // `needs_dns` should be true for the first connection to a domain within a
-  // page load. `domain_id` (an interner id, see web/intern.h) lets the RTT
-  // lookup skip the string map; 0xffffffff means "unknown" and falls back.
+  // page load. `domain_id` (an interner id, see web/intern.h) indexes the
+  // network's RTT memo; 0xffffffff means "unknown" and draws it again.
   TcpConnection(Network& net, std::string domain, bool needs_dns,
                 WriterDiscipline discipline = WriterDiscipline::Ordered,
                 std::uint32_t domain_id = 0xffffffffu);

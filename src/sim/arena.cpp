@@ -59,36 +59,4 @@ void Arena::reset() {
   bytes_used_ = 0;
 }
 
-namespace {
-
-// One pool per thread, mirroring the EventLoop pool: fleet workers never
-// share arenas, and an arena acquired on a thread returns to that thread's
-// pool.
-struct ArenaPool {
-  std::vector<std::unique_ptr<Arena>> free_list;
-
-  Arena* acquire() {
-    if (free_list.empty()) return new Arena();
-    Arena* arena = free_list.back().release();
-    free_list.pop_back();
-    return arena;
-  }
-
-  void release(Arena* arena) {
-    arena->reset();
-    free_list.emplace_back(arena);
-  }
-};
-
-ArenaPool& thread_pool() {
-  thread_local ArenaPool pool;
-  return pool;
-}
-
-}  // namespace
-
-PooledArena::PooledArena() : arena_(thread_pool().acquire()) {}
-
-PooledArena::~PooledArena() { thread_pool().release(arena_); }
-
 }  // namespace vroom::sim

@@ -29,6 +29,8 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/pooled.h"
+
 namespace vroom::sim {
 
 class Arena final : public std::pmr::memory_resource {
@@ -86,25 +88,10 @@ class Arena final : public std::pmr::memory_resource {
   std::size_t bytes_reserved_ = 0;
 };
 
-// Thread-local pool of Arenas: acquire on construction, reset-and-return on
-// destruction — the exact protocol of PooledEventLoop. A fleet worker's
+// A thread-local pooled Arena (sim/pooled.h): a fleet worker's
 // consecutive loads reuse the chunks the first load grew, so steady-state
 // world construction performs zero system allocations for arena-backed
-// state. Reentrant: a nested world (offline resolver crawling inside a live
-// load) acquires a second arena.
-class PooledArena {
- public:
-  PooledArena();
-  ~PooledArena();
-  PooledArena(const PooledArena&) = delete;
-  PooledArena& operator=(const PooledArena&) = delete;
-
-  Arena& operator*() { return *arena_; }
-  Arena* operator->() { return arena_; }
-  Arena* get() { return arena_; }
-
- private:
-  Arena* arena_;
-};
+// state.
+using PooledArena = Pooled<Arena>;
 
 }  // namespace vroom::sim

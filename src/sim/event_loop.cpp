@@ -132,35 +132,4 @@ void EventLoop::reset() {
   recorder_ = nullptr;
 }
 
-namespace {
-
-// One pool per thread: fleet workers never share loops, and a loop acquired
-// on a thread is returned to that thread's pool.
-struct LoopPool {
-  std::vector<std::unique_ptr<EventLoop>> free_list;
-
-  EventLoop* acquire() {
-    if (free_list.empty()) return new EventLoop();
-    EventLoop* loop = free_list.back().release();
-    free_list.pop_back();
-    return loop;
-  }
-
-  void release(EventLoop* loop) {
-    loop->reset();
-    free_list.emplace_back(loop);
-  }
-};
-
-LoopPool& thread_pool() {
-  thread_local LoopPool pool;
-  return pool;
-}
-
-}  // namespace
-
-PooledEventLoop::PooledEventLoop() : loop_(thread_pool().acquire()) {}
-
-PooledEventLoop::~PooledEventLoop() { thread_pool().release(loop_); }
-
 }  // namespace vroom::sim

@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/pooled.h"
 #include "sim/small_fn.h"
 #include "sim/time.h"
 
@@ -231,25 +232,7 @@ class EventLoop {
   std::uint32_t open_lanes_ = 0;
 };
 
-// Thread-local pool of EventLoops: acquire on construction, reset-and-return
-// on destruction. Fleet workers build one simulation world per (page, load)
-// job; pooling lets consecutive jobs on a worker reuse the slab and heap
-// storage the previous load grew. Reentrant — a nested world (e.g. the
-// offline resolver crawling inside a live load) simply acquires a second
-// loop.
-class PooledEventLoop {
- public:
-  PooledEventLoop();
-  ~PooledEventLoop();
-  PooledEventLoop(const PooledEventLoop&) = delete;
-  PooledEventLoop& operator=(const PooledEventLoop&) = delete;
-
-  EventLoop& operator*() { return *loop_; }
-  EventLoop* operator->() { return loop_; }
-  EventLoop* get() { return loop_; }
-
- private:
-  EventLoop* loop_;
-};
+// A thread-local pooled EventLoop (sim/pooled.h).
+using PooledEventLoop = Pooled<EventLoop>;
 
 }  // namespace vroom::sim

@@ -5,8 +5,7 @@
 
 namespace vroom::sim {
 
-std::uint64_t hash64(std::string_view s) {
-  std::uint64_t h = 14695981039346656037ULL;
+std::uint64_t hash64(std::string_view s, std::uint64_t h) {
   for (unsigned char c : s) {
     h ^= c;
     h *= 1099511628211ULL;
@@ -28,6 +27,11 @@ std::uint64_t splitmix64(std::uint64_t z) {
 
 std::uint64_t derive_seed(std::uint64_t root, std::string_view purpose) {
   return splitmix64(root ^ hash64(purpose));
+}
+
+std::uint64_t derive_seed(std::uint64_t root, std::string_view prefix,
+                          std::string_view suffix) {
+  return splitmix64(root ^ hash64(suffix, hash64(prefix)));
 }
 
 std::uint64_t derive_seed(std::uint64_t root, std::uint64_t child) {

@@ -20,10 +20,16 @@
 namespace vroom::sim {
 
 // 64-bit FNV-1a; stable across platforms, good enough for seed derivation.
-std::uint64_t hash64(std::string_view s);
+// `h` continues a hash: hash64(b, hash64(a)) == hash64(a + b).
+std::uint64_t hash64(std::string_view s,
+                     std::uint64_t h = 14695981039346656037ULL);
 
 // Mixes a root seed with a purpose tag into a child seed (splitmix64 finalizer).
 std::uint64_t derive_seed(std::uint64_t root, std::string_view purpose);
+
+// derive_seed(root, prefix + suffix), without building the joined string.
+std::uint64_t derive_seed(std::uint64_t root, std::string_view prefix,
+                          std::string_view suffix);
 
 // Mixes a root seed with a numeric child id (page id, load index, user
 // id). The root passes through the splitmix64 finalizer *before* the

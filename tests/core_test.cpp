@@ -162,8 +162,9 @@ struct StringResolver {
       case ResolutionMode::OfflineOnly:
         by_id = intersection(now, crawl_dev, serving, user);
         if (mode == ResolutionMode::OfflinePlusOnline) {
-          for (const auto& [id, url] : analyze_served_html(served, doc).links) {
-            by_id[id] = url;
+          for (const web::ScannedLink& link :
+               analyze_served_html(served, doc).links) {
+            by_id[link.template_id] = link.url;
           }
         }
         break;
@@ -317,11 +318,12 @@ TEST_F(CoreTest, CrawlDeviceHandlingModes) {
 TEST_F(CoreTest, OnlineScanMatchesMarkup) {
   OnlineScan scan = analyze_served_html(*instance_, 0);
   EXPECT_FALSE(scan.links.empty());
-  EXPECT_GT(scan.cost, sim::ms(10));
-  for (const auto& [rid, url] : scan.links) {
-    EXPECT_EQ(instance_->resource(rid).url, url);
-    EXPECT_EQ(page_.resource(rid).via, web::DiscoveryVia::HtmlTag);
-    EXPECT_EQ(page_.resource(rid).parent, 0);
+  EXPECT_GT(web::scan_cost(instance_->resource(0).size), sim::ms(10));
+  for (const web::ScannedLink& link : scan.links) {
+    EXPECT_EQ(instance_->resource(link.template_id).url, link.url);
+    EXPECT_EQ(page_.resource(link.template_id).via,
+              web::DiscoveryVia::HtmlTag);
+    EXPECT_EQ(page_.resource(link.template_id).parent, 0);
   }
 }
 

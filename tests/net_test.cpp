@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "net/link.h"
 #include "net/network.h"
 #include "net/tcp.h"
+#include "sim/random.h"
+#include "web/intern.h"
+#include "web/page_generator.h"
 
 namespace vroom::net {
 namespace {
@@ -73,6 +79,48 @@ TEST(NetworkTest, SetRttOverrides) {
   Network n(loop, NetworkConfig::lte(), 1);
   n.set_rtt("a.com", sim::ms(80));
   EXPECT_EQ(n.rtt("a.com"), sim::ms(80));
+}
+
+// For every domain of a generated page, the id-memoized RTT equals the
+// string path, and both equal a draw from the stream
+// sim::Rng(seed, "domain_rtt:" + domain). A set_rtt override reaches the id
+// path whether it comes before the domain's first touch or after an id draw.
+TEST(NetTest, RttIdPathMatchesStringPath) {
+  const web::PageModel page = web::generate_page(42, 7, web::PageClass::News);
+  std::set<std::string> domains;
+  for (const web::Resource& r : page.resources()) domains.insert(r.domain);
+  ASSERT_GT(domains.size(), 2u);
+  const NetworkConfig cfg = NetworkConfig::lte();
+  for (const std::uint64_t seed : {1ULL, 42ULL}) {
+    sim::EventLoop loop;
+    Network net(loop, cfg, seed);
+    web::Interner interner;
+    for (const std::string& d : domains) {
+      sim::Rng stream(seed, "domain_rtt:" + d);
+      const auto wide_area = static_cast<sim::Time>(stream.lognormal(
+          static_cast<double>(cfg.domain_rtt_median), cfg.domain_rtt_sigma));
+      const sim::Time expected =
+          cfg.cellular_rtt +
+          std::clamp(wide_area, cfg.domain_rtt_min, cfg.domain_rtt_max);
+      const std::uint32_t id = interner.domain_id(d);
+      EXPECT_EQ(net.rtt(id, d), expected) << d;
+      EXPECT_EQ(net.rtt(id, d), expected) << d;
+      EXPECT_EQ(net.rtt(d), expected) << d;
+    }
+  }
+  sim::EventLoop loop;
+  Network net(loop, cfg, 1);
+  web::Interner interner;
+  const std::string before = *domains.begin();
+  const std::string after = *std::next(domains.begin());
+  net.set_rtt(before, sim::ms(1));
+  EXPECT_EQ(net.rtt(interner.domain_id(before), before), sim::ms(1));
+  const std::uint32_t id = interner.domain_id(after);
+  EXPECT_GT(net.rtt(id, after), cfg.cellular_rtt);
+  net.set_rtt(after, sim::ms(2));
+  EXPECT_EQ(net.rtt(id, after), sim::ms(2));
+  EXPECT_EQ(net.rtt(after), sim::ms(2));
+  EXPECT_EQ(net.rtt(interner.domain_id(before), before), sim::ms(1));
 }
 
 class TcpTest : public ::testing::Test {
