@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "server/replay_store.h"
 #include "sim/arena.h"
@@ -9,6 +10,19 @@
 #include "web/page_instance.h"
 
 namespace vroom::deploy {
+
+namespace {
+
+// A front-end resolves from its crawls only — it never renders the page at
+// serve time, so the online modes make no sense here — and staleness is
+// modelled by snapshot time, not by the provider's hint age.
+FrontEndConfig crawl_only(FrontEndConfig config) {
+  config.provider.mode = core::ResolutionMode::OfflineOnly;
+  config.provider.hint_age = 0;
+  return config;
+}
+
+}  // namespace
 
 const char* hint_source_name(HintSource s) {
   switch (s) {
@@ -20,40 +34,12 @@ const char* hint_source_name(HintSource s) {
   return "?";
 }
 
-FrontEnd::FrontEnd(const web::Corpus& corpus, FrontEndConfig config,
-                   std::uint64_t seed)
-    : corpus_(corpus), config_(std::move(config)), seed_(seed) {
-  // A front-end resolves from its crawls only — it never renders the page
-  // at serve time, so the online modes make no sense here.
-  config_.provider.mode = core::ResolutionMode::OfflineOnly;
-  config_.provider.hint_age = 0;  // staleness is modelled by snapshot time
-  worker_busy_until_.assign(
-      static_cast<std::size_t>(std::max(1, config_.gen_workers)), 0);
-}
+GenerationMemo::GenerationMemo(const web::Corpus& corpus,
+                               FrontEndConfig config, std::uint64_t seed)
+    : corpus_(corpus), config_(crawl_only(std::move(config))), seed_(seed) {}
 
-sim::Time FrontEnd::effective_recrawl_period() const {
-  const auto pages = static_cast<sim::Time>(corpus_.size());
-  return std::max(config_.recrawl_period, pages * config_.crawl_cost);
-}
-
-sim::Time FrontEnd::last_crawl(sim::Time now, int page_index) const {
-  // One crawler cycles the corpus round-robin, spending crawl_cost per
-  // page; it has been running since before the window, so every page has a
-  // well-defined latest crawl (possibly at negative virtual time) and the
-  // window starts with staleness already spread over [0, period).
-  const sim::Time period = effective_recrawl_period();
-  const sim::Time phase = static_cast<sim::Time>(page_index) *
-                          config_.crawl_cost;
-  // Largest phase + k*period <= now, for any integer k (floor division
-  // that is correct for negative numerators too).
-  sim::Time k = (now - phase) / period;
-  if ((now - phase) % period < 0) --k;
-  return phase + k * period;
-}
-
-int FrontEnd::generate(int page_index, const web::DeviceProfile& device,
-                       sim::Time crawl_t) {
-  ++stats_.generations;
+int GenerationMemo::hints(int page_index, const web::DeviceProfile& device,
+                          sim::Time crawl_t) {
   // Memo key over everything the resolution can observe: the page, the
   // snapshot time, and the device's full identity (name and cpu_scale
   // included — cheaper to hash than to prove they cannot matter).
@@ -65,13 +51,29 @@ int FrontEnd::generate(int page_index, const web::DeviceProfile& device,
       fingerprint, static_cast<std::uint64_t>(device.screen * 9 +
                                               device.dpi * 3 + device.width));
   fingerprint = sim::derive_seed(fingerprint, cpu_bits);
-  const std::uint64_t memo_key = sim::derive_seed(
+  const std::uint64_t key = sim::derive_seed(
       sim::derive_seed(static_cast<std::uint64_t>(page_index),
                        static_cast<std::uint64_t>(crawl_t)),
       fingerprint);
-  if (const auto it = memo_.find(memo_key); it != memo_.end()) {
-    return it->second;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (const auto it = counts_.find(key); it != counts_.end()) {
+      return it->second;
+    }
   }
+  const int count = resolve(page_index, device, crawl_t);
+  const std::lock_guard<std::mutex> lock(mu_);
+  counts_.emplace(key, count);
+  return count;
+}
+
+std::size_t GenerationMemo::size() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return counts_.size();
+}
+
+int GenerationMemo::resolve(int page_index, const web::DeviceProfile& device,
+                            sim::Time crawl_t) const {
   const web::PageModel& model =
       corpus_.page(static_cast<std::size_t>(page_index));
   // The crawl's load identity: wall time of the snapshot, the arrival's
@@ -100,9 +102,44 @@ int FrontEnd::generate(int page_index, const web::DeviceProfile& device,
   root.device = device;
   const server::DependencyAdvice advice =
       provider.advise(model.first_party(), root);
-  const int hints = static_cast<int>(advice.hints.hints.size());
-  memo_.emplace(memo_key, hints);
-  return hints;
+  return static_cast<int>(advice.hints.hints.size());
+}
+
+FrontEnd::FrontEnd(const web::Corpus& corpus, FrontEndConfig config,
+                   std::uint64_t seed)
+    : FrontEnd(std::make_shared<GenerationMemo>(corpus, std::move(config),
+                                                seed)) {}
+
+FrontEnd::FrontEnd(std::shared_ptr<GenerationMemo> memo)
+    : memo_(std::move(memo)) {
+  worker_busy_until_.assign(
+      static_cast<std::size_t>(std::max(1, config().gen_workers)), 0);
+}
+
+sim::Time FrontEnd::effective_recrawl_period() const {
+  const auto pages = static_cast<sim::Time>(memo_->corpus().size());
+  return std::max(config().recrawl_period, pages * config().crawl_cost);
+}
+
+sim::Time FrontEnd::last_crawl(sim::Time now, int page_index) const {
+  // One crawler cycles the corpus round-robin, spending crawl_cost per
+  // page; it has been running since before the window, so every page has a
+  // well-defined latest crawl (possibly at negative virtual time) and the
+  // window starts with staleness already spread over [0, period).
+  const sim::Time period = effective_recrawl_period();
+  const sim::Time phase = static_cast<sim::Time>(page_index) *
+                          config().crawl_cost;
+  // Largest phase + k*period <= now, for any integer k (floor division
+  // that is correct for negative numerators too).
+  sim::Time k = (now - phase) / period;
+  if ((now - phase) % period < 0) --k;
+  return phase + k * period;
+}
+
+int FrontEnd::generate(int page_index, const web::DeviceProfile& device,
+                       sim::Time crawl_t) {
+  ++stats_.generations;
+  return memo_->hints(page_index, device, crawl_t);
 }
 
 sim::Time FrontEnd::charge_worker(sim::Time now, sim::Time cost) {
@@ -130,7 +167,7 @@ void FrontEnd::cache_insert(CacheEntry entry) {
   lru_.push_front(entry);
   index_[entry.key] = lru_.begin();
   while (lru_.size() >
-         static_cast<std::size_t>(std::max(1, config_.hint_cache_entries))) {
+         static_cast<std::size_t>(std::max(1, config().hint_cache_entries))) {
     index_.erase(lru_.back().key);
     lru_.pop_back();
   }
@@ -146,8 +183,8 @@ ServeDecision FrontEnd::serve(sim::Time now, int page_index,
       static_cast<std::uint64_t>(page_index),
       static_cast<std::uint64_t>(device.screen * 9 + device.dpi * 3 +
                                  device.width));
-  const std::string page_label =
-      corpus_.page(static_cast<std::size_t>(page_index)).first_party();
+  const std::string& page_label =
+      memo_->corpus().page(static_cast<std::size_t>(page_index)).first_party();
   const auto trace_serve = [&](const char* name, const ServeDecision& d) {
     if (recorder == nullptr) return;
     recorder->instant(
@@ -175,9 +212,9 @@ ServeDecision FrontEnd::serve(sim::Time now, int page_index,
       d.source = HintSource::Stale;
       ++stats_.stale_serves;
       const int hints = generate(page_index, device, snapshot);
-      charge_worker(now, config_.gen_base_cost +
+      charge_worker(now, config().gen_base_cost +
                              static_cast<sim::Time>(hints) *
-                                 config_.gen_per_hint_cost);
+                                 config().gen_per_hint_cost);
       entry->snapshot = snapshot;
       entry->hints = hints;
       trace_serve("fe.stale_serve", d);
@@ -198,17 +235,17 @@ ServeDecision FrontEnd::serve(sim::Time now, int page_index,
         std::max<sim::Time>(0, *std::min_element(worker_busy_until_.begin(),
                                                  worker_busy_until_.end()) -
                                    now);
-    if (queue > config_.serve_deadline) {
+    if (queue > config().serve_deadline) {
       d.source = HintSource::None;
       ++stats_.hintless_serves;
       trace_serve("fe.cache_miss", d);
     } else {
       const int hints = generate(page_index, device, snapshot);
-      const sim::Time cost = config_.gen_base_cost +
+      const sim::Time cost = config().gen_base_cost +
                              static_cast<sim::Time>(hints) *
-                                 config_.gen_per_hint_cost;
+                                 config().gen_per_hint_cost;
       const sim::Time wait = charge_worker(now, cost) + cost;
-      if (wait > config_.serve_deadline) {
+      if (wait > config().serve_deadline) {
         // Generation ran (the entry is still cached for later arrivals)
         // but this page view could not wait for it.
         d.source = HintSource::None;

@@ -16,12 +16,17 @@
 // FrontEnd models all three deterministically on top of the existing
 // core::VroomProvider (generation really resolves the crawl-time instance;
 // the hint count and header bytes are the real advice, not a constant).
+// A front end owns its cache, worker pool and stats; the resolved counts
+// live in a GenerationMemo, its own or one shared by every front end of a
+// deployment scenario (see GenerationMemo).
 // The deployment scenario prices the resulting staleness through the
 // hint_age micro benchmarks (see scenario.h).
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -99,12 +104,63 @@ struct FrontEndStats {
   }
 };
 
+// The hint counts of crawl snapshots, for every front end built on it. A
+// count is the expensive step the cache and the worker pool exist to
+// amortize: resolving a crawl-time instance of the page. It is a pure
+// function of (page, device, snapshot) once the corpus, FrontEndConfig and
+// seed are fixed: the crawl nonce derives from (seed, page, snapshot)
+// alone, so repeat generations of one snapshot rebuild an identical crawl
+// world. The memo therefore owns those three inputs, and a front end built
+// on it takes them from it; front ends sharing one memo (run_deployment's
+// load levels) cannot disagree about a count, and the memo's key (page,
+// snapshot, device) needs nothing else. Only the simulator shortcut is
+// shared: each front end still counts and charges every generation.
+//
+// Thread-safe: lookups and inserts take one mutex, resolutions run outside
+// it. Two racing misses of one key resolve the same count, and the first
+// insert wins.
+class GenerationMemo {
+ public:
+  // `corpus` must outlive the memo. `seed` feeds crawl-nonce derivation
+  // only. The front-end resolves from its crawls only, so the config's
+  // provider is forced to OfflineOnly with no hint age.
+  GenerationMemo(const web::Corpus& corpus, FrontEndConfig config,
+                 std::uint64_t seed);
+
+  // The hint count of (page, device) resolved from the crawl snapshot at
+  // virtual time `crawl_t`.
+  int hints(int page_index, const web::DeviceProfile& device,
+            sim::Time crawl_t);
+
+  // Distinct counts resolved so far.
+  std::size_t size() const;
+
+  const web::Corpus& corpus() const { return corpus_; }
+  const FrontEndConfig& config() const { return config_; }
+
+ private:
+  int resolve(int page_index, const web::DeviceProfile& device,
+              sim::Time crawl_t) const;
+
+  const web::Corpus& corpus_;
+  const FrontEndConfig config_;
+  const std::uint64_t seed_;
+  mutable std::mutex mu_;
+  // Keyed by (page, full device identity, crawl_t); bounded by the
+  // distinct snapshots of the traffic windows served.
+  std::unordered_map<std::uint64_t, int> counts_;
+};
+
 class FrontEnd {
  public:
-  // `corpus` must outlive the front-end. `seed` feeds crawl-nonce
-  // derivation only; all scheduling is deterministic arithmetic.
+  // A front end with a memo of its own. `corpus` must outlive it. `seed`
+  // feeds crawl-nonce derivation only; all scheduling is deterministic
+  // arithmetic.
   FrontEnd(const web::Corpus& corpus, FrontEndConfig config,
            std::uint64_t seed);
+  // A front end on a shared memo, serving the memo's corpus with its
+  // config and seed.
+  explicit FrontEnd(std::shared_ptr<GenerationMemo> memo);
 
   // Serves one page view arriving at virtual time `now`. `recorder` may be
   // nullptr; with one attached, fe.cache_hit / fe.cache_miss /
@@ -122,7 +178,7 @@ class FrontEnd {
   sim::Time effective_recrawl_period() const;
 
   const FrontEndStats& stats() const { return stats_; }
-  const FrontEndConfig& config() const { return config_; }
+  const FrontEndConfig& config() const { return memo_->config(); }
 
  private:
   struct CacheEntry {
@@ -131,18 +187,9 @@ class FrontEnd {
     int hints = 0;
   };
 
-  // Resolves the crawl-snapshot advice for (page, device) at snapshot time
-  // `crawl_t`; returns the hint count. This is the expensive step the
-  // cache and the worker pool exist to amortize.
-  //
-  // The resolved count is a pure function of (page, device, crawl_t): the
-  // crawl nonce derives from (seed, page, crawl_t) alone, so repeat
-  // generations of one snapshot rebuild an identical crawl world. Those
-  // repeats — stale refreshes and evicted-entry re-misses of hot pages —
-  // dominate the deployment macro pass's CPU, so the count is memoized in
-  // `memo_`. Only the simulator shortcut is cached: the *model* still
-  // performs every generation (stats_.generations counts them all, and
-  // callers still charge the worker pool per call).
+  // One model generation of (page, device) at snapshot `crawl_t`: counted
+  // in stats_.generations whether or not the memo already holds its count
+  // (callers charge the worker pool per call too); returns the count.
   int generate(int page_index, const web::DeviceProfile& device,
                sim::Time crawl_t);
 
@@ -153,18 +200,13 @@ class FrontEnd {
   CacheEntry* cache_find(std::uint64_t key);
   void cache_insert(CacheEntry entry);
 
-  const web::Corpus& corpus_;
-  FrontEndConfig config_;
-  std::uint64_t seed_;
+  std::shared_ptr<GenerationMemo> memo_;
   FrontEndStats stats_;
 
   std::vector<sim::Time> worker_busy_until_;
   // LRU: most-recent at front; map points into the list.
   std::list<CacheEntry> lru_;
   std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator> index_;
-  // generate() results keyed by (page, full device identity, crawl_t);
-  // bounded by the distinct snapshots of the traffic window.
-  std::unordered_map<std::uint64_t, int> memo_;
 };
 
 }  // namespace vroom::deploy

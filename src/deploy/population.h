@@ -9,9 +9,12 @@
 // a page within the cache TTL arrives warm). Everything derives from one
 // seed through the sim::derive_seed chain, so the stream is bit-identical
 // on every machine and at any VROOM_JOBS. The expensive per-condition page
-// loads run on the fleet. Each offered-load level builds its own stream in
-// one serial pass on its own task; the pass's cost is a few draws per
-// candidate arrival plus, on a user's first arrival, two trait draws.
+// loads run on the fleet. Each offered-load level builds its own stream
+// serially on its own task, in two passes: one in arrival order (a few
+// draws per candidate arrival, a guide-table step per Zipf draw), one in
+// user order (a stable counting sort, two trait draws per user with
+// arrivals, and a page-indexed last-visit check per arrival). Its scratch
+// lives on the thread's pooled arena.
 #pragma once
 
 #include <cstdint>

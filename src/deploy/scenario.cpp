@@ -112,6 +112,7 @@ struct LevelRun {
   // level order on the assembling thread.
   std::unique_ptr<sim::EventLoop> loop;
   std::unique_ptr<trace::Recorder> recorder;
+  double wall_seconds = 0;  // the level task's, for the phase table
 };
 
 }  // namespace
@@ -282,16 +283,33 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
 
   // --- Macro: one contention pass per offered level, on the pool. ---
   std::vector<LevelRun> runs(cfg.offered_levels.size());
-  const double macro_started = monotonic_seconds();
+  // Every level's front end resolves hint counts through one memo: a count
+  // is a pure function of (page, device, snapshot) under the memo's corpus,
+  // config and seed, which every level shares, so which level resolved a
+  // snapshot first cannot change any level's output.
+  const auto memo = std::make_shared<GenerationMemo>(
+      corpus, cfg.front_end, sim::derive_seed(cfg.seed, "deploy:frontend"));
 
-  fleet::run_tasks(cfg.offered_levels.size(), [&](std::size_t li) {
+  const auto run_level = [&](std::size_t li) {
+    // Per-level macro state lives on a pooled bump arena: the dense link
+    // table and the Link instances themselves (trivially destructible, so
+    // arena placement needs no teardown) are built, replayed through, and
+    // dropped wholesale when the level finishes. It is acquired first, so
+    // the population's scratch takes the thread's next pooled arena, the
+    // one hint generation's crawl worlds reuse after it.
+    sim::PooledArena arena;
     LevelRun& run = runs[li];
     run.bucket_serves.assign(static_cast<std::size_t>(buckets), 0);
     PopulationConfig level_pop = pop;
     level_pop.mean_arrivals_per_sec = cfg.offered_levels[li];
-    const std::vector<Arrival> arrivals = build_population(
-        pages, level_pop,
-        sim::derive_seed(cfg.seed, "deploy:level-" + std::to_string(li)));
+    std::vector<Arrival> arrivals;
+    {
+      const obs::PhaseTimer phase(obs::Phase::Population);
+      arrivals = build_population(
+          pages, level_pop,
+          sim::derive_seed(cfg.seed, "deploy:level-" + std::to_string(li)));
+    }
+    const obs::PhaseTimer phase(obs::Phase::Replay);
 
     run.loop = std::make_unique<sim::EventLoop>();
     sim::EventLoop& loop = *run.loop;
@@ -300,13 +318,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
     }
     trace::Recorder* recorder = run.recorder.get();
 
-    FrontEnd fe(corpus, cfg.front_end,
-                sim::derive_seed(cfg.seed, "deploy:frontend"));
-    // Per-level macro state lives on a pooled bump arena: the dense link
-    // table and the Link instances themselves (trivially destructible, so
-    // arena placement needs no teardown) are built, replayed through, and
-    // dropped wholesale when the level finishes.
-    sim::PooledArena arena;
+    FrontEnd fe(memo);
     std::pmr::vector<net::Link*> links(n_domains, nullptr, arena.get());
     const auto link_for = [&](std::uint32_t domain_id) -> net::Link& {
       net::Link*& slot = links[domain_id];
@@ -364,22 +376,23 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
         const auto tx_bytes = static_cast<std::int64_t>(
             a.warm ? static_cast<double>(bytes) * prof.warm_bytes_frac
                    : static_cast<double>(bytes));
-        if (tx_bytes > 0) {
-          // Emit the transmission's full FIFO story for the macro-trace
-          // auditor: when it joined the queue, when the link actually
-          // started it, and how long it held the link.
-          const sim::Time start = std::max(now, link.busy_until());
-          const sim::Time tx = link.tx_time(tx_bytes);
+        if (tx_bytes <= 0) continue;
+        if (recorder == nullptr) {
           link.enqueue(tx_bytes);
-          if (recorder != nullptr) {
-            recorder->instant(
-                trace::Layer::Deploy, domains.names[domain_id], "tx",
-                "deploy.origin_tx",
-                {trace::arg("enqueue_us", now),
-                 trace::arg("start_us", start), trace::arg("tx_us", tx),
-                 trace::arg("bytes", tx_bytes)});
-          }
+          continue;
         }
+        // Emit the transmission's full FIFO story for the macro-trace
+        // auditor: when it joined the queue, when the link actually
+        // started it, and how long it held the link.
+        const sim::Time start = std::max(now, link.busy_until());
+        const sim::Time tx = link.tx_time(tx_bytes);
+        link.enqueue(tx_bytes);
+        recorder->instant(trace::Layer::Deploy, domains.names[domain_id],
+                          "tx", "deploy.origin_tx",
+                          {trace::arg("enqueue_us", now),
+                           trace::arg("start_us", start),
+                           trace::arg("tx_us", tx),
+                           trace::arg("bytes", tx_bytes)});
       }
 
       const sim::Time plt =
@@ -431,13 +444,10 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
     const std::int64_t completed = level.arrivals - level.timeouts;
     level.served_per_sec =
         window_s > 0 ? static_cast<double>(completed) / window_s : 0.0;
-    // One sort serves both exact percentiles (values unchanged: same
-    // interpolation as the old per-call sorts); the histogram read-back
-    // answers within one log-linear bucket width of them.
-    std::vector<double> sorted_plt = level.plt_seconds;
-    std::sort(sorted_plt.begin(), sorted_plt.end());
-    level.p50_plt_s = harness::percentile_sorted(sorted_plt, 50);
-    level.p99_plt_s = harness::percentile_sorted(sorted_plt, 99);
+    // Exact percentiles by selection; the histogram read-back answers
+    // within one log-linear bucket width of them.
+    level.p50_plt_s = harness::percentile(level.plt_seconds, 50);
+    level.p99_plt_s = harness::percentile(level.plt_seconds, 99);
     level.hist_p50_plt_s = level_hist.percentile(50) / 1e6;
     level.hist_p99_plt_s = level_hist.percentile(99) / 1e6;
     level.mean_origin_wait_s =
@@ -485,8 +495,29 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
                                               0.5));
       }
     }
+  };
+
+  // The macro pass's phase table covers exactly its level tasks (the
+  // fleet's table after run_plan covered the micro pass). Stderr only.
+  obs::set_profiling_enabled(env.profile);
+  if (env.profile) obs::reset_phase_profile();
+  const double macro_started = monotonic_seconds();
+  fleet::run_tasks(cfg.offered_levels.size(), [&](std::size_t li) {
+    const double started = monotonic_seconds();
+    run_level(li);
+    runs[li].wall_seconds = monotonic_seconds() - started;
   });
   report.macro_wall_seconds = monotonic_seconds() - macro_started;
+  if (env.profile) {
+    double level_seconds = 0;
+    for (const LevelRun& run : runs) level_seconds += run.wall_seconds;
+    std::fprintf(stderr, "[deploy] macro pass, %zu load levels\n",
+                 runs.size());
+    std::fputs(obs::format_phase_profile(obs::collect_phase_profile(),
+                                         level_seconds)
+                   .c_str(),
+               stderr);
+  }
 
   // Level-order assembly: reports, bucket-serve totals, and trace sinks
   // leave here exactly as the serial pass produced them.
@@ -504,8 +535,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
     }
   }
 
-  report.effective_recrawl =
-      FrontEnd(corpus, cfg.front_end, cfg.seed).effective_recrawl_period();
+  report.effective_recrawl = FrontEnd(memo).effective_recrawl_period();
 
   // --- Staleness priced against content persistence (Figure 7's axis). ---
   for (std::size_t b = 0; b < micro.ages.size(); ++b) {

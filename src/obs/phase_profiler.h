@@ -1,7 +1,8 @@
 // Wall-clock phase profiler (DESIGN.md §12): where does worker time go?
 //
 // `PhaseTimer` is an RAII span over one of a fixed set of harness phases
-// (world-build, interning, sim, trace flush, export).
+// (world-build, interning, sim, trace flush, export, and the deployment
+// macro pass's population and replay).
 // Spans nest: a nested span's elapsed time is charged to the inner phase
 // and subtracted from the outer one, so phase totals partition wall time
 // instead of double counting. Each thread accumulates into a thread-local
@@ -11,9 +12,10 @@
 //
 // Everything here is wall-clock and therefore nondeterministic: output goes
 // to stderr (VROOM_PROFILE=1 prints the per-run table after each fleet
-// run) and to the wall-plane metrics sidecar — never into frozen virtual
-// -time artifacts. With profiling disabled (the default), a PhaseTimer is
-// one relaxed bool load; the simulated world is identical either way.
+// run and after each deployment macro pass) and to the wall-plane metrics
+// sidecar — never into frozen virtual-time artifacts. With profiling
+// disabled (the default), a PhaseTimer is one relaxed bool load; the
+// simulated world is identical either way.
 //
 // This library is environment-free; harness::Env owns the VROOM_PROFILE
 // knob and the fleet / benches flip set_profiling_enabled from it.
@@ -30,6 +32,8 @@ enum class Phase : std::uint8_t {
   Sim,             // event-loop execution of the load
   TraceFlush,      // recorder counter snapshot + Chrome-trace JSON write
   Export,          // metrics/manifest export at end of run
+  Population,      // deploy macro pass: one level's arrival stream
+  Replay,          // deploy macro pass: one level's front end and links
   kCount,
 };
 

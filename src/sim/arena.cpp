@@ -1,5 +1,6 @@
 #include "sim/arena.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace vroom::sim {
@@ -13,9 +14,16 @@ std::size_t align_up(std::size_t n, std::size_t align) {
 }  // namespace
 
 void Arena::add_chunk(std::size_t bytes) {
-  // Reuse a retained chunk if the next one already fits; otherwise grow
-  // geometrically so a world of any size settles into O(log size) chunks.
-  if (current_ + 1 < chunks_.size() && chunks_[current_ + 1].size >= bytes) {
+  // Reuse the first retained chunk past the current one that fits, moved
+  // up to be next, so a rewound arena replaying the same allocations
+  // (small ones, then a large scratch array, say) never grows; otherwise
+  // grow geometrically so a world of any size settles into O(log size)
+  // chunks.
+  for (std::size_t k = current_ + 1; k < chunks_.size(); ++k) {
+    if (chunks_[k].size < bytes) continue;
+    const auto fit = chunks_.begin() + static_cast<std::ptrdiff_t>(k);
+    std::rotate(chunks_.begin() + static_cast<std::ptrdiff_t>(current_ + 1),
+                fit, fit + 1);
     ++current_;
     offset_ = 0;
     return;
@@ -24,7 +32,10 @@ void Arena::add_chunk(std::size_t bytes) {
   while (size < bytes) size *= 2;
   next_chunk_bytes_ = size * 2;
   Chunk chunk;
-  chunk.data = std::make_unique<char[]>(size);
+  // Not zero-filled: the arena hands out uninitialized memory (a rewound
+  // chunk holds the last world's bytes anyway), and a chunk's untouched
+  // tail, up to half of a doubled chunk, never becomes resident.
+  chunk.data = std::make_unique_for_overwrite<char[]>(size);
   chunk.size = size;
   bytes_reserved_ += size;
   chunks_.push_back(std::move(chunk));

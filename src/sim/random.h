@@ -83,7 +83,10 @@ double lognormal(Engine& engine, double median, double sigma) {
 // regenerates all 312 on its first draw; output k < 156 of a fresh engine,
 // though, only twists seeded words k, k+1 and k+156. So the first draw runs
 // the standard's seeding recurrence ([rand.eng.mers]) to word 156 and each
-// later draw one word further. A stream that reaches output 156 builds the
+// later draw one word further. The recurrence is a chain of dependent
+// multiplies, and the first draw's 156 steps are the cost of a short
+// stream: seed_to keeps the previous word in a register instead of
+// reloading it from the ring. A stream that reaches output 156 builds the
 // full engine once, discards the outputs already drawn and continues from
 // it, so any number of draws (a rejection loop's, say) stays exact.
 class Mt64Lazy {
@@ -97,7 +100,7 @@ class Mt64Lazy {
 
   result_type operator()() {
     if (next_ >= kShift) return from_engine();
-    while (seeded_ <= next_ + kShift) seed_next();
+    if (seeded_ <= next_ + kShift) seed_to(next_ + kShift + 1);
     return twist(next_++);
   }
 
@@ -108,13 +111,19 @@ class Mt64Lazy {
   // seeded for output k+1, takes the place of word k.
   static constexpr std::size_t kWords = kShift + 1;
 
-  void seed_next() {
+  // Seeds words [seeded_, end).
+  void seed_to(std::size_t end) {
     using Mt = std::mt19937_64;
-    const std::uint64_t prev = words_[(seeded_ - 1) % kWords];
-    words_[seeded_ % kWords] = Mt::initialization_multiplier *
-                                   (prev ^ (prev >> (Mt::word_size - 2))) +
-                               seeded_;
-    ++seeded_;
+    std::size_t slot = seeded_ % kWords;
+    std::uint64_t prev = words_[slot == 0 ? kWords - 1 : slot - 1];
+    for (std::size_t i = seeded_; i < end; ++i) {
+      prev = Mt::initialization_multiplier *
+                 (prev ^ (prev >> (Mt::word_size - 2))) +
+             i;
+      words_[slot] = prev;
+      if (++slot == kWords) slot = 0;
+    }
+    seeded_ = end;
   }
   // Output k < kShift from seeded words k, k+1 and k+kShift.
   result_type twist(std::size_t k) const;

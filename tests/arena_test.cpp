@@ -86,6 +86,29 @@ TEST(Arena, ResetRewindsButKeepsChunks) {
   EXPECT_EQ(again, first);
 }
 
+// A world of small allocations leaves small chunks behind; a later world
+// with one large block grows a chunk for it past them. Replaying that
+// world on the rewound arena must reuse the large chunk, not grow again.
+TEST(Arena, ResetReplayReusesLargerRetainedChunk) {
+  constexpr std::size_t kAlign = alignof(std::max_align_t);
+  sim::Arena arena(1024);
+  for (int i = 0; i < 64; ++i) arena.allocate(256, kAlign);
+  ASSERT_GT(arena.chunk_count(), 2u);
+  const auto world = [&arena] {
+    arena.reset();
+    arena.allocate(512, kAlign);
+    arena.allocate(64 * 1024, kAlign);
+  };
+  world();
+  const std::size_t reserved = arena.bytes_reserved();
+  const std::size_t chunks = arena.chunk_count();
+  for (int i = 0; i < 8; ++i) {
+    world();
+    EXPECT_EQ(arena.bytes_reserved(), reserved) << "replay " << i;
+    EXPECT_EQ(arena.chunk_count(), chunks) << "replay " << i;
+  }
+}
+
 TEST(Arena, PmrContainersAllocateFromArena) {
   sim::Arena arena;
   {

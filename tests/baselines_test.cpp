@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -192,6 +194,26 @@ TEST(StatsTest, PercentileInterpolation) {
   EXPECT_DOUBLE_EQ(harness::percentile(v, 25), 2);
   EXPECT_DOUBLE_EQ(harness::median({2, 1}), 1.5);
   EXPECT_DOUBLE_EQ(harness::percentile({}, 50), 0);
+}
+
+// Selection gives exactly the sorted copy's interpolation: seeded vectors
+// of every size up to 257, drawn from few distinct values so most order
+// statistics repeat, at ranks that land on and between them.
+TEST(StatsTest, PercentileMatchesSortedReference) {
+  for (std::size_t n = 1; n <= 257; ++n) {
+    std::mt19937_64 rng(n);
+    std::vector<double> v(n);
+    for (double& x : v) {
+      x = static_cast<double>(rng() % (n / 4 + 2)) * 0.375 - 1.0;
+    }
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 1.0, 25.0, 50.0, 73.3, 99.0, 100.0}) {
+      EXPECT_EQ(harness::percentile(v, p),
+                harness::percentile_sorted(sorted, p))
+          << "n " << n << ", p " << p;
+    }
+  }
 }
 
 TEST(StatsTest, Quartiles) {

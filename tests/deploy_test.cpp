@@ -10,6 +10,8 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,10 +24,13 @@
 #include "browser/cache.h"
 #include "deploy/front_end.h"
 #include "deploy/population.h"
+#include "fleet/fleet.h"
 #include "harness/experiment.h"
 #include "obs/metrics.h"
 #include "scoped_env.h"
+#include "sim/random.h"
 #include "web/corpus.h"
+#include "web/device.h"
 
 namespace vroom {
 namespace {
@@ -238,6 +243,126 @@ TEST(Population, StreamMatchesRecordedDigest) {
   }
 }
 
+// The single-pass generator that drew each user's traits on their first
+// arrival, from a full std::mt19937_64, and kept a std::map revisit table:
+// the definition the two-pass build_population must reproduce. Default
+// diurnal profile only.
+std::vector<deploy::Arrival> reference_population(
+    int num_pages, const deploy::PopulationConfig& cfg, std::uint64_t seed) {
+  const std::vector<deploy::DeviceShare> mix =
+      cfg.device_mix.empty() ? deploy::default_device_mix() : cfg.device_mix;
+  std::vector<double> mix_weights;
+  for (const deploy::DeviceShare& share : mix) {
+    mix_weights.push_back(share.weight);
+  }
+  const std::vector<double> profile = deploy::default_diurnal_profile();
+  double max_mult = 1.0;
+  for (const double v : profile) max_mult = std::max(max_mult, v);
+  const auto hour_of = [&profile](sim::Time t) {
+    return static_cast<std::size_t>((t / sim::hours(1)) %
+                                    static_cast<sim::Time>(profile.size()));
+  };
+  const auto cumulative = [](int n, double skew) {
+    std::vector<double> cum;
+    double total = 0.0;
+    for (const double w : deploy::zipf_weights(n, skew)) {
+      total += w;
+      cum.push_back(total);
+    }
+    return cum;
+  };
+  const std::vector<double> user_cum = cumulative(cfg.users, cfg.user_skew);
+  const std::vector<double> page_cum = cumulative(num_pages, cfg.page_skew);
+  const auto draw = [](const std::vector<double>& cum, sim::Rng& rng) {
+    const double u = rng.uniform(0.0, cum.back());
+    return std::upper_bound(cum.begin(), cum.end(), u) - cum.begin();
+  };
+
+  const std::uint64_t root = sim::derive_seed(seed, "deploy:population");
+  sim::Rng arrival_rng(root, "arrivals");
+  sim::Rng who_rng(root, "users");
+  sim::Rng page_rng(root, "pages");
+  std::map<std::uint32_t, std::pair<std::uint8_t, bool>> traits;
+  std::map<std::pair<std::uint32_t, std::uint16_t>, sim::Time> last_visit;
+  std::vector<deploy::Arrival> arrivals;
+  const double peak_rate = cfg.mean_arrivals_per_sec * max_mult;
+  sim::Time t = 0;
+  while (true) {
+    t += sim::from_seconds(arrival_rng.exponential(1.0 / peak_rate));
+    if (t >= cfg.window) break;
+    if (!arrival_rng.chance(profile[hour_of(t)] / max_mult)) continue;
+    deploy::Arrival a;
+    a.at = t;
+    a.user = static_cast<std::uint32_t>(draw(user_cum, who_rng));
+    a.page = static_cast<std::uint16_t>(draw(page_cum, page_rng));
+    auto it = traits.find(a.user);
+    if (it == traits.end()) {
+      std::mt19937_64 stream(sim::derive_seed(root, std::uint64_t{a.user}));
+      const auto device =
+          static_cast<std::uint8_t>(sim::weighted(stream, mix_weights));
+      const bool cookie = sim::chance(stream, cfg.cookie_frac);
+      it = traits.emplace(a.user, std::make_pair(device, cookie)).first;
+    }
+    a.device = it->second.first;
+    a.cookie = it->second.second;
+    const auto seen = last_visit.find({a.user, a.page});
+    a.warm = seen != last_visit.end() && t - seen->second <= cfg.warm_ttl;
+    last_visit[{a.user, a.page}] = t;
+    arrivals.push_back(a);
+  }
+  return arrivals;
+}
+
+// Every field of every arrival equals the reference's, over corpus sizes,
+// user counts, a one-class and a four-class device mix, two windows, and
+// under each of them every warm TTL (none, one microsecond, the default,
+// longer than the window), with cookie fractions (the draw-free 0 and 1
+// among them) taking turns. Rates keep each window at a few hundred to a
+// few thousand arrivals.
+TEST(Population, MatchesArrivalOrderReference) {
+  const std::vector<deploy::DeviceShare> four = {
+      {web::nexus6(), 0.4},
+      {web::nexus5(), 0.3},
+      {web::nexus10(), 0.2},
+      {web::galaxy_tab(), 0.1}};
+  const std::vector<deploy::DeviceShare> one = {{web::oneplus3(), 1.0}};
+  const double cookie_fracs[] = {0.0, 0.55, 1.0};
+  std::uint64_t seed = 0;
+  int compared = 0;
+  for (const sim::Time window : {sim::minutes(30), sim::hours(24)}) {
+    const sim::Time ttls[] = {0, 1, sim::hours(12), window + sim::hours(1)};
+    for (const int pages : {1, 2, 30, 300}) {
+      for (const int users : {1, 3, 1000, 100000}) {
+        for (const auto* mix : {&one, &four}) {
+          for (int i = 0; i < 4; ++i) {
+            deploy::PopulationConfig cfg;
+            cfg.window = window;
+            cfg.mean_arrivals_per_sec = window == sim::hours(24) ? 0.02 : 0.5;
+            cfg.users = users;
+            cfg.warm_ttl = ttls[i];
+            cfg.cookie_frac = cookie_fracs[i % 3];
+            cfg.device_mix = *mix;
+            ++seed;
+            const auto got = deploy::build_population(pages, cfg, seed);
+            const auto want = reference_population(pages, cfg, seed);
+            ASSERT_FALSE(want.empty());
+            ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+            for (std::size_t j = 0; j < want.size(); ++j) {
+              ASSERT_TRUE(got[j] == want[j])
+                  << "seed " << seed << " arrival " << j << ": pages "
+                  << pages << ", users " << users << ", ttl " << cfg.warm_ttl
+                  << ", cookie " << cfg.cookie_frac << ", " << mix->size()
+                  << " devices";
+            }
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 2 * 4 * 4 * 2 * 4);
+}
+
 TEST(FrontEnd, CachesHitsAndTracksStaleness) {
   const web::Corpus corpus = web::Corpus::smoke(42, 4);
   deploy::FrontEndConfig cfg;
@@ -277,6 +402,101 @@ TEST(FrontEnd, CachesHitsAndTracksStaleness) {
   EXPECT_EQ(fe.stats().serves, 5);
   EXPECT_EQ(fe.stats().stale_serves, 1);
   EXPECT_GT(fe.stats().hit_ratio(), 0.5);
+}
+
+// Front ends sharing one generation memo serve exactly what front ends
+// with memos of their own serve, whether they take turns on one thread or
+// run on two at once (the TSAN selection runs this suite).
+TEST(FrontEnd, SharedMemoMatchesPrivateMemos) {
+  const web::Corpus corpus = web::Corpus::smoke(42, 4);
+  const deploy::FrontEndConfig cfg;
+  constexpr std::uint64_t kSeed = 42;
+  deploy::PopulationConfig pop;
+  pop.users = 300;
+  pop.window = sim::hours(6);  // six recrawls of every page
+  pop.mean_arrivals_per_sec = 0.05;
+  pop.device_mix = deploy::default_device_mix();
+  const std::vector<std::vector<deploy::Arrival>> streams = {
+      deploy::build_population(4, pop, 1),
+      deploy::build_population(4, pop, 2)};
+  ASSERT_FALSE(streams[0].empty());
+  ASSERT_FALSE(streams[1].empty());
+
+  using Decisions = std::vector<deploy::ServeDecision>;
+  const auto serve = [&pop](deploy::FrontEnd& fe, const deploy::Arrival& a) {
+    return fe.serve(a.at, a.page, pop.device_mix[a.device].device);
+  };
+  std::vector<Decisions> want(2);
+  std::vector<deploy::FrontEndStats> want_stats;
+  std::size_t private_counts = 0;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const auto memo =
+        std::make_shared<deploy::GenerationMemo>(corpus, cfg, kSeed);
+    deploy::FrontEnd fe(memo);
+    for (const deploy::Arrival& a : streams[k]) {
+      want[k].push_back(serve(fe, a));
+    }
+    want_stats.push_back(fe.stats());
+    private_counts += memo->size();
+  }
+  const auto expect_same = [&](const std::vector<Decisions>& got,
+                               const deploy::FrontEnd& fe0,
+                               const deploy::FrontEnd& fe1, const char* how) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      ASSERT_EQ(got[k].size(), want[k].size()) << how;
+      for (std::size_t i = 0; i < want[k].size(); ++i) {
+        const deploy::ServeDecision& g = got[k][i];
+        const deploy::ServeDecision& w = want[k][i];
+        EXPECT_TRUE(g.source == w.source && g.cache_hit == w.cache_hit &&
+                    g.queue_wait == w.queue_wait &&
+                    g.staleness == w.staleness && g.hints == w.hints)
+            << how << ": stream " << k << " serve " << i;
+      }
+      const deploy::FrontEndStats& g = (k == 0 ? fe0 : fe1).stats();
+      const deploy::FrontEndStats& w = want_stats[k];
+      EXPECT_EQ(g.serves, w.serves) << how;
+      EXPECT_EQ(g.cache_hits, w.cache_hits) << how;
+      EXPECT_EQ(g.cache_misses, w.cache_misses) << how;
+      EXPECT_EQ(g.stale_serves, w.stale_serves) << how;
+      EXPECT_EQ(g.hintless_serves, w.hintless_serves) << how;
+      EXPECT_EQ(g.generations, w.generations) << how;
+      EXPECT_EQ(g.total_queue_wait, w.total_queue_wait) << how;
+      EXPECT_EQ(g.total_staleness, w.total_staleness) << how;
+    }
+  };
+
+  {
+    const auto shared =
+        std::make_shared<deploy::GenerationMemo>(corpus, cfg, kSeed);
+    deploy::FrontEnd fe0(shared);
+    deploy::FrontEnd fe1(shared);
+    std::vector<Decisions> got(2);
+    for (std::size_t i = 0;
+         i < std::max(streams[0].size(), streams[1].size()); ++i) {
+      if (i < streams[0].size()) got[0].push_back(serve(fe0, streams[0][i]));
+      if (i < streams[1].size()) got[1].push_back(serve(fe1, streams[1][i]));
+    }
+    expect_same(got, fe0, fe1, "interleaved");
+    EXPECT_LT(shared->size(), private_counts)
+        << "the two front ends never reused each other's counts";
+  }
+  {
+    const auto shared =
+        std::make_shared<deploy::GenerationMemo>(corpus, cfg, kSeed);
+    deploy::FrontEnd fe0(shared);
+    deploy::FrontEnd fe1(shared);
+    std::vector<Decisions> got(2);
+    fleet::run_tasks(
+        2,
+        [&](std::size_t k) {
+          deploy::FrontEnd& fe = k == 0 ? fe0 : fe1;
+          for (const deploy::Arrival& a : streams[k]) {
+            got[k].push_back(serve(fe, a));
+          }
+        },
+        2);
+    expect_same(got, fe0, fe1, "concurrent");
+  }
 }
 
 TEST(FrontEnd, SaturatedGenerationQueueServesHintless) {

@@ -318,6 +318,33 @@ TEST(PhaseProfiler, AttributesNestedSpansAsSelfTime) {
   EXPECT_NE(table.find("coverage"), std::string::npos);
 }
 
+// The deployment macro pass's level task: a population span, then a
+// replay span over the rest of the task. Both land in their own rows.
+TEST(PhaseProfiler, MacroPassPhasesHaveTheirOwnRows) {
+  obs::set_profiling_enabled(true);
+  obs::reset_phase_profile();
+  {
+    {
+      obs::PhaseTimer population(obs::Phase::Population);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    obs::PhaseTimer replay(obs::Phase::Replay);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const obs::PhaseProfile profile = obs::collect_phase_profile();
+  obs::set_profiling_enabled(false);
+  for (const obs::Phase phase : {obs::Phase::Population, obs::Phase::Replay}) {
+    const int p = static_cast<int>(phase);
+    EXPECT_GT(profile.seconds[p], 0.0) << obs::phase_name(phase);
+    EXPECT_EQ(profile.spans[p], 1) << obs::phase_name(phase);
+  }
+  EXPECT_EQ(profile.spans[static_cast<int>(obs::Phase::Sim)], 0);
+  const std::string table =
+      obs::format_phase_profile(profile, profile.total_seconds());
+  EXPECT_NE(table.find("population"), std::string::npos) << table;
+  EXPECT_NE(table.find("replay"), std::string::npos) << table;
+}
+
 TEST(PhaseProfiler, DisabledTimersRecordNothing) {
   obs::set_profiling_enabled(false);
   obs::reset_phase_profile();
