@@ -11,8 +11,7 @@ int main() {
   using namespace vroom;
   bench::banner("Ablations", "Vroom design-choice sensitivity");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
   std::vector<baselines::Strategy> grid;
   grid.push_back(baselines::vroom());  // shared baseline (blocks 1 and 2)

@@ -29,8 +29,7 @@ void sweep(const char* label, const net::NetworkConfig& cfg,
 int main() {
   bench::banner("Ablation: network conditions",
                 "access-network sensitivity of Vroom's gains");
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
   sweep("WiFi (40 Mbps, 10 ms)", net::NetworkConfig::wifi(), ns);
   sweep("LTE, good signal (paper setting)", net::NetworkConfig::lte(), ns);

@@ -2,11 +2,9 @@
 //
 // Every bench prints the same rows/series as the corresponding figure in the
 // paper (shape reproduction; absolute values come from the simulated device
-// and link, see EXPERIMENTS.md). Set VROOM_BENCH_PAGES=<n> to cap the
-// corpora a bench builds for quick runs (harness::capped, applied where the
-// corpus is built; sweeps run every page they are given) and VROOM_JOBS=<n>
-// to size the worker pool (results are bit-identical for any worker count;
-// fleet telemetry goes to stderr).
+// and link, see EXPERIMENTS.md). Every bench simulates its whole corpus.
+// Set VROOM_JOBS=<n> to size the worker pool (results are bit-identical
+// for any worker count; fleet telemetry goes to stderr).
 //
 // Corpus sweeps run their entire (corpus × strategy) grid through one
 // fleet::SweepPlan pool — multi-corpus grids included — so no strategy or

@@ -11,8 +11,7 @@ int main() {
   using namespace vroom;
   bench::banner("AMP comparison", "legacy vs AMP-transformed pages");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
   web::Corpus amp("amp", bench::kSeed);
   for (const web::PageModel& page : ns.pages()) {
     amp.add_page(web::amp_transform(page));

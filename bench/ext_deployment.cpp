@@ -15,9 +15,7 @@ int main() {
   bench::banner("Deployment scale",
                 "population traffic against one shared Vroom front-end");
 
-  const int pages = harness::effective_page_count(20);
-  const web::Corpus corpus =
-      web::Corpus::mixed400_sample(bench::kSeed, pages);
+  const web::Corpus corpus = web::Corpus::mixed400_sample(bench::kSeed, 20);
 
   deploy::ScenarioConfig cfg;
   cfg.seed = bench::kSeed;

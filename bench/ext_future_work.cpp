@@ -18,11 +18,8 @@ int main() {
 
   // 1. Vroom + Polaris, including the tail the paper highlights.
   {
-    // Only this sweep is capped: §3 samples every fourth page of the full
-    // corpus.
-    const web::Corpus swept = harness::capped(ns);
     const auto results = bench::run_matrix(
-        swept,
+        ns,
         {baselines::vroom(), baselines::vroom_plus_polaris(),
          baselines::polaris()},
         opt);
@@ -35,8 +32,7 @@ int main() {
   // 2. Cross-page offline resolution (§7).
   {
     std::vector<double> own, shared, none;
-    const int sites = harness::effective_page_count(30);
-    for (int s = 0; s < sites; ++s) {
+    for (int s = 0; s < 30; ++s) {
       auto pages = web::generate_site_pages(
           bench::kSeed, static_cast<std::uint32_t>(s), web::PageClass::News,
           4);
@@ -61,8 +57,7 @@ int main() {
   // 3. WProf critical-path decomposition.
   {
     std::vector<double> h2_net, vr_net;
-    const int n = harness::effective_page_count(24);
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < 24; ++i) {
       const auto& page = ns.page(static_cast<std::size_t>(i * 4));
       web::LoadIdentity id;
       id.wall_time = opt.when;

@@ -8,9 +8,8 @@ int main() {
   bench::banner("Figure 1", "PLT on today's mobile web (status quo)");
   const harness::RunOptions opt = bench::default_options();
 
-  const web::Corpus top = harness::capped(web::Corpus::top100(bench::kSeed));
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus top = web::Corpus::top100(bench::kSeed);
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
   const baselines::Strategy today = baselines::http11();
 
   // Both corpora ride one SweepPlan pool rather than sweeping back-to-back.

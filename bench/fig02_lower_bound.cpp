@@ -10,8 +10,7 @@ int main() {
   using namespace vroom;
   bench::banner("Figure 2", "lower bounds from full CPU/network utilization");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
   const auto results = bench::run_matrix(
       ns,

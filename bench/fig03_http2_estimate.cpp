@@ -7,8 +7,7 @@ int main() {
   using namespace vroom;
   bench::banner("Figure 3", "HTTP/2 adoption estimate");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
   harness::print_cdf_table(
       "Page Load Time", "seconds",

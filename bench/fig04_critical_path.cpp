@@ -7,8 +7,7 @@ int main() {
   using namespace vroom;
   bench::banner("Figure 4", "critical-path time waiting on the network");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
   const auto results = bench::run_matrix(
       ns, {baselines::http2_baseline(), baselines::vroom()}, opt);

@@ -7,7 +7,7 @@
 int main() {
   using namespace vroom;
   bench::banner("Figure 7", "resource persistence over time");
-  const web::Corpus top = harness::capped(web::Corpus::top100(bench::kSeed));
+  const web::Corpus top = web::Corpus::top100(bench::kSeed);
 
   std::vector<double> hour, day, week;
   for (const web::PageModel& p : top.pages()) {

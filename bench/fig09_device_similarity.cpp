@@ -7,7 +7,7 @@
 int main() {
   using namespace vroom;
   bench::banner("Figure 9", "stable-set similarity across devices");
-  const web::Corpus top = harness::capped(web::Corpus::top100(bench::kSeed));
+  const web::Corpus top = web::Corpus::top100(bench::kSeed);
 
   std::vector<double> oneplus, tablet, nexus5;
   for (const web::PageModel& p : top.pages()) {

@@ -10,10 +10,8 @@ int main() {
   using namespace vroom;
   bench::banner("Figure 13", "PLT / AFT / Speed Index, headline comparison");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
-  const web::Corpus mixed =
-      harness::capped(web::Corpus::mixed400_sample(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
+  const web::Corpus mixed = web::Corpus::mixed400_sample(bench::kSeed);
 
   // The full figure grid — every News+Sports series (including the §6.1
   // first-party-only run) plus the Mixed-400 §6.1 pair — rides one

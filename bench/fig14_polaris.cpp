@@ -6,8 +6,7 @@ int main() {
   using namespace vroom;
   bench::banner("Figure 14", "Vroom vs Polaris");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
   // Both strategies share one fleet queue so neither serializes behind the
   // other.

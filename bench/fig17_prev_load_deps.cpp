@@ -6,8 +6,7 @@ int main() {
   using namespace vroom;
   bench::banner("Figure 17", "utility of accurate dependency inference");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
   // One fleet matrix covers the lower bounds and every plotted series.
   const auto results = bench::run_matrix(

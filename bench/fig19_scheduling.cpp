@@ -7,8 +7,7 @@ int main() {
   using namespace vroom;
   bench::banner("Figure 19", "utility of cooperative request scheduling");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
 
   const auto results = bench::run_matrix(
       ns,

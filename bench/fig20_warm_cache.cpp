@@ -6,8 +6,7 @@ int main() {
   using namespace vroom;
   bench::banner("Figure 20", "warm-cache repeat loads");
   const harness::RunOptions opt = bench::default_options();
-  const web::Corpus ns =
-      harness::capped(web::Corpus::news_sports(bench::kSeed));
+  const web::Corpus ns = web::Corpus::news_sports(bench::kSeed);
   const std::size_t n = ns.size();
 
   const struct {

@@ -9,8 +9,7 @@
 int main() {
   using namespace vroom;
   bench::banner("Figure 21", "server-side dependency-resolution accuracy");
-  const web::Corpus acc =
-      harness::capped(web::Corpus::accuracy_set(bench::kSeed));
+  const web::Corpus acc = web::Corpus::accuracy_set(bench::kSeed);
   const core::OfflineConfig off;
   constexpr core::ResolutionMode modes[] = {
       core::ResolutionMode::OfflinePlusOnline,

@@ -4,11 +4,10 @@
 //
 //   $ ./example_deployment_scale
 //
-// Knobs: VROOM_BENCH_PAGES caps the corpus this program generates,
-// VROOM_JOBS sizes the worker pool (stdout and CSV are bit-identical for
-// any worker count), VROOM_OUT_DIR exports the tables as CSV, VROOM_TRACE
-// writes one Chrome-trace JSON per load level with the front-end's
-// cache/stale/recrawl events.
+// Knobs: VROOM_JOBS sizes the worker pool (stdout and CSV are
+// bit-identical for any worker count), VROOM_OUT_DIR exports the tables as
+// CSV, VROOM_TRACE writes one Chrome-trace JSON per load level with the
+// front-end's cache/stale/recrawl events.
 #include <cstdio>
 #include <string>
 
@@ -21,9 +20,8 @@
 int main() {
   using namespace vroom;
   constexpr std::uint64_t kSeed = 42;
-
-  const int pages = harness::effective_page_count(30);
-  const web::Corpus corpus = web::Corpus::mixed400_sample(kSeed, pages);
+  constexpr int kPages = 30;
+  const web::Corpus corpus = web::Corpus::mixed400_sample(kSeed, kPages);
 
   deploy::ScenarioConfig cfg;
   cfg.seed = kSeed;
@@ -36,7 +34,7 @@ int main() {
     };
   }
 
-  std::printf("Deployment-scale simulation: %d pages, %d users\n", pages,
+  std::printf("Deployment-scale simulation: %d pages, %d users\n", kPages,
               cfg.population.users);
   const deploy::DeploymentReport report =
       deploy::run_deployment(corpus, cfg);

@@ -11,8 +11,7 @@
 // Numeric flags must parse whole and in range: --pages and --loads at least
 // 1, --seed a uint64, --loss in [0, 1), --rrc at least 0 ms. Anything else
 // prints the usage line and exits with status 2. The page set is exactly
-// --pages pages (VROOM_BENCH_PAGES does not apply), swept on VROOM_JOBS
-// workers.
+// --pages pages, swept on VROOM_JOBS workers.
 //
 // Examples:
 //   vroom_cli --class news --pages 25 --strategy vroom --strategy http2

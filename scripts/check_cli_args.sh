@@ -9,7 +9,7 @@ set -uo pipefail
 
 cli="${1:?usage: check_cli_args.sh <example_vroom_cli> <example_incremental_deployment>}"
 incremental="${2:?usage: check_cli_args.sh <example_vroom_cli> <example_incremental_deployment>}"
-unset VROOM_BENCH_PAGES VROOM_TRACE VROOM_OUT_DIR VROOM_METRICS
+unset VROOM_TRACE VROOM_OUT_DIR VROOM_METRICS
 failed=0
 
 expect() {  # expect <status> <binary> <args...>

@@ -212,15 +212,15 @@ std::vector<Arrival> build_population(int num_pages,
     by_user[group_end[arrivals[i].user]++] = static_cast<std::uint32_t>(i);
   }
 
-  // Per-user traits are a pure function of (root, user), so drawing them
-  // in user order gives each user the device and cookie a draw on their
-  // first arrival would: the device and cookie draws of the stream
-  // std::mt19937_64(derive_seed(root, user)), whose first two words
-  // Mt64Lazy yields without building the engine. Only users with arrivals
-  // draw. An arrival is warm when the same user's previous visit to the
-  // page, in time order within the user's group, is at most warm_ttl
-  // before it; the page-indexed table holds the last visit and the user it
-  // belongs to, so no user's visits leak into the next group.
+  // A user's device is a pure function of (root, user), so drawing it in
+  // user order gives each user the device a draw on their first arrival
+  // would: the first draw of std::mt19937_64(derive_seed(root, user)),
+  // whose first word Mt64Lazy yields without building the engine. Only
+  // users with arrivals draw. An arrival is warm when the same user's
+  // previous visit to the page, in time order within the user's group, is
+  // at most warm_ttl before it; the page-indexed table holds the last
+  // visit and the user it belongs to, so no user's visits leak into the
+  // next group.
   struct LastVisit {
     std::uint32_t user = std::numeric_limits<std::uint32_t>::max();  // none
     sim::Time at = 0;
@@ -234,11 +234,9 @@ std::vector<Arrival> build_population(int num_pages,
     sim::Mt64Lazy stream(sim::derive_seed(root, std::uint64_t{u}));
     const auto device =
         static_cast<std::uint8_t>(sim::weighted(stream, mix_weights));
-    const bool cookie = sim::chance(stream, cfg.cookie_frac);
     for (std::uint32_t j = begin; j < end; ++j) {
       Arrival& a = arrivals[by_user[j]];
       a.device = device;
-      a.cookie = cookie;
       LastVisit& last = last_visit[a.page];
       a.warm = last.user == u && a.at - last.at <= cfg.warm_ttl;
       last = LastVisit{u, a.at};

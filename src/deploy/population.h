@@ -2,17 +2,17 @@
 //
 // Turns "millions of users against a shared Vroom front-end" into a
 // deterministic arrival stream: every arrival carries a user, a page, a
-// device class, a cookie flag and a warm-cache flag. The process is a
-// non-homogeneous Poisson process (thinning against a diurnal rate
-// profile), user activity and page popularity are Zipf-distributed, and
-// warm-cache arrivals emerge from the revisit history (a user returning to
-// a page within the cache TTL arrives warm). Everything derives from one
+// device class and a warm-cache flag. The process is a non-homogeneous
+// Poisson process (thinning against a diurnal rate profile), user activity
+// and page popularity are Zipf-distributed, and warm-cache arrivals emerge
+// from the revisit history (a user returning to a page within the cache
+// TTL arrives warm). Everything derives from one
 // seed through the sim::derive_seed chain, so the stream is bit-identical
 // on every machine and at any VROOM_JOBS. The expensive per-condition page
 // loads run on the fleet. Each offered-load level builds its own stream
 // serially on its own task, in two passes: one in arrival order (a few
 // draws per candidate arrival, a guide-table step per Zipf draw), one in
-// user order (a stable counting sort, two trait draws per user with
+// user order (a stable counting sort, one device draw per user with
 // arrivals, and a page-indexed last-visit check per arrival). Its scratch
 // lives on the thread's pooled arena.
 #pragma once
@@ -38,7 +38,6 @@ struct PopulationConfig {
   int users = 100000;          // distinct users behind the arrival stream
   double user_skew = 0.8;      // Zipf exponent of per-user activity
   double page_skew = 0.9;      // Zipf exponent of page popularity
-  double cookie_frac = 0.55;   // fraction of users that send a login cookie
   sim::Time window = sim::hours(24);   // traffic window length
   double mean_arrivals_per_sec = 1.0;  // time-averaged offered load
   // Rate multiplier per hour of day, cycled over the window. build_population
@@ -70,12 +69,11 @@ struct Arrival {
   std::uint32_t user = 0;
   std::uint16_t page = 0;      // corpus page index
   std::uint8_t device = 0;     // index into the device mix
-  bool cookie = false;
   bool warm = false;           // revisit within warm_ttl => warm cache
 
   bool operator==(const Arrival& o) const {
     return at == o.at && user == o.user && page == o.page &&
-           device == o.device && cookie == o.cookie && warm == o.warm;
+           device == o.device && warm == o.warm;
   }
 };
 
@@ -83,7 +81,7 @@ struct Arrival {
 // Deterministic in (num_pages, cfg, seed) only. Throws
 // std::invalid_argument for more than 65,536 pages or 256 device classes
 // (the widths of Arrival::page and Arrival::device), for a malformed
-// diurnal profile, and (from the first trait draw) for device weights with
+// diurnal profile, and (from the first device draw) for device weights with
 // a non-positive total.
 std::vector<Arrival> build_population(int num_pages,
                                       const PopulationConfig& cfg,

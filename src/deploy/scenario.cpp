@@ -260,25 +260,22 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
               return domains.names[a] < domains.names[b];
             });
 
-  // --- Origin link rate: configured, or auto-sized to cross capacity. ---
+  // --- Origin link rate: sized to cross capacity at the top level. ---
   const std::vector<double> weights = page_weights(pages, pop.page_skew);
-  double link_bps = cfg.origin_link_bps;
-  if (link_bps <= 0) {
-    const double top_level =
-        *std::max_element(cfg.offered_levels.begin(),
-                          cfg.offered_levels.end());
-    std::vector<double> demand(n_domains, 0.0);  // bytes/sec per origin
-    for (int p = 0; p < pages; ++p) {
-      for (const auto& [domain_id, bytes] :
-           profiles[static_cast<std::size_t>(p)].domain_bytes) {
-        demand[domain_id] += top_level * weights[static_cast<std::size_t>(p)] *
-                             static_cast<double>(bytes);
-      }
+  const double top_level =
+      *std::max_element(cfg.offered_levels.begin(), cfg.offered_levels.end());
+  std::vector<double> demand(n_domains, 0.0);  // bytes/sec per origin
+  for (int p = 0; p < pages; ++p) {
+    for (const auto& [domain_id, bytes] :
+         profiles[static_cast<std::size_t>(p)].domain_bytes) {
+      demand[domain_id] += top_level * weights[static_cast<std::size_t>(p)] *
+                           static_cast<double>(bytes);
     }
-    double hottest = 0;
-    for (const double bps : demand) hottest = std::max(hottest, bps);
-    link_bps = std::max(1.0, cfg.origin_capacity_frac * hottest * 8.0);
   }
+  double hottest = 0;
+  for (const double bps : demand) hottest = std::max(hottest, bps);
+  const double link_bps =
+      std::max(1.0, cfg.origin_capacity_frac * hottest * 8.0);
   report.origin_link_mbps = link_bps / 1e6;
 
   // --- Macro: one contention pass per offered level, on the pool. ---
@@ -286,9 +283,13 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   // Every level's front end resolves hint counts through one memo: a count
   // is a pure function of (page, device, snapshot) under the memo's corpus,
   // config and seed, which every level shares, so which level resolved a
-  // snapshot first cannot change any level's output.
+  // snapshot first cannot change any level's output. Its crawls run on the
+  // micro loads' clock.
+  FrontEndConfig front_end = cfg.front_end;
+  front_end.day0 = cfg.micro.when;
   const auto memo = std::make_shared<GenerationMemo>(
-      corpus, cfg.front_end, sim::derive_seed(cfg.seed, "deploy:frontend"));
+      corpus, std::move(front_end),
+      sim::derive_seed(cfg.seed, "deploy:frontend"));
 
   const auto run_level = [&](std::size_t li) {
     // Per-level macro state lives on a pooled bump arena: the dense link

@@ -62,17 +62,18 @@ struct ScenarioConfig {
   // Gap of the warm-cache micro column (prime, then revisit this long
   // after).
   sim::Time revisit_gap = sim::hours(1);
-  // Per-origin access-link rate. 0 = auto-size to `origin_capacity_frac`
-  // of the hottest origin's offered demand at the *top* load level, which
-  // guarantees the sweep crosses capacity (the regime the scenario
-  // exists to show).
-  double origin_link_bps = 0;
+  // Per-origin access-link rate, as this fraction of the hottest origin's
+  // offered demand at the *top* load level, which guarantees the sweep
+  // crosses capacity (the regime the scenario exists to show).
   double origin_capacity_frac = 0.6;
 
   PopulationConfig population;  // mean_arrivals_per_sec set per level
+  // The shared front end. Its day0 is not read: the front end crawls on
+  // the micro loads' clock, micro.when, so hints and loads see one web.
   FrontEndConfig front_end;
-  // Base options for the micro cells (seed/when/device are overridden per
-  // cell; timeout doubles as the macro PLT cap).
+  // Base options for the micro cells (seed, device and loads_per_page are
+  // overridden per cell; when is also the front end's day0; timeout
+  // doubles as the macro PLT cap).
   harness::RunOptions micro;
   // Like RunOptions::trace_sink: when set, each level's macro pass runs
   // with a trace::Recorder attached (front-end cache/stale/recrawl events,

@@ -170,11 +170,6 @@ void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
   if (static_cast<std::size_t>(resolved) > count) {
     resolved = static_cast<int>(count);
   }
-  if (resolved <= 1) {
-    // Serial path: index order on the calling thread.
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
   std::atomic<std::size_t> cursor{0};
   // An exception must not escape a worker thread (that would terminate the
   // process): the first one is kept, the cursor is run out so no worker
@@ -194,9 +189,12 @@ void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
       }
     }
   };
+  // The calling thread is one of the workers, so one worker claims every
+  // index in order on it.
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(resolved));
-  for (int w = 0; w < resolved; ++w) pool.emplace_back(worker);
+  pool.reserve(static_cast<std::size_t>(resolved - 1));
+  for (int w = 1; w < resolved; ++w) pool.emplace_back(worker);
+  worker();
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }
@@ -218,15 +216,23 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
     cc.loads = cell.options.loads_per_page;
     cc.slot_offset = total_jobs;
     cc.label = cell.label.empty() ? cell.strategy.name : cell.label;
-    total_jobs += static_cast<std::size_t>(cc.pages) *
-                  static_cast<std::size_t>(cc.loads);
+    const std::string name =
+        "fleet::run_plan: cell " + std::to_string(c) + " (\"" + cc.label +
+        "\")";
+    // A page's result is the median of its loads, so it needs at least one.
+    if (cc.loads < 1) {
+      throw std::invalid_argument(name + " sets RunOptions::loads_per_page " +
+                                  std::to_string(cc.loads) +
+                                  "; want at least 1");
+    }
     // A cache shared by a cell's loads would make each result depend on
     // the loads before it; return visits own their cache instead.
     if (cell.options.cache != nullptr) {
       throw std::invalid_argument(
-          "fleet::run_plan: cell " + std::to_string(c) + " (\"" + cc.label +
-          "\") sets RunOptions::cache; use harness::run_page_revisit");
+          name + " sets RunOptions::cache; use harness::run_page_revisit");
     }
+    total_jobs += static_cast<std::size_t>(cc.pages) *
+                  static_cast<std::size_t>(cc.loads);
   }
 
   // Observability gates, flipped once per run from the environment (the obs
@@ -323,8 +329,6 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
     manifest.set("schema", std::int64_t{1});
     manifest.set("kind", "fleet_sweep");
     manifest.set("env.jobs", static_cast<std::int64_t>(env.jobs));
-    manifest.set("env.bench_pages",
-                 static_cast<std::int64_t>(env.bench_pages));
     manifest.set("env.trace", env.trace_dir);
     manifest.set("env.out_dir", env.out_dir);
     manifest.set("env.metrics", env.metrics_dir);

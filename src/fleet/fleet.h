@@ -106,10 +106,11 @@ int resolve_worker_count(int requested, const harness::Env& env);
 int resolve_worker_count(int requested);
 
 // The fleet's worker pool: runs `count` independent tasks
-// `fn(0) .. fn(count-1)` on `workers` threads (0 = resolve: VROOM_JOBS,
-// else hardware), claiming indices from one atomic cursor. With one
-// worker — or one task — the tasks run in index order on the calling
-// thread.
+// `fn(0) .. fn(count-1)` on `workers` workers (0 = resolve: VROOM_JOBS,
+// else hardware), claiming indices from one atomic cursor. The calling
+// thread is one of them, beside at most `workers - 1` started threads, so
+// with one worker — or one task — the tasks run in index order on the
+// calling thread.
 // A task that throws stops the run: no further tasks are claimed, the
 // running ones finish, and the first exception reaches the caller at any
 // worker count.
@@ -166,8 +167,9 @@ struct SweepPlan {
 // bit-identical to a standalone run_corpus call with that cell's arguments
 // (any worker count). The telemetry summary carries one row per cell. A
 // load that throws stops the run, and the first exception reaches the
-// caller at any worker count. A cell that sets RunOptions::cache throws
-// std::invalid_argument before any load runs.
+// caller at any worker count. A cell whose RunOptions::loads_per_page is
+// below 1 or that sets RunOptions::cache throws std::invalid_argument,
+// naming the cell, before any load runs.
 std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
                                             const FleetOptions& fleet = {});
 

@@ -34,8 +34,6 @@ std::string string_or_empty(const char* value) {
 Env Env::from_environment() {
   Env env;
   env.jobs = parse_positive_int("VROOM_JOBS", std::getenv("VROOM_JOBS"));
-  env.bench_pages = parse_positive_int("VROOM_BENCH_PAGES",
-                                       std::getenv("VROOM_BENCH_PAGES"));
   env.trace_dir = trace_dir_from_environment();
   env.out_dir = string_or_empty(std::getenv("VROOM_OUT_DIR"));
   env.metrics_dir = string_or_empty(std::getenv("VROOM_METRICS"));

@@ -9,8 +9,6 @@
 //
 // The knobs:
 //   VROOM_JOBS=<n>          worker-pool size for corpus sweeps (fleet/)
-//   VROOM_BENCH_PAGES=<n>   cap the corpora programs build for quick passes
-//                           (harness::capped); no sweep reads it
 //   VROOM_TRACE=<dir>       write one Chrome-trace JSON file per load
 //   VROOM_OUT_DIR=<dir>     export printed tables as CSV
 //   VROOM_METRICS=<dir>     export obs metrics (CSV + Prometheus text) and
@@ -25,7 +23,6 @@ namespace vroom::harness {
 
 struct Env {
   int jobs = 0;                  // VROOM_JOBS; 0 = unset (hardware default)
-  int bench_pages = 0;           // VROOM_BENCH_PAGES; 0 = uncapped
   std::string trace_dir;         // VROOM_TRACE; empty = tracing off
   std::string out_dir;           // VROOM_OUT_DIR; empty = no CSV export
   std::string metrics_dir;       // VROOM_METRICS; empty = metrics off

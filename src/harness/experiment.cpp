@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/client_scheduler.h"
 #include "harness/env.h"
@@ -18,20 +20,6 @@
 #include "web/trace_io.h"
 
 namespace vroom::harness {
-
-int effective_page_count(int n) {
-  const int cap = Env::from_environment().bench_pages;
-  return cap > 0 ? std::min(n, cap) : n;
-}
-
-web::Corpus capped(web::Corpus corpus) {
-  const auto n = static_cast<std::size_t>(
-      effective_page_count(static_cast<int>(corpus.size())));
-  if (n == corpus.size()) return corpus;
-  web::Corpus prefix(corpus.name(), corpus.seed());
-  for (std::size_t i = 0; i < n; ++i) prefix.add_page(corpus.page(i));
-  return prefix;
-}
 
 browser::LoadResult run_page_load(const web::PageModel& page,
                                   const baselines::Strategy& strategy,
@@ -120,13 +108,12 @@ browser::LoadResult run_page_load(const web::PageModel& page,
     if (browser_ptr != nullptr) browser_ptr->on_push_complete(url, bytes);
   };
 
-  const http::Protocol proto = strategy.protocol;
   http::ConnectionPool pool(
       network,
       [&farm](const std::string& domain) -> http::RequestHandler& {
         return farm.server(domain);
       },
-      [proto](const std::string&) { return proto; }, observer,
+      strategy.protocol, observer,
       strategy.ordered_writer ? net::WriterDiscipline::Ordered
                               : net::WriterDiscipline::RoundRobin);
 
@@ -235,6 +222,11 @@ browser::LoadResult select_median_load(std::vector<browser::LoadResult> runs) {
 browser::LoadResult run_page_median(const web::PageModel& page,
                                     const baselines::Strategy& strategy,
                                     const RunOptions& options) {
+  if (options.loads_per_page < 1) {
+    throw std::invalid_argument(
+        "harness::run_page_median: RunOptions::loads_per_page " +
+        std::to_string(options.loads_per_page) + "; want at least 1");
+  }
   std::vector<browser::LoadResult> runs;
   runs.reserve(static_cast<std::size_t>(options.loads_per_page));
   for (int i = 0; i < options.loads_per_page; ++i) {

@@ -67,6 +67,7 @@ std::string trace_file_name(const baselines::Strategy& strategy,
                             const RunOptions& options, std::uint64_t nonce);
 
 // The paper's per-page procedure: N loads, keep the median-PLT load.
+// Throws std::invalid_argument when options.loads_per_page is below 1.
 browser::LoadResult run_page_median(const web::PageModel& page,
                                     const baselines::Strategy& strategy,
                                     const RunOptions& options);
@@ -97,7 +98,7 @@ std::uint64_t derive_load_nonce(std::uint64_t seed, std::uint32_t page_id,
 // stable-sorts by PLT and keeps the middle load. `runs` must be in
 // load-index order so both paths sort identical input and stay
 // bit-identical; stability makes PLT ties resolve to the lower load index
-// rather than an implementation-defined pick.
+// rather than an implementation-defined pick. `runs` must not be empty.
 browser::LoadResult select_median_load(std::vector<browser::LoadResult> runs);
 
 struct CorpusResult {
@@ -121,15 +122,5 @@ struct CorpusResult {
 // identically (DESIGN.md §8). Corpus sweeps themselves live in fleet/
 // (fleet::run_corpus / run_plan).
 std::string serialize_corpus_result(const CorpusResult& r);
-
-// Honors VROOM_BENCH_PAGES (environment) to cap corpus size for quick runs;
-// returns `n` unchanged when unset. Malformed or non-positive values are
-// rejected with a warning on stderr.
-int effective_page_count(int n);
-
-// The first effective_page_count(corpus.size()) pages of `corpus`: where a
-// program builds the corpus it sweeps, the one place the quick-run cap
-// applies. Sweeps themselves run every page they are given.
-web::Corpus capped(web::Corpus corpus);
 
 }  // namespace vroom::harness

@@ -5,12 +5,11 @@
 namespace vroom::http {
 
 ConnectionPool::ConnectionPool(net::Network& net, HandlerLookup lookup,
-                               ProtocolChooser protocol,
-                               PushObserver push_observer,
+                               Protocol protocol, PushObserver push_observer,
                                net::WriterDiscipline h2_discipline)
     : net_(net),
       lookup_(std::move(lookup)),
-      protocol_(std::move(protocol)),
+      protocol_(protocol),
       push_observer_(std::move(push_observer)),
       h2_discipline_(h2_discipline) {}
 
@@ -21,7 +20,7 @@ Endpoint& ConnectionPool::endpoint(std::uint32_t domain_id,
   if (ep) return *ep;
   const std::string name(domain);
   RequestHandler& handler = lookup_(name);
-  if (protocol_(name) == Protocol::Http2) {
+  if (protocol_ == Protocol::Http2) {
     ep = std::make_unique<Http2Session>(net_, name, handler, push_observer_,
                                         h2_discipline_, domain_id);
   } else {

@@ -1,9 +1,8 @@
-// Per-domain endpoint factory for one page load.
-//
-// Chooses the protocol per domain (supporting mixed deployments: e.g. only
-// the first-party organization speaks full VROOM/HTTP-2 in the incremental
-// adoption study of §6.1) and wires server push events back to the page
-// loader.
+// Per-domain endpoint factory for one page load: one endpoint per domain,
+// all speaking the load's protocol, with server push events wired back to
+// the page loader. The §6.1 incremental-adoption study varies which origins
+// give dependency hints (server::ServerFarm::set_provider_first_party_only),
+// not their protocol.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +23,9 @@ enum class Protocol { Http1, Http2 };
 class ConnectionPool {
  public:
   using HandlerLookup = std::function<RequestHandler&(const std::string&)>;
-  using ProtocolChooser = std::function<Protocol(const std::string&)>;
 
-  ConnectionPool(net::Network& net, HandlerLookup lookup,
-                 ProtocolChooser protocol, PushObserver push_observer,
+  ConnectionPool(net::Network& net, HandlerLookup lookup, Protocol protocol,
+                 PushObserver push_observer,
                  net::WriterDiscipline h2_discipline =
                      net::WriterDiscipline::RoundRobin);
 
@@ -38,7 +36,7 @@ class ConnectionPool {
  private:
   net::Network& net_;
   HandlerLookup lookup_;
-  ProtocolChooser protocol_;
+  Protocol protocol_;
   PushObserver push_observer_;
   net::WriterDiscipline h2_discipline_;
   std::vector<std::unique_ptr<Endpoint>> by_domain_id_;  // null until used

@@ -138,20 +138,17 @@ TEST(Population, DiurnalShapeShowsUpInHourlyCounts) {
   EXPECT_GT(profile[20], 4 * profile[3]);  // the shape the test leans on
 }
 
-TEST(Population, ArrivalsAreSortedCookiesAndDevicesConsistentPerUser) {
+TEST(Population, ArrivalsAreSortedDevicesConsistentPerUser) {
   const auto arrivals = deploy::build_population(6, small_population(), 7);
   ASSERT_FALSE(arrivals.empty());
-  std::map<std::uint32_t, std::pair<std::uint8_t, bool>> traits;
+  std::map<std::uint32_t, std::uint8_t> devices;
   for (std::size_t i = 1; i < arrivals.size(); ++i) {
     EXPECT_LE(arrivals[i - 1].at, arrivals[i].at);
   }
   for (const deploy::Arrival& a : arrivals) {
-    const auto it = traits.find(a.user);
-    if (it == traits.end()) {
-      traits.emplace(a.user, std::make_pair(a.device, a.cookie));
-    } else {
-      EXPECT_EQ(it->second.first, a.device) << "user switched device class";
-      EXPECT_EQ(it->second.second, a.cookie) << "user toggled cookie";
+    const auto [it, first] = devices.emplace(a.user, a.device);
+    if (!first) {
+      EXPECT_EQ(it->second, a.device) << "user switched device class";
     }
   }
 }
@@ -209,7 +206,6 @@ std::uint64_t arrival_digest(const std::vector<deploy::Arrival>& arrivals) {
     mix(a.user, 4);
     mix(a.page, 2);
     mix(a.device, 1);
-    mix(a.cookie ? 1 : 0, 1);
     mix(a.warm ? 1 : 0, 1);
   }
   return h;
@@ -217,7 +213,7 @@ std::uint64_t arrival_digest(const std::vector<deploy::Arrival>& arrivals) {
 
 // The arrival stream is part of every deployment figure, so a faster
 // generator must reproduce it bit for bit. The digests were recorded from
-// the generator that drew each user's traits from a full
+// the generator that drew each user's device from a full
 // std::mt19937_64(derive_seed(root, user)).
 TEST(Population, StreamMatchesRecordedDigest) {
   // deploy_day's critical path: run_deployment's 3.2/s level at seed 42
@@ -227,15 +223,15 @@ TEST(Population, StreamMatchesRecordedDigest) {
   const auto critical = deploy::build_population(
       30, day, sim::derive_seed(42, "deploy:level-3"));
   EXPECT_EQ(critical.size(), 276589u);
-  EXPECT_EQ(arrival_digest(critical), 0x7065aff4d4d28353ULL);
+  EXPECT_EQ(arrival_digest(critical), 0x73068b70ce607e45ULL);
 
   struct Recorded {
     std::uint64_t seed;
     std::size_t size;
     std::uint64_t digest;
   };
-  for (const Recorded& r : {Recorded{7, 42927, 0xb6d4ed4cf5571918ULL},
-                            Recorded{42, 43368, 0x3503084ee7938e1eULL}}) {
+  for (const Recorded& r : {Recorded{7, 42927, 0xd585a64b6bafb6b2ULL},
+                            Recorded{42, 43368, 0x1e824c86bb493a99ULL}}) {
     const auto arrivals =
         deploy::build_population(8, small_population(), r.seed);
     EXPECT_EQ(arrivals.size(), r.size) << "seed " << r.seed;
@@ -243,7 +239,7 @@ TEST(Population, StreamMatchesRecordedDigest) {
   }
 }
 
-// The single-pass generator that drew each user's traits on their first
+// The single-pass generator that drew each user's device on their first
 // arrival, from a full std::mt19937_64, and kept a std::map revisit table:
 // the definition the two-pass build_population must reproduce. Default
 // diurnal profile only.
@@ -282,7 +278,7 @@ std::vector<deploy::Arrival> reference_population(
   sim::Rng arrival_rng(root, "arrivals");
   sim::Rng who_rng(root, "users");
   sim::Rng page_rng(root, "pages");
-  std::map<std::uint32_t, std::pair<std::uint8_t, bool>> traits;
+  std::map<std::uint32_t, std::uint8_t> devices;
   std::map<std::pair<std::uint32_t, std::uint16_t>, sim::Time> last_visit;
   std::vector<deploy::Arrival> arrivals;
   const double peak_rate = cfg.mean_arrivals_per_sec * max_mult;
@@ -295,16 +291,14 @@ std::vector<deploy::Arrival> reference_population(
     a.at = t;
     a.user = static_cast<std::uint32_t>(draw(user_cum, who_rng));
     a.page = static_cast<std::uint16_t>(draw(page_cum, page_rng));
-    auto it = traits.find(a.user);
-    if (it == traits.end()) {
+    auto it = devices.find(a.user);
+    if (it == devices.end()) {
       std::mt19937_64 stream(sim::derive_seed(root, std::uint64_t{a.user}));
       const auto device =
           static_cast<std::uint8_t>(sim::weighted(stream, mix_weights));
-      const bool cookie = sim::chance(stream, cfg.cookie_frac);
-      it = traits.emplace(a.user, std::make_pair(device, cookie)).first;
+      it = devices.emplace(a.user, device).first;
     }
-    a.device = it->second.first;
-    a.cookie = it->second.second;
+    a.device = it->second;
     const auto seen = last_visit.find({a.user, a.page});
     a.warm = seen != last_visit.end() && t - seen->second <= cfg.warm_ttl;
     last_visit[{a.user, a.page}] = t;
@@ -316,8 +310,7 @@ std::vector<deploy::Arrival> reference_population(
 // Every field of every arrival equals the reference's, over corpus sizes,
 // user counts, a one-class and a four-class device mix, two windows, and
 // under each of them every warm TTL (none, one microsecond, the default,
-// longer than the window), with cookie fractions (the draw-free 0 and 1
-// among them) taking turns. Rates keep each window at a few hundred to a
+// longer than the window). Rates keep each window at a few hundred to a
 // few thousand arrivals.
 TEST(Population, MatchesArrivalOrderReference) {
   const std::vector<deploy::DeviceShare> four = {
@@ -326,7 +319,6 @@ TEST(Population, MatchesArrivalOrderReference) {
       {web::nexus10(), 0.2},
       {web::galaxy_tab(), 0.1}};
   const std::vector<deploy::DeviceShare> one = {{web::oneplus3(), 1.0}};
-  const double cookie_fracs[] = {0.0, 0.55, 1.0};
   std::uint64_t seed = 0;
   int compared = 0;
   for (const sim::Time window : {sim::minutes(30), sim::hours(24)}) {
@@ -340,7 +332,6 @@ TEST(Population, MatchesArrivalOrderReference) {
             cfg.mean_arrivals_per_sec = window == sim::hours(24) ? 0.02 : 0.5;
             cfg.users = users;
             cfg.warm_ttl = ttls[i];
-            cfg.cookie_frac = cookie_fracs[i % 3];
             cfg.device_mix = *mix;
             ++seed;
             const auto got = deploy::build_population(pages, cfg, seed);
@@ -351,8 +342,7 @@ TEST(Population, MatchesArrivalOrderReference) {
               ASSERT_TRUE(got[j] == want[j])
                   << "seed " << seed << " arrival " << j << ": pages "
                   << pages << ", users " << users << ", ttl " << cfg.warm_ttl
-                  << ", cookie " << cfg.cookie_frac << ", " << mix->size()
-                  << " devices";
+                  << ", " << mix->size() << " devices";
             }
             ++compared;
           }
@@ -533,6 +523,46 @@ TEST(FrontEnd, CrawlScheduleIsPeriodicAndThroughputBound) {
   }
 }
 
+// Byte-identical, not approximately equal.
+void expect_identical_reports(const deploy::DeploymentReport& a,
+                              const deploy::DeploymentReport& b) {
+  ASSERT_EQ(a.levels.size(), b.levels.size());
+  EXPECT_EQ(a.origin_link_mbps, b.origin_link_mbps);
+  EXPECT_EQ(a.effective_recrawl, b.effective_recrawl);
+  EXPECT_EQ(a.micro.plt, b.micro.plt);
+  EXPECT_EQ(a.micro.warm_plt, b.micro.warm_plt);
+  EXPECT_EQ(a.macro_arrivals, b.macro_arrivals);
+  for (std::size_t i = 0; i < a.levels.size(); ++i) {
+    SCOPED_TRACE("level " + std::to_string(i));
+    const deploy::LevelReport& x = a.levels[i];
+    const deploy::LevelReport& y = b.levels[i];
+    EXPECT_EQ(x.arrivals, y.arrivals);
+    EXPECT_EQ(x.timeouts, y.timeouts);
+    ASSERT_EQ(x.plt_seconds, y.plt_seconds);
+    EXPECT_EQ(x.served_per_sec, y.served_per_sec);
+    EXPECT_EQ(x.p50_plt_s, y.p50_plt_s);
+    EXPECT_EQ(x.p99_plt_s, y.p99_plt_s);
+    EXPECT_EQ(x.hist_p50_plt_s, y.hist_p50_plt_s);
+    EXPECT_EQ(x.hist_p99_plt_s, y.hist_p99_plt_s);
+    EXPECT_EQ(x.mean_origin_wait_s, y.mean_origin_wait_s);
+    EXPECT_EQ(x.mean_fe_wait_ms, y.mean_fe_wait_ms);
+    EXPECT_EQ(x.max_link_utilization, y.max_link_utilization);
+    EXPECT_EQ(x.hit_ratio, y.hit_ratio);
+    EXPECT_EQ(x.stale_frac, y.stale_frac);
+    EXPECT_EQ(x.hintless_frac, y.hintless_frac);
+    EXPECT_EQ(x.mean_staleness_s, y.mean_staleness_s);
+    EXPECT_EQ(x.front_end.cache_hits, y.front_end.cache_hits);
+    EXPECT_EQ(x.front_end.stale_serves, y.front_end.stale_serves);
+    EXPECT_EQ(x.front_end.generations, y.front_end.generations);
+    EXPECT_EQ(x.front_end.total_queue_wait, y.front_end.total_queue_wait);
+  }
+  ASSERT_EQ(a.stale_buckets.size(), b.stale_buckets.size());
+  for (std::size_t i = 0; i < a.stale_buckets.size(); ++i) {
+    EXPECT_EQ(a.stale_buckets[i].serves, b.stale_buckets[i].serves);
+    EXPECT_EQ(a.stale_buckets[i].persistence, b.stale_buckets[i].persistence);
+  }
+}
+
 // The flagship contract: the whole report — fleet-built micro table, the
 // pool-parallel warm column, and the concurrent per-level macro passes —
 // is bit-identical at any worker count.
@@ -547,39 +577,23 @@ TEST(Scenario, ReportBitIdenticalAcrossJobCounts) {
     reports.push_back(deploy::run_deployment(corpus, cfg));
   }
   for (std::size_t j = 1; j < reports.size(); ++j) {
-    const deploy::DeploymentReport& a = reports[0];
-    const deploy::DeploymentReport& b = reports[j];
-    ASSERT_EQ(a.levels.size(), b.levels.size());
-    EXPECT_EQ(a.origin_link_mbps, b.origin_link_mbps);
-    EXPECT_EQ(a.micro.plt, b.micro.plt);
-    EXPECT_EQ(a.micro.warm_plt, b.micro.warm_plt);
-    EXPECT_EQ(a.macro_arrivals, b.macro_arrivals);
-    for (std::size_t i = 0; i < a.levels.size(); ++i) {
-      EXPECT_EQ(a.levels[i].arrivals, b.levels[i].arrivals);
-      EXPECT_EQ(a.levels[i].timeouts, b.levels[i].timeouts);
-      // Byte-identical, not approximately equal.
-      ASSERT_EQ(a.levels[i].plt_seconds, b.levels[i].plt_seconds);
-      EXPECT_EQ(a.levels[i].served_per_sec, b.levels[i].served_per_sec);
-      EXPECT_EQ(a.levels[i].p50_plt_s, b.levels[i].p50_plt_s);
-      EXPECT_EQ(a.levels[i].p99_plt_s, b.levels[i].p99_plt_s);
-      EXPECT_EQ(a.levels[i].hist_p50_plt_s, b.levels[i].hist_p50_plt_s);
-      EXPECT_EQ(a.levels[i].hist_p99_plt_s, b.levels[i].hist_p99_plt_s);
-      EXPECT_EQ(a.levels[i].mean_origin_wait_s,
-                b.levels[i].mean_origin_wait_s);
-      EXPECT_EQ(a.levels[i].max_link_utilization,
-                b.levels[i].max_link_utilization);
-      EXPECT_EQ(a.levels[i].front_end.cache_hits,
-                b.levels[i].front_end.cache_hits);
-      EXPECT_EQ(a.levels[i].front_end.stale_serves,
-                b.levels[i].front_end.stale_serves);
-    }
-    ASSERT_EQ(a.stale_buckets.size(), b.stale_buckets.size());
-    for (std::size_t i = 0; i < a.stale_buckets.size(); ++i) {
-      EXPECT_EQ(a.stale_buckets[i].serves, b.stale_buckets[i].serves);
-      EXPECT_EQ(a.stale_buckets[i].persistence,
-                b.stale_buckets[i].persistence);
-    }
+    SCOPED_TRACE("run " + std::to_string(j));
+    expect_identical_reports(reports[0], reports[j]);
   }
+}
+
+// The front end crawls the web the micro loads see: its crawls run on
+// cfg.micro.when's clock, so front_end.day0 cannot move the report.
+TEST(Scenario, FrontEndCrawlsOnTheMicroClock) {
+  ScopedEnv trace("VROOM_TRACE", nullptr);
+  const web::Corpus corpus = web::Corpus::smoke(42, 3);
+  deploy::ScenarioConfig cfg = two_level_scenario();
+  cfg.micro.when = sim::days(45) + sim::hours(7);
+  deploy::ScenarioConfig moved = cfg;
+  moved.front_end.day0 = cfg.micro.when;
+  ASSERT_NE(cfg.front_end.day0, moved.front_end.day0);
+  expect_identical_reports(deploy::run_deployment(corpus, cfg),
+                           deploy::run_deployment(corpus, moved));
 }
 
 // The warm column is Figure 20's story per (device, page): prime a private
@@ -657,35 +671,6 @@ TEST(Scenario, ExportedMetricsByteIdenticalAcrossJobCounts) {
       EXPECT_EQ(first, read_file(dirs[j] + file))
           << file << " diverged between jobs=1 and jobs=" << dirs[j].back();
     }
-  }
-}
-
-// The report is a function of (corpus, cfg). VROOM_BENCH_PAGES caps corpora
-// where programs build them; it must not shorten the micro table, which the
-// macro pass indexes by corpus page.
-TEST(Scenario, ReportIgnoresBenchPageCap) {
-  ScopedEnv trace("VROOM_TRACE", nullptr);
-  const web::Corpus corpus = web::Corpus::smoke(42, 3);
-  const deploy::ScenarioConfig cfg = two_level_scenario();
-
-  deploy::DeploymentReport uncapped;
-  {
-    ScopedEnv pages("VROOM_BENCH_PAGES", nullptr);
-    uncapped = deploy::run_deployment(corpus, cfg);
-  }
-  ScopedEnv pages("VROOM_BENCH_PAGES", "2");
-  const deploy::DeploymentReport capped = deploy::run_deployment(corpus, cfg);
-  for (const auto& device_columns : capped.micro.plt) {
-    for (const auto& column : device_columns) {
-      EXPECT_EQ(column.size(), corpus.size());
-    }
-  }
-  EXPECT_EQ(capped.micro.plt, uncapped.micro.plt);
-  EXPECT_EQ(capped.micro.warm_plt, uncapped.micro.warm_plt);
-  ASSERT_EQ(capped.levels.size(), uncapped.levels.size());
-  for (std::size_t i = 0; i < capped.levels.size(); ++i) {
-    EXPECT_EQ(capped.levels[i].plt_seconds, uncapped.levels[i].plt_seconds)
-        << "level " << i;
   }
 }
 

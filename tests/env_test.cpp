@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/experiment.h"
 #include "scoped_env.h"
-#include "web/corpus.h"
 
 namespace vroom {
 namespace {
@@ -21,7 +19,6 @@ using testutil::ScopedEnv;
 // another's expectations (the surrounding shell may set any of them).
 struct CleanEnv {
   ScopedEnv jobs{"VROOM_JOBS", nullptr};
-  ScopedEnv pages{"VROOM_BENCH_PAGES", nullptr};
   ScopedEnv trace{"VROOM_TRACE", nullptr};
   ScopedEnv out{"VROOM_OUT_DIR", nullptr};
   ScopedEnv metrics{"VROOM_METRICS", nullptr};
@@ -32,7 +29,6 @@ TEST(Env, DefaultsWhenUnset) {
   CleanEnv clean;
   const harness::Env env = harness::Env::from_environment();
   EXPECT_EQ(env.jobs, 0);
-  EXPECT_EQ(env.bench_pages, 0);
   EXPECT_EQ(env.trace_dir, "");
   EXPECT_EQ(env.out_dir, "");
   EXPECT_FALSE(env.trace_enabled());
@@ -68,12 +64,10 @@ TEST(Env, MetricsAndProfileKnobs) {
 TEST(Env, ParsesEveryVariable) {
   CleanEnv clean;
   ScopedEnv jobs("VROOM_JOBS", "4");
-  ScopedEnv pages("VROOM_BENCH_PAGES", "8");
   ScopedEnv trace("VROOM_TRACE", "/tmp/vroom-traces");
   ScopedEnv out("VROOM_OUT_DIR", "/tmp/vroom-out");
   const harness::Env env = harness::Env::from_environment();
   EXPECT_EQ(env.jobs, 4);
-  EXPECT_EQ(env.bench_pages, 8);
   EXPECT_EQ(env.trace_dir, "/tmp/vroom-traces");
   EXPECT_EQ(env.out_dir, "/tmp/vroom-out");
   EXPECT_TRUE(env.trace_enabled());
@@ -93,10 +87,8 @@ TEST(Env, MalformedIntegersIgnoredWithDefault) {
   CleanEnv clean;
   for (const char* bad : {"", "abc", "-2", "0", "3.5", "4x", " 4", "4 "}) {
     ScopedEnv jobs("VROOM_JOBS", bad);
-    ScopedEnv pages("VROOM_BENCH_PAGES", bad);
-    const harness::Env env = harness::Env::from_environment();
-    EXPECT_EQ(env.jobs, 0) << "VROOM_JOBS=\"" << bad << '"';
-    EXPECT_EQ(env.bench_pages, 0) << "VROOM_BENCH_PAGES=\"" << bad << '"';
+    EXPECT_EQ(harness::Env::from_environment().jobs, 0)
+        << "VROOM_JOBS=\"" << bad << '"';
   }
 }
 
@@ -104,38 +96,6 @@ TEST(Env, HugeIntegerOutOfRangeIgnored) {
   CleanEnv clean;
   ScopedEnv jobs("VROOM_JOBS", "99999999999999999999");
   EXPECT_EQ(harness::Env::from_environment().jobs, 0);
-}
-
-// The one cap function, and the corpus helper programs apply it through.
-TEST(Env, EffectivePageCount) {
-  CleanEnv clean;
-  EXPECT_EQ(harness::effective_page_count(100), 100);  // uncapped
-  {
-    ScopedEnv pages("VROOM_BENCH_PAGES", "8");
-    EXPECT_EQ(harness::effective_page_count(100), 8);
-    EXPECT_EQ(harness::effective_page_count(5), 5);  // cap never raises
-  }
-  // Garbage and non-positive values are rejected (with a stderr warning)
-  // instead of silently truncating the corpus.
-  for (const char* bad :
-       {"", "abc", "-3", "0", "7pages", "1e3", " 4", "4 ", "3.5"}) {
-    ScopedEnv pages("VROOM_BENCH_PAGES", bad);
-    EXPECT_EQ(harness::effective_page_count(10), 10)
-        << "VROOM_BENCH_PAGES=\"" << bad << '"';
-  }
-  // capped keeps the corpus's first pages, its name and its seed.
-  const web::Corpus full = web::Corpus::smoke(42, 3);
-  EXPECT_EQ(harness::capped(full).size(), 3u);
-  {
-    ScopedEnv pages("VROOM_BENCH_PAGES", "2");
-    const web::Corpus prefix = harness::capped(full);
-    ASSERT_EQ(prefix.size(), 2u);
-    EXPECT_EQ(prefix.name(), full.name());
-    EXPECT_EQ(prefix.seed(), full.seed());
-    for (std::size_t i = 0; i < prefix.size(); ++i) {
-      EXPECT_EQ(prefix.page(i).page_id(), full.page(i).page_id());
-    }
-  }
 }
 
 }  // namespace

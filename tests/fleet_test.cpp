@@ -120,8 +120,6 @@ TEST(Fleet, WorkerCountResolution) {
 // run_plan resolved, and each load reads VROOM_TRACE alone.
 TEST(Fleet, MalformedKnobWarnsOncePerRun) {
   ScopedEnv jobs_env("VROOM_JOBS", "abc");
-  // Another malformed knob would add its own line.
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
   ScopedEnv trace_env("VROOM_TRACE", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
   testing::internal::CaptureStderr();

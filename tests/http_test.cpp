@@ -334,7 +334,7 @@ TEST_F(HttpTest, PoolCreatesOneEndpointPerDomain) {
         return d == "a.com" ? static_cast<RequestHandler&>(server_)
                             : static_cast<RequestHandler&>(s2);
       },
-      [](const std::string&) { return Protocol::Http2; }, {});
+      Protocol::Http2, {});
   Endpoint& a1 = pool.endpoint(0, "a.com");
   Endpoint& a2 = pool.endpoint(0, "a.com");
   Endpoint& b = pool.endpoint(1, "b.com");

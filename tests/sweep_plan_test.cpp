@@ -2,7 +2,8 @@
 // must return, cell by cell, results bit-identical to standalone serial
 // run_corpus calls — at any worker count. Longest-job-first dispatch must be
 // deterministic and must never leak into results; per-cell telemetry must
-// add up; a cell that sets a shared browser cache must be rejected.
+// add up; a cell with no loads per page or that sets a shared browser cache
+// must be rejected.
 #include "fleet/fleet.h"
 
 #include <atomic>
@@ -75,30 +76,6 @@ fleet::SweepPlan mixed_plan(const web::Corpus& a, const web::Corpus& b) {
       .add(b, baselines::vroom())
       .add(b, baselines::http11(), heavy);
   return plan;
-}
-
-// VROOM_BENCH_PAGES caps corpora where programs build them
-// (harness::capped); a plan runs every page it is given.
-TEST(SweepPlan, EveryPageRunsUnderAPageCap) {
-  ScopedEnv jobs_env("VROOM_JOBS", nullptr);
-  const web::Corpus corpus = web::Corpus::smoke(42, 3);
-  fleet::SweepPlan plan;
-  plan.add(corpus, baselines::http2_baseline(), small_options())
-      .add(corpus, baselines::vroom(), small_options());
-
-  std::vector<harness::CorpusResult> uncapped;
-  {
-    ScopedEnv pages_env("VROOM_BENCH_PAGES", nullptr);
-    uncapped = fleet::run_plan(plan);
-  }
-  ScopedEnv pages_env("VROOM_BENCH_PAGES", "1");
-  const std::vector<harness::CorpusResult> capped = fleet::run_plan(plan);
-  ASSERT_EQ(capped.size(), uncapped.size());
-  for (std::size_t c = 0; c < capped.size(); ++c) {
-    SCOPED_TRACE("cell " + std::to_string(c));
-    EXPECT_EQ(capped[c].loads.size(), corpus.size());
-    expect_identical_loads(capped[c], uncapped[c]);
-  }
 }
 
 TEST(SweepPlan, MultiCorpusBitIdenticalToStandaloneRuns) {
@@ -220,6 +197,45 @@ TEST(SweepPlan, RejectsCellThatSetsACache) {
     }
     EXPECT_EQ(loads.load(), 0) << "workers=" << workers;
     EXPECT_EQ(cache.size(), 0u) << "workers=" << workers;
+  }
+}
+
+// A page's result is the median of its loads, so a cell with fewer than
+// one load per page has no result: run_plan refuses it, naming it, before
+// any load of the plan runs, at any worker count, and run_page_median
+// refuses the same options.
+TEST(SweepPlan, RejectsCellWithoutLoads) {
+  ScopedEnv jobs_env("VROOM_JOBS", nullptr);
+  const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
+  std::atomic<int> loads{0};
+  harness::RunOptions one = small_options();
+  one.loads_per_page = 1;
+  one.trace_sink = [&loads](const trace::Recorder&) { ++loads; };
+  for (const int bad : {0, -1}) {
+    harness::RunOptions none = one;
+    none.loads_per_page = bad;
+    fleet::SweepPlan plan;
+    plan.add(corpus, baselines::http2_baseline(), one)
+        .add(corpus, baselines::http2_baseline(), none, "no loads");
+    for (int workers : {1, 4}) {
+      fleet::FleetOptions fo;
+      fo.workers = workers;
+      try {
+        fleet::run_plan(plan, fo);
+        ADD_FAILURE() << "no exception at loads_per_page=" << bad
+                      << ", workers=" << workers;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("cell 1 (\"no loads\")"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(loads.load(), 0)
+          << "loads_per_page=" << bad << ", workers=" << workers;
+    }
+    EXPECT_THROW(harness::run_page_median(corpus.page(0),
+                                          baselines::http2_baseline(), none),
+                 std::invalid_argument)
+        << "loads_per_page=" << bad;
   }
 }
 
