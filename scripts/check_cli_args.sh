@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
-# ctest check for the examples' numeric arguments: every malformed or
-# out-of-range value must print the usage line and exit with status 2, and
-# a well-formed run must exit 0. Covers example_vroom_cli's flags and
-# example_incremental_deployment's page count.
+# ctest check for malformed numbers: every malformed or out-of-range value
+# of the examples' numeric arguments must print the usage line and exit
+# with status 2, and a well-formed run must exit 0. Covers
+# example_vroom_cli's flags and example_incremental_deployment's page
+# count. Each further binary runs once with VROOM_JOBS=abc and must exit 0
+# after exactly one "[env] warning" line, however many sweeps, task
+# fan-outs and tables it makes.
 #
-#   scripts/check_cli_args.sh <example_vroom_cli> <example_incremental_deployment>
+#   scripts/check_cli_args.sh <example_vroom_cli> <example_incremental_deployment> [<bench>...]
 set -uo pipefail
 
-cli="${1:?usage: check_cli_args.sh <example_vroom_cli> <example_incremental_deployment>}"
-incremental="${2:?usage: check_cli_args.sh <example_vroom_cli> <example_incremental_deployment>}"
-unset VROOM_TRACE VROOM_OUT_DIR VROOM_METRICS
+usage="usage: check_cli_args.sh <example_vroom_cli> <example_incremental_deployment> [<bench>...]"
+cli="${1:?$usage}"
+incremental="${2:?$usage}"
+shift 2
+unset VROOM_TRACE VROOM_OUT_DIR
 failed=0
 
 expect() {  # expect <status> <binary> <args...>
@@ -44,5 +49,16 @@ for bad in -5 0 abc 3x "" " 3" 1.5 99999999999999999999; do
   expect 2 "$incremental" "$bad"
 done
 expect 0 "$incremental" 1
+
+for bin in "$@"; do
+  err="$(VROOM_JOBS=abc "$bin" 2>&1 > /dev/null)"
+  status=$?
+  warnings="$(grep -c '^\[env\] warning' <<< "$err")"
+  if [[ "$status" != 0 || "$warnings" != 1 ]]; then
+    echo "FAIL: $(basename "$bin") at VROOM_JOBS=abc exited $status" \
+         "with $warnings [env] warnings, expected 0 with 1" >&2
+    failed=1
+  fi
+done
 
 exit "$failed"

@@ -10,7 +10,7 @@
 set -euo pipefail
 
 build_dir="${1:?usage: time_benches.sh <build_dir>}"
-unset VROOM_TRACE VROOM_OUT_DIR VROOM_METRICS VROOM_PROFILE
+unset VROOM_TRACE VROOM_OUT_DIR VROOM_PROFILE
 
 total=0
 for bin in "$build_dir"/bench/*; do

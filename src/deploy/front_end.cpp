@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "harness/experiment.h"
 #include "server/replay_store.h"
 #include "sim/arena.h"
 #include "sim/random.h"
@@ -35,8 +36,12 @@ const char* hint_source_name(HintSource s) {
 }
 
 GenerationMemo::GenerationMemo(const web::Corpus& corpus,
-                               FrontEndConfig config, std::uint64_t seed)
-    : corpus_(corpus), config_(crawl_only(std::move(config))), seed_(seed) {}
+                               FrontEndConfig config, std::uint64_t seed,
+                               sim::Time day0)
+    : corpus_(corpus),
+      config_(crawl_only(std::move(config))),
+      seed_(seed),
+      day0_(day0) {}
 
 int GenerationMemo::hints(int page_index, const web::DeviceProfile& device,
                           sim::Time crawl_t) {
@@ -81,7 +86,7 @@ int GenerationMemo::resolve(int page_index, const web::DeviceProfile& device,
   // no cookie, and a nonce derived from (seed, page, snapshot) so repeat
   // generations of the same snapshot see the same instance.
   web::LoadIdentity id;
-  id.wall_time = config_.day0 + crawl_t;
+  id.wall_time = day0_ + crawl_t;
   id.device = device;
   id.user = 0;
   id.nonce = sim::derive_seed(
@@ -107,8 +112,8 @@ int GenerationMemo::resolve(int page_index, const web::DeviceProfile& device,
 
 FrontEnd::FrontEnd(const web::Corpus& corpus, FrontEndConfig config,
                    std::uint64_t seed)
-    : FrontEnd(std::make_shared<GenerationMemo>(corpus, std::move(config),
-                                                seed)) {}
+    : FrontEnd(std::make_shared<GenerationMemo>(
+          corpus, std::move(config), seed, harness::RunOptions().when)) {}
 
 FrontEnd::FrontEnd(std::shared_ptr<GenerationMemo> memo)
     : memo_(std::move(memo)) {

@@ -55,9 +55,6 @@ struct FrontEndConfig {
   // stretches the cycle, and hint staleness grows accordingly.
   sim::Time recrawl_period = sim::hours(1);
   sim::Time crawl_cost = sim::minutes(10);
-  // Wall-clock origin of the traffic window (page rotations are computed
-  // against day0 + virtual time, matching the harness convention).
-  sim::Time day0 = sim::days(45);
   // How the front-end resolves dependencies from its crawls. The default
   // OfflineOnly is forced in the constructor: a front-end has no online
   // path (it is not the origin rendering the page).
@@ -107,14 +104,15 @@ struct FrontEndStats {
 // The hint counts of crawl snapshots, for every front end built on it. A
 // count is the expensive step the cache and the worker pool exist to
 // amortize: resolving a crawl-time instance of the page. It is a pure
-// function of (page, device, snapshot) once the corpus, FrontEndConfig and
-// seed are fixed: the crawl nonce derives from (seed, page, snapshot)
-// alone, so repeat generations of one snapshot rebuild an identical crawl
-// world. The memo therefore owns those three inputs, and a front end built
-// on it takes them from it; front ends sharing one memo (run_deployment's
-// load levels) cannot disagree about a count, and the memo's key (page,
-// snapshot, device) needs nothing else. Only the simulator shortcut is
-// shared: each front end still counts and charges every generation.
+// function of (page, device, snapshot) once the corpus, FrontEndConfig,
+// seed and crawl clock are fixed: the crawl nonce derives from (seed, page,
+// snapshot) alone, so repeat generations of one snapshot rebuild an
+// identical crawl world. The memo therefore owns those inputs, and a front
+// end built on it takes them from it; front ends sharing one memo
+// (run_deployment's load levels) cannot disagree about a count, and the
+// memo's key (page, snapshot, device) needs nothing else. Only the
+// simulator shortcut is shared: each front end still counts and charges
+// every generation.
 //
 // Thread-safe: lookups and inserts take one mutex, resolutions run outside
 // it. Two racing misses of one key resolve the same count, and the first
@@ -122,10 +120,13 @@ struct FrontEndStats {
 class GenerationMemo {
  public:
   // `corpus` must outlive the memo. `seed` feeds crawl-nonce derivation
-  // only. The front-end resolves from its crawls only, so the config's
-  // provider is forced to OfflineOnly with no hint age.
+  // only. `day0` is the crawl clock: the wall-clock time of virtual time 0,
+  // so a snapshot at virtual time t crawls the page as of day0 + t, as a
+  // load at RunOptions::when sees it. The front-end resolves from its
+  // crawls only, so the config's provider is forced to OfflineOnly with no
+  // hint age.
   GenerationMemo(const web::Corpus& corpus, FrontEndConfig config,
-                 std::uint64_t seed);
+                 std::uint64_t seed, sim::Time day0);
 
   // The hint count of (page, device) resolved from the crawl snapshot at
   // virtual time `crawl_t`.
@@ -145,6 +146,7 @@ class GenerationMemo {
   const web::Corpus& corpus_;
   const FrontEndConfig config_;
   const std::uint64_t seed_;
+  const sim::Time day0_;
   mutable std::mutex mu_;
   // Keyed by (page, full device identity, crawl_t); bounded by the
   // distinct snapshots of the traffic windows served.
@@ -153,13 +155,14 @@ class GenerationMemo {
 
 class FrontEnd {
  public:
-  // A front end with a memo of its own. `corpus` must outlive it. `seed`
-  // feeds crawl-nonce derivation only; all scheduling is deterministic
+  // A front end with a memo of its own, crawling on the harness's default
+  // load clock (RunOptions::when). `corpus` must outlive it. `seed` feeds
+  // crawl-nonce derivation only; all scheduling is deterministic
   // arithmetic.
   FrontEnd(const web::Corpus& corpus, FrontEndConfig config,
            std::uint64_t seed);
   // A front end on a shared memo, serving the memo's corpus with its
-  // config and seed.
+  // config, seed and crawl clock.
   explicit FrontEnd(std::shared_ptr<GenerationMemo> memo);
 
   // Serves one page view arriving at virtual time `now`. `recorder` may be

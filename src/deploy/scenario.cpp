@@ -285,11 +285,9 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   // config and seed, which every level shares, so which level resolved a
   // snapshot first cannot change any level's output. Its crawls run on the
   // micro loads' clock.
-  FrontEndConfig front_end = cfg.front_end;
-  front_end.day0 = cfg.micro.when;
   const auto memo = std::make_shared<GenerationMemo>(
-      corpus, std::move(front_end),
-      sim::derive_seed(cfg.seed, "deploy:frontend"));
+      corpus, cfg.front_end, sim::derive_seed(cfg.seed, "deploy:frontend"),
+      cfg.micro.when);
 
   const auto run_level = [&](std::size_t li) {
     // Per-level macro state lives on a pooled bump arena: the dense link
@@ -565,15 +563,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   // Re-export with the macro metrics folded in (the fleet's mid-run export
   // only covered the micro pass) and write the scenario's own provenance
   // record next to it.
-  if (env.metrics_enabled()) {
-    obs::PhaseTimer export_phase(obs::Phase::Export);
-    obs::registry().export_to(env.metrics_dir);
-    const auto hex = [](std::uint64_t v) {
-      char buf[17];
-      std::snprintf(buf, sizeof buf, "%016llx",
-                    static_cast<unsigned long long>(v));
-      return std::string(buf);
-    };
+  if (!env.out_dir.empty()) {
     char mbps[64];
     std::snprintf(mbps, sizeof mbps, "%.17g", report.origin_link_mbps);
     obs::Manifest manifest;
@@ -586,11 +576,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
                  static_cast<std::int64_t>(cfg.offered_levels.size()));
     manifest.set("window_us", static_cast<std::int64_t>(report.window));
     manifest.set("origin_link_mbps", std::string(mbps));
-    manifest.set("digest.metrics_prom",
-                 hex(obs::registry().digest(obs::Plane::Virtual)));
-    manifest.set("digest.wall_sidecar_prom",
-                 hex(obs::registry().digest(obs::Plane::Wall)));
-    manifest.write(env.metrics_dir + "/deploy_manifest.json");
+    obs::export_run(env.out_dir, "deploy_manifest.json", std::move(manifest));
   }
 
   return report;

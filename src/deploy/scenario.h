@@ -68,11 +68,11 @@ struct ScenarioConfig {
   double origin_capacity_frac = 0.6;
 
   PopulationConfig population;  // mean_arrivals_per_sec set per level
-  // The shared front end. Its day0 is not read: the front end crawls on
-  // the micro loads' clock, micro.when, so hints and loads see one web.
+  // The shared front end. It crawls on the micro loads' clock, micro.when,
+  // so hints and loads see one web.
   FrontEndConfig front_end;
   // Base options for the micro cells (seed, device and loads_per_page are
-  // overridden per cell; when is also the front end's day0; timeout
+  // overridden per cell; when is also the front end's crawl clock; timeout
   // doubles as the macro PLT cap).
   harness::RunOptions micro;
   // Like RunOptions::trace_sink: when set, each level's macro pass runs

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -88,13 +87,6 @@ void record_run_metrics(int workers,
     virtual_us.add(grid[i].plt);
     wall_us.record(static_cast<std::int64_t>(job_seconds[i] * 1e6));
   }
-}
-
-std::string hex_digest(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 }  // namespace
@@ -236,12 +228,15 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   }
 
   // Observability gates, flipped once per run from the environment (the obs
-  // library itself never reads env). A fresh run owns the registry and the
-  // phase tables: the export and the printed profile cover exactly this run
-  // plus whatever the caller records before the next one starts.
-  obs::set_metrics_enabled(env.metrics_enabled());
+  // library itself never reads env): metrics record exactly when the run
+  // has an artifact directory to export them to. A fresh run owns the
+  // registry and the phase tables: the export and the printed profile cover
+  // exactly this run plus whatever the caller records before the next one
+  // starts.
+  const bool metrics = !env.out_dir.empty();
+  obs::set_metrics_enabled(metrics);
   obs::set_profiling_enabled(env.profile);
-  if (env.metrics_enabled()) obs::registry().reset();
+  if (metrics) obs::registry().reset();
   if (env.profile) obs::reset_phase_profile();
 
   // The flat job list, in (cell, page, load) grid order.
@@ -310,7 +305,7 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   const Telemetry telemetry = summarize(
       workers, monotonic_seconds() - run_started, cells, grid, job_seconds);
   if (fleet.telemetry != nullptr) *fleet.telemetry = telemetry;
-  if (env.metrics_enabled()) record_run_metrics(workers, grid, job_seconds);
+  if (metrics) record_run_metrics(workers, grid, job_seconds);
   if (env.profile) {
     // Collected after the pool joins: every worker's thread-local table has
     // folded into the retired aggregate, so the table partitions the run's
@@ -320,18 +315,13 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
                    .c_str(),
                stderr);
   }
-  if (env.metrics_enabled()) {
-    obs::PhaseTimer export_phase(obs::Phase::Export);
-    std::error_code ec;
-    std::filesystem::create_directories(env.metrics_dir, ec);
-    obs::registry().export_to(env.metrics_dir);
+  if (metrics) {
     obs::Manifest manifest;
     manifest.set("schema", std::int64_t{1});
     manifest.set("kind", "fleet_sweep");
     manifest.set("env.jobs", static_cast<std::int64_t>(env.jobs));
     manifest.set("env.trace", env.trace_dir);
     manifest.set("env.out_dir", env.out_dir);
-    manifest.set("env.metrics", env.metrics_dir);
     manifest.set("env.profile", std::int64_t{env.profile ? 1 : 0});
     manifest.set("workers", static_cast<std::int64_t>(workers));
     manifest.set("jobs.total", static_cast<std::uint64_t>(total_jobs));
@@ -347,11 +337,7 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
       manifest.set(prefix + "pages", static_cast<std::int64_t>(cc.pages));
       manifest.set(prefix + "loads", static_cast<std::int64_t>(cc.loads));
     }
-    manifest.set("digest.metrics_prom",
-                 hex_digest(obs::registry().digest(obs::Plane::Virtual)));
-    manifest.set("digest.wall_sidecar_prom",
-                 hex_digest(obs::registry().digest(obs::Plane::Wall)));
-    manifest.write(env.metrics_dir + "/manifest.json");
+    obs::export_run(env.out_dir, "manifest.json", std::move(manifest));
   }
 
   // Median selection in load-index order, identical to run_page_median;

@@ -1,6 +1,7 @@
 // Machine-readable result export (CSV) so figure data can be plotted with
 // external tooling. Benches honour VROOM_OUT_DIR: when set, each printed
-// table is also written as `<dir>/<slug>.csv`.
+// table is also written as `<dir>/<slug>.csv`, beside the metric export and
+// manifest each sweep writes there (obs::export_run).
 #pragma once
 
 #include <cstdint>

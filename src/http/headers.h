@@ -5,7 +5,16 @@
 // `x-semi-important` for lazily processed ones (async scripts), and
 // `x-unimportant` for content that is never evaluated (images, media).
 // Within a header, URLs are listed in the order the client will process
-// them.
+// them. The wire format, as a VROOM-compliant server emits it (Table 1 and
+// §5.1, including the CORS exposure the JS scheduler needs):
+//
+//   Link: <b.com/x.js>; rel=preload, <a.com/y.css>; rel=preload
+//   x-semi-important: <c.com/z.js>
+//   x-unimportant: <d.com/img.jpg>, <e.com/ad.html>
+//   Access-Control-Expose-Headers: Link, x-semi-important, x-unimportant
+//
+// The simulator never builds that text: a HintSet carries the hints, and
+// header_bytes() prices the headers they add to a response.
 #pragma once
 
 #include <cstdint>
@@ -38,21 +47,6 @@ struct HintSet {
   }
   // Byte weight the hints add to the HTTP response headers.
   std::int64_t header_bytes() const;
-  std::vector<const Hint*> by_priority(HintPriority p) const;
 };
-
-// Wire format, exactly as a VROOM-compliant server would emit (Table 1 and
-// §5.1 including the CORS exposure the JS scheduler needs):
-//
-//   Link: <b.com/x.js>; rel=preload, <a.com/y.css>; rel=preload
-//   x-semi-important: <c.com/z.js>
-//   x-unimportant: <d.com/img.jpg>, <e.com/ad.html>
-//   Access-Control-Expose-Headers: Link, x-semi-important, x-unimportant
-//
-// serialize_hints emits one string with '\n'-separated header lines (empty
-// classes omitted); parse_hints inverts it, preserving per-class order.
-std::string serialize_hints(const HintSet& hints);
-// Returns false (leaving `out` empty) on malformed input.
-bool parse_hints(const std::string& wire, HintSet& out);
 
 }  // namespace vroom::http

@@ -7,9 +7,31 @@
 #include <sstream>
 #include <system_error>
 
+#include "obs/metrics.h"
+#include "obs/phase_profiler.h"
+
 namespace vroom::obs {
 
 namespace {
+
+// Writes `text` to `path`; warns on stderr and returns false on I/O failure.
+bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(text.data(), static_cast<std::streamsize>(text.size()));
+  if (!f) {
+    std::fprintf(stderr, "[obs] warning: could not write \"%s\"\n",
+                 path.c_str());
+    return false;
+  }
+  return true;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -172,28 +194,28 @@ std::optional<Manifest> Manifest::from_json(const std::string& json) {
   return m;
 }
 
-bool Manifest::write(const std::string& path) const {
-  std::error_code ec;
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  const std::string text = to_json();
-  f.write(text.data(), static_cast<std::streamsize>(text.size()));
-  if (!f) {
-    std::fprintf(stderr, "[obs] warning: could not write manifest \"%s\"\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
-}
-
 std::optional<Manifest> Manifest::read(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return std::nullopt;
   std::ostringstream buf;
   buf << f.rdbuf();
   return from_json(buf.str());
+}
+
+bool export_run(const std::string& dir, const std::string& manifest_file,
+                Manifest manifest) {
+  const PhaseTimer phase(Phase::Export);
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  // A failed mkdir surfaces as the write failures below.
+  const Registry& reg = registry();
+  bool ok = write_file(dir + "/metrics.csv", reg.to_csv(Plane::Virtual));
+  ok &= write_file(dir + "/metrics.prom", reg.to_exposition(Plane::Virtual));
+  ok &= write_file(dir + "/wall_sidecar.prom", reg.to_exposition(Plane::Wall));
+  manifest.set("digest.metrics_prom", hex(reg.digest(Plane::Virtual)));
+  manifest.set("digest.wall_sidecar_prom", hex(reg.digest(Plane::Wall)));
+  ok &= write_file(dir + "/" + manifest_file, manifest.to_json());
+  return ok;
 }
 
 }  // namespace vroom::obs

@@ -5,15 +5,16 @@
 // ("env.jobs" -> "4", "cell.0.fingerprint" -> "...", "digest.metrics_prom"
 // -> hex). Flat and ordered on purpose: serialization is a one-screen JSON
 // object whose byte layout is a pure function of the entries, and the
-// round-trip (write -> read) is exact, so a manifest can be diffed against
-// a later reproduction attempt key by key.
+// round-trip (to_json -> from_json) is exact, so a manifest can be diffed
+// against a later reproduction attempt key by key.
 //
 // The fleet writes `manifest.json` and the deployment scenario
-// `deploy_manifest.json` into the VROOM_METRICS directory; the entries
-// include every harness::Env knob, per-cell strategy fingerprints, and FNV
-// digests of the exported metric snapshots — enough to reconstruct (or
-// refuse to trust) any committed figure. Assembly happens at those call
-// sites: this library is plain data and stays free of harness dependencies.
+// `deploy_manifest.json` into the run's VROOM_OUT_DIR, beside its tables,
+// through export_run; the entries include every harness::Env knob, per-cell
+// strategy fingerprints, and FNV digests of the exported metric snapshots —
+// enough to reconstruct (or refuse to trust) any committed figure. The
+// kind-specific entries are assembled at those call sites: this library is
+// plain data and stays free of harness dependencies.
 #pragma once
 
 #include <optional>
@@ -45,9 +46,8 @@ class Manifest {
   // entries byte for byte.
   static std::optional<Manifest> from_json(const std::string& json);
 
-  // Writes to_json() to `path` (parent directories created as needed);
-  // warns on stderr and returns false on I/O failure.
-  bool write(const std::string& path) const;
+  // Parses the file at `path` (written by export_run); nullopt if it is
+  // missing or malformed.
   static std::optional<Manifest> read(const std::string& path);
 
   bool operator==(const Manifest& other) const {
@@ -57,5 +57,14 @@ class Manifest {
  private:
   std::vector<std::pair<std::string, std::string>> entries_;
 };
+
+// Writes a run's artifacts into `dir` (created as needed): the global
+// registry's export — metrics.csv and metrics.prom (virtual plane),
+// wall_sidecar.prom (wall plane) — and `manifest`, with the FNV digests of
+// both expositions appended as digest.metrics_prom and
+// digest.wall_sidecar_prom, as <dir>/<manifest_file>. Timed as the Export
+// phase. Returns false and warns on stderr on I/O failure.
+bool export_run(const std::string& dir, const std::string& manifest_file,
+                Manifest manifest);
 
 }  // namespace vroom::obs

@@ -4,11 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
-#include <system_error>
 
 namespace vroom::obs {
 
@@ -300,25 +297,6 @@ std::string Registry::to_exposition(Plane plane) const {
 
 std::uint64_t Registry::digest(Plane plane) const {
   return fnv1a(to_exposition(plane));
-}
-
-bool Registry::export_to(const std::string& dir) const {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const auto write = [&](const std::string& path, const std::string& text) {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(text.data(), static_cast<std::streamsize>(text.size()));
-    if (!f) {
-      std::fprintf(stderr, "[obs] warning: could not write \"%s\"\n",
-                   path.c_str());
-      return false;
-    }
-    return true;
-  };
-  bool ok = write(dir + "/metrics.csv", to_csv(Plane::Virtual));
-  ok &= write(dir + "/metrics.prom", to_exposition(Plane::Virtual));
-  ok &= write(dir + "/wall_sidecar.prom", to_exposition(Plane::Wall));
-  return ok;
 }
 
 void Registry::reset() {

@@ -21,10 +21,12 @@
 // may cache `static obs::Counter&` safely.
 //
 // Recording is gated by a process-global switch (set_metrics_enabled,
-// flipped from VROOM_METRICS by the fleet / benches): with it off,
-// instrumentation sites skip their atomic writes and a run's observable
-// behaviour is bit-for-bit unchanged. This library is environment-free;
-// harness::Env owns the VROOM_METRICS knob.
+// flipped by fleet::run_plan on when VROOM_OUT_DIR names the run's artifact
+// directory): with it off, instrumentation sites skip their atomic writes
+// and a run's observable behaviour is bit-for-bit unchanged. This library
+// is environment-free; harness::Env owns the VROOM_OUT_DIR knob, and
+// obs::export_run (obs/manifest.h) writes the export beside the run's
+// manifest.
 #pragma once
 
 #include <atomic>
@@ -171,11 +173,6 @@ class Registry {
   // FNV-1a digest of to_exposition(plane); recorded in run manifests so a
   // committed number can be matched to the exact metric snapshot behind it.
   std::uint64_t digest(Plane plane) const;
-
-  // Writes <dir>/metrics.csv + <dir>/metrics.prom (virtual plane) and
-  // <dir>/wall_sidecar.prom (wall plane), creating `dir` as needed.
-  // Returns false and warns on stderr on I/O failure.
-  bool export_to(const std::string& dir) const;
 
   // Zeroes every value. Handles stay valid: metrics are never deallocated.
   void reset();

@@ -1,8 +1,5 @@
 #include "sim/random.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace vroom::sim {
 
 std::uint64_t hash64(std::string_view s, std::uint64_t h) {
@@ -54,12 +51,6 @@ bool Rng::chance(double p) { return sim::chance(engine_, p); }
 
 double Rng::lognormal(double median, double sigma) {
   return sim::lognormal(engine_, median, sigma);
-}
-
-double Rng::pareto(double scale, double shape, double cap) {
-  const double u = uniform(0.0, 1.0);
-  const double v = scale / std::pow(1.0 - u, 1.0 / shape);
-  return std::min(v, cap);
 }
 
 double Rng::exponential(double mean) {

@@ -151,21 +151,11 @@ class Rng {
   // See sim::lognormal.
   double lognormal(double median, double sigma);
 
-  // Bounded Pareto, for heavy-tailed object counts/sizes.
-  double pareto(double scale, double shape, double cap);
-
   double exponential(double mean);
   double normal(double mean, double stddev);
 
   // Picks an index in [0, weights.size()) proportionally to weights.
   std::size_t weighted(const std::vector<double>& weights);
-
-  template <typename It>
-  void shuffle(It first, It last) {
-    std::shuffle(first, last, engine_);
-  }
-
-  std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;

@@ -421,7 +421,8 @@ TEST(FrontEnd, SharedMemoMatchesPrivateMemos) {
   std::size_t private_counts = 0;
   for (std::size_t k = 0; k < 2; ++k) {
     const auto memo =
-        std::make_shared<deploy::GenerationMemo>(corpus, cfg, kSeed);
+        std::make_shared<deploy::GenerationMemo>(corpus, cfg, kSeed,
+                                                 sim::days(45));
     deploy::FrontEnd fe(memo);
     for (const deploy::Arrival& a : streams[k]) {
       want[k].push_back(serve(fe, a));
@@ -457,7 +458,8 @@ TEST(FrontEnd, SharedMemoMatchesPrivateMemos) {
 
   {
     const auto shared =
-        std::make_shared<deploy::GenerationMemo>(corpus, cfg, kSeed);
+        std::make_shared<deploy::GenerationMemo>(corpus, cfg, kSeed,
+                                                 sim::days(45));
     deploy::FrontEnd fe0(shared);
     deploy::FrontEnd fe1(shared);
     std::vector<Decisions> got(2);
@@ -472,7 +474,8 @@ TEST(FrontEnd, SharedMemoMatchesPrivateMemos) {
   }
   {
     const auto shared =
-        std::make_shared<deploy::GenerationMemo>(corpus, cfg, kSeed);
+        std::make_shared<deploy::GenerationMemo>(corpus, cfg, kSeed,
+                                                 sim::days(45));
     deploy::FrontEnd fe0(shared);
     deploy::FrontEnd fe1(shared);
     std::vector<Decisions> got(2);
@@ -582,18 +585,46 @@ TEST(Scenario, ReportBitIdenticalAcrossJobCounts) {
   }
 }
 
-// The front end crawls the web the micro loads see: its crawls run on
-// cfg.micro.when's clock, so front_end.day0 cannot move the report.
+// The front end crawls the web the micro loads see: each level's front end
+// serves what a front end on a memo with crawl clock cfg.micro.when serves
+// over that level's arrivals, and the default clock would serve otherwise.
 TEST(Scenario, FrontEndCrawlsOnTheMicroClock) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(42, 3);
   deploy::ScenarioConfig cfg = two_level_scenario();
   cfg.micro.when = sim::days(45) + sim::hours(7);
-  deploy::ScenarioConfig moved = cfg;
-  moved.front_end.day0 = cfg.micro.when;
-  ASSERT_NE(cfg.front_end.day0, moved.front_end.day0);
-  expect_identical_reports(deploy::run_deployment(corpus, cfg),
-                           deploy::run_deployment(corpus, moved));
+  const deploy::DeploymentReport report = deploy::run_deployment(corpus, cfg);
+
+  deploy::PopulationConfig pop = cfg.population;
+  pop.device_mix = deploy::default_device_mix();
+  const auto replay = [&](std::size_t level, sim::Time day0) {
+    pop.mean_arrivals_per_sec = cfg.offered_levels[level];
+    deploy::FrontEnd fe(std::make_shared<deploy::GenerationMemo>(
+        corpus, cfg.front_end, sim::derive_seed(cfg.seed, "deploy:frontend"),
+        day0));
+    for (const deploy::Arrival& a : deploy::build_population(
+             static_cast<int>(corpus.size()), pop,
+             sim::derive_seed(cfg.seed,
+                              "deploy:level-" + std::to_string(level)))) {
+      fe.serve(a.at, a.page, pop.device_mix[a.device].device);
+    }
+    return fe.stats();
+  };
+  bool clock_moves_a_level = false;
+  for (std::size_t level = 0; level < cfg.offered_levels.size(); ++level) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    const deploy::FrontEndStats& got = report.levels[level].front_end;
+    const deploy::FrontEndStats want = replay(level, cfg.micro.when);
+    EXPECT_EQ(got.serves, want.serves);
+    EXPECT_EQ(got.cache_hits, want.cache_hits);
+    EXPECT_EQ(got.hintless_serves, want.hintless_serves);
+    EXPECT_EQ(got.generations, want.generations);
+    EXPECT_EQ(got.total_queue_wait, want.total_queue_wait);
+    clock_moves_a_level |= replay(level, sim::days(45)).total_queue_wait !=
+                           want.total_queue_wait;
+  }
+  EXPECT_TRUE(clock_moves_a_level)
+      << "no level's hint costs depend on the crawl clock";
 }
 
 // The warm column is Figure 20's story per (device, page): prime a private
@@ -654,12 +685,12 @@ TEST(Scenario, ExportedMetricsByteIdenticalAcrossJobCounts) {
   std::vector<std::string> dirs;
   for (const char* jobs : {"1", "2", "4"}) {
     const std::string dir = base + jobs;
-    ScopedEnv metrics("VROOM_METRICS", dir.c_str());
+    ScopedEnv out("VROOM_OUT_DIR", dir.c_str());
     ScopedEnv env("VROOM_JOBS", jobs);
     (void)deploy::run_deployment(corpus, cfg);
     dirs.push_back(dir);
   }
-  // The fleet flipped the gate on from VROOM_METRICS; leave it as later
+  // The fleet flipped the gate on from VROOM_OUT_DIR; leave it as later
   // tests expect to find it.
   obs::set_metrics_enabled(false);
 

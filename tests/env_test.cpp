@@ -21,7 +21,6 @@ struct CleanEnv {
   ScopedEnv jobs{"VROOM_JOBS", nullptr};
   ScopedEnv trace{"VROOM_TRACE", nullptr};
   ScopedEnv out{"VROOM_OUT_DIR", nullptr};
-  ScopedEnv metrics{"VROOM_METRICS", nullptr};
   ScopedEnv profile{"VROOM_PROFILE", nullptr};
 };
 
@@ -32,18 +31,16 @@ TEST(Env, DefaultsWhenUnset) {
   EXPECT_EQ(env.trace_dir, "");
   EXPECT_EQ(env.out_dir, "");
   EXPECT_FALSE(env.trace_enabled());
-  EXPECT_EQ(env.metrics_dir, "");
-  EXPECT_FALSE(env.metrics_enabled());
   EXPECT_FALSE(env.profile);
 }
 
 TEST(Env, MetricsAndProfileKnobs) {
   CleanEnv clean;
   {
-    ScopedEnv metrics("VROOM_METRICS", "/tmp/vroom-metrics");
-    const harness::Env env = harness::Env::from_environment();
-    EXPECT_EQ(env.metrics_dir, "/tmp/vroom-metrics");
-    EXPECT_TRUE(env.metrics_enabled());
+    // Metrics have no knob of their own: they are exported into the run's
+    // artifact directory (obs_test.cpp's FleetMetrics tests).
+    ScopedEnv out("VROOM_OUT_DIR", "/tmp/vroom-out");
+    EXPECT_EQ(harness::Env::from_environment().out_dir, "/tmp/vroom-out");
   }
   {
     // "0" and "" stay off; any other value turns profiling on.
@@ -90,6 +87,32 @@ TEST(Env, MalformedIntegersIgnoredWithDefault) {
     EXPECT_EQ(harness::Env::from_environment().jobs, 0)
         << "VROOM_JOBS=\"" << bad << '"';
   }
+}
+
+// A program's environment does not change while it runs, so a malformed
+// value warns once however many times its runs parse it: a parse warns
+// only when the previous one did not see the same malformed value.
+TEST(Env, MalformedValueWarnsOnceUntilItChanges) {
+  CleanEnv clean;
+  const auto warnings = [](const char* jobs, int parses) {
+    ScopedEnv env("VROOM_JOBS", jobs);
+    testing::internal::CaptureStderr();
+    for (int i = 0; i < parses; ++i) harness::Env::from_environment();
+    const std::string err = testing::internal::GetCapturedStderr();
+    int n = 0;
+    for (std::size_t at = err.find("[env] warning"); at != std::string::npos;
+         at = err.find("[env] warning", at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(warnings("abc", 3), 1);
+  EXPECT_EQ(warnings("abc", 2), 0);  // still the value warned about
+  EXPECT_EQ(warnings("x9", 2), 1);   // a new malformed value warns
+  EXPECT_EQ(warnings("4", 1), 0);
+  EXPECT_EQ(warnings("x9", 1), 1);   // seen again after a valid value
+  EXPECT_EQ(warnings(nullptr, 1), 0);
+  EXPECT_EQ(warnings("x9", 1), 1);   // and after the variable was unset
 }
 
 TEST(Env, HugeIntegerOutOfRangeIgnored) {

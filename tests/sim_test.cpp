@@ -165,14 +165,5 @@ TEST(RandomTest, DrawsOverStreamHeadMatchRng) {
   EXPECT_THROW(weighted(lazy, {0.0, 0.0}), std::invalid_argument);
 }
 
-TEST(RandomTest, ParetoIsCapped) {
-  Rng rng(7, "p");
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.pareto(10, 1.2, 500);
-    EXPECT_GE(v, 10);
-    EXPECT_LE(v, 500);
-  }
-}
-
 }  // namespace
 }  // namespace vroom::sim

@@ -423,7 +423,8 @@ TEST(Trace, LoadsDifferingOnlyInDeviceOrNetworkWriteSeparateFiles) {
 
 // fig01's shape: one strategy over two corpora, so both cells carry the
 // strategy name as their label. Each traced cell must still export its own
-// counter totals instead of the second overwriting the first.
+// counter totals instead of the second overwriting the first. (The
+// directory also takes the run's metric export and manifest.)
 TEST(Trace, CellsSharingALabelExportSeparateCounterFiles) {
   const std::string dir = testing::TempDir() + "vroom_trace_counters";
   std::filesystem::remove_all(dir);
@@ -445,6 +446,9 @@ TEST(Trace, CellsSharingALabelExportSeparateCounterFiles) {
 
   std::multiset<std::string> written;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind("trace_counters_", 0) != 0) {
+      continue;
+    }
     written.insert(read_file(entry.path().string()));
   }
   const std::multiset<std::string> expected = {
