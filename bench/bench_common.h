@@ -13,14 +13,18 @@
 // 21's accuracy samples) put them on fleet::run_tasks, one slot per call.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "baselines/strategies.h"
 #include "fleet/fleet.h"
+#include "harness/env.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
 #include "harness/stats.h"
+#include "obs/manifest.h"
 #include "web/corpus.h"
 
 namespace vroom::bench {
@@ -69,6 +73,22 @@ inline std::vector<harness::Series> plt_matrix(
     rows.push_back({strategies[i].name, results[i].plt_seconds()});
   }
   return rows;
+}
+
+// For a bench whose tables come from no fleet::run_plan (which writes its
+// own manifest): with VROOM_OUT_DIR set, writes the run's manifest.json
+// (program, seed, page count) and metric export beside the tables. Call
+// once, after the last table.
+inline void export_manifest(const char* program, std::size_t pages) {
+  const harness::Env env = harness::Env::from_environment();
+  if (env.out_dir.empty()) return;
+  obs::Manifest manifest;
+  manifest.set("schema", std::int64_t{1});
+  manifest.set("kind", "bench_tables");
+  manifest.set("program", program);
+  manifest.set("seed", kSeed);
+  manifest.set("pages", static_cast<std::int64_t>(pages));
+  obs::export_run(env.out_dir, "manifest.json", std::move(manifest));
 }
 
 inline void banner(const char* fig, const char* what) {

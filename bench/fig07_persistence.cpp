@@ -22,5 +22,6 @@ int main() {
                            {{"One Hour", hour},
                             {"One Day", day},
                             {"One Week", week}});
+  bench::export_manifest("fig07_persistence", top.size());
   return 0;
 }

@@ -22,5 +22,6 @@ int main() {
   harness::print_cdf_table(
       "Intersection over Union (compared to a Nexus 6)", "IoU",
       {{"OnePlus 3", oneplus}, {"Nexus 10", tablet}, {"Nexus 5", nexus5}});
+  bench::export_manifest("fig09_device_similarity", top.size());
   return 0;
 }

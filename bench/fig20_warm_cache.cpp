@@ -37,5 +37,6 @@ int main() {
         std::string("Page Load Time, ") + scenarios[g].label, "seconds",
         {{"Vroom", series(2 * g)}, {"HTTP/2 Baseline", series(2 * g + 1)}});
   }
+  bench::export_manifest("fig20_warm_cache", n);
   return 0;
 }

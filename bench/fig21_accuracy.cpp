@@ -55,5 +55,6 @@ int main() {
                            {{"Vroom", fp_vroom},
                             {"Offline Only", fp_offline},
                             {"Online Only", fp_online}});
+  bench::export_manifest("fig21_accuracy", acc.size());
   return 0;
 }

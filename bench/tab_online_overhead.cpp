@@ -25,5 +25,6 @@ int main() {
   }
   harness::print_cdf_table("HTML scan cost", "ms", {{"All pages", cost_ms}});
   harness::print_stat("median scan cost", harness::median(cost_ms), "ms");
+  bench::export_manifest("tab_online_overhead", cost_ms.size());
   return 0;
 }

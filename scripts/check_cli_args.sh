@@ -5,7 +5,8 @@
 # example_vroom_cli's flags and example_incremental_deployment's page
 # count. Each further binary runs once with VROOM_JOBS=abc and must exit 0
 # after exactly one "[env] warning" line, however many sweeps, task
-# fan-outs and tables it makes.
+# fan-outs and tables it makes. That run also sets VROOM_OUT_DIR, and its
+# tables must come with a manifest.json beside them.
 #
 #   scripts/check_cli_args.sh <example_vroom_cli> <example_incremental_deployment> [<bench>...]
 set -uo pipefail
@@ -16,6 +17,8 @@ incremental="${2:?$usage}"
 shift 2
 unset VROOM_TRACE VROOM_OUT_DIR
 failed=0
+out_root="$(mktemp -d)"
+trap 'rm -rf "$out_root"' EXIT
 
 expect() {  # expect <status> <binary> <args...>
   local want="$1" bin="$2"; shift 2
@@ -51,12 +54,18 @@ done
 expect 0 "$incremental" 1
 
 for bin in "$@"; do
-  err="$(VROOM_JOBS=abc "$bin" 2>&1 > /dev/null)"
+  out="$out_root/$(basename "$bin")"
+  err="$(VROOM_JOBS=abc VROOM_OUT_DIR="$out" "$bin" 2>&1 > /dev/null)"
   status=$?
   warnings="$(grep -c '^\[env\] warning' <<< "$err")"
   if [[ "$status" != 0 || "$warnings" != 1 ]]; then
     echo "FAIL: $(basename "$bin") at VROOM_JOBS=abc exited $status" \
          "with $warnings [env] warnings, expected 0 with 1" >&2
+    failed=1
+  fi
+  if [[ ! -f "$out/manifest.json" ]]; then
+    echo "FAIL: $(basename "$bin") wrote no manifest.json into" \
+         "VROOM_OUT_DIR" >&2
     failed=1
   fi
 done

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <memory_resource>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sim/arena.h"
 #include "sim/random.h"
@@ -25,52 +27,16 @@ double zipf_weight(int rank, double s) {
   return 1.0 / std::pow(static_cast<double>(rank + 1), s);
 }
 
-// Zipf-style sampler over n ranks with exponent s: weight(r) = 1/(r+1)^s.
-// Rng::weighted is O(n) per draw; at population scale (10^5 users, 10^5
-// arrivals) that is quadratic, so precompute cumulative weights once. A
-// draw of u returns the first rank whose cumulative weight exceeds u
-// (upper_bound's index, n for u >= total). It starts from a guide table of
-// n equal buckets over [0, total): guide_[b] is the first rank whose
-// cumulative weight lies in bucket b or later. Every rank before it lies in
-// an earlier bucket, so below any u of bucket b (bucket() is monotone), and
-// stepping forward from it finds upper_bound's index exactly, a rank or two
-// into the tail instead of a 17-step binary search. Both tables live on the
-// caller's arena.
-class ZipfSampler {
- public:
-  ZipfSampler(int n, double s, std::pmr::memory_resource* mem)
-      : cum_(mem), guide_(static_cast<std::size_t>(n), 0, mem) {
-    cum_.reserve(static_cast<std::size_t>(n) + 1);
-    for (int r = 0; r < n; ++r) {
-      total_ += zipf_weight(r, s);
-      cum_.push_back(total_);
-    }
-    // Stops a draw of u >= total at index n, where upper_bound stops.
-    cum_.push_back(std::numeric_limits<double>::infinity());
-    scale_ = static_cast<double>(n) / total_;
-    std::uint32_t r = 0;
-    for (std::size_t b = 0; b < guide_.size(); ++b) {
-      while (r < static_cast<std::uint32_t>(n) && bucket(cum_[r]) < b) ++r;
-      guide_[b] = r;
-    }
-  }
-
-  int draw(sim::Rng& rng) const {
-    const double u = rng.uniform(0.0, total_);
-    std::size_t i = guide_[bucket(u)];
-    while (cum_[i] <= u) ++i;
-    return static_cast<int>(i);
-  }
-
- private:
-  std::size_t bucket(double u) const {
-    return std::min(static_cast<std::size_t>(u * scale_), guide_.size() - 1);
-  }
-
-  std::pmr::vector<double> cum_;
-  std::pmr::vector<std::uint32_t> guide_;
-  double total_ = 0.0;
-  double scale_ = 0.0;
+// The engine of one precomputed word: a sim::weighted draw reads exactly
+// one word (uniform_real_distribution<double> takes ceil(53 / 64) = 1 word
+// from a 64-bit engine), so handing it output 0 of std::mt19937_64(seed)
+// draws what the engine itself would.
+struct OneWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  result_type operator()() const { return word; }
+  result_type word;
 };
 
 // Scales a profile to mean 1.0: sum in order, then multiply each entry by
@@ -91,7 +57,45 @@ std::vector<double> normalized_profile(std::vector<double> p) {
   return p;
 }
 
+// A NaN skew would reach the samplers' float-to-index cast, and an
+// infinite rate the stream's reserve.
+void check_finite(const PopulationConfig& cfg) {
+  const std::pair<const char*, double> fields[] = {
+      {"user_skew", cfg.user_skew},
+      {"page_skew", cfg.page_skew},
+      {"mean_arrivals_per_sec", cfg.mean_arrivals_per_sec}};
+  for (const auto& [name, value] : fields) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(std::string(name) + ": must be finite");
+    }
+  }
+}
+
 }  // namespace
+
+ZipfSampler::ZipfSampler(int n, double s, std::pmr::memory_resource* mem)
+    : cum_(mem), guide_(static_cast<std::size_t>(std::max(0, n)), 0, mem),
+      s_(s) {
+  cum_.reserve(guide_.size() + 1);
+  for (int r = 0; r < n; ++r) {
+    total_ += zipf_weight(r, s);
+    cum_.push_back(total_);
+  }
+  if (!std::isfinite(total_)) {
+    throw std::invalid_argument("ZipfSampler: weights of exponent " +
+                                std::to_string(s) +
+                                " have no finite total");
+  }
+  // Stops a draw of u >= total at index n, where upper_bound stops.
+  cum_.push_back(std::numeric_limits<double>::infinity());
+  if (n <= 0) return;
+  scale_ = static_cast<double>(n) / total_;
+  std::uint32_t r = 0;
+  for (std::size_t b = 0; b < guide_.size(); ++b) {
+    while (r < static_cast<std::uint32_t>(n) && bucket(cum_[r]) < b) ++r;
+    guide_[b] = r;
+  }
+}
 
 std::vector<double> zipf_weights(int n, double s) {
   std::vector<double> w(static_cast<std::size_t>(std::max(0, n)));
@@ -122,7 +126,8 @@ std::vector<double> default_diurnal_profile() {
 
 std::vector<Arrival> build_population(int num_pages,
                                       const PopulationConfig& cfg,
-                                      std::uint64_t seed) {
+                                      std::uint64_t seed,
+                                      const ZipfSampler& user_sampler) {
   const std::vector<DeviceShare> mix =
       cfg.device_mix.empty() ? default_device_mix() : cfg.device_mix;
   // Arrival narrows the page and device indices: an index past the field
@@ -135,6 +140,13 @@ std::vector<Arrival> build_population(int num_pages,
     throw std::invalid_argument("build_population: more than " +
                                 std::to_string(kMaxDevices) +
                                 " device classes");
+  }
+  check_finite(cfg);
+  if (user_sampler.size() != std::max(0, cfg.users) ||
+      user_sampler.exponent() != cfg.user_skew) {
+    throw std::invalid_argument(
+        "build_population: the user table is not ZipfSampler(users, "
+        "user_skew)");
   }
   const std::vector<double> profile =
       cfg.diurnal.empty() ? default_diurnal_profile()
@@ -181,12 +193,15 @@ std::vector<Arrival> build_population(int num_pages,
   // later worlds reuse its chunks, where a per-call vector's freed
   // megabytes stay resident in the allocator's per-thread heaps.
   sim::PooledArena arena;
-  const ZipfSampler user_sampler(cfg.users, cfg.user_skew, arena.get());
   const ZipfSampler page_sampler(num_pages, cfg.page_skew, arena.get());
 
   // Pass 1, in arrival order: when, who and which page. Thinning
   // (Lewis-Shedler): candidates from a homogeneous process at the peak
-  // rate, accepted with probability rate(t)/peak.
+  // rate, accepted with probability rate(t)/peak. Each accepted arrival
+  // takes one user draw and one page draw from streams of their own, so
+  // drawing every time first, then the whole user column, then the whole
+  // page column gives each stream the sequence an interleaved loop gives
+  // it, with one stream's state and one table per loop.
   const double peak_rate = cfg.mean_arrivals_per_sec * max_mult;
   sim::Time t = 0;
   while (true) {
@@ -195,9 +210,13 @@ std::vector<Arrival> build_population(int num_pages,
     if (!arrival_rng.chance(profile[hour_of(t)] / max_mult)) continue;
     Arrival a;
     a.at = t;
-    a.user = static_cast<std::uint32_t>(user_sampler.draw(who_rng));
-    a.page = static_cast<std::uint16_t>(page_sampler.draw(page_rng));
     arrivals.push_back(a);
+  }
+  for (Arrival& a : arrivals) {
+    a.user = static_cast<std::uint32_t>(user_sampler.draw(who_rng));
+  }
+  for (Arrival& a : arrivals) {
+    a.page = static_cast<std::uint16_t>(page_sampler.draw(page_rng));
   }
 
   // Pass 2, in user order. A stable counting sort groups arrival indices
@@ -215,23 +234,32 @@ std::vector<Arrival> build_population(int num_pages,
   // A user's device is a pure function of (root, user), so drawing it in
   // user order gives each user the device a draw on their first arrival
   // would: the first draw of std::mt19937_64(derive_seed(root, user)),
-  // whose first word Mt64Lazy yields without building the engine. Only
-  // users with arrivals draw. An arrival is warm when the same user's
-  // previous visit to the page, in time order within the user's group, is
-  // at most warm_ttl before it; the page-indexed table holds the last
-  // visit and the user it belongs to, so no user's visits leak into the
-  // next group.
+  // which reads only the engine's output 0. Only users with arrivals draw,
+  // and their first words are seeded in one batch. An arrival is warm when
+  // the same user's previous visit to the page, in time order within the
+  // user's group, is at most warm_ttl before it; the page-indexed table
+  // holds the last visit and the user it belongs to, so no user's visits
+  // leak into the next group.
+  std::pmr::vector<std::uint64_t> device_words(arena.get());
+  device_words.reserve(std::min(users, arrivals.size()));
+  for (std::uint32_t u = 0; u < users; ++u) {
+    if (group_end[u] != (u == 0 ? 0 : group_end[u - 1])) {
+      device_words.push_back(sim::derive_seed(root, std::uint64_t{u}));
+    }
+  }
+  sim::mt64_first_words(device_words);
   struct LastVisit {
     std::uint32_t user = std::numeric_limits<std::uint32_t>::max();  // none
     sim::Time at = 0;
   };
   std::pmr::vector<LastVisit> last_visit(static_cast<std::size_t>(num_pages),
                                          LastVisit{}, arena.get());
+  const std::uint64_t* word = device_words.data();
   std::uint32_t begin = 0;
   for (std::uint32_t u = 0; u < users; ++u) {
     const std::uint32_t end = group_end[u];
     if (begin == end) continue;
-    sim::Mt64Lazy stream(sim::derive_seed(root, std::uint64_t{u}));
+    OneWord stream{*word++};
     const auto device =
         static_cast<std::uint8_t>(sim::weighted(stream, mix_weights));
     for (std::uint32_t j = begin; j < end; ++j) {
@@ -244,6 +272,17 @@ std::vector<Arrival> build_population(int num_pages,
     begin = end;
   }
   return arrivals;
+}
+
+std::vector<Arrival> build_population(int num_pages,
+                                      const PopulationConfig& cfg,
+                                      std::uint64_t seed) {
+  // Checked before the table is built from the skew.
+  check_finite(cfg);
+  sim::PooledArena arena;
+  return build_population(
+      num_pages, cfg, seed,
+      ZipfSampler(cfg.users, cfg.user_skew, arena.get()));
 }
 
 }  // namespace vroom::deploy

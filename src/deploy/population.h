@@ -11,15 +11,21 @@
 // on every machine and at any VROOM_JOBS. The expensive per-condition page
 // loads run on the fleet. Each offered-load level builds its own stream
 // serially on its own task, in two passes: one in arrival order (a few
-// draws per candidate arrival, a guide-table step per Zipf draw), one in
-// user order (a stable counting sort, one device draw per user with
-// arrivals, and a page-indexed last-visit check per arrival). Its scratch
-// lives on the thread's pooled arena.
+// draws per candidate arrival, then a guide-table step per Zipf draw, one
+// random stream per loop), one in user order (a stable counting sort, a
+// device draw per user with arrivals from a batch-seeded first word, and a
+// page-indexed last-visit check per arrival). The user Zipf table is the
+// caller's, shared by every level of a run; the pass's scratch lives on the
+// thread's pooled arena.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <vector>
 
+#include "sim/random.h"
 #include "sim/time.h"
 #include "web/device.h"
 
@@ -77,12 +83,63 @@ struct Arrival {
   }
 };
 
+// Zipf-style sampler over n ranks with exponent s: weight(r) = 1/(r+1)^s,
+// the zipf_weights above. Rng::weighted is O(n) per draw; at population
+// scale (10^5 users, 10^5 arrivals) that is quadratic, so the cumulative
+// weights are summed once. A draw of u returns the first rank whose
+// cumulative weight exceeds u (upper_bound's index, n for u >= total). It
+// starts from a guide table of n equal buckets over [0, total): guide_[b]
+// is the first rank whose cumulative weight lies in bucket b or later.
+// Every rank before it lies in an earlier bucket, so below any u of bucket
+// b (bucket() is monotone), and stepping forward from it finds
+// upper_bound's index exactly, a rank or two into the tail instead of a
+// 17-step binary search. Both tables live on `mem`; draws only read them,
+// so threads may draw from one sampler at once.
+class ZipfSampler {
+ public:
+  // Throws std::invalid_argument when the weights do not sum to a finite
+  // total (a NaN exponent, or a negative one large enough to overflow).
+  ZipfSampler(int n, double s,
+              std::pmr::memory_resource* mem = std::pmr::get_default_resource());
+
+  int size() const { return static_cast<int>(guide_.size()); }
+  double exponent() const { return s_; }
+
+  // One draw from `rng`'s next uniform; size() must be positive.
+  int draw(sim::Rng& rng) const {
+    const double u = rng.uniform(0.0, total_);
+    std::size_t i = guide_[bucket(u)];
+    while (cum_[i] <= u) ++i;
+    return static_cast<int>(i);
+  }
+
+ private:
+  std::size_t bucket(double u) const {
+    return std::min(static_cast<std::size_t>(u * scale_), guide_.size() - 1);
+  }
+
+  std::pmr::vector<double> cum_;
+  std::pmr::vector<std::uint32_t> guide_;
+  double s_ = 0.0;
+  double total_ = 0.0;
+  double scale_ = 0.0;
+};
+
 // Generates the full arrival stream over `cfg.window`, sorted by time.
-// Deterministic in (num_pages, cfg, seed) only. Throws
+// Deterministic in (num_pages, cfg, seed) only. `users` is the user
+// activity table, ZipfSampler(cfg.users, cfg.user_skew) (or of 0 ranks for
+// no users): one table serves every stream of that population. Throws
 // std::invalid_argument for more than 65,536 pages or 256 device classes
-// (the widths of Arrival::page and Arrival::device), for a malformed
-// diurnal profile, and (from the first device draw) for device weights with
-// a non-positive total.
+// (the widths of Arrival::page and Arrival::device), for a non-finite
+// user_skew, page_skew or mean_arrivals_per_sec, for a `users` table of
+// another size or exponent, for a malformed diurnal profile, and (from the
+// first device draw) for device weights with a non-positive total.
+std::vector<Arrival> build_population(int num_pages,
+                                      const PopulationConfig& cfg,
+                                      std::uint64_t seed,
+                                      const ZipfSampler& users);
+
+// The same stream with a user table of its own.
 std::vector<Arrival> build_population(int num_pages,
                                       const PopulationConfig& cfg,
                                       std::uint64_t seed);

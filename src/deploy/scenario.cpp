@@ -52,17 +52,19 @@ sim::Time capped(sim::Time plt, sim::Time timeout) {
   return plt == sim::kNever ? timeout : std::min(plt, timeout);
 }
 
-// Per-page traffic profile: bytes per origin domain, plus the fraction of
-// those bytes a warm (primed-cache) revisit still fetches. Domains are
-// dense scenario-wide ids (see DomainTable) so the per-arrival hot loop
-// indexes a flat link table instead of probing a string map; within a page
-// they stay in domain-string order — the per-arrival loop iterates them,
-// so that order is part of the frozen trace byte stream.
-struct PageProfile {
-  std::vector<std::pair<std::uint32_t, std::int64_t>> domain_bytes;
-  std::int64_t total_bytes = 0;
-  double warm_bytes_frac = 1.0;
+// One origin of a page's traffic profile: what a cold load and a warm
+// (primed-cache) revisit ship through the origin's link, and how long each
+// holds it at the scenario's link rate. A page's origins are in
+// domain-string order — the per-arrival loop iterates them, so that order
+// is part of the frozen trace byte stream. Domains are dense
+// scenario-wide ids (see DomainTable) so the per-arrival hot loop indexes a
+// flat link table instead of probing a string map.
+struct OriginTraffic {
+  std::uint32_t domain = 0;
+  std::int64_t bytes[2] = {};  // [cold, warm]
+  sim::Time tx[2] = {};        // net::tx_time of each, once the rate is known
 };
+using PageProfile = std::vector<OriginTraffic>;
 
 // Scenario-wide dense domain ids. Assignment order is first touch over
 // (page order, domain-string order within page) — deterministic, and
@@ -159,10 +161,20 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
     conditions.push_back(baselines::vroom_stale_hints(age));
   }
   conditions.push_back(baselines::http2_baseline());  // hintless serves
+  const int buckets = static_cast<int>(conditions.size());
+  micro.plt.assign(mix.size(),
+                   std::vector<std::vector<sim::Time>>(
+                       static_cast<std::size_t>(buckets),
+                       std::vector<sim::Time>(
+                           static_cast<std::size_t>(pages), 0)));
 
+  // The fresh column (bucket 0) is not in the plan: its loads are the warm
+  // column's primes below. Conditions 1.. run one cell each per device.
+  // The plan runs first because run_plan resets the metric registry and
+  // the phase tables.
   fleet::SweepPlan plan;
   for (std::size_t d = 0; d < mix.size(); ++d) {
-    for (std::size_t c = 0; c < conditions.size(); ++c) {
+    for (std::size_t c = 1; c < conditions.size(); ++c) {
       harness::RunOptions opt = cfg.micro;
       opt.seed = cfg.seed;
       opt.device = mix[d].device;
@@ -172,27 +184,21 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
     }
   }
   const std::vector<harness::CorpusResult> cells = fleet::run_plan(plan);
-
-  const int buckets = static_cast<int>(conditions.size());
-  micro.plt.assign(mix.size(), {});
-  for (std::size_t d = 0; d < mix.size(); ++d) {
-    micro.plt[d].assign(static_cast<std::size_t>(buckets), {});
-    for (int c = 0; c < buckets; ++c) {
-      const harness::CorpusResult& cell =
-          cells[d * static_cast<std::size_t>(buckets) +
-                static_cast<std::size_t>(c)];
-      auto& col = micro.plt[d][static_cast<std::size_t>(c)];
-      col.reserve(cell.loads.size());
-      for (const browser::LoadResult& load : cell.loads) {
-        col.push_back(capped(load.plt, cfg.micro.timeout));
-      }
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::size_t d = i / static_cast<std::size_t>(buckets - 1);
+    const std::size_t c = i % static_cast<std::size_t>(buckets - 1) + 1;
+    for (std::size_t p = 0; p < cells[i].loads.size(); ++p) {
+      micro.plt[d][c][p] = capped(cells[i].loads[p].plt, cfg.micro.timeout);
     }
   }
 
   // Warm revisit column (Figure 20 style: prime, wait, revisit). Each
   // (device, page) pair is one harness::run_page_revisit with its own
-  // cache, so pairs fan out on the pool into pre-assigned slots.
-  const baselines::Strategy fresh = conditions[0];
+  // cache, so pairs fan out on the pool into pre-assigned slots. The
+  // prime is the cold load of the fresh condition, exactly the load the
+  // fresh cell would run (same page, options and load index 0; an empty
+  // cache changes nothing), so it fills the fresh column too.
+  const baselines::Strategy& fresh = conditions[0];
   const double warm_started = monotonic_seconds();
   micro.warm_plt.assign(mix.size(),
                         std::vector<sim::Time>(
@@ -207,6 +213,7 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
         opt.device = mix[d].device;
         const harness::Revisit visit = harness::run_page_revisit(
             corpus.page(p), fresh, opt, cfg.revisit_gap);
+        micro.plt[d][0][p] = capped(visit.prime.plt, cfg.micro.timeout);
         micro.warm_plt[d][p] = capped(visit.revisit.plt, cfg.micro.timeout);
         if (d == 0 && visit.prime.bytes_fetched > 0) {
           warm_bytes_frac[p] =
@@ -243,10 +250,13 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   std::vector<PageProfile> profiles(static_cast<std::size_t>(pages));
   for (int p = 0; p < pages; ++p) {
     PageProfile& prof = profiles[static_cast<std::size_t>(p)];
-    prof.warm_bytes_frac = warm_bytes_frac[static_cast<std::size_t>(p)];
     for (const auto& [domain, bytes] : by_page[static_cast<std::size_t>(p)]) {
-      prof.domain_bytes.emplace_back(domains.intern(domain), bytes);
-      prof.total_bytes += bytes;
+      OriginTraffic& origin = prof.emplace_back();
+      origin.domain = domains.intern(domain);
+      origin.bytes[0] = bytes;
+      origin.bytes[1] = static_cast<std::int64_t>(
+          static_cast<double>(bytes) *
+          warm_bytes_frac[static_cast<std::size_t>(p)]);
     }
   }
   const auto n_domains = domains.names.size();
@@ -266,10 +276,10 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
       *std::max_element(cfg.offered_levels.begin(), cfg.offered_levels.end());
   std::vector<double> demand(n_domains, 0.0);  // bytes/sec per origin
   for (int p = 0; p < pages; ++p) {
-    for (const auto& [domain_id, bytes] :
-         profiles[static_cast<std::size_t>(p)].domain_bytes) {
-      demand[domain_id] += top_level * weights[static_cast<std::size_t>(p)] *
-                           static_cast<double>(bytes);
+    for (const OriginTraffic& origin : profiles[static_cast<std::size_t>(p)]) {
+      demand[origin.domain] += top_level *
+                               weights[static_cast<std::size_t>(p)] *
+                               static_cast<double>(origin.bytes[0]);
     }
   }
   double hottest = 0;
@@ -277,6 +287,13 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   const double link_bps =
       std::max(1.0, cfg.origin_capacity_frac * hottest * 8.0);
   report.origin_link_mbps = link_bps / 1e6;
+  for (PageProfile& prof : profiles) {
+    for (OriginTraffic& origin : prof) {
+      for (int w : {0, 1}) {
+        origin.tx[w] = net::tx_time(origin.bytes[w], link_bps);
+      }
+    }
+  }
 
   // --- Macro: one contention pass per offered level, on the pool. ---
   std::vector<LevelRun> runs(cfg.offered_levels.size());
@@ -288,6 +305,9 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   const auto memo = std::make_shared<GenerationMemo>(
       corpus, cfg.front_end, sim::derive_seed(cfg.seed, "deploy:frontend"),
       cfg.micro.when);
+  // Every level's population has the same users and user_skew, and a draw
+  // only reads the table, so the level tasks share one.
+  const ZipfSampler user_table(pop.users, pop.user_skew);
 
   const auto run_level = [&](std::size_t li) {
     // Per-level macro state lives on a pooled bump arena: the dense link
@@ -306,7 +326,8 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
       const obs::PhaseTimer phase(obs::Phase::Population);
       arrivals = build_population(
           pages, level_pop,
-          sim::derive_seed(cfg.seed, "deploy:level-" + std::to_string(li)));
+          sim::derive_seed(cfg.seed, "deploy:level-" + std::to_string(li)),
+          user_table);
     }
     const obs::PhaseTimer phase(obs::Phase::Replay);
 
@@ -365,29 +386,29 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
 
       // Every origin of the page ships its bytes through that origin's
       // shared access link; the page stalls for the worst queue it hits.
-      const PageProfile& prof = profiles[static_cast<std::size_t>(a.page)];
+      const int warm = a.warm ? 1 : 0;
       sim::Time origin_wait = 0;
-      for (const auto& [domain_id, bytes] : prof.domain_bytes) {
-        net::Link& link = link_for(domain_id);
+      for (const OriginTraffic& origin :
+           profiles[static_cast<std::size_t>(a.page)]) {
+        net::Link& link = link_for(origin.domain);
         origin_wait =
             std::max(origin_wait,
                      std::max<sim::Time>(0, link.busy_until() - now));
-        const auto tx_bytes = static_cast<std::int64_t>(
-            a.warm ? static_cast<double>(bytes) * prof.warm_bytes_frac
-                   : static_cast<double>(bytes));
+        const std::int64_t tx_bytes = origin.bytes[warm];
         if (tx_bytes <= 0) continue;
+        const sim::Time tx = origin.tx[warm];
         if (recorder == nullptr) {
-          link.enqueue(tx_bytes);
+          link.enqueue(tx_bytes, tx);
           continue;
         }
         // Emit the transmission's full FIFO story for the macro-trace
         // auditor: when it joined the queue, when the link actually
         // started it, and how long it held the link.
         const sim::Time start = std::max(now, link.busy_until());
-        const sim::Time tx = link.tx_time(tx_bytes);
-        link.enqueue(tx_bytes);
-        recorder->instant(trace::Layer::Deploy, domains.names[domain_id],
-                          "tx", "deploy.origin_tx",
+        link.enqueue(tx_bytes, tx);
+        recorder->instant(trace::Layer::Deploy,
+                          domains.names[origin.domain], "tx",
+                          "deploy.origin_tx",
                           {trace::arg("enqueue_us", now),
                            trace::arg("start_us", start),
                            trace::arg("tx_us", tx),
@@ -576,6 +597,10 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
                  static_cast<std::int64_t>(cfg.offered_levels.size()));
     manifest.set("window_us", static_cast<std::int64_t>(report.window));
     manifest.set("origin_link_mbps", std::string(mbps));
+    // The fresh column's loads ran outside the plan whose manifest lists
+    // cells: they are the warm column's primes.
+    manifest.set("fresh.strategy", conditions[0].name);
+    manifest.set("fresh.fingerprint", conditions[0].fingerprint());
     obs::export_run(env.out_dir, "deploy_manifest.json", std::move(manifest));
   }
 

@@ -5,13 +5,15 @@
 // splits the problem at the point where the layers decouple:
 //
 //   micro (parallel, expensive)  — a PLT table measured with the real
-//     simulator via fleet::SweepPlan: for every (device class, hint
-//     condition) cell, one load per corpus page. Conditions are the hint
-//     states a shared front-end can produce — fresh offline hints, hints
-//     from crawls {1h, 6h, 24h, ...} old (priced through
-//     VroomProviderConfig::hint_age: stale rotations become ghost
-//     fetches), and hintless serves — plus a warm-cache revisit column
-//     (one harness::run_page_revisit per device and page, Figure 20 style).
+//     simulator: for every (device class, hint condition), one load per
+//     corpus page. Conditions are the hint states a shared front-end can
+//     produce — fresh offline hints, hints from crawls {1h, 6h, 24h, ...}
+//     old (priced through VroomProviderConfig::hint_age: stale rotations
+//     become ghost fetches), and hintless serves — plus a warm-cache
+//     revisit column (one harness::run_page_revisit per device and page,
+//     Figure 20 style). The stale and hintless conditions run as
+//     fleet::SweepPlan cells; the fresh condition's loads are the revisits'
+//     primes, which are exactly those cold loads.
 //
 //   macro (parallel per level)   — the population's arrival stream runs
 //     against a deploy::FrontEnd and per-origin net::Link instances. Each

@@ -81,7 +81,12 @@ struct Revisit {
 // Primes a private cache at options.when with load index 0, then revisits
 // `gap` later with load index 1; both nonces come from derive_load_nonce.
 // options.cache is not used: the visit owns its cache, so return visits
-// are independent of each other and can run in parallel.
+// are independent of each other and can run in parallel. The prime is the
+// cold load: its cache starts empty, and an empty cache changes nothing,
+// so an untraced `prime` equals run_page_load with load index 0 and no
+// cache, byte for byte (a traced prime's recorder also logs its cache
+// misses). run_deployment takes its fresh column from the primes on that
+// contract.
 Revisit run_page_revisit(const web::PageModel& page,
                          const baselines::Strategy& strategy,
                          const RunOptions& options, sim::Time gap);

@@ -20,6 +20,10 @@
 
 namespace vroom::net {
 
+// Serialization delay of `bytes` at `bps` bits per second, rounded to the
+// microsecond.
+sim::Time tx_time(std::int64_t bytes, double bps);
+
 class Link {
  public:
   // `bps` is the line rate in bits per second. `name` labels the link in
@@ -45,12 +49,13 @@ class Link {
   // the queueing arithmetic — the FIFO story is busy_until_ plus tx_time,
   // so the completion event behind transmit() is pure overhead there.
   sim::Time enqueue(std::int64_t bytes);
+  // enqueue(bytes) for a caller that holds `tx` == tx_time(bytes, bps)
+  // already: deploy's replay ships each page origin's bytes thousands of
+  // times and computes their time once.
+  sim::Time enqueue(std::int64_t bytes, sim::Time tx);
 
   // Time the link becomes idle given everything queued so far.
   sim::Time busy_until() const { return busy_until_; }
-
-  // Serialization delay of `bytes` on an idle link.
-  sim::Time tx_time(std::int64_t bytes) const;
 
   std::int64_t total_bytes() const { return total_bytes_; }
 
@@ -63,6 +68,10 @@ class Link {
   double utilization() const;
 
  private:
+  // The trace counters of an enqueue, apart so enqueue's body stays small
+  // enough to inline into enqueue(bytes).
+  void record_enqueue(trace::Recorder& tr, std::int64_t bytes) const;
+
   sim::EventLoop& loop_;
   sim::LaneId completions_;
   double bps_;

@@ -8,7 +8,6 @@
 #include <system_error>
 
 #include "obs/metrics.h"
-#include "obs/phase_profiler.h"
 
 namespace vroom::obs {
 
@@ -204,7 +203,6 @@ std::optional<Manifest> Manifest::read(const std::string& path) {
 
 bool export_run(const std::string& dir, const std::string& manifest_file,
                 Manifest manifest) {
-  const PhaseTimer phase(Phase::Export);
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   // A failed mkdir surfaces as the write failures below.

@@ -62,8 +62,8 @@ class Manifest {
 // registry's export — metrics.csv and metrics.prom (virtual plane),
 // wall_sidecar.prom (wall plane) — and `manifest`, with the FNV digests of
 // both expositions appended as digest.metrics_prom and
-// digest.wall_sidecar_prom, as <dir>/<manifest_file>. Timed as the Export
-// phase. Returns false and warns on stderr on I/O failure.
+// digest.wall_sidecar_prom, as <dir>/<manifest_file>. Returns false and
+// warns on stderr on I/O failure.
 bool export_run(const std::string& dir, const std::string& manifest_file,
                 Manifest manifest);
 

@@ -76,7 +76,6 @@ const char* phase_name(Phase phase) {
     case Phase::Intern: return "intern";
     case Phase::Sim: return "sim";
     case Phase::TraceFlush: return "trace-flush";
-    case Phase::Export: return "export";
     case Phase::Population: return "population";
     case Phase::Replay: return "replay";
     case Phase::kCount: break;

@@ -1,8 +1,8 @@
 // Wall-clock phase profiler (DESIGN.md §12): where does worker time go?
 //
 // `PhaseTimer` is an RAII span over one of a fixed set of harness phases
-// (world-build, interning, sim, trace flush, export, and the deployment
-// macro pass's population and replay).
+// (world-build, interning, sim, trace flush, and the deployment macro
+// pass's population and replay).
 // Spans nest: a nested span's elapsed time is charged to the inner phase
 // and subtracted from the outer one, so phase totals partition wall time
 // instead of double counting. Each thread accumulates into a thread-local
@@ -31,7 +31,6 @@ enum class Phase : std::uint8_t {
   Intern,          // PageInstance realization incl. URL/domain interning
   Sim,             // event-loop execution of the load
   TraceFlush,      // recorder counter snapshot + Chrome-trace JSON write
-  Export,          // metrics/manifest export at end of run
   Population,      // deploy macro pass: one level's arrival stream
   Replay,          // deploy macro pass: one level's front end and links
   kCount,

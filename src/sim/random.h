@@ -13,6 +13,7 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -78,6 +79,13 @@ double lognormal(Engine& engine, double median, double sigma) {
   return d(engine);
 }
 
+// Replaces each seed in `words` with output 0 of std::mt19937_64(seed),
+// the one word a single draw from a fresh engine reads. Each output is the
+// end of a 156-step seeding chain of dependent multiplies; one chain
+// leaves the multiplier idle while each step waits on the last, so eight
+// seeds' chains run interleaved and their multiplies overlap.
+void mt64_first_words(std::span<std::uint64_t> words);
+
 // Exactly the output stream of std::mt19937_64(seed), for a stream drawn
 // from only a few times. The engine seeds all 312 state words and then
 // regenerates all 312 on its first draw; output k < 156 of a fresh engine,
@@ -86,9 +94,11 @@ double lognormal(Engine& engine, double median, double sigma) {
 // later draw one word further. The recurrence is a chain of dependent
 // multiplies, and the first draw's 156 steps are the cost of a short
 // stream: seed_to keeps the previous word in a register instead of
-// reloading it from the ring. A stream that reaches output 156 builds the
-// full engine once, discards the outputs already drawn and continues from
-// it, so any number of draws (a rejection loop's, say) stays exact.
+// reloading it from the ring (a caller that needs only output 0 of many
+// seeds batches them through mt64_first_words instead). A stream that
+// reaches output 156 builds the full engine once, discards the outputs
+// already drawn and continues from it, so any number of draws (a rejection
+// loop's, say) stays exact.
 class Mt64Lazy {
  public:
   using result_type = std::uint64_t;

@@ -22,6 +22,7 @@
 
 #include "baselines/strategies.h"
 #include "browser/cache.h"
+#include "browser/metrics.h"
 #include "deploy/front_end.h"
 #include "deploy/population.h"
 #include "fleet/fleet.h"
@@ -63,6 +64,18 @@ deploy::ScenarioConfig two_level_scenario() {
   return cfg;
 }
 
+// One light level over an hour, two device classes: the micro table's
+// columns are what the tests below check.
+deploy::ScenarioConfig two_device_scenario() {
+  deploy::ScenarioConfig cfg;
+  cfg.offered_levels = {0.2};
+  cfg.stale_ages = {sim::hours(1)};
+  cfg.population.users = 100;
+  cfg.population.window = sim::hours(1);
+  cfg.population.device_mix = {{web::nexus6(), 0.7}, {web::nexus10(), 0.3}};
+  return cfg;
+}
+
 TEST(Population, MeanArrivalRateMatchesConfiguredWithinTolerance) {
   const deploy::PopulationConfig cfg = small_population();
   const auto arrivals = deploy::build_population(8, cfg, 1234);
@@ -100,6 +113,33 @@ TEST(Population, RejectsMalformedDiurnalProfile) {
     cfg.diurnal = bad;
     EXPECT_THROW(deploy::build_population(8, cfg, 1), std::invalid_argument);
   }
+}
+
+TEST(Population, RejectsNonFiniteConfig) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, double deploy::PopulationConfig::*> fields[] =
+      {{"user_skew", &deploy::PopulationConfig::user_skew},
+       {"page_skew", &deploy::PopulationConfig::page_skew},
+       {"mean_arrivals_per_sec",
+        &deploy::PopulationConfig::mean_arrivals_per_sec}};
+  for (const auto& [name, field] : fields) {
+    for (const double bad : {nan, inf, -inf}) {
+      deploy::PopulationConfig cfg = small_population();
+      cfg.*field = bad;
+      try {
+        deploy::build_population(8, cfg, 1);
+        ADD_FAILURE() << name << " = " << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // A finite exponent whose weights overflow a double: 3^1000 is inf.
+  deploy::PopulationConfig cfg = small_population();
+  cfg.user_skew = -1000.0;
+  EXPECT_THROW(deploy::build_population(8, cfg, 1), std::invalid_argument);
 }
 
 TEST(Population, RejectsIndicesArrivalCannotHold) {
@@ -237,6 +277,31 @@ TEST(Population, StreamMatchesRecordedDigest) {
     EXPECT_EQ(arrivals.size(), r.size) << "seed " << r.seed;
     EXPECT_EQ(arrival_digest(arrivals), r.digest) << "seed " << r.seed;
   }
+}
+
+// run_deployment's level tasks share one user table: a stream drawn with a
+// caller's table equals the one drawn with a table of its own, and a table
+// of another population is refused.
+TEST(Population, CallersUserTableMatchesItsOwn) {
+  deploy::PopulationConfig cfg = small_population();
+  const deploy::ZipfSampler users(cfg.users, cfg.user_skew);
+  for (const double rate : {0.05, 0.5}) {
+    cfg.mean_arrivals_per_sec = rate;
+    for (const std::uint64_t seed : {1, 7, 42}) {
+      const auto want = deploy::build_population(8, cfg, seed);
+      ASSERT_FALSE(want.empty());
+      EXPECT_TRUE(deploy::build_population(8, cfg, seed, users) == want)
+          << "rate " << rate << ", seed " << seed;
+    }
+  }
+  EXPECT_THROW(deploy::build_population(
+                   8, cfg, 1, deploy::ZipfSampler(cfg.users + 1,
+                                                  cfg.user_skew)),
+               std::invalid_argument);
+  EXPECT_THROW(deploy::build_population(
+                   8, cfg, 1, deploy::ZipfSampler(cfg.users,
+                                                  cfg.user_skew + 0.1)),
+               std::invalid_argument);
 }
 
 // The single-pass generator that drew each user's device on their first
@@ -634,12 +699,7 @@ TEST(Scenario, FrontEndCrawlsOnTheMicroClock) {
 TEST(Scenario, WarmColumnIsPrimeThenRevisit) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(42, 3);
-  deploy::ScenarioConfig cfg;
-  cfg.offered_levels = {0.2};
-  cfg.stale_ages = {sim::hours(1)};
-  cfg.population.users = 100;
-  cfg.population.window = sim::hours(1);
-  cfg.population.device_mix = {{web::nexus6(), 0.7}, {web::nexus10(), 0.3}};
+  const deploy::ScenarioConfig cfg = two_device_scenario();
   const deploy::DeploymentReport report = deploy::run_deployment(corpus, cfg);
 
   const baselines::Strategy fresh = baselines::vroom_stale_hints(0);
@@ -669,6 +729,71 @@ TEST(Scenario, WarmColumnIsPrimeThenRevisit) {
           << "device " << d << ", page " << p;
     }
   }
+}
+
+// The fresh column (bucket 0) comes from the warm column's primes rather
+// than from plan cells; either way each entry is the timeout-capped PLT of
+// the cache-less fresh-condition load with load index 0 that a plan cell
+// would run.
+TEST(Scenario, FreshColumnIsTheColdLoad) {
+  ScopedEnv trace("VROOM_TRACE", nullptr);
+  const web::Corpus corpus = web::Corpus::smoke(42, 3);
+  const deploy::ScenarioConfig cfg = two_device_scenario();
+  const deploy::DeploymentReport report = deploy::run_deployment(corpus, cfg);
+
+  const baselines::Strategy fresh = baselines::vroom_stale_hints(0);
+  ASSERT_EQ(report.micro.plt.size(), cfg.population.device_mix.size());
+  for (std::size_t d = 0; d < cfg.population.device_mix.size(); ++d) {
+    ASSERT_EQ(report.micro.plt[d][0].size(), corpus.size());
+    for (std::size_t p = 0; p < corpus.size(); ++p) {
+      const web::PageModel& page = corpus.page(p);
+      harness::RunOptions opt = cfg.micro;
+      opt.seed = cfg.seed;
+      opt.device = cfg.population.device_mix[d].device;
+      opt.loads_per_page = 1;
+      const browser::LoadResult cold = harness::run_page_load(
+          page, fresh, opt,
+          harness::derive_load_nonce(cfg.seed, page.page_id(), 0));
+      const sim::Time expected = cold.plt == sim::kNever
+                                     ? cfg.micro.timeout
+                                     : std::min(cold.plt, cfg.micro.timeout);
+      EXPECT_EQ(report.micro.plt[d][0][p], expected)
+          << "device " << d << ", page " << p;
+    }
+  }
+}
+
+// A return visit's prime is the cold load, byte for byte: its cache starts
+// empty, and an empty cache changes nothing. The deployment scenario's
+// fresh column rests on it, so it is checked over the deploy_day corpus and
+// device mix under the fresh condition, and under a hintless and a full
+// Vroom strategy.
+TEST(Revisit, PrimeIsTheColdLoad) {
+  ScopedEnv trace("VROOM_TRACE", nullptr);
+  const web::Corpus corpus = web::Corpus::mixed400_sample(42, 30);
+  const deploy::ScenarioConfig cfg;
+  const auto check = [&](const baselines::Strategy& strategy,
+                         const web::DeviceProfile& device) {
+    harness::RunOptions opt = cfg.micro;
+    opt.seed = cfg.seed;
+    opt.device = device;
+    for (const web::PageModel& page : corpus.pages()) {
+      const harness::Revisit visit =
+          harness::run_page_revisit(page, strategy, opt, cfg.revisit_gap);
+      const browser::LoadResult cold = harness::run_page_load(
+          page, strategy, opt,
+          harness::derive_load_nonce(opt.seed, page.page_id(), 0));
+      ASSERT_EQ(browser::serialize_load_result(visit.prime),
+                browser::serialize_load_result(cold))
+          << strategy.name << " on " << device.name << ", page "
+          << page.page_id();
+    }
+  };
+  for (const deploy::DeviceShare& share : deploy::default_device_mix()) {
+    check(baselines::vroom_stale_hints(0), share.device);
+  }
+  check(baselines::http2_baseline(), web::nexus6());
+  check(baselines::vroom(), web::nexus6());
 }
 
 // Same contract, one layer further out: the virtual-plane metrics the run

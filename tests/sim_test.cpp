@@ -144,6 +144,24 @@ TEST(RandomTest, StreamHeadMatchesMt19937_64) {
   }
 }
 
+// Batches below, at and past the eight interleaved chains, and a batch
+// long enough that every lane position meets many seeds.
+TEST(RandomTest, BatchedFirstWordsMatchMt19937_64) {
+  for (const std::size_t n : {0, 1, 7, 8, 9, 1000}) {
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = 0; i < n; ++i) seeds.push_back(derive_seed(5, i));
+    if (n > 0) seeds.front() = 0;
+    if (n > 1) seeds.back() = ~std::uint64_t{0};
+    std::vector<std::uint64_t> words = seeds;
+    mt64_first_words(words);
+    ASSERT_EQ(words.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(words[i], std::mt19937_64(seeds[i])())
+          << "batch " << n << ", seed " << seeds[i];
+    }
+  }
+}
+
 TEST(RandomTest, DrawsOverStreamHeadMatchRng) {
   // The population's trait draws (weighted, then chance) and a domain's
   // RTT draw (lognormal, whose normal draw may reject and draw again).
