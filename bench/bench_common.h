@@ -8,7 +8,7 @@
 //
 // Corpus sweeps run their entire (corpus × strategy) grid through one
 // fleet::SweepPlan pool — multi-corpus grids included — so no strategy or
-// corpus serializes behind another and the longest pages dispatch first.
+// corpus serializes behind another.
 // Benches whose calls are not corpus loads (Fig 20's return visits, Fig
 // 21's accuracy samples) put them on fleet::run_tasks, one slot per call.
 #pragma once
@@ -88,7 +88,7 @@ inline void export_manifest(const char* program, std::size_t pages) {
   manifest.set("program", program);
   manifest.set("seed", kSeed);
   manifest.set("pages", static_cast<std::int64_t>(pages));
-  obs::export_run(env.out_dir, "manifest.json", std::move(manifest));
+  obs::export_run(env.out_dir, std::move(manifest));
 }
 
 inline void banner(const char* fig, const char* what) {

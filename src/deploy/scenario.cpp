@@ -582,26 +582,40 @@ DeploymentReport run_deployment(const web::Corpus& corpus,
   }
 
   // Re-export with the macro metrics folded in (the fleet's mid-run export
-  // only covered the micro pass) and write the scenario's own provenance
-  // record next to it.
+  // only covered the micro pass). The scenario's manifest replaces the
+  // nested sweep's, so the one manifest.json names the export beside it.
   if (!env.out_dir.empty()) {
-    char mbps[64];
-    std::snprintf(mbps, sizeof mbps, "%.17g", report.origin_link_mbps);
-    obs::Manifest manifest;
-    manifest.set("schema", std::int64_t{1});
-    manifest.set("kind", "deploy_scenario");
+    // %.17g round-trips a double exactly.
+    auto real = [](double v) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "%.17g", v);
+      return std::string(buf);
+    };
+    obs::Manifest manifest = fleet::run_manifest(
+        "deploy_scenario", env, fleet::resolve_worker_count(0, env));
     manifest.set("seed", static_cast<std::uint64_t>(cfg.seed));
     manifest.set("pages", static_cast<std::int64_t>(pages));
-    manifest.set("devices", static_cast<std::int64_t>(mix.size()));
     manifest.set("levels",
                  static_cast<std::int64_t>(cfg.offered_levels.size()));
     manifest.set("window_us", static_cast<std::int64_t>(report.window));
-    manifest.set("origin_link_mbps", std::string(mbps));
-    // The fresh column's loads ran outside the plan whose manifest lists
-    // cells: they are the warm column's primes.
-    manifest.set("fresh.strategy", conditions[0].name);
-    manifest.set("fresh.fingerprint", conditions[0].fingerprint());
-    obs::export_run(env.out_dir, "deploy_manifest.json", std::move(manifest));
+    manifest.set("origin_link_mbps", real(report.origin_link_mbps));
+    // Fresh first: condition 0's loads are the warm column's primes, the
+    // others ran as the sweep's cells.
+    manifest.set("conditions", static_cast<std::int64_t>(buckets));
+    for (int c = 0; c < buckets; ++c) {
+      const baselines::Strategy& condition =
+          conditions[static_cast<std::size_t>(c)];
+      const std::string prefix = "condition." + std::to_string(c) + ".";
+      manifest.set(prefix + "strategy", condition.name);
+      manifest.set(prefix + "fingerprint", condition.fingerprint());
+    }
+    manifest.set("devices", static_cast<std::int64_t>(mix.size()));
+    for (std::size_t d = 0; d < mix.size(); ++d) {
+      const std::string prefix = "device." + std::to_string(d) + ".";
+      manifest.set(prefix + "name", mix[d].device.name);
+      manifest.set(prefix + "weight", real(mix[d].weight));
+    }
+    obs::export_run(env.out_dir, std::move(manifest));
   }
 
   return report;

@@ -6,9 +6,9 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "harness/env.h"
@@ -40,6 +40,15 @@ struct CompiledCell {
   std::size_t slot_offset = 0;
   std::string label;
 };
+
+// The cell whose slot range holds `slot`: the last one that starts at or
+// before it (a cell without pages shares its offset with the next one).
+std::size_t cell_of(const std::vector<CompiledCell>& cells, std::size_t slot) {
+  const auto after = std::upper_bound(
+      cells.begin(), cells.end(), slot,
+      [](std::size_t s, const CompiledCell& cc) { return s < cc.slot_offset; });
+  return static_cast<std::size_t>(after - cells.begin()) - 1;
+}
 
 // The run's summary, from the per-job slots: each cell's jobs occupy the
 // contiguous slot range that starts at its slot_offset.
@@ -122,28 +131,6 @@ void Telemetry::print(std::FILE* out) const {
   }
 }
 
-std::vector<Job> order_longest_first(
-    std::vector<Job> jobs,
-    const std::function<std::size_t(const Job&)>& size_of) {
-  // Sizes are looked up once per job, not once per comparison: size_of may
-  // walk corpus pages, and comparator calls are O(n log n).
-  std::vector<std::size_t> size(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) size[i] = size_of(jobs[i]);
-  std::vector<std::size_t> order(jobs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (size[a] != size[b]) return size[a] > size[b];
-    return std::tuple(jobs[a].cell_index, jobs[a].page_index,
-                      jobs[a].load_index) <
-           std::tuple(jobs[b].cell_index, jobs[b].page_index,
-                      jobs[b].load_index);
-  });
-  std::vector<Job> out;
-  out.reserve(jobs.size());
-  for (std::size_t i : order) out.push_back(jobs[i]);
-  return out;
-}
-
 int resolve_worker_count(int requested, const harness::Env& env) {
   if (requested > 0) return requested;
   if (env.jobs > 0) return env.jobs;
@@ -189,6 +176,19 @@ void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
   worker();
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
+}
+
+obs::Manifest run_manifest(const char* kind, const harness::Env& env,
+                           int workers) {
+  obs::Manifest manifest;
+  manifest.set("schema", std::int64_t{1});
+  manifest.set("kind", kind);
+  manifest.set("env.jobs", static_cast<std::int64_t>(env.jobs));
+  manifest.set("env.trace", env.trace_dir);
+  manifest.set("env.out_dir", env.out_dir);
+  manifest.set("env.profile", std::int64_t{env.profile ? 1 : 0});
+  manifest.set("workers", static_cast<std::int64_t>(workers));
+  return manifest;
 }
 
 std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
@@ -239,67 +239,36 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   if (metrics) obs::registry().reset();
   if (env.profile) obs::reset_phase_profile();
 
-  // The flat job list, in (cell, page, load) grid order.
-  std::vector<Job> jobs;
-  jobs.reserve(total_jobs);
-  for (int c = 0; c < n_cells; ++c) {
-    for (int p = 0; p < cells[static_cast<std::size_t>(c)].pages; ++p) {
-      for (int l = 0; l < cells[static_cast<std::size_t>(c)].loads; ++l) {
-        jobs.push_back(Job{c, p, l});
-      }
-    }
-  }
-
   int workers = resolve_worker_count(fleet.workers, env);
   if (total_jobs < static_cast<std::size_t>(workers)) {
     workers = static_cast<int>(total_jobs);
   }
   if (workers < 1) workers = 1;
 
-  // Dispatch order: longest-job-first (page resource count as the size
-  // proxy), so the heaviest pages start early instead of straggling at the
-  // tail. The order is a pure function of the plan (ties by job identity),
-  // and results never depend on it — slots and seeds are
-  // job-identity-based.
-  jobs = order_longest_first(
-      std::move(jobs), [&plan](const Job& job) -> std::size_t {
-        return plan.cells[static_cast<std::size_t>(job.cell_index)]
-            .corpus->page(static_cast<std::size_t>(job.page_index))
-            .size();
-      });
-
-  // One pre-assigned slot per job for its result and its wall time: tasks
-  // never write to overlapping memory, and claim order cannot affect where
-  // results land.
+  // One slot per job for its result and its wall time, in (cell, page,
+  // load) order: task i runs the job of slot i, so tasks never write to
+  // overlapping memory and claim order cannot affect where results land.
   std::vector<browser::LoadResult> grid(total_jobs);
   std::vector<double> job_seconds(total_jobs);
-  auto slot = [&cells](const Job& job) -> std::size_t {
-    const CompiledCell& cc = cells[static_cast<std::size_t>(job.cell_index)];
-    return cc.slot_offset +
-           static_cast<std::size_t>(job.page_index) *
-               static_cast<std::size_t>(cc.loads) +
-           static_cast<std::size_t>(job.load_index);
-  };
 
   const double run_started = monotonic_seconds();
   run_tasks(
-      jobs.size(),
+      total_jobs,
       [&](std::size_t i) {
-        const Job& job = jobs[i];
         const double started = monotonic_seconds();
-        const SweepCell& cell =
-            plan.cells[static_cast<std::size_t>(job.cell_index)];
-        const web::PageModel& page =
-            cell.corpus->page(static_cast<std::size_t>(job.page_index));
+        const std::size_t c = cell_of(cells, i);
+        const CompiledCell& cc = cells[c];
+        const SweepCell& cell = plan.cells[c];
+        const std::size_t job = i - cc.slot_offset;
+        const std::size_t loads = static_cast<std::size_t>(cc.loads);
+        const web::PageModel& page = cell.corpus->page(job / loads);
         // Seed derivation matches harness::run_page_median exactly: the
         // nonce depends only on (seed, page id, load index).
         const std::uint64_t nonce = harness::derive_load_nonce(
-            cell.options.seed, page.page_id(), job.load_index);
-        browser::LoadResult result =
+            cell.options.seed, page.page_id(), static_cast<int>(job % loads));
+        grid[i] =
             harness::run_page_load(page, cell.strategy, cell.options, nonce);
-        const std::size_t s = slot(job);
-        job_seconds[s] = monotonic_seconds() - started;
-        grid[s] = std::move(result);
+        job_seconds[i] = monotonic_seconds() - started;
       },
       workers);
   const Telemetry telemetry = summarize(
@@ -316,14 +285,7 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
                stderr);
   }
   if (metrics) {
-    obs::Manifest manifest;
-    manifest.set("schema", std::int64_t{1});
-    manifest.set("kind", "fleet_sweep");
-    manifest.set("env.jobs", static_cast<std::int64_t>(env.jobs));
-    manifest.set("env.trace", env.trace_dir);
-    manifest.set("env.out_dir", env.out_dir);
-    manifest.set("env.profile", std::int64_t{env.profile ? 1 : 0});
-    manifest.set("workers", static_cast<std::int64_t>(workers));
+    obs::Manifest manifest = run_manifest("fleet_sweep", env, workers);
     manifest.set("jobs.total", static_cast<std::uint64_t>(total_jobs));
     manifest.set("cells", static_cast<std::int64_t>(n_cells));
     for (int c = 0; c < n_cells; ++c) {
@@ -337,13 +299,15 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
       manifest.set(prefix + "pages", static_cast<std::int64_t>(cc.pages));
       manifest.set(prefix + "loads", static_cast<std::int64_t>(cc.loads));
     }
-    obs::export_run(env.out_dir, "manifest.json", std::move(manifest));
+    obs::export_run(env.out_dir, std::move(manifest));
   }
 
   // Median selection in load-index order, identical to run_page_median;
   // per-cell results in plan order.
   std::vector<harness::CorpusResult> results(
       static_cast<std::size_t>(n_cells));
+  std::set<std::string> counter_files;
+  std::size_t slot = 0;
   for (int c = 0; c < n_cells; ++c) {
     const CompiledCell& cc = cells[static_cast<std::size_t>(c)];
     auto& out = results[static_cast<std::size_t>(c)];
@@ -353,16 +317,22 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
       std::vector<browser::LoadResult> runs;
       runs.reserve(static_cast<std::size_t>(cc.loads));
       for (int l = 0; l < cc.loads; ++l) {
-        runs.push_back(std::move(grid[slot(Job{c, p, l})]));
+        runs.push_back(std::move(grid[slot++]));
       }
       out.loads.push_back(harness::select_median_load(std::move(runs)));
     }
     // Tracing runs export their aggregated counters alongside the figure
-    // CSVs (no-op when tracing was off or VROOM_OUT_DIR is unset). The cell
-    // index keeps cells that share a label from sharing a file.
-    harness::maybe_export_counters(
-        "trace counters c" + std::to_string(c) + " " + cc.label,
-        out.counter_totals());
+    // CSVs (no-op when tracing was off or VROOM_OUT_DIR is unset), named by
+    // label. A slug the plan already used gets _2, _3, ... so cells that
+    // share a label keep their own files, and a dropped or inserted cell
+    // renames only later cells of its slug.
+    const std::string slug = harness::slugify(cc.label);
+    std::string file = slug;
+    for (int n = 2; !counter_files.insert(file).second; ++n) {
+      file = slug + "_" + std::to_string(n);
+    }
+    harness::maybe_export_counters("trace counters " + file,
+                                   out.counter_totals());
   }
   return results;
 }

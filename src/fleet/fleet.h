@@ -1,29 +1,26 @@
 // Parallel simulation fleet: executes corpus sweeps on a worker thread pool.
 //
 // The entry point is declarative: a `SweepPlan` lists (corpus × strategy ×
-// options) *cells*, and `run_plan` compiles the whole plan into one flat
-// (cell, page, load) job list and hands it to `run_tasks`, the fleet's one
-// worker pool — so a multi-corpus bench grid (the paper's Fig 13/21
-// evaluation shape) never pays one straggling pool tail per corpus.
-// `run_corpus` and `run_matrix` are thin wrappers over one-cell /
-// one-corpus plans.
+// options) *cells*, and `run_plan` runs the whole plan's (cell, page, load)
+// grid as one `run_tasks` call, the fleet's one worker pool — so a
+// multi-corpus bench grid (the paper's Fig 13/21 evaluation shape) never
+// pays one straggling pool tail per corpus. `run_corpus` and `run_matrix`
+// are thin wrappers over one-cell / one-corpus plans.
 //
 // Every cell is simulated in this process. Each job builds a fully private
 // simulation world (event loop, network, page instance, servers, browser)
 // through harness::run_page_load, derives its seeds purely from the job's
 // identity — (cell options' seed, page id, load index) — never from
-// execution order, and writes its result and wall time into the job's
-// pre-assigned slot. The determinism contract: plan output is
-// bit-identical, cell by cell, to harness::run_page_median over every page,
-// for any worker count.
+// execution order, and writes its result and wall time into its own slot.
+// The determinism contract: plan output is bit-identical, cell by cell, to
+// harness::run_page_median over every page, for any worker count.
 //
-// Jobs dispatch in deterministic longest-job-first order at any worker
-// count (page resource count as the size proxy, ties by job identity — see
-// order_longest_first), so the heaviest pages cannot land last and leave
-// the pool idling behind one straggler. Dispatch order never affects
-// results, only wall-clock time: no job reads state another job wrote, so
-// a cell may not set RunOptions::cache (return visits are
-// harness::run_page_revisit calls, one private cache each).
+// Jobs dispatch in plan order: task i is grid slot i, so one worker runs
+// the loads in (cell, page, load) order and more workers claim them in
+// that order. Dispatch order never affects results, only wall-clock time:
+// no job reads state another job wrote, so a cell may not set
+// RunOptions::cache (return visits are harness::run_page_revisit calls,
+// one private cache each).
 //
 // Run telemetry and the `fleet.*` obs series are computed once, after the
 // pool joins, from the per-job result and wall-time slots.
@@ -39,6 +36,7 @@
 #include "harness/env.h"
 #include "harness/experiment.h"
 #include "harness/stats.h"
+#include "obs/manifest.h"
 
 namespace vroom::fleet {
 
@@ -80,23 +78,6 @@ struct FleetOptions {
   Telemetry* telemetry = nullptr;
 };
 
-// One unit of work: a single load of a single page under a single plan cell.
-struct Job {
-  int cell_index = 0;
-  int page_index = 0;
-  int load_index = 0;
-};
-
-// Deterministic longest-job-first dispatch order: sorts jobs by descending
-// `size_of(job)` (the caller's size proxy — the fleet uses the page's
-// resource count), with ties broken by job identity (cell, then page, then
-// load, ascending). The result is a pure function of the job set and the
-// size proxy — independent of the input order, the worker count, and any
-// prior run — so reordering can never make results irreproducible.
-std::vector<Job> order_longest_first(
-    std::vector<Job> jobs,
-    const std::function<std::size_t(const Job&)>& size_of);
-
 // Resolves a worker count: `requested` > 0 wins; otherwise VROOM_JOBS from
 // `env` (run_plan passes its plan-start snapshot, so one plan sees one
 // consistent knob set); otherwise the hardware concurrency (at least 1).
@@ -116,13 +97,19 @@ int resolve_worker_count(int requested);
 // worker count.
 // The caller owns the fleet determinism contract: tasks must be mutually
 // independent (disjoint output slots, no claim-order-dependent state), so
-// results cannot depend on the worker count. run_plan dispatches its job
-// list through it; the deployment scenario uses it for its warm-revisit
-// column, page profiles and per-level macro passes, and the benches that
-// are not corpus sweeps (Fig 20's revisits, Fig 21's accuracy samples)
-// for their independent calls.
+// results cannot depend on the worker count. run_plan runs its
+// (cell, page, load) grid through it; the deployment scenario uses it for
+// its warm-revisit column, page profiles and per-level macro passes, and
+// the benches that are not corpus sweeps (Fig 20's revisits, Fig 21's
+// accuracy samples) for their independent calls.
 void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn,
                int workers = 0);
+
+// The entries every run manifest starts with (DESIGN.md §12): the schema,
+// the run's `kind`, each harness::Env knob and the worker count. run_plan's
+// manifest and the deployment scenario's both begin with it.
+obs::Manifest run_manifest(const char* kind, const harness::Env& env,
+                           int workers);
 
 // One cell of a sweep: a full corpus swept under one strategy with its own
 // RunOptions. Cells are independent — different corpora, seeds, networks,
@@ -133,8 +120,9 @@ struct SweepCell {
   baselines::Strategy strategy;
   harness::RunOptions options;
   // Names the cell in telemetry rows, CorpusResult::strategy, and the
-  // trace-counter CSV export (whose file name also carries the cell index).
-  // Empty means "use strategy.name".
+  // trace-counter CSV export, trace_counters_<slugify(label)>.csv (a slug
+  // already taken in the plan gets _2, _3, ... in plan order). Empty means
+  // "use strategy.name".
   std::string label;
 };
 

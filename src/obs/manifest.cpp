@@ -8,6 +8,7 @@
 #include <system_error>
 
 #include "obs/metrics.h"
+#include "trace/trace.h"
 
 namespace vroom::obs {
 
@@ -30,29 +31,6 @@ std::string hex(std::uint64_t v) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 struct Parser {
@@ -163,8 +141,9 @@ const std::string* Manifest::find(const std::string& key) const {
 std::string Manifest::to_json() const {
   std::string out = "{\n";
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    out += "  \"" + json_escape(entries_[i].first) + "\": \"" +
-           json_escape(entries_[i].second) + "\"";
+    out += "  \"" + trace::Recorder::json_escape(entries_[i].first) +
+           "\": \"" + trace::Recorder::json_escape(entries_[i].second) +
+           "\"";
     if (i + 1 < entries_.size()) out += ",";
     out += "\n";
   }
@@ -201,8 +180,7 @@ std::optional<Manifest> Manifest::read(const std::string& path) {
   return from_json(buf.str());
 }
 
-bool export_run(const std::string& dir, const std::string& manifest_file,
-                Manifest manifest) {
+bool export_run(const std::string& dir, Manifest manifest) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   // A failed mkdir surfaces as the write failures below.
@@ -212,7 +190,7 @@ bool export_run(const std::string& dir, const std::string& manifest_file,
   ok &= write_file(dir + "/wall_sidecar.prom", reg.to_exposition(Plane::Wall));
   manifest.set("digest.metrics_prom", hex(reg.digest(Plane::Virtual)));
   manifest.set("digest.wall_sidecar_prom", hex(reg.digest(Plane::Wall)));
-  ok &= write_file(dir + "/" + manifest_file, manifest.to_json());
+  ok &= write_file(dir + "/manifest.json", manifest.to_json());
   return ok;
 }
 

@@ -8,10 +8,14 @@
 // round-trip (to_json -> from_json) is exact, so a manifest can be diffed
 // against a later reproduction attempt key by key.
 //
-// The fleet writes `manifest.json` and the deployment scenario
-// `deploy_manifest.json` into the run's VROOM_OUT_DIR, beside its tables,
-// through export_run; the entries include every harness::Env knob, per-cell
-// strategy fingerprints, and FNV digests of the exported metric snapshots —
+// A run writes one `manifest.json` into its VROOM_OUT_DIR, beside its
+// tables, through export_run. A fleet sweep's lists each cell's label,
+// strategy fingerprint, seed and extents. A deployment scenario's, written
+// after its nested sweep, replaces that one and lists every hint condition
+// and device. Both start with fleet::run_manifest's header (every
+// harness::Env knob and the worker count); a bench whose tables come from
+// no sweep writes a `bench_tables` one (bench::export_manifest). export_run
+// appends the FNV-1a digests of the metric export written beside it —
 // enough to reconstruct (or refuse to trust) any committed figure. The
 // kind-specific entries are assembled at those call sites: this library is
 // plain data and stays free of harness dependencies.
@@ -60,11 +64,11 @@ class Manifest {
 
 // Writes a run's artifacts into `dir` (created as needed): the global
 // registry's export — metrics.csv and metrics.prom (virtual plane),
-// wall_sidecar.prom (wall plane) — and `manifest`, with the FNV digests of
-// both expositions appended as digest.metrics_prom and
-// digest.wall_sidecar_prom, as <dir>/<manifest_file>. Returns false and
-// warns on stderr on I/O failure.
-bool export_run(const std::string& dir, const std::string& manifest_file,
-                Manifest manifest);
+// wall_sidecar.prom (wall plane) — and `manifest`, with the FNV-1a digests
+// of both expositions appended as digest.metrics_prom and
+// digest.wall_sidecar_prom, as <dir>/manifest.json. A later call into the
+// same directory replaces all four files. Returns false and warns on
+// stderr on I/O failure.
+bool export_run(const std::string& dir, Manifest manifest);
 
 }  // namespace vroom::obs

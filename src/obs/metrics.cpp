@@ -7,6 +7,8 @@
 #include <limits>
 #include <sstream>
 
+#include "sim/random.h"
+
 namespace vroom::obs {
 
 namespace {
@@ -27,15 +29,6 @@ std::string exposition_name(const std::string& name) {
   std::string out = "vroom_";
   for (const char c : name) out.push_back(c == '.' ? '_' : c);
   return out;
-}
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 // Doubles in exports print with enough digits to round-trip exactly, minus
@@ -296,7 +289,7 @@ std::string Registry::to_exposition(Plane plane) const {
 }
 
 std::uint64_t Registry::digest(Plane plane) const {
-  return fnv1a(to_exposition(plane));
+  return sim::hash64(to_exposition(plane));
 }
 
 void Registry::reset() {

@@ -170,8 +170,9 @@ class Registry {
   // Prometheus-style text exposition ("vroom_" prefix, dots -> underscores;
   // histograms emit cumulative non-empty buckets + sum + count).
   std::string to_exposition(Plane plane) const;
-  // FNV-1a digest of to_exposition(plane); recorded in run manifests so a
-  // committed number can be matched to the exact metric snapshot behind it.
+  // FNV-1a digest (sim::hash64) of to_exposition(plane); recorded in run
+  // manifests so a committed number can be matched to the exact metric
+  // snapshot behind it.
   std::uint64_t digest(Plane plane) const;
 
   // Zeroes every value. Handles stay valid: metrics are never deallocated.

@@ -10,10 +10,10 @@
 // aggregate when the thread exits or when collect_phase_profile() sweeps
 // the live threads.
 //
-// Everything here is wall-clock and therefore nondeterministic: output goes
-// to stderr (VROOM_PROFILE=1 prints the per-run table after each fleet
-// run and after each deployment macro pass) and to the wall-plane metrics
-// sidecar — never into frozen virtual-time artifacts. With profiling
+// Everything here is wall-clock and therefore nondeterministic: the only
+// output is the table on stderr (VROOM_PROFILE=1 prints it after each
+// fleet run and after each deployment macro pass). No artifact file takes
+// it, the wall-plane metrics sidecar included. With profiling
 // disabled (the default), a PhaseTimer is one relaxed bool load; the
 // simulated world is identical either way.
 //

@@ -32,6 +32,7 @@
 #include "obs/manifest.h"
 #include "obs/phase_profiler.h"
 #include "scoped_env.h"
+#include "sim/random.h"
 #include "web/corpus.h"
 
 namespace vroom {
@@ -440,7 +441,7 @@ TEST(Manifest, RoundTripsTrickyEscapesExactly) {
   // On disk through the run writer, which creates the directory and appends
   // the two export digests after the entries it was given.
   const std::string dir = fresh_dir("manifest") + "/nested/dir";
-  ASSERT_TRUE(obs::export_run(dir, "manifest.json", m));
+  ASSERT_TRUE(obs::export_run(dir, m));
   const auto from_disk = obs::Manifest::read(dir + "/manifest.json");
   ASSERT_TRUE(from_disk.has_value());
   ASSERT_EQ(from_disk->entries().size(), m.entries().size() + 2);
@@ -619,21 +620,57 @@ TEST(DeployObs, MacroTraceAuditPassesAndCatchesInjectedViolations) {
   }
 }
 
+// A deployment run leaves one manifest.json, the scenario's: written after
+// the nested sweep's, it replaces that one, and its digest is the one of
+// the metric export on disk beside it (the export the macro pass rewrote).
 TEST(DeployObs, MetricsExportCoversMacroPassAndStaysByteIdentical) {
   ScopedEnv trace("VROOM_TRACE", nullptr);
+  ScopedEnv profile("VROOM_PROFILE", nullptr);
   const web::Corpus corpus = web::Corpus::smoke(42, 3);
+  const deploy::ScenarioConfig cfg = small_scenario();
 
   std::vector<std::string> proms;
   for (const char* jobs : {"1", "4"}) {
+    SCOPED_TRACE(std::string("VROOM_JOBS=") + jobs);
     const std::string dir = fresh_dir(std::string("deploy_jobs") + jobs);
     ScopedEnv jobs_env("VROOM_JOBS", jobs);
     ScopedEnv out_env("VROOM_OUT_DIR", dir.c_str());
-    deploy::run_deployment(corpus, small_scenario());
+    deploy::run_deployment(corpus, cfg);
     proms.push_back(read_file(dir + "/metrics.prom"));
-    const auto manifest =
-        obs::Manifest::read(dir + "/deploy_manifest.json");
+    EXPECT_FALSE(std::filesystem::exists(dir + "/deploy_manifest.json"));
+    const auto manifest = obs::Manifest::read(dir + "/manifest.json");
     ASSERT_TRUE(manifest.has_value());
-    EXPECT_EQ(*manifest->find("kind"), "deploy_scenario");
+    const auto entry = [&manifest](const std::string& key) {
+      const std::string* value = manifest->find(key);
+      return value != nullptr ? *value : "<no " + key + ">";
+    };
+    EXPECT_EQ(entry("kind"), "deploy_scenario");
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(sim::hash64(proms.back())));
+    EXPECT_EQ(entry("digest.metrics_prom"), digest);
+    // The fleet's header: every knob and the worker count.
+    EXPECT_EQ(entry("env.jobs"), jobs);
+    EXPECT_EQ(entry("env.out_dir"), dir);
+    EXPECT_EQ(entry("workers"), jobs);
+    // Every hint condition, fresh first, and every device.
+    const std::vector<baselines::Strategy> conditions = {
+        baselines::vroom_stale_hints(0),
+        baselines::vroom_stale_hints(cfg.stale_ages[0]),
+        baselines::http2_baseline()};
+    EXPECT_EQ(entry("conditions"), std::to_string(conditions.size()));
+    for (std::size_t c = 0; c < conditions.size(); ++c) {
+      const std::string prefix = "condition." + std::to_string(c) + ".";
+      EXPECT_EQ(entry(prefix + "strategy"), conditions[c].name);
+      EXPECT_EQ(entry(prefix + "fingerprint"), conditions[c].fingerprint());
+    }
+    EXPECT_EQ(manifest->find("fresh.strategy"), nullptr);
+    const std::vector<deploy::DeviceShare> mix = deploy::default_device_mix();
+    EXPECT_EQ(entry("devices"), std::to_string(mix.size()));
+    for (std::size_t d = 0; d < mix.size(); ++d) {
+      EXPECT_EQ(entry("device." + std::to_string(d) + ".name"),
+                mix[d].device.name);
+    }
   }
   EXPECT_EQ(proms[0], proms[1]);
   EXPECT_NE(proms[0].find("vroom_deploy_macro_plt_us_count"),

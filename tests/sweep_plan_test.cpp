@@ -1,15 +1,22 @@
 // SweepPlan: a multi-corpus, mixed-options plan executed on one shared pool
 // must return, cell by cell, results bit-identical to standalone serial
-// run_corpus calls — at any worker count. Longest-job-first dispatch must be
-// deterministic and must never leak into results; per-cell telemetry must
-// add up; a cell with no loads per page or that sets a shared browser cache
-// must be rejected.
+// run_corpus calls — at any worker count. One worker runs the loads in plan
+// (cell, page, load) order; per-cell telemetry must add up; trace-counter
+// CSVs are named by label; a cell with no loads per page or that sets a
+// shared browser cache must be rejected.
 #include "fleet/fleet.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +24,9 @@
 #include "baselines/strategies.h"
 #include "browser/cache.h"
 #include "harness/experiment.h"
+#include "harness/export.h"
 #include "scoped_env.h"
+#include "trace/trace.h"
 #include "web/corpus.h"
 
 namespace vroom {
@@ -167,6 +176,120 @@ TEST(SweepPlan, PerCellTelemetryAddsUp) {
   EXPECT_NEAR(simulated, telemetry.simulated_seconds, 1e-9);
 }
 
+// Jobs dispatch in plan order: one worker runs every load in (cell, page,
+// load) order — the order of run_page_median over each cell's pages —
+// whatever the pages' sizes.
+TEST(SweepPlan, OneWorkerRunsLoadsInPlanOrder) {
+  ScopedEnv jobs_env("VROOM_JOBS", nullptr);
+  ScopedEnv trace_env("VROOM_TRACE", nullptr);
+  const web::Corpus a = web::Corpus::smoke(7);
+  const web::Corpus b = web::Corpus::smoke(11, /*count=*/3);
+  fleet::SweepPlan plan = mixed_plan(a, b);
+
+  // The pages differ in size, and not in descending order, so a dispatch
+  // by size would run them in another order.
+  std::vector<std::size_t> sizes;
+  for (const fleet::SweepCell& cell : plan.cells) {
+    for (const web::PageModel& page : cell.corpus->pages()) {
+      sizes.insert(sizes.end(),
+                   static_cast<std::size_t>(cell.options.loads_per_page),
+                   page.size());
+    }
+  }
+  ASSERT_FALSE(std::is_sorted(sizes.rbegin(), sizes.rend()));
+
+  // A load is known by its cell and its trace counters, which differ
+  // between pages of different sizes.
+  using Visit = std::pair<std::size_t, std::map<std::string, std::int64_t>>;
+  std::vector<Visit> visits;
+  for (std::size_t c = 0; c < plan.cells.size(); ++c) {
+    plan.cells[c].options.trace_sink = [&visits,
+                                        c](const trace::Recorder& rec) {
+      visits.emplace_back(c, rec.counters().values());
+    };
+  }
+  fleet::FleetOptions serial;
+  serial.workers = 1;
+  (void)fleet::run_plan(plan, serial);
+  const std::vector<Visit> ran = std::move(visits);
+
+  visits.clear();
+  for (const fleet::SweepCell& cell : plan.cells) {
+    for (const web::PageModel& page : cell.corpus->pages()) {
+      (void)harness::run_page_median(page, cell.strategy, cell.options);
+    }
+  }
+  ASSERT_EQ(ran.size(), sizes.size());
+  ASSERT_EQ(visits.size(), sizes.size());
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i].first, visits[i].first) << "load " << i;
+    EXPECT_TRUE(ran[i].second == visits[i].second) << "load " << i;
+  }
+}
+
+// Trace-counter CSVs are named by cell label: a slug the plan already used
+// takes _2, _3, ... in plan order, so dropping a cell renames only later
+// cells with the same slug, and every file holds its own cell's totals.
+TEST(SweepPlan, TraceCounterFilesNamedByLabel) {
+  ScopedEnv jobs_env("VROOM_JOBS", nullptr);
+  ScopedEnv profile_env("VROOM_PROFILE", nullptr);
+  const std::string root =
+      testing::TempDir() + "vroom_sweep_counter_names";
+  std::filesystem::remove_all(root);
+  const std::string traces = root + "/traces";
+  ScopedEnv trace_env("VROOM_TRACE", traces.c_str());
+  const web::Corpus a = web::Corpus::smoke(7, /*count=*/2);
+  const web::Corpus b = web::Corpus::smoke(11, /*count=*/2);
+  harness::RunOptions opt = small_options();
+  opt.loads_per_page = 1;
+
+  // Runs `plan` into its own artifact directory and returns each
+  // trace-counter file's name and contents, and the CSV each cell's
+  // totals make.
+  const auto run = [&](const fleet::SweepPlan& plan, const std::string& dir) {
+    ScopedEnv out_env("VROOM_OUT_DIR", dir.c_str());
+    fleet::FleetOptions fo;
+    fo.workers = 2;
+    std::vector<std::string> cells;
+    for (const harness::CorpusResult& r : fleet::run_plan(plan, fo)) {
+      cells.push_back(harness::counters_to_csv(r.counter_totals()));
+    }
+    std::map<std::string, std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("trace_counters_", 0) != 0) continue;
+      std::ifstream f(entry.path(), std::ios::binary);
+      std::ostringstream text;
+      text << f.rdbuf();
+      files[name] = text.str();
+    }
+    return std::pair(files, cells);
+  };
+
+  // [A, B, A]: the two HTTP/1.1 cells share a label, as in fig01.
+  fleet::SweepPlan aba;
+  aba.add(a, baselines::http11(), opt)
+      .add(b, baselines::http2_baseline(), opt)
+      .add(b, baselines::http11(), opt);
+  const auto [aba_files, aba_cells] = run(aba, root + "/aba");
+  EXPECT_EQ(aba_files, (std::map<std::string, std::string>{
+                           {"trace_counters_http_1_1.csv", aba_cells[0]},
+                           {"trace_counters_http_2_baseline.csv", aba_cells[1]},
+                           {"trace_counters_http_1_1_2.csv", aba_cells[2]}}));
+  EXPECT_NE(aba_cells[0], aba_cells[2]);
+
+  // [B, A]: the first A dropped. B keeps its name and contents; the later
+  // A takes the slug's plain name.
+  fleet::SweepPlan ba;
+  ba.add(b, baselines::http2_baseline(), opt).add(b, baselines::http11(), opt);
+  const auto [ba_files, ba_cells] = run(ba, root + "/ba");
+  EXPECT_EQ(ba_files, (std::map<std::string, std::string>{
+                          {"trace_counters_http_2_baseline.csv", aba_cells[1]},
+                          {"trace_counters_http_1_1.csv", aba_cells[2]}}));
+  EXPECT_EQ(ba_cells[0], aba_cells[1]);
+  EXPECT_EQ(ba_cells[1], aba_cells[2]);
+}
+
 // A cache shared by a cell's loads would make each result depend on the
 // loads before it, so run_plan refuses such a cell, naming it, before any
 // load of the plan runs — at any worker count.
@@ -237,52 +360,6 @@ TEST(SweepPlan, RejectsCellWithoutLoads) {
                  std::invalid_argument)
         << "loads_per_page=" << bad;
   }
-}
-
-TEST(JobOrdering, LongestFirstIsDeterministicAndDescending) {
-  // 2 cells × 3 pages × 2 loads with synthetic sizes: size depends only on
-  // (cell, page), so the 2 loads of a page tie and must break by identity.
-  std::vector<fleet::Job> jobs;
-  for (int c = 0; c < 2; ++c) {
-    for (int p = 0; p < 3; ++p) {
-      for (int l = 0; l < 2; ++l) jobs.push_back(fleet::Job{c, p, l});
-    }
-  }
-  const auto size_of = [](const fleet::Job& j) -> std::size_t {
-    const std::size_t sizes[2][3] = {{5, 9, 5}, {9, 2, 7}};
-    return sizes[j.cell_index][j.page_index];
-  };
-  const auto a = fleet::order_longest_first(jobs, size_of);
-  const auto b = fleet::order_longest_first(jobs, size_of);
-  ASSERT_EQ(a.size(), jobs.size());
-
-  // Deterministic: two invocations agree element-wise.
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].cell_index, b[i].cell_index);
-    EXPECT_EQ(a[i].page_index, b[i].page_index);
-    EXPECT_EQ(a[i].load_index, b[i].load_index);
-  }
-
-  // Sizes never increase along the dispatch order.
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    EXPECT_GE(size_of(a[i - 1]), size_of(a[i]));
-  }
-
-  // Equal sizes break ties by (cell, page, load) ascending: the two size-9
-  // pages are (cell 0, page 1) then (cell 1, page 0), loads in order.
-  EXPECT_EQ(a[0].cell_index, 0);
-  EXPECT_EQ(a[0].page_index, 1);
-  EXPECT_EQ(a[0].load_index, 0);
-  EXPECT_EQ(a[1].load_index, 1);
-  EXPECT_EQ(a[2].cell_index, 1);
-  EXPECT_EQ(a[2].page_index, 0);
-  // Nothing lost or duplicated: it is a permutation of the input grid.
-  std::vector<int> seen(jobs.size(), 0);
-  for (const fleet::Job& j : a) {
-    seen[static_cast<std::size_t>((j.cell_index * 3 + j.page_index) * 2 +
-                                  j.load_index)]++;
-  }
-  for (int count : seen) EXPECT_EQ(count, 1);
 }
 
 TEST(SweepPlan, EmptyPlanReturnsNoResults) {
