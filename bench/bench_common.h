@@ -77,14 +77,14 @@ inline std::vector<harness::Series> plt_matrix(
 
 // For a bench whose tables come from no fleet::run_plan (which writes its
 // own manifest): with VROOM_OUT_DIR set, writes the run's manifest.json
-// (program, seed, page count) and metric export beside the tables. Call
-// once, after the last table.
+// (fleet::run_manifest's header with the worker count fleet::run_tasks
+// resolves, then program, seed, page count) and metric export beside the
+// tables. Call once, after the last table.
 inline void export_manifest(const char* program, std::size_t pages) {
   const harness::Env env = harness::Env::from_environment();
   if (env.out_dir.empty()) return;
-  obs::Manifest manifest;
-  manifest.set("schema", std::int64_t{1});
-  manifest.set("kind", "bench_tables");
+  obs::Manifest manifest = fleet::run_manifest(
+      "bench_tables", env, fleet::resolve_worker_count(0, env));
   manifest.set("program", program);
   manifest.set("seed", kSeed);
   manifest.set("pages", static_cast<std::int64_t>(pages));

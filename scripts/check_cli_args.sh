@@ -6,7 +6,8 @@
 # count. Each further binary runs once with VROOM_JOBS=abc and must exit 0
 # after exactly one "[env] warning" line, however many sweeps, task
 # fan-outs and tables it makes. That run also sets VROOM_OUT_DIR, and its
-# tables must come with a manifest.json beside them.
+# tables must come with a manifest.json beside them that records the
+# worker count.
 #
 #   scripts/check_cli_args.sh <example_vroom_cli> <example_incremental_deployment> [<bench>...]
 set -uo pipefail
@@ -66,6 +67,10 @@ for bin in "$@"; do
   if [[ ! -f "$out/manifest.json" ]]; then
     echo "FAIL: $(basename "$bin") wrote no manifest.json into" \
          "VROOM_OUT_DIR" >&2
+    failed=1
+  elif ! grep -q '^  "workers": ' "$out/manifest.json"; then
+    echo "FAIL: $(basename "$bin")'s manifest.json records no" \
+         "worker count" >&2
     failed=1
   fi
 done

@@ -1,5 +1,6 @@
 #include "core/offline_resolver.h"
 
+#include <stdexcept>
 #include <utility>
 
 #include "sim/random.h"
@@ -33,7 +34,14 @@ bool org_knows_user(const web::PageModel& model,
 
 OfflineResolver::OfflineResolver(const web::PageModel& model,
                                  OfflineConfig config)
-    : model_(&model), config_(std::move(config)) {}
+    : model_(&model), config_(std::move(config)) {
+  if (config_.known_devices.empty() &&
+      config_.device_handling != DeviceHandling::Exact) {
+    throw std::invalid_argument(
+        "OfflineResolver: OfflineConfig::known_devices is empty, but "
+        "SingleClass and EquivalenceClasses crawl with a known device");
+  }
+}
 
 std::string OfflineResolver::cookie_view_sig(const std::string& serving_domain,
                                              std::uint32_t user) const {
@@ -136,40 +144,33 @@ const web::DeviceProfile& OfflineResolver::crawl_device(
     case DeviceHandling::EquivalenceClasses:
       break;
   }
-  auto cached = cluster_cache_.find(now);
-  if (cached == cluster_cache_.end()) {
-    // Greedy clustering: walk known devices in order; a device joins the
-    // first existing class whose representative's stable set is similar
-    // enough, otherwise founds a new class.
-    std::vector<std::size_t> rep_of(config_.known_devices.size());
-    std::vector<std::size_t> reps;
-    for (std::size_t i = 0; i < config_.known_devices.size(); ++i) {
-      bool placed = false;
-      for (std::size_t rep : reps) {
-        if (device_iou(now, config_.known_devices[i],
-                       config_.known_devices[rep]) >= config_.iou_threshold) {
-          rep_of[i] = rep;
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        reps.push_back(i);
-        rep_of[i] = i;
+  // The client's class is that of the first known device matching it by
+  // name, falling back to rendering-equivalent axes for unknown handsets.
+  const std::vector<web::DeviceProfile>& known = config_.known_devices;
+  std::size_t client = 0;
+  while (client < known.size() && known[client].name != client_device.name &&
+         !known[client].same_rendering(client_device)) {
+    ++client;
+  }
+  if (client == known.size()) return known.front();
+  // Greedy clustering: walk known devices in order; a device joins the
+  // first existing class whose representative's stable set is similar
+  // enough, otherwise founds a new class. Placing a device reads only the
+  // devices before it, so the clustering is extended only up to the
+  // client's device.
+  Clusters& clusters = cluster_cache_[now];
+  for (std::size_t i = clusters.rep_of.size(); i <= client; ++i) {
+    std::size_t rep = i;
+    for (const std::size_t r : clusters.reps) {
+      if (device_iou(now, known[i], known[r]) >= config_.iou_threshold) {
+        rep = r;
+        break;
       }
     }
-    cached = cluster_cache_.emplace(now, std::move(rep_of)).first;
+    if (rep == i) clusters.reps.push_back(i);
+    clusters.rep_of.push_back(rep);
   }
-  const std::vector<std::size_t>& rep_of = cached->second;
-  // Map the client's device to its class representative (by name, falling
-  // back to rendering-equivalent axes for unknown handsets).
-  for (std::size_t i = 0; i < config_.known_devices.size(); ++i) {
-    if (config_.known_devices[i].name == client_device.name ||
-        config_.known_devices[i].same_rendering(client_device)) {
-      return config_.known_devices[rep_of[i]];
-    }
-  }
-  return config_.known_devices.front();
+  return known[clusters.rep_of[client]];
 }
 
 const StableSet& OfflineResolver::stable_set(

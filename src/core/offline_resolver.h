@@ -23,6 +23,10 @@
 // device, the serving organization's cookie view, user). A resolver
 // memoizes each distinct combination, so the many advise() calls of one
 // page load — per HTML document, per serving domain — recompute nothing.
+// Equivalence classes come from a greedy clustering in known-device order,
+// where placing a device reads only the devices before it; so a client's
+// class needs only the known devices up to its own, and the resolver
+// places no more (the first known device crawls as itself, with no IoU).
 // Mutable caches are safe because a resolver lives inside one page world,
 // which is single-threaded (each fleet worker builds a private world).
 #pragma once
@@ -85,6 +89,9 @@ bool org_knows_user(const web::PageModel& model,
 
 class OfflineResolver {
  public:
+  // Throws std::invalid_argument if `config.known_devices` is empty under
+  // a device handling that crawls with a known device (every one but
+  // Exact).
   OfflineResolver(const web::PageModel& model, OfflineConfig config);
 
   // Stable set as of `now`, from the perspective of `serving_domain` holding
@@ -97,6 +104,8 @@ class OfflineResolver {
                               std::uint32_t user) const;
 
   // Crawl device chosen for a client device under the configured handling.
+  // Under EquivalenceClasses, the representative of the client's class; a
+  // device that matches no known device crawls with the first known one.
   const web::DeviceProfile& crawl_device(
       sim::Time now, const web::DeviceProfile& client_device) const;
 
@@ -147,9 +156,14 @@ class OfflineResolver {
   using IntersectKey = std::tuple<sim::Time, DevKey, std::string, std::uint32_t>;
   mutable std::map<IntersectKey, StableSet> intersect_cache_;
   mutable std::map<std::tuple<sim::Time, DevKey, DevKey>, double> iou_cache_;
-  // Greedy clustering outcome per crawl time: index of each known device's
-  // class representative.
-  mutable std::map<sim::Time, std::vector<std::size_t>> cluster_cache_;
+  // Greedy clustering per crawl time, of a prefix of the known devices:
+  // the index of each placed device's class representative, and the
+  // representatives so far in order.
+  struct Clusters {
+    std::vector<std::size_t> rep_of;
+    std::vector<std::size_t> reps;
+  };
+  mutable std::map<sim::Time, Clusters> cluster_cache_;
 };
 
 }  // namespace vroom::core

@@ -9,12 +9,11 @@
 //
 // A link's completion times never decrease, so its completion events run on
 // one event-loop lane (sim::EventLoop::add_lane()) instead of each taking a
-// heap push and pop, and the callback is built directly in the loop's slab
-// slot: a TCP segment's completion allocates nothing.
+// heap push and pop, and each is a sim::LaneRecord: a TCP segment's
+// completion builds no closure and allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "sim/event_loop.h"
 
@@ -33,13 +32,11 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  // Serializes `bytes` through the link; `on_delivered` (a closure or a
-  // SmallFn, forwarded to the event loop) fires when the last bit clears
-  // the link. Transmissions queue FIFO behind earlier ones.
-  template <typename F>
-  void transmit(std::int64_t bytes, F&& on_delivered) {
-    loop_.schedule_at(completions_, enqueue(bytes),
-                      std::forward<F>(on_delivered));
+  // Serializes `bytes` through the link; the record `on_delivered` fires
+  // when the last bit clears the link. Transmissions queue FIFO behind
+  // earlier ones.
+  void transmit(std::int64_t bytes, const sim::LaneRecord& on_delivered) {
+    loop_.post(completions_, enqueue(bytes), on_delivered);
   }
 
   // transmit() minus the completion event: identical FIFO accounting

@@ -59,10 +59,20 @@ void TcpConnection::send_request(std::int64_t bytes,
   // Uplink serialization at the client, then propagation to the origin; both
   // FIFO for this connection, so each delivery runs the oldest callback.
   waiting_.push_back(std::move(deliver_at_server));
-  net_.uplink().transmit(bytes, [this] {
-    net_.loop().schedule_in(delay_line_, rtt_ / 2,
-                            [this] { run_next_waiting(); });
-  });
+  net_.uplink().transmit(
+      bytes, sim::lane_record<&TcpConnection::on_request_uplinked>(this));
+}
+
+void TcpConnection::delay(sim::Time by, const sim::LaneRecord& record) {
+  net_.loop().post(delay_line_, net_.loop().now() + by, record);
+}
+
+void TcpConnection::on_request_uplinked(std::uint32_t, std::int64_t) {
+  delay(rtt_ / 2, sim::lane_record<&TcpConnection::on_request_at_server>(this));
+}
+
+void TcpConnection::on_request_at_server(std::uint32_t, std::int64_t) {
+  run_next_waiting();
 }
 
 void TcpConnection::run_next_waiting() {
@@ -198,13 +208,17 @@ void TcpConnection::pump() {
     }
     // Propagation from origin to the access-link bottleneck, then FIFO
     // serialization shared with every other connection.
-    net_.loop().schedule_in(
-        delay_line_, rtt_ / 2 + extra, [this, stream_index, seg] {
-          net_.downlink().transmit(seg, [this, stream_index, seg] {
-            on_segment_at_client(stream_index, seg);
-          });
-        });
+    delay(rtt_ / 2 + extra,
+          sim::lane_record<&TcpConnection::on_segment_at_bottleneck>(
+              this, stream_index, seg));
   }
+}
+
+void TcpConnection::on_segment_at_bottleneck(std::uint32_t stream_index,
+                                             std::int64_t seg) {
+  net_.downlink().transmit(
+      seg, sim::lane_record<&TcpConnection::on_segment_at_client>(
+               this, stream_index, seg));
 }
 
 void TcpConnection::on_segment_at_client(std::uint32_t stream_index,
@@ -237,9 +251,8 @@ void TcpConnection::on_segment_at_client(std::uint32_t stream_index,
     }
   }
   // ACK (and the stream's WINDOW_UPDATE) travels back to the origin.
-  net_.loop().schedule_in(delay_line_, rtt_ / 2, [this, stream_index, seg] {
-    on_ack(stream_index, seg);
-  });
+  delay(rtt_ / 2,
+        sim::lane_record<&TcpConnection::on_ack>(this, stream_index, seg));
 }
 
 void TcpConnection::on_ack(std::uint32_t stream_index, std::int64_t seg) {

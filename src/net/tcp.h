@@ -10,9 +10,11 @@
 //
 // Every half-RTT delay of a connection (request and segment propagation,
 // ACKs) is now() plus one constant, so the connection's delay line runs on
-// one event-loop lane (sim::EventLoop::add_lane()). A lost segment's RTO
-// is the one delay that puts the line out of order: events scheduled after
-// it that fire before it go through the heap, so event order is unchanged.
+// one event-loop lane (sim::EventLoop::add_lane()) of records that name a
+// member and carry a stream index and a segment size: a segment's three
+// events build no closure. A lost segment's RTO is the one delay that puts
+// the line out of order: records posted after it that fire before it go
+// through the heap, so event order is unchanged.
 //
 // Server-to-client data is enqueued as `Chunk`s tagged with a stream id.
 // Two writer disciplines are supported:
@@ -111,6 +113,13 @@ class TcpConnection {
   void activate(std::uint32_t stream_index);
   void deactivate(std::uint32_t stream_index);
   void pump();
+  // Posts `record` on the delay line, `by` after now().
+  void delay(sim::Time by, const sim::LaneRecord& record);
+  // The records of the delay line and the links, in a segment's or a
+  // request's order (sim::lane_record).
+  void on_request_uplinked(std::uint32_t, std::int64_t);
+  void on_request_at_server(std::uint32_t, std::int64_t);
+  void on_segment_at_bottleneck(std::uint32_t stream_index, std::int64_t seg);
   void on_segment_at_client(std::uint32_t stream_index, std::int64_t seg);
   void on_ack(std::uint32_t stream_index, std::int64_t seg);
   // Pops the oldest waiting connect/delivery callback and runs it.

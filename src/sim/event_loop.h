@@ -14,19 +14,23 @@
 // slab, and its slot is freed only after it returns (or throws). Most
 // events of a load come from streams that are already in time order — a
 // link's completions, a TCP connection's half-RTT delay line — so such a
-// stream can run on a FIFO *lane*: only the lane's earliest event sits in
-// the heap, the rest wait in a list threaded through their slab slots, and
-// when the head fires the lane's next event replaces it in the heap with
-// one sift-down. The heap still merges every lane head with every other
-// event by (time, seq), so the execution order is exactly the order
-// without lanes. reset() frees only the slots of events still pending and
-// keeps the slab, heap and lane capacity, so fleet workers reuse one loop's
-// storage across consecutive loads.
+// stream runs on a FIFO *lane* of records: a record is a plain function
+// and its arguments (LaneRecord), so posting and firing one builds no
+// closure. Only the lane's earliest record sits in the heap; the rest wait
+// in one loop-wide node pool, linked per lane, and when the head fires the
+// lane's next record replaces it in the heap with one sift-down. A record
+// takes its seq when posted, like any event, and the heap merges every lane
+// head with every other event by (time, seq); since no two events share a
+// (time, seq), the execution order is exactly the order without lanes.
+// reset() destroys only the closures still pending and keeps the slab, node
+// pool, heap and lane capacity, so fleet workers reuse one loop's storage
+// across consecutive loads.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,6 +55,26 @@ class LaneId {
   explicit LaneId(std::uint32_t index) : index_(index) {}
   std::uint32_t index_ = 0xffffffffu;
 };
+
+// A lane event: firing it calls run(obj, index, value). Trivially
+// copyable, so the loop stores and copies it like an integer.
+struct LaneRecord {
+  void (*run)(void* obj, std::uint32_t index, std::int64_t value);
+  void* obj;
+  std::uint32_t index;
+  std::int64_t value;
+};
+static_assert(std::is_trivially_copyable_v<LaneRecord>);
+
+// The record that calls (obj->*Method)(index, value).
+template <auto Method, typename T>
+LaneRecord lane_record(T* obj, std::uint32_t index = 0,
+                       std::int64_t value = 0) {
+  return {[](void* self, std::uint32_t i, std::int64_t v) {
+            (static_cast<T*>(self)->*Method)(i, v);
+          },
+          obj, index, value};
+}
 
 class EventLoop {
  public:
@@ -77,30 +101,23 @@ class EventLoop {
     schedule_at(now_ + (delay < 0 ? 0 : delay), std::forward<F>(cb));
   }
 
-  // Opens a FIFO lane for a stream of events scheduled in non-decreasing
+  // Opens a FIFO lane for a stream of records posted in non-decreasing
   // time order. The id stays valid until reset().
   LaneId add_lane();
 
-  // schedule_at()/schedule_in() through `lane`: same time and same
-  // execution order, with no heap operation unless the lane is empty. An
-  // event earlier than the lane's latest one goes to the heap as an
-  // ordinary event, so the order stays exact for any input. Throws
+  // Schedules `record` on `lane` at absolute virtual time `at` (clamped to
+  // now()): the time and execution order of an ordinary event scheduled
+  // now, with no heap operation unless the lane is empty. A record earlier
+  // than the lane's latest one goes to the heap as an ordinary event
+  // wrapping it, so the order stays exact for any input. Throws
   // std::out_of_range, storing nothing, for a lane this loop has not opened
   // since its last reset().
-  template <typename F>
-  void schedule_at(LaneId lane, Time at, F&& cb) {
-    if (lane.index_ >= open_lanes_) throw_unknown_lane();
-    push_lane_event(lane.index_, at, store(std::forward<F>(cb)));
-  }
-  template <typename F>
-  void schedule_in(LaneId lane, Time delay, F&& cb) {
-    schedule_at(lane, now_ + (delay < 0 ? 0 : delay), std::forward<F>(cb));
-  }
+  void post(LaneId lane, Time at, const LaneRecord& record);
 
   // Runs events until the queue is empty or `until` is reached, whichever
   // comes first. Returns the number of events executed. An exception from
-  // a callback propagates to the caller; the event counts as run and its
-  // slot is freed, so the loop stays usable.
+  // a callback or record propagates to the caller; the event counts as run
+  // and its storage is freed, so the loop stays usable.
   std::size_t run(Time until = kNever);
 
   // Runs at most one event; returns false if the queue was empty or the next
@@ -124,7 +141,8 @@ class EventLoop {
   // Returns the loop to its just-constructed state (now()==0, fresh seqs, no
   // lanes, no recorder): destroys the callbacks still pending and frees
   // their slots, so its cost is proportional to the pending events, and
-  // keeps the slab, heap and lane capacity, so a pooled loop reused across
+  // keeps the slab, node pool, heap and lane capacity, so a pooled loop
+  // reused across
   // page loads stops paying per-load allocation warmup. A reset loop is
   // indistinguishable from a new one: seqs restart at 1, so event ordering
   // — and therefore every simulated number — is unchanged.
@@ -139,9 +157,11 @@ class EventLoop {
 
  private:
   static constexpr std::uint32_t kNoLane = 0xffffffffu;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  // Min-heap entry; the callback lives in slot `slot`. `lane` is the lane
-  // whose head the entry is, or kNoLane for an ordinary event.
+  // Min-heap entry. An ordinary event (`lane` == kNoLane) names the slab
+  // slot of its callback; a lane's head names lane `lane` and the pool
+  // node of its record.
   struct HeapEntry {
     Time at;
     std::uint64_t seq;
@@ -154,24 +174,24 @@ class EventLoop {
       return a.seq > b.seq;
     }
   };
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  // `next` links the free list while the slot holds no callback.
   struct Slot {
     SmallFn cb;
-    // While the event waits in a lane behind its head: its time and seq,
-    // and `next` links to the lane's next waiting event. While the slot is
-    // free, `next` links the free list.
-    Time at = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t next = kNoSlot;
+    std::uint32_t next = kNone;
   };
-  // A lane's earliest event is in the heap (`has_head`); the events behind
-  // it wait in slots first..last, so a lane costs no storage beyond its
-  // backlog's slots.
+  // A posted record and its (time, seq). `next` links the lane's next
+  // record while the node is pending, the free list while it is not.
+  struct Node {
+    LaneRecord record;
+    Time at;
+    std::uint64_t seq;
+    std::uint32_t next;
+  };
+  // A lane's pending records are a list of nodes from its head (in the
+  // heap) to `last`; kNone means the lane is empty.
   struct Lane {
-    std::uint32_t first = kNoSlot;
-    std::uint32_t last = kNoSlot;
-    Time tail = 0;  // time of the lane's latest event
-    bool has_head = false;
+    std::uint32_t last = kNone;
+    Time tail = 0;  // time of the lane's latest record
   };
 
   Slot& slot(std::uint32_t index) {
@@ -192,7 +212,7 @@ class EventLoop {
   }
 
   std::uint32_t acquire_slot() {
-    if (free_head_ != kNoSlot) {
+    if (free_head_ != kNone) {
       const std::uint32_t index = free_head_;
       free_head_ = slot(index).next;
       return index;
@@ -205,17 +225,23 @@ class EventLoop {
     slot(index).next = free_head_;
     free_head_ = index;
   }
+  // Each reserves a heap entry per slot or node it adds.
   void add_chunk();
+  std::uint32_t acquire_node();
 
   // Stamps the event in slot `index` with the next seq and its time
-  // clamped to now(), and queues it in the heap or on lane `lane`.
+  // clamped to now(), and queues it in the heap.
   void push_event(Time at, std::uint32_t index);
-  void push_lane_event(std::uint32_t lane, Time at, std::uint32_t index);
   [[noreturn]] static void throw_unknown_lane();
-  // Never reallocates: add_chunk() reserves an entry per slot.
   void heap_push(const HeapEntry& e);
-  // Restores heap order after heap_.front() was replaced by a later entry.
-  void sift_down_front();
+  // Fires the earliest event; the heap must not be empty.
+  void fire_front();
+  // Removes heap_.front() and restores heap order.
+  void pop_front();
+  // Puts `moving` in heap_.front()'s place and sifts it down; `moving` is
+  // no later than the entry it replaces, or heap_.front() has been
+  // removed. `moving` must not refer into the heap.
+  void sift_down_front(const HeapEntry& moving);
 
   Time now_ = 0;
   trace::Recorder* recorder_ = nullptr;
@@ -227,7 +253,11 @@ class EventLoop {
   // the free list.
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t used_ = 0;
-  std::uint32_t free_head_ = kNoSlot;
+  std::uint32_t free_head_ = kNone;
+  // Every lane's pending records; the rest are on the free list. Records
+  // are copied out before they run, so the pool may grow under a record.
+  std::vector<Node> nodes_;
+  std::uint32_t free_node_ = kNone;
   std::vector<Lane> lanes_;  // [0, open_lanes_) are open
   std::uint32_t open_lanes_ = 0;
 };

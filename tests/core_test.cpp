@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -279,6 +282,81 @@ TEST(OfflineResolverEquivalence, SlotKeysMatchStringReference) {
   }
   // The user component of slot keys was exercised, not only the version.
   EXPECT_GT(personalized_urls, 0);
+}
+
+// Prefix clustering is exact. A resolver places only the known devices up
+// to the client's, so a fresh resolver's first crawl_device call sees a
+// cold clustering: it must name the representative the string reference's
+// full clustering gives. Covers every known device with the known list in
+// either order, an unknown handset that matches one by rendering axes and
+// one that matches none, each on a fresh resolver and all on one resolver
+// in shuffled order.
+TEST(OfflineResolverEquivalence, ColdCrawlDeviceMatchesFullClustering) {
+  const web::PageModel page = web::generate_page(42, 7, web::PageClass::News);
+  const sim::Time now = sim::days(45);
+  const std::vector<web::DeviceProfile> forward = web::all_devices();
+  const std::vector<web::DeviceProfile> reversed(forward.rbegin(),
+                                                 forward.rend());
+  for (const std::vector<web::DeviceProfile>& known : {forward, reversed}) {
+    OfflineConfig config;
+    config.known_devices = known;
+    const std::vector<std::size_t> rep_of =
+        StringResolver{page, config}.classes(now);
+    // Each query device and the name of the crawl device it must get.
+    std::vector<std::pair<web::DeviceProfile, std::string>> queries;
+    for (std::size_t i = 0; i < known.size(); ++i) {
+      queries.emplace_back(known[i], known[rep_of[i]].name);
+    }
+    web::DeviceProfile lookalike = known.back();
+    lookalike.name = "Lookalike";
+    queries.emplace_back(lookalike, known[rep_of.back()].name);
+    web::DeviceProfile unmatched{"Unmatched", 0, 0, 0, 1.0};
+    while (std::any_of(known.begin(), known.end(), [&](const auto& d) {
+      return d.same_rendering(unmatched);
+    })) {
+      ++unmatched.width;
+    }
+    queries.emplace_back(unmatched, known.front().name);
+
+    for (const auto& [device, want] : queries) {
+      EXPECT_EQ(OfflineResolver(page, config).crawl_device(now, device).name,
+                want)
+          << device.name << " first of " << known.front().name;
+    }
+    std::mt19937_64 rng(known.size());
+    for (int round = 0; round < 4; ++round) {
+      std::shuffle(queries.begin(), queries.end(), rng);
+      const OfflineResolver resolver(page, config);
+      for (const auto& [device, want] : queries) {
+        EXPECT_EQ(resolver.crawl_device(now, device).name, want)
+            << device.name << " in round " << round;
+      }
+    }
+  }
+}
+
+TEST_F(CoreTest, EmptyKnownDevicesRejectedUnlessExact) {
+  OfflineConfig config = off_;
+  config.known_devices.clear();
+  for (const DeviceHandling handling :
+       {DeviceHandling::SingleClass, DeviceHandling::EquivalenceClasses}) {
+    config.device_handling = handling;
+    try {
+      const OfflineResolver resolver(page_, config);
+      ADD_FAILURE() << "an empty device list was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("known_devices"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Exact crawls with the client's own device and needs no list.
+  config.device_handling = DeviceHandling::Exact;
+  const OfflineResolver exact(page_, config);
+  EXPECT_EQ(exact.crawl_device(id_.wall_time, web::nexus10()).name, "Nexus10");
+  const StableSet& stable =
+      exact.stable_set(id_.wall_time, web::nexus10(), page_.first_party(), 0);
+  EXPECT_TRUE(std::any_of(stable.begin(), stable.end(),
+                          [](const auto& key) { return key.has_value(); }));
 }
 
 TEST_F(CoreTest, DeviceIouHigherForSimilarDevices) {

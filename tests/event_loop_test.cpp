@@ -1,13 +1,14 @@
-// Tests for the EventLoop internals: FIFO lanes keep the (time, seq) order
-// of the plain heap exactly, storage reuse via reset()/PooledEventLoop,
-// callbacks that run in slots which never move, and the SmallFn
-// small-buffer callable the slab stores.
+// Tests for the EventLoop internals: FIFO lanes of records keep the
+// (time, seq) order of the plain heap exactly, storage reuse via
+// reset()/PooledEventLoop, callbacks that run in slots which never move, and
+// the SmallFn small-buffer callable the slab stores.
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,8 +31,9 @@ struct ScriptRun {
 
 // A seeded random event script. Events are drawn as they fire, so two runs
 // of one seed draw the same events only while they fire them in the same
-// order. Each event goes to a lane or to the heap directly: with
-// `use_lanes` false every event goes to the heap, with the same draws.
+// order. Each event is a record posted on a lane or a closure scheduled on
+// the heap: with `use_lanes` false every event is a closure, with the same
+// draws.
 class LaneScript {
  public:
   LaneScript(EventLoop& loop, std::uint64_t seed, bool use_lanes)
@@ -84,15 +86,19 @@ class LaneScript {
     }
     const bool relative = draw(2) == 0;
     auto fire = [this, id] { on_fire(id); };
-    if (on_lane && relative) {
-      loop_.schedule_in(lanes_[pick], at - loop_.now(), fire);
-    } else if (on_lane) {
-      loop_.schedule_at(lanes_[pick], at, fire);
+    if (on_lane) {
+      loop_.post(lanes_[pick], at,
+                 lane_record<&LaneScript::on_record>(
+                     this, static_cast<std::uint32_t>(id)));
     } else if (relative) {
       loop_.schedule_in(at - loop_.now(), fire);
     } else {
       loop_.schedule_at(at, fire);
     }
+  }
+
+  void on_record(std::uint32_t id, std::int64_t) {
+    on_fire(static_cast<int>(id));
   }
 
   void on_fire(int id) {
@@ -134,14 +140,85 @@ TEST(EventLoopLaneTest, LanesKeepTheHeapOrderExactly) {
   }
 }
 
+// Records what fired: the record's index and value, at now().
+struct RecordLog {
+  explicit RecordLog(EventLoop& l) : loop(&l) {}
+  EventLoop* loop;
+  std::vector<std::tuple<Time, std::uint32_t, std::int64_t>> fired;
+  void hit(std::uint32_t index, std::int64_t value) {
+    fired.emplace_back(loop->now(), index, value);
+  }
+  void raise(std::uint32_t index, std::int64_t) {
+    throw std::runtime_error("record " + std::to_string(index));
+  }
+};
+
 TEST(EventLoopLaneTest, UnknownLaneThrows) {
   EventLoop loop;
-  EXPECT_THROW(loop.schedule_at(LaneId{}, ms(1), [] {}), std::out_of_range);
+  RecordLog log(loop);
+  const LaneRecord record = lane_record<&RecordLog::hit>(&log);
+  EXPECT_THROW(loop.post(LaneId{}, ms(1), record), std::out_of_range);
   const LaneId lane = loop.add_lane();
-  loop.schedule_in(lane, ms(1), [] {});
+  loop.post(lane, ms(1), record);
   loop.reset();  // closes every lane
-  EXPECT_THROW(loop.schedule_in(lane, ms(1), [] {}), std::out_of_range);
+  EXPECT_THROW(loop.post(lane, ms(1), record), std::out_of_range);
   EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.run(), 0u);
+  EXPECT_TRUE(log.fired.empty());
+}
+
+TEST(EventLoopLaneTest, RecordsCarryTheirArgumentsInOrder) {
+  // Three records on one lane, one earlier than the lane's latest (so it
+  // goes through the heap), and a closure tied in time with a record
+  // posted before it.
+  EventLoop loop;
+  RecordLog log(loop);
+  const LaneId lane = loop.add_lane();
+  loop.post(lane, ms(2), lane_record<&RecordLog::hit>(&log, 1, -7));
+  loop.post(lane, ms(5), lane_record<&RecordLog::hit>(&log, 2, 1LL << 40));
+  loop.post(lane, ms(3), lane_record<&RecordLog::hit>(&log, 3, 0));
+  loop.schedule_at(ms(2), [&log] { log.hit(4, 4); });
+  EXPECT_EQ(loop.pending(), 4u);
+  EXPECT_EQ(loop.run(), 4u);
+  using Fired = std::tuple<Time, std::uint32_t, std::int64_t>;
+  EXPECT_EQ(log.fired, (std::vector<Fired>{{ms(2), 1, -7},
+                                           {ms(2), 4, 4},
+                                           {ms(3), 3, 0},
+                                           {ms(5), 2, 1LL << 40}}));
+}
+
+TEST(EventLoopLaneTest, ThrowingRecordLeavesLoopReusable) {
+  EventLoop loop;
+  RecordLog log(loop);
+  const LaneId lane = loop.add_lane();
+  loop.post(lane, ms(1), lane_record<&RecordLog::raise>(&log, 9));
+  loop.post(lane, ms(2), lane_record<&RecordLog::hit>(&log, 1));
+  loop.schedule_at(ms(3), [&log] { log.hit(2, 0); });
+
+  // The exception reaches run()'s caller; the record counts as run, and
+  // the lane's next record still fires after it.
+  EXPECT_THROW(loop.run(), std::runtime_error);
+  EXPECT_EQ(loop.now(), ms(1));
+  EXPECT_EQ(loop.pending(), 2u);
+  EXPECT_EQ(loop.run(), 2u);
+  using Fired = std::tuple<Time, std::uint32_t, std::int64_t>;
+  EXPECT_EQ(log.fired, (std::vector<Fired>{{ms(2), 1, 0}, {ms(3), 2, 0}}));
+
+  // A throw with records still pending, then a reset: the pool is reused.
+  loop.post(lane, ms(4), lane_record<&RecordLog::raise>(&log, 8));
+  loop.post(lane, ms(5), lane_record<&RecordLog::hit>(&log, 3));
+  EXPECT_THROW(loop.run(), std::runtime_error);
+  loop.reset();
+  EXPECT_TRUE(loop.empty());
+  log.fired.clear();
+  const LaneId reopened = loop.add_lane();
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    loop.post(reopened, ms(1 + i), lane_record<&RecordLog::hit>(&log, i));
+  }
+  EXPECT_EQ(loop.run(), 3u);
+  EXPECT_EQ(log.fired, (std::vector<Fired>{{ms(1), 0, 0},
+                                           {ms(2), 1, 0},
+                                           {ms(3), 2, 0}}));
 }
 
 TEST(EventLoopResetTest, ResetRestoresFreshState) {
@@ -175,20 +252,18 @@ static_assert(sizeof(Oversized) > SmallFn::kInlineSize);
 
 TEST(EventLoopResetTest, ResetDropsUnfiredCallbacks) {
   EventLoop loop;
+  RecordLog log(loop);
   auto fired = std::make_shared<int>(1);
   auto plain = std::make_shared<int>(2);
-  auto head = std::make_shared<int>(3);
-  auto backlog = std::make_shared<int>(4);
   auto oversized = std::make_shared<int>(5);
   const std::weak_ptr<int> fired_watch = fired;
-  const std::vector<std::weak_ptr<int>> pending = {plain, head, backlog,
-                                                   oversized};
+  const std::vector<std::weak_ptr<int>> pending = {plain, oversized};
   const LaneId lane = loop.add_lane();
   loop.schedule_at(ms(1), [keep = std::move(fired)] {});
   loop.schedule_at(ms(10), [keep = std::move(plain)] {});
-  loop.schedule_at(lane, ms(10), [keep = std::move(head)] {});
-  // Waits in the lane's backlog behind its head, outside the heap.
-  loop.schedule_at(lane, ms(20), [keep = std::move(backlog)] {});
+  loop.post(lane, ms(10), lane_record<&RecordLog::hit>(&log, 1));
+  // Waits in the lane behind its head, outside the heap.
+  loop.post(lane, ms(20), lane_record<&RecordLog::hit>(&log, 2));
   loop.schedule_at(ms(30), [big = Oversized{}, keep = std::move(oversized)] {
     (void)big;
   });
@@ -203,6 +278,9 @@ TEST(EventLoopResetTest, ResetDropsUnfiredCallbacks) {
     EXPECT_TRUE(watch.expired());  // reset released the closure
   }
   EXPECT_TRUE(loop.empty());
+  // Neither record survives the reset.
+  EXPECT_EQ(loop.run(), 0u);
+  EXPECT_TRUE(log.fired.empty());
 }
 
 TEST(EventLoopResetTest, PooledLoopReuseIsTransparent) {

@@ -19,40 +19,50 @@
 namespace vroom::net {
 namespace {
 
+// Records when a link's completion record fires.
+struct Delivered {
+  explicit Delivered(sim::EventLoop& l) : loop(l) {}
+  sim::EventLoop& loop;
+  std::vector<sim::Time> at;
+  void hit(std::uint32_t, std::int64_t) { at.push_back(loop.now()); }
+  sim::LaneRecord record() { return sim::lane_record<&Delivered::hit>(this); }
+};
+
 TEST(LinkTest, SerializesAtLineRate) {
   sim::EventLoop loop;
   Link link(loop, 8e6);  // 1 byte/us
-  sim::Time done = -1;
-  link.transmit(1000, [&] { done = loop.now(); });
+  Delivered done(loop);
+  link.transmit(1000, done.record());
   loop.run();
-  EXPECT_EQ(done, 1000);
+  EXPECT_EQ(done.at, (std::vector<sim::Time>{1000}));
   EXPECT_EQ(link.total_bytes(), 1000);
 }
 
 TEST(LinkTest, FifoQueueing) {
   sim::EventLoop loop;
   Link link(loop, 8e6);
-  sim::Time first = -1, second = -1;
-  link.transmit(1000, [&] { first = loop.now(); });
-  link.transmit(500, [&] { second = loop.now(); });
+  Delivered done(loop);
+  link.transmit(1000, done.record());
+  link.transmit(500, done.record());
   loop.run();
-  EXPECT_EQ(first, 1000);
-  EXPECT_EQ(second, 1500);  // queued behind the first transfer
+  // The second transfer queued behind the first.
+  EXPECT_EQ(done.at, (std::vector<sim::Time>{1000, 1500}));
 }
 
 TEST(LinkTest, LaterArrivalStartsWhenIdle) {
   sim::EventLoop loop;
   Link link(loop, 8e6);
-  sim::Time done = -1;
-  loop.schedule_at(5000, [&] { link.transmit(100, [&] { done = loop.now(); }); });
+  Delivered done(loop);
+  loop.schedule_at(5000, [&] { link.transmit(100, done.record()); });
   loop.run();
-  EXPECT_EQ(done, 5100);
+  EXPECT_EQ(done.at, (std::vector<sim::Time>{5100}));
 }
 
 TEST(LinkTest, UtilizationAccounting) {
   sim::EventLoop loop;
   Link link(loop, 8e6);
-  link.transmit(1000, [] {});
+  Delivered done(loop);
+  link.transmit(1000, done.record());
   loop.schedule_at(2000, [] {});  // extend the clock to 2000us
   loop.run();
   EXPECT_NEAR(link.utilization(), 0.5, 1e-9);
