@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   fleet::Telemetry telemetry;
   fleet::FleetOptions fo;
   fo.telemetry = &telemetry;
-  const auto results = fleet::run_matrix(corpus, levels, opt, fo);
+  const auto results =
+      fleet::run_plan(fleet::SweepPlan{}.add_matrix(corpus, levels, opt), fo);
   telemetry.print(stderr);
   std::printf("%-28s %10s %10s %10s\n", "deployment", "p25(s)", "median(s)",
               "p75(s)");

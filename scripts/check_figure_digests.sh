@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# ctest check that pins figure output to a record: every bench named on the
-# command line runs once at VROOM_JOBS=4, with every other VROOM_* variable
-# unset, and the sha256 of its stdout must equal the line recorded for it
-# in scripts/figure_digests.txt. The record must name exactly the benches
-# given. A change that moves a figure on purpose re-records the file with
+# ctest check that pins program output to a record: every bench or example
+# named on the command line runs once, without arguments, at VROOM_JOBS=4,
+# with every other VROOM_* variable unset, and the sha256 of its stdout must
+# equal the line recorded for it in scripts/figure_digests.txt. The record
+# must name exactly the programs given. A change that moves a figure on purpose re-records the file with
 # --record and reports the changed lines.
 #
 #   scripts/check_figure_digests.sh [--record] <bench binary>...

@@ -167,9 +167,8 @@ void Browser::fetch_url(web::UrlId id, int priority, FetchReason reason) {
       tr->counters().add("cache.hits");
     }
     // Memory/disk cache lookup latency.
-    net_.loop().schedule_in(sim::us(500), [this, id] {
-      finish_fetch(id, 0, /*from_cache=*/true, /*not_modified=*/false);
-    });
+    net_.loop().schedule_in(
+        sim::us(500), sim::make_record<&Browser::finish_cache_hit>(this, id));
     return;
   }
 
@@ -208,6 +207,10 @@ void Browser::fetch_url(web::UrlId id, int priority, FetchReason reason) {
   };
   pool_.endpoint(info.domain, instance_->interner().domain(info.domain))
       .fetch(std::move(req), std::move(handlers));
+}
+
+void Browser::finish_cache_hit(web::UrlId id, std::int64_t) {
+  finish_fetch(id, 0, /*from_cache=*/true, /*not_modified=*/false);
 }
 
 void Browser::handle_headers(http::ResponseMeta& meta) {

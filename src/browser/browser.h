@@ -172,6 +172,8 @@ class Browser {
   void handle_headers(http::ResponseMeta& meta);
   void finish_fetch(web::UrlId id, std::int64_t bytes, bool from_cache,
                     bool not_modified);
+  // The record that ends a fresh cache hit's lookup latency.
+  void finish_cache_hit(web::UrlId id, std::int64_t);
 
   // Marks the resource as needed by the page. `how` records the discovery
   // provenance for trace events (navigation / parser / preload-scan /

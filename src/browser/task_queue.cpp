@@ -5,7 +5,7 @@
 namespace vroom::browser {
 
 namespace {
-const char* task_name(int priority) {
+const char* task_name(std::uint32_t priority) {
   switch (static_cast<TaskPriority>(priority)) {
     case TaskPriority::ImageDecode: return "task:image-decode";
     case TaskPriority::AsyncScript: return "task:async-script";
@@ -50,18 +50,21 @@ void TaskQueue::start_next() {
     if (observer_) observer_(true);
   }
   total_busy_ += duration;
-  const sim::Time started = loop_.now();
-  loop_.schedule_in(duration, [this, started, priority] {
-    if (trace::Recorder* tr = trace::of(loop_)) {
-      tr->complete(trace::Layer::Browser, "browser", "main-thread",
-                   task_name(priority), started);
-      tr->counters().add("browser.tasks_executed");
-      tr->counters().add("browser.cpu_busy_us", loop_.now() - started);
-    }
-    sim::SmallFn body = std::move(running_body_);
-    body();  // may post more tasks
-    start_next();
-  });
+  loop_.schedule_in(duration, sim::make_record<&TaskQueue::finish_task>(
+                                  this, static_cast<std::uint32_t>(priority),
+                                  loop_.now()));
+}
+
+void TaskQueue::finish_task(std::uint32_t priority, std::int64_t started) {
+  if (trace::Recorder* tr = trace::of(loop_)) {
+    tr->complete(trace::Layer::Browser, "browser", "main-thread",
+                 task_name(priority), started);
+    tr->counters().add("browser.tasks_executed");
+    tr->counters().add("browser.cpu_busy_us", loop_.now() - started);
+  }
+  sim::SmallFn body = std::move(running_body_);
+  body();  // may post more tasks
+  start_next();
 }
 
 }  // namespace vroom::browser

@@ -7,9 +7,9 @@
 // Waiting tasks sit in one FIFO per priority, so starting the next task
 // pops the front of the highest non-empty FIFO: highest priority first,
 // FIFO within a priority. A FIFO that drains is cleared, so its storage is
-// reused. The running task's body waits in running_body_, not in its
-// completion event, so that event's closure stays in SmallFn's inline
-// buffer.
+// reused. The running task's body waits in running_body_, so its
+// completion event is a record of the queue, the task's priority and its
+// start time.
 #pragma once
 
 #include <array>
@@ -68,6 +68,8 @@ class TaskQueue {
       static_cast<std::size_t>(TaskPriority::Scheduler) + 1;
 
   void start_next();
+  // The running task's completion event.
+  void finish_task(std::uint32_t priority, std::int64_t started);
 
   sim::EventLoop& loop_;
   std::array<Fifo, kPriorities> fifos_;  // indexed by TaskPriority

@@ -337,15 +337,6 @@ std::vector<harness::CorpusResult> run_plan(const SweepPlan& plan,
   return results;
 }
 
-std::vector<harness::CorpusResult> run_matrix(
-    const web::Corpus& corpus,
-    const std::vector<baselines::Strategy>& strategies,
-    const harness::RunOptions& options, const FleetOptions& fleet) {
-  SweepPlan plan;
-  plan.add_matrix(corpus, strategies, options);
-  return run_plan(plan, fleet);
-}
-
 harness::CorpusResult run_corpus(const web::Corpus& corpus,
                                  const baselines::Strategy& strategy,
                                  const harness::RunOptions& options,

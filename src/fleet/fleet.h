@@ -4,8 +4,9 @@
 // options) *cells*, and `run_plan` runs the whole plan's (cell, page, load)
 // grid as one `run_tasks` call, the fleet's one worker pool — so a
 // multi-corpus bench grid (the paper's Fig 13/21 evaluation shape) never
-// pays one straggling pool tail per corpus. `run_corpus` and `run_matrix`
-// are thin wrappers over one-cell / one-corpus plans.
+// pays one straggling pool tail per corpus. A strategy grid over one corpus
+// is a plan built with `SweepPlan::add_matrix`; `run_corpus` is a thin
+// wrapper over a one-cell plan.
 //
 // Every cell is simulated in this process. Each job builds a fully private
 // simulation world (event loop, network, page instance, servers, browser)
@@ -138,8 +139,8 @@ struct SweepPlan {
     return *this;
   }
 
-  // One cell per strategy over a shared corpus and options — the run_matrix
-  // grid shape.
+  // One cell per strategy over a shared corpus and options, in strategy
+  // order.
   SweepPlan& add_matrix(const web::Corpus& corpus,
                         const std::vector<baselines::Strategy>& strategies,
                         const harness::RunOptions& options = {}) {
@@ -170,13 +171,5 @@ harness::CorpusResult run_corpus(const web::Corpus& corpus,
                                  const baselines::Strategy& strategy,
                                  const harness::RunOptions& options,
                                  const FleetOptions& fleet = {});
-
-// Fans one strategy × corpus grid through one shared pool: a one-corpus
-// plan. Results are returned in strategy order, each bit-identical to a
-// standalone run_corpus call.
-std::vector<harness::CorpusResult> run_matrix(
-    const web::Corpus& corpus,
-    const std::vector<baselines::Strategy>& strategies,
-    const harness::RunOptions& options, const FleetOptions& fleet = {});
 
 }  // namespace vroom::fleet

@@ -31,9 +31,9 @@ browser::LoadResult run_page_load(const web::PageModel& page,
   // the profiler's self-time accounting. Virtual-time behaviour is
   // identical with profiling on or off.
   obs::PhaseTimer build_phase(obs::Phase::WorldBuild);
-  // Pooled: reuses a thread-local EventLoop's heap/slab backing storage
-  // across the thousands of loads a worker runs, instead of reallocating it
-  // from scratch per load.
+  // Pooled: reuses a thread-local EventLoop's node pool and heap across the
+  // thousands of loads a worker runs, instead of reallocating them from
+  // scratch per load.
   sim::PooledEventLoop pooled;
   sim::EventLoop& loop = *pooled;
   // Pooled bump arena for everything with per-load lifetime (interner

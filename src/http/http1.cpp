@@ -69,6 +69,7 @@ void Http1Group::pump() {
          conns_.size() < static_cast<std::size_t>(kMaxConnections)) {
     auto cp = std::make_unique<Conn>();
     Conn* c = cp.get();
+    c->index = static_cast<std::uint32_t>(conns_.size());
     c->tcp = std::make_unique<net::TcpConnection>(
         net_, domain_, /*needs_dns=*/!dns_done_,
         net::WriterDiscipline::Ordered, domain_id_);
@@ -86,11 +87,13 @@ void Http1Group::at_server(Conn& c) {
   Exchange& e = exchanges_[c.ex];
   ServerReply reply = handler_.handle(e.req);
   e.meta = response_meta(e.req, reply);
-  net_.loop().schedule_in(net_.config().server_think + reply.extra_delay,
-                          [this, conn = &c] { write_response(*conn); });
+  net_.loop().schedule_in(
+      net_.config().server_think + reply.extra_delay,
+      sim::make_record<&Http1Group::write_response>(this, c.index));
 }
 
-void Http1Group::write_response(Conn& c) {
+void Http1Group::write_response(std::uint32_t index, std::int64_t) {
+  Conn& c = *conns_[index];
   const ResponseMeta& meta = exchanges_[c.ex].meta;
   net::TcpConnection::Chunk chunk;
   chunk.bytes = (meta.not_modified ? k304Bytes

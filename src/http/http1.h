@@ -6,7 +6,8 @@
 // blocking HTTP/2 was designed to remove.
 //
 // The queue and each connection's in-flight slot hold exchange indices;
-// callbacks capture `this` and the connection, so none allocates
+// callbacks capture `this` and the connection, so none allocates, and the
+// server's think time is a record of the group and the connection's index
 // (DESIGN.md §10). Handlers may fetch again.
 #pragma once
 
@@ -36,6 +37,7 @@ class Http1Group : public Endpoint {
  private:
   struct Conn {
     std::unique_ptr<net::TcpConnection> tcp;
+    std::uint32_t index = 0;  // in conns_
     bool busy = false;
     std::uint32_t ex = 0;  // the in-flight exchange while busy
   };
@@ -44,7 +46,8 @@ class Http1Group : public Endpoint {
   // Pops the queue's head into `c` and sends it.
   void claim(Conn& c);
   void at_server(Conn& c);
-  void write_response(Conn& c);
+  // The record that ends the think time of conns_[index]'s exchange.
+  void write_response(std::uint32_t index, std::int64_t);
   void on_body(Conn& c);
 
   net::Network& net_;

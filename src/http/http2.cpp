@@ -53,11 +53,12 @@ void Http2Session::at_server(std::uint32_t ex) {
   ServerReply reply = handler_.handle(e.req);
   e.meta = response_meta(e.req, reply);
   e.pushes = std::move(reply.pushes);
-  net_.loop().schedule_in(net_.config().server_think + reply.extra_delay,
-                          [this, ex] { write_response(ex); });
+  net_.loop().schedule_in(
+      net_.config().server_think + reply.extra_delay,
+      sim::make_record<&Http2Session::write_response>(this, ex));
 }
 
-void Http2Session::write_response(std::uint32_t ex) {
+void Http2Session::write_response(std::uint32_t ex, std::int64_t) {
   Exchange& e = exchanges_[ex];
   const std::int64_t resp_header = responses_sent_++ == 0
                                        ? kResponseHeaderBytesFirst

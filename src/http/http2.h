@@ -9,7 +9,8 @@
 // response's headers arrive.
 //
 // Every callback on a request's path captures `this` and its exchange's
-// index, so none allocates (DESIGN.md §10). Handlers may fetch again.
+// index, so none allocates, and the server's think time is a record of the
+// same two (DESIGN.md §10). Handlers may fetch again.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,8 @@ class Http2Session : public Endpoint {
  private:
   void dispatch(std::uint32_t ex);
   void at_server(std::uint32_t ex);
-  void write_response(std::uint32_t ex);
+  // The record that ends exchange `ex`'s think time at the origin.
+  void write_response(std::uint32_t ex, std::int64_t);
   void on_headers(std::uint32_t ex);
   void on_body(std::uint32_t ex);
   void on_pushed(std::uint32_t ex, std::uint32_t push);

@@ -9,8 +9,8 @@
 //
 // A link's completion times never decrease, so its completion events run on
 // one event-loop lane (sim::EventLoop::add_lane()) instead of each taking a
-// heap push and pop, and each is a sim::LaneRecord: a TCP segment's
-// completion builds no closure and allocates nothing.
+// heap push and pop, and each is a sim::Record: a TCP segment's completion
+// builds no closure and allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@ class Link {
   // Serializes `bytes` through the link; the record `on_delivered` fires
   // when the last bit clears the link. Transmissions queue FIFO behind
   // earlier ones.
-  void transmit(std::int64_t bytes, const sim::LaneRecord& on_delivered) {
+  void transmit(std::int64_t bytes, const sim::Record& on_delivered) {
     loop_.post(completions_, enqueue(bytes), on_delivered);
   }
 

@@ -37,20 +37,23 @@ void TcpConnection::connect(sim::SmallFn on_established) {
   setup += net_.radio_wakeup_delay();  // RRC idle->connected promotion
   if (needs_dns_) setup += cfg.dns_lookup;
   setup += static_cast<sim::Time>(cfg.tls_handshake_rtts) * rtt_;
-  const sim::Time started = net_.loop().now();
   waiting_.push_back(std::move(on_established));
-  net_.loop().schedule_in(setup, [this, started] {
-    established_ = true;
-    if (trace::Recorder* tr = trace::of(net_.loop())) {
-      tr->complete(trace::Layer::Net, domain_, lane_, "connect", started,
-                   {trace::arg("rtt_ms", sim::to_ms(rtt_)),
-                    trace::arg("dns", needs_dns_ ? "yes" : "no"),
-                    trace::arg("tls_rtts", net_.config().tls_handshake_rtts)});
-      tr->counters().add("net.connections");
-      if (needs_dns_) tr->counters().add("net.dns_lookups");
-    }
-    run_next_waiting();
-  });
+  net_.loop().schedule_in(
+      setup, sim::make_record<&TcpConnection::on_connected>(
+                 this, 0, net_.loop().now()));
+}
+
+void TcpConnection::on_connected(std::uint32_t, std::int64_t started) {
+  established_ = true;
+  if (trace::Recorder* tr = trace::of(net_.loop())) {
+    tr->complete(trace::Layer::Net, domain_, lane_, "connect", started,
+                 {trace::arg("rtt_ms", sim::to_ms(rtt_)),
+                  trace::arg("dns", needs_dns_ ? "yes" : "no"),
+                  trace::arg("tls_rtts", net_.config().tls_handshake_rtts)});
+    tr->counters().add("net.connections");
+    if (needs_dns_) tr->counters().add("net.dns_lookups");
+  }
+  run_next_waiting();
 }
 
 void TcpConnection::send_request(std::int64_t bytes,
@@ -60,15 +63,15 @@ void TcpConnection::send_request(std::int64_t bytes,
   // FIFO for this connection, so each delivery runs the oldest callback.
   waiting_.push_back(std::move(deliver_at_server));
   net_.uplink().transmit(
-      bytes, sim::lane_record<&TcpConnection::on_request_uplinked>(this));
+      bytes, sim::make_record<&TcpConnection::on_request_uplinked>(this));
 }
 
-void TcpConnection::delay(sim::Time by, const sim::LaneRecord& record) {
+void TcpConnection::delay(sim::Time by, const sim::Record& record) {
   net_.loop().post(delay_line_, net_.loop().now() + by, record);
 }
 
 void TcpConnection::on_request_uplinked(std::uint32_t, std::int64_t) {
-  delay(rtt_ / 2, sim::lane_record<&TcpConnection::on_request_at_server>(this));
+  delay(rtt_ / 2, sim::make_record<&TcpConnection::on_request_at_server>(this));
 }
 
 void TcpConnection::on_request_at_server(std::uint32_t, std::int64_t) {
@@ -209,7 +212,7 @@ void TcpConnection::pump() {
     // Propagation from origin to the access-link bottleneck, then FIFO
     // serialization shared with every other connection.
     delay(rtt_ / 2 + extra,
-          sim::lane_record<&TcpConnection::on_segment_at_bottleneck>(
+          sim::make_record<&TcpConnection::on_segment_at_bottleneck>(
               this, stream_index, seg));
   }
 }
@@ -217,7 +220,7 @@ void TcpConnection::pump() {
 void TcpConnection::on_segment_at_bottleneck(std::uint32_t stream_index,
                                              std::int64_t seg) {
   net_.downlink().transmit(
-      seg, sim::lane_record<&TcpConnection::on_segment_at_client>(
+      seg, sim::make_record<&TcpConnection::on_segment_at_client>(
                this, stream_index, seg));
 }
 
@@ -252,7 +255,7 @@ void TcpConnection::on_segment_at_client(std::uint32_t stream_index,
   }
   // ACK (and the stream's WINDOW_UPDATE) travels back to the origin.
   delay(rtt_ / 2,
-        sim::lane_record<&TcpConnection::on_ack>(this, stream_index, seg));
+        sim::make_record<&TcpConnection::on_ack>(this, stream_index, seg));
 }
 
 void TcpConnection::on_ack(std::uint32_t stream_index, std::int64_t seg) {

@@ -8,13 +8,14 @@
 // over a good-signal LTE hotspot): a lost segment arrives one retransmission
 // timeout late and halves the congestion window.
 //
-// Every half-RTT delay of a connection (request and segment propagation,
-// ACKs) is now() plus one constant, so the connection's delay line runs on
-// one event-loop lane (sim::EventLoop::add_lane()) of records that name a
-// member and carry a stream index and a segment size: a segment's three
-// events build no closure. A lost segment's RTO is the one delay that puts
-// the line out of order: records posted after it that fire before it go
-// through the heap, so event order is unchanged.
+// Every event of a connection is a record (sim::Record) that names a member
+// and carries a stream index and a segment size, or the connect's start
+// time, so none builds a closure. Every half-RTT delay (request and segment
+// propagation, ACKs) is now() plus one constant, so the connection's delay
+// line runs on one event-loop lane (sim::EventLoop::add_lane()). A lost
+// segment's RTO is the one delay that puts the line out of order: records
+// posted after it that fire before it go through the heap, so event order
+// is unchanged.
 //
 // Server-to-client data is enqueued as `Chunk`s tagged with a stream id.
 // Two writer disciplines are supported:
@@ -24,8 +25,8 @@
 //     response writer Vroom adds to Mahimahi (§5.1).
 // HTTP/1.1 uses a single stream per connection, where the two coincide.
 // Per-connection stores (DESIGN.md §10): chunks linked per stream by index,
-// delivered slots reused, and a FIFO of connect/delivery callbacks, so event
-// closures hold only `this` and ids. Callbacks may write on their own
+// delivered slots reused, and a FIFO of connect/delivery callbacks, so the
+// callbacks hold only `this` and ids. Callbacks may write on their own
 // connection, so none runs in place and no store reference outlives one.
 #pragma once
 
@@ -114,9 +115,11 @@ class TcpConnection {
   void deactivate(std::uint32_t stream_index);
   void pump();
   // Posts `record` on the delay line, `by` after now().
-  void delay(sim::Time by, const sim::LaneRecord& record);
-  // The records of the delay line and the links, in a segment's or a
-  // request's order (sim::lane_record).
+  void delay(sim::Time by, const sim::Record& record);
+  // The connection's records (sim::make_record): the end of connect()'s
+  // setup, then those of the delay line and the links, in a request's or a
+  // segment's order.
+  void on_connected(std::uint32_t, std::int64_t started);
   void on_request_uplinked(std::uint32_t, std::int64_t);
   void on_request_at_server(std::uint32_t, std::int64_t);
   void on_segment_at_bottleneck(std::uint32_t stream_index, std::int64_t seg);

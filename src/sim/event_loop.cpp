@@ -1,43 +1,51 @@
 #include "sim/event_loop.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 namespace vroom::sim {
 
-// Every heap entry names a distinct pending slot or node, so with an entry
-// reserved per slot and per node a push never reallocates (and never
-// throws). Both reserve before they grow.
-void EventLoop::add_chunk() {
-  heap_.reserve((chunks_.size() + 1) * kChunkSlots + nodes_.capacity());
-  chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
-}
-
-std::uint32_t EventLoop::acquire_node() {
-  if (free_node_ != kNone) {
-    const std::uint32_t index = free_node_;
-    free_node_ = nodes_[index].next;
-    return index;
-  }
+std::uint32_t EventLoop::add_node() {
   if (nodes_.size() == nodes_.capacity()) {
-    const std::size_t grown = std::max<std::size_t>(64, 2 * nodes_.size());
-    heap_.reserve(chunks_.size() * kChunkSlots + grown);
+    const std::size_t grown =
+        std::max<std::size_t>(kFirstPoolNodes, 2 * nodes_.size());
+    heap_.reserve(grown);
     nodes_.reserve(grown);
   }
   nodes_.emplace_back();
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
-void EventLoop::heap_push(const HeapEntry& e) {
-  heap_.push_back(e);
+// store() is forced inline into push_head() and post(), so an in-order post
+// reuses a free node without a call.
+[[gnu::always_inline]] inline std::uint32_t EventLoop::store(
+    Time at, const Record& record) {
+  std::uint32_t index = free_node_;
+  if (index != kNone) {
+    free_node_ = nodes_[index].next;
+  } else {
+    index = add_node();
+  }
+  nodes_[index] = Node{record, at, next_seq_++, kNone};
+  ++live_;
+  return index;
+}
+
+std::uint32_t EventLoop::push_head(Time at, const Record& record,
+                                   std::uint32_t lane) {
+  const std::uint32_t index = store(at, record);
+  heap_.push_back(HeapEntry{at, nodes_[index].seq, index, lane});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
+  return index;
+}
+
+void EventLoop::schedule_at(Time at, const Record& record) {
+  push_head(at < now_ ? now_ : at, record, kNoLane);
 }
 
 // sift_down_front(), pop_front() and fire_front() are forced inline into
-// step() and run(): the entry being sifted then stays in registers instead
-// of being stored and reloaded, and run()'s loop makes no call but the
-// event's own.
+// run(): the entry being sifted then stays in registers instead of being
+// stored and reloaded, and run()'s loop makes no call but the event's own.
 [[gnu::always_inline]] inline void EventLoop::sift_down_front(
     const HeapEntry& moving) {
   HeapEntry* const heap = heap_.data();
@@ -58,11 +66,6 @@ void EventLoop::heap_push(const HeapEntry& e) {
   if (!heap_.empty()) sift_down_front(back);
 }
 
-void EventLoop::push_event(Time at, std::uint32_t index) {
-  ++live_;
-  heap_push(HeapEntry{at < now_ ? now_ : at, next_seq_++, index, kNoLane});
-}
-
 LaneId EventLoop::add_lane() {
   if (open_lanes_ == lanes_.size()) lanes_.emplace_back();
   lanes_[open_lanes_] = Lane{};
@@ -73,26 +76,20 @@ void EventLoop::throw_unknown_lane() {
   throw std::out_of_range("EventLoop::post: unknown lane");
 }
 
-void EventLoop::post(LaneId lane_id, Time at, const LaneRecord& record) {
+void EventLoop::post(LaneId lane_id, Time at, const Record& record) {
   if (lane_id.index_ >= open_lanes_) throw_unknown_lane();
   if (at < now_) at = now_;
   Lane& lane = lanes_[lane_id.index_];
-  if (lane.last != kNone && at < lane.tail) {
-    // Earlier than the lane's latest record: an ordinary event.
-    schedule_at(at, [record] { record.run(record.obj, record.index,
-                                          record.value); });
-    return;
-  }
-  const std::uint32_t index = acquire_node();
-  const std::uint64_t seq = next_seq_++;
-  nodes_[index] = Node{record, at, seq, kNone};
-  ++live_;
   if (lane.last == kNone) {  // an empty lane: the record is its head
-    heap_push(HeapEntry{at, seq, index, lane_id.index_});
+    lane.last = push_head(at, record, lane_id.index_);
+  } else if (at < lane.tail) {  // earlier than the lane's latest record
+    schedule_at(at, record);
+    return;
   } else {  // in order: wait behind the latest record
+    const std::uint32_t index = store(at, record);
     nodes_[lane.last].next = index;
+    lane.last = index;
   }
-  lane.last = index;
   lane.tail = at;
 }
 
@@ -100,39 +97,21 @@ void EventLoop::post(LaneId lane_id, Time at, const LaneRecord& record) {
   const HeapEntry top = heap_.front();
   --live_;
   now_ = top.at;
-  if (top.lane != kNoLane) {
-    // The lane's next record, if any, takes the fired head's place in the
-    // heap; the node is free before the record runs.
-    const Node& node = nodes_[top.slot];
-    const LaneRecord record = node.record;
-    const std::uint32_t next = node.next;
-    if (next != kNone) {
-      const Node& n = nodes_[next];
-      sift_down_front(HeapEntry{n.at, n.seq, next, top.lane});
-    } else {
-      lanes_[top.lane].last = kNone;
-      pop_front();
-    }
-    nodes_[top.slot].next = free_node_;
-    free_node_ = top.slot;
-    record.run(record.obj, record.index, record.value);
-    return;
+  // The record leaves its node before it runs; the lane's next record, if
+  // any, takes the fired head's place in the heap.
+  Node& node = nodes_[top.node];
+  const Record record = node.record;
+  const std::uint32_t next = node.next;
+  if (next != kNone) {
+    const Node& n = nodes_[next];
+    sift_down_front(HeapEntry{n.at, n.seq, next, top.lane});
+  } else {
+    if (top.lane != kNoLane) lanes_[top.lane].last = kNone;
+    pop_front();
   }
-  pop_front();
-  // The callback runs in its slot; the slot is freed once it has returned
-  // or thrown, so the events it schedules never reuse it.
-  struct FreeSlot {
-    EventLoop& loop;
-    std::uint32_t index;
-    ~FreeSlot() { loop.release_slot(index); }
-  } free_slot{*this, top.slot};
-  slot(top.slot).cb.call_and_reset();
-}
-
-bool EventLoop::step(Time until) {
-  if (heap_.empty() || heap_.front().at > until) return false;
-  fire_front();
-  return true;
+  node.next = free_node_;
+  free_node_ = top.node;
+  record.run(record.obj, record.index, record.value);
 }
 
 std::size_t EventLoop::run(Time until) {
@@ -145,12 +124,6 @@ std::size_t EventLoop::run(Time until) {
 }
 
 void EventLoop::reset() {
-  // Only ordinary pending events hold callbacks; records are plain data.
-  for (const HeapEntry& e : heap_) {
-    if (e.lane != kNoLane) continue;
-    slot(e.slot).cb.reset();
-    release_slot(e.slot);
-  }
   heap_.clear();
   nodes_.clear();
   free_node_ = kNone;

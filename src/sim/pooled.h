@@ -1,9 +1,9 @@
 // Thread-local pool of reusable per-load objects: acquire on construction,
 // reset-and-return on destruction. Fleet workers build one simulation world
 // per (page, load) job; pooling lets consecutive jobs on a worker reuse the
-// storage the previous load grew (an EventLoop's slab and heap, an Arena's
-// chunks). One pool per thread and per type: workers never share objects,
-// and an object acquired on a thread returns to that thread's pool.
+// storage the previous load grew (an EventLoop's node pool and heap, an
+// Arena's chunks). One pool per thread and per type: workers never share
+// objects, and an object acquired on a thread returns to that thread's pool.
 // Reentrant — a nested world (e.g. the offline resolver crawling inside a
 // live load) simply acquires a second object.
 #pragma once

@@ -1,20 +1,16 @@
-// Small-buffer-optimized move-only callable for the event loop.
+// Small-buffer-optimized move-only callable for the layer callbacks.
 //
-// Nearly every event callback in the simulator is a lambda capturing a
-// handful of pointers and small ids; std::function heap-allocates most of
-// them (libstdc++'s inline buffer is 16 bytes). SmallFn stores captures up
-// to kInlineSize bytes inline and only falls back to the heap for oversized
-// closures (e.g. one capturing another SmallFn). Move-only, so closures may
-// own move-only state.
-//
-// The event loop builds each closure directly in its slab slot (emplace)
-// and runs it there (call_and_reset), so an event's closure is constructed
-// once and never relocated.
+// The callbacks one layer hands another — a TCP chunk's delivery callbacks,
+// a connection's connect and request waiters, a browser task's body — are
+// lambdas capturing a handful of pointers and small ids; std::function
+// heap-allocates most of them (libstdc++'s inline buffer is 16 bytes).
+// SmallFn stores captures up to kInlineSize bytes inline and only falls back
+// to the heap for oversized closures (e.g. one capturing another SmallFn).
+// Move-only, so closures may own move-only state. Event-loop events are
+// records (sim::Record), not closures.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -34,7 +30,16 @@ class SmallFn {
                 !std::is_same_v<std::decay_t<F>, SmallFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    emplace(std::forward<F>(f));
+    using D = std::decay_t<F>;
+    if constexpr (sizeof(D) <= kInlineSize &&
+                  alignof(D) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<D>) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &inline_ops<D>;
+    } else {
+      heap_ = new D(std::forward<F>(f));
+      ops_ = &heap_ops<D>;
+    }
   }
 
   SmallFn(SmallFn&& other) noexcept
@@ -65,29 +70,6 @@ class SmallFn {
 
   ~SmallFn() { reset(); }
 
-  // Stores `f` in this empty SmallFn, constructing the callable in place
-  // from it; a SmallFn argument is moved in instead.
-  template <typename F>
-  void emplace(F&& f) {
-    using D = std::decay_t<F>;
-    assert(ops_ == nullptr && "SmallFn::emplace into a non-empty SmallFn");
-    if constexpr (std::is_same_v<D, SmallFn>) {
-      *this = std::forward<F>(f);
-    } else {
-      static_assert(std::is_invocable_r_v<void, D&>,
-                    "SmallFn holds callables of signature void()");
-      if constexpr (sizeof(D) <= kInlineSize &&
-                    alignof(D) <= alignof(std::max_align_t) &&
-                    std::is_nothrow_move_constructible_v<D>) {
-        ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-        ops_ = &inline_ops<D>;
-      } else {
-        heap_ = new D(std::forward<F>(f));
-        ops_ = &heap_ops<D>;
-      }
-    }
-  }
-
   void reset() {
     if (ops_ == nullptr) return;
     ops_->destroy(target());
@@ -99,21 +81,9 @@ class SmallFn {
 
   void operator()() { ops_->invoke(target()); }
 
-  // Calls the callable where it is stored, then destroys it, also when the
-  // call throws. This SmallFn reads as empty from the start of the call, and
-  // the caller must neither move nor reuse it until the call returns.
-  void call_and_reset() {
-    const Ops* ops = ops_;
-    void* fn = target();
-    ops_ = nullptr;
-    heap_ = nullptr;
-    ops->call_and_destroy(fn);
-  }
-
  private:
   struct Ops {
     void (*invoke)(void*);
-    void (*call_and_destroy)(void*);
     // Move-construct into `to` from `from`, then destroy `from`. Only used
     // for inline storage; heap storage relocates by stealing the pointer.
     void (*relocate)(void* from, void* to);
@@ -127,13 +97,6 @@ class SmallFn {
   template <typename D>
   static constexpr Ops inline_ops = {
       [](void* p) { (*static_cast<D*>(p))(); },
-      [](void* p) {
-        struct Destroy {
-          D* fn;
-          ~Destroy() { fn->~D(); }
-        } destroy{static_cast<D*>(p)};
-        (*destroy.fn)();
-      },
       [](void* from, void* to) {
         D* src = static_cast<D*>(from);
         ::new (to) D(std::move(*src));
@@ -145,7 +108,6 @@ class SmallFn {
   template <typename D>
   static constexpr Ops heap_ops = {
       [](void* p) { (*static_cast<D*>(p))(); },
-      [](void* p) { (*std::unique_ptr<D>(static_cast<D*>(p)))(); },
       nullptr,
       [](void* p) { delete static_cast<D*>(p); },
   };

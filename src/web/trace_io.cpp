@@ -7,6 +7,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "web/device.h"
+
 namespace vroom::web {
 namespace {
 
@@ -53,11 +55,13 @@ std::optional<PageClass> class_from(const std::string& s) {
   return std::nullopt;
 }
 
+using Fields = std::map<std::string, std::string>;
+
 // Splits "key=value key=value ..." tokens of one line into `out`. A token
 // without '=' or a repeated key makes the record ambiguous, so both are
 // errors (returned as the message) rather than skipped or overwritten.
-std::optional<std::string> parse_fields(
-    std::istringstream& line, std::map<std::string, std::string>& out) {
+std::optional<std::string> parse_fields(std::istringstream& line,
+                                        Fields& out) {
   std::string token;
   while (line >> token) {
     const std::size_t eq = token.find('=');
@@ -71,27 +75,31 @@ std::optional<std::string> parse_fields(
   return std::nullopt;
 }
 
+// Reads field `key` into `out`; false, leaving `out` as it was, when the
+// field is absent or malformed. Both branches follow harness/env.cpp's
+// strict contract: the whole field must be the number. The float path used
+// std::stod, which accepted trailing garbage ("0.5x"), leading whitespace,
+// hex, and inf/nan.
 template <typename T>
-bool get_num(const std::map<std::string, std::string>& f, const char* key,
-             T& out) {
+bool get_num(const Fields& f, const char* key, T& out) {
   auto it = f.find(key);
   if (it == f.end()) return false;
   const std::string& s = it->second;
-  // Both branches follow harness/env.cpp's strict contract: the whole field
-  // must be the number. The float path used std::stod, which accepted
-  // trailing garbage ("0.5x"), leading whitespace, hex, and inf/nan.
+  std::conditional_t<std::is_floating_point_v<T>, double, T> v{};
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return false;
   if constexpr (std::is_floating_point_v<T>) {
-    double v = 0.0;
-    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc{} || ptr != s.data() + s.size() || !std::isfinite(v)) {
-      return false;
-    }
-    out = static_cast<T>(v);
-    return true;
-  } else {
-    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-    return ec == std::errc{} && ptr == s.data() + s.size();
+    if (!std::isfinite(v)) return false;
   }
+  out = static_cast<T>(v);
+  return true;
+}
+
+// An optional field: absent leaves `out` as it was; present, it must parse
+// whole.
+template <typename T>
+bool get_optional(const Fields& f, const char* key, T& out) {
+  return f.count(key) == 0 || get_num(f, key, out);
 }
 
 }  // namespace
@@ -168,12 +176,14 @@ std::optional<PageModel> page_from_trace(const std::string& text,
     std::string kind;
     ls >> kind;
     const std::string at = " (line " + std::to_string(line_no) + ")";
-    std::map<std::string, std::string> fields;
+    Fields fields;
     if (auto bad = parse_fields(ls, fields)) {
       return fail(kind + ": " + *bad + at);
     }
 
     if (kind == "page") {
+      // A second header would silently drop the page read so far.
+      if (page) return fail("page: second page header" + at);
       std::uint32_t id = 0;
       if (!get_num(fields, "id", id)) return fail("page: missing id" + at);
       auto cls = class_from(fields.count("class") ? fields.at("class") : "");
@@ -220,15 +230,26 @@ std::optional<PageModel> page_from_trace(const std::string& text,
     auto vol = volatility_from(fields.count("vol") ? fields.at("vol") : "");
     if (!vol) return fail("res: bad vol" + at);
     r.volatility = *vol;
-    get_num(fields, "period", r.rotation_period);
-    get_num(fields, "phase", r.rotation_phase);
-    get_num(fields, "max_age", r.max_age);
-    get_num(fields, "weight", r.visual_weight);
-    int axis = -1;
-    if (get_num(fields, "device_axis", axis)) {
-      r.device_axis = static_cast<std::int8_t>(axis);
+    const auto bad = [&](const char* field) {
+      return fail(std::string("res: bad ") + field + at);
+    };
+    if (!get_optional(fields, "period", r.rotation_period)) {
+      return bad("period");
     }
-    get_num(fields, "page_override", r.url_page_override);
+    if (!get_optional(fields, "phase", r.rotation_phase)) return bad("phase");
+    if (!get_optional(fields, "max_age", r.max_age)) return bad("max_age");
+    if (!get_optional(fields, "weight", r.visual_weight)) {
+      return bad("weight");
+    }
+    int axis = r.device_axis;
+    if (!get_optional(fields, "device_axis", axis) || axis < -1 ||
+        axis >= kNumDeviceAxes) {
+      return bad("device_axis");
+    }
+    r.device_axis = static_cast<std::int8_t>(axis);
+    if (!get_optional(fields, "page_override", r.url_page_override)) {
+      return bad("page_override");
+    }
     if (auto fl = fields.find("flags"); fl != fields.end()) {
       std::istringstream fs(fl->second);
       std::string flag;
@@ -246,8 +267,12 @@ std::optional<PageModel> page_from_trace(const std::string& text,
       }
     }
     if (r.id != page->size()) return fail("res: ids must be dense" + at);
-    if (r.parent >= static_cast<std::int32_t>(r.id)) {
-      return fail("res: parent must precede child" + at);
+    // Resource 0 is the root; every other resource hangs below an earlier
+    // one, so none is an orphan the load would never fetch.
+    const auto id = static_cast<std::int32_t>(r.id);
+    if (id == 0 ? r.parent != -1 : r.parent < 0 || r.parent >= id) {
+      return fail("res: parent must be -1 for resource 0, else an earlier id" +
+                  at);
     }
     if (r.volatility != Volatility::PerLoad && r.rotation_period <= 0) {
       return fail("res: rotating resource needs period" + at);

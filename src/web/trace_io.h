@@ -3,8 +3,8 @@
 // from real HAR/WProf captures and replay them through the simulator.
 //
 // Format (one record per line, '#' comments, whitespace-separated
-// key=value pairs, each key at most once per record; the header line
-// carries page-level fields):
+// key=value pairs, each key at most once per record; the one header line
+// comes first and carries page-level fields):
 //
 //   page id=7 class=news first_party=news7.com shards=static.news7.com
 //   res id=0 parent=-1 type=html via=tag off=0 size=91234 domain=news7.com vol=hourly period=1800000000 phase=0 flags=above_fold

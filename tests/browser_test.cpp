@@ -16,6 +16,7 @@
 #include "browser/cache.h"
 #include "browser/metrics.h"
 #include "browser/task_queue.h"
+#include "closure_table.h"
 #include "harness/experiment.h"
 #include "scoped_env.h"
 #include "web/page_generator.h"
@@ -65,7 +66,7 @@ TEST(TaskQueueTest, ObserverSeesBusyTransitions) {
 // runs in its completion event, which then starts the next task.
 class ScanQueue {
  public:
-  explicit ScanQueue(sim::EventLoop& loop) : loop_(loop) {}
+  explicit ScanQueue(sim::EventLoop& loop) : events_(loop) {}
 
   void post(sim::Time duration, TaskPriority priority, sim::SmallFn body) {
     queue_.push_back(
@@ -103,14 +104,14 @@ class ScanQueue {
       if (observer_) observer_(true);
     }
     total_busy_ += task.duration;
-    loop_.schedule_in(task.duration,
-                      [this, body = std::move(task.body)]() mutable {
-                        body();
-                        start_next();
-                      });
+    events_.schedule_in(task.duration,
+                        [this, body = std::move(task.body)]() mutable {
+                          body();
+                          start_next();
+                        });
   }
 
-  sim::EventLoop& loop_;
+  testutil::ClosureTable events_;
   std::deque<Task> queue_;
   bool running_ = false;
   sim::Time total_busy_ = 0;
@@ -158,8 +159,9 @@ TaskScriptRun run_task_script(std::uint64_t seed) {
       for (int children = draw(3); children > 0; --children) post();
     });
   };
+  testutil::ClosureTable events(loop);
   for (int burst = 0; burst < 20; ++burst) {
-    loop.schedule_at(draw(600), [&] {
+    events.schedule_at(draw(600), [&] {
       for (int n = 1 + draw(4); n > 0; --n) post();
     });
   }

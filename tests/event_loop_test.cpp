@@ -1,7 +1,8 @@
 // Tests for the EventLoop internals: FIFO lanes of records keep the
 // (time, seq) order of the plain heap exactly, storage reuse via
-// reset()/PooledEventLoop, callbacks that run in slots which never move, and
-// the SmallFn small-buffer callable the slab stores.
+// reset()/PooledEventLoop, records whose arguments survive pool growth, a
+// throwing event that leaves the loop reusable, and the SmallFn small-buffer
+// callable the layer callbacks use.
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -14,12 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include "closure_table.h"
 #include "sim/event_loop.h"
 #include "sim/small_fn.h"
 #include "sim/time.h"
 
 namespace vroom::sim {
 namespace {
+
+using testutil::ClosureTable;
 
 // What a script observed: every fired event as (now(), event id), every
 // run() return value, and the events still pending when it stopped.
@@ -31,9 +35,9 @@ struct ScriptRun {
 
 // A seeded random event script. Events are drawn as they fire, so two runs
 // of one seed draw the same events only while they fire them in the same
-// order. Each event is a record posted on a lane or a closure scheduled on
-// the heap: with `use_lanes` false every event is a closure, with the same
-// draws.
+// order. Each event is a record posted on a lane or scheduled on the plain
+// heap: with `use_lanes` false every record goes to the plain heap, with
+// the same draws.
 class LaneScript {
  public:
   LaneScript(EventLoop& loop, std::uint64_t seed, bool use_lanes)
@@ -85,11 +89,10 @@ class LaneScript {
         break;
     }
     const bool relative = draw(2) == 0;
-    auto fire = [this, id] { on_fire(id); };
+    const Record fire = make_record<&LaneScript::on_fire>(
+        this, static_cast<std::uint32_t>(id));
     if (on_lane) {
-      loop_.post(lanes_[pick], at,
-                 lane_record<&LaneScript::on_record>(
-                     this, static_cast<std::uint32_t>(id)));
+      loop_.post(lanes_[pick], at, fire);
     } else if (relative) {
       loop_.schedule_in(at - loop_.now(), fire);
     } else {
@@ -97,12 +100,8 @@ class LaneScript {
     }
   }
 
-  void on_record(std::uint32_t id, std::int64_t) {
-    on_fire(static_cast<int>(id));
-  }
-
-  void on_fire(int id) {
-    out_.fired.emplace_back(loop_.now(), id);
+  void on_fire(std::uint32_t id, std::int64_t) {
+    out_.fired.emplace_back(loop_.now(), static_cast<int>(id));
     if (next_id_ >= 1000) return;
     for (int children = draw(3); children > 0; --children) add_event();
   }
@@ -156,7 +155,7 @@ struct RecordLog {
 TEST(EventLoopLaneTest, UnknownLaneThrows) {
   EventLoop loop;
   RecordLog log(loop);
-  const LaneRecord record = lane_record<&RecordLog::hit>(&log);
+  const Record record = make_record<&RecordLog::hit>(&log);
   EXPECT_THROW(loop.post(LaneId{}, ms(1), record), std::out_of_range);
   const LaneId lane = loop.add_lane();
   loop.post(lane, ms(1), record);
@@ -169,15 +168,15 @@ TEST(EventLoopLaneTest, UnknownLaneThrows) {
 
 TEST(EventLoopLaneTest, RecordsCarryTheirArgumentsInOrder) {
   // Three records on one lane, one earlier than the lane's latest (so it
-  // goes through the heap), and a closure tied in time with a record
+  // goes through the heap), and one off the lane tied in time with a record
   // posted before it.
   EventLoop loop;
   RecordLog log(loop);
   const LaneId lane = loop.add_lane();
-  loop.post(lane, ms(2), lane_record<&RecordLog::hit>(&log, 1, -7));
-  loop.post(lane, ms(5), lane_record<&RecordLog::hit>(&log, 2, 1LL << 40));
-  loop.post(lane, ms(3), lane_record<&RecordLog::hit>(&log, 3, 0));
-  loop.schedule_at(ms(2), [&log] { log.hit(4, 4); });
+  loop.post(lane, ms(2), make_record<&RecordLog::hit>(&log, 1, -7));
+  loop.post(lane, ms(5), make_record<&RecordLog::hit>(&log, 2, 1LL << 40));
+  loop.post(lane, ms(3), make_record<&RecordLog::hit>(&log, 3, 0));
+  loop.schedule_at(ms(2), make_record<&RecordLog::hit>(&log, 4, 4));
   EXPECT_EQ(loop.pending(), 4u);
   EXPECT_EQ(loop.run(), 4u);
   using Fired = std::tuple<Time, std::uint32_t, std::int64_t>;
@@ -191,42 +190,53 @@ TEST(EventLoopLaneTest, ThrowingRecordLeavesLoopReusable) {
   EventLoop loop;
   RecordLog log(loop);
   const LaneId lane = loop.add_lane();
-  loop.post(lane, ms(1), lane_record<&RecordLog::raise>(&log, 9));
-  loop.post(lane, ms(2), lane_record<&RecordLog::hit>(&log, 1));
-  loop.schedule_at(ms(3), [&log] { log.hit(2, 0); });
+  loop.post(lane, ms(1), make_record<&RecordLog::raise>(&log, 9));
+  loop.post(lane, ms(2), make_record<&RecordLog::hit>(&log, 1));
+  loop.schedule_at(ms(3), make_record<&RecordLog::raise>(&log, 7));
+  loop.schedule_at(ms(4), make_record<&RecordLog::hit>(&log, 2));
 
   // The exception reaches run()'s caller; the record counts as run, and
-  // the lane's next record still fires after it.
+  // the lane's next record still fires after it. A record off the lane
+  // throws the same way.
   EXPECT_THROW(loop.run(), std::runtime_error);
   EXPECT_EQ(loop.now(), ms(1));
-  EXPECT_EQ(loop.pending(), 2u);
-  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_EQ(loop.pending(), 3u);
+  EXPECT_THROW(loop.run(), std::runtime_error);
+  EXPECT_EQ(loop.now(), ms(3));
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_EQ(loop.run(), 1u);
   using Fired = std::tuple<Time, std::uint32_t, std::int64_t>;
-  EXPECT_EQ(log.fired, (std::vector<Fired>{{ms(2), 1, 0}, {ms(3), 2, 0}}));
+  EXPECT_EQ(log.fired, (std::vector<Fired>{{ms(2), 1, 0}, {ms(4), 2, 0}}));
 
-  // A throw with records still pending, then a reset: the pool is reused.
-  loop.post(lane, ms(4), lane_record<&RecordLog::raise>(&log, 8));
-  loop.post(lane, ms(5), lane_record<&RecordLog::hit>(&log, 3));
+  // A throw with records still pending, on and off the lane, then a reset:
+  // none of them fires, and the pool is reused.
+  loop.post(lane, ms(5), make_record<&RecordLog::raise>(&log, 8));
+  loop.post(lane, ms(6), make_record<&RecordLog::hit>(&log, 3));
+  loop.schedule_at(ms(7), make_record<&RecordLog::hit>(&log, 4));
   EXPECT_THROW(loop.run(), std::runtime_error);
   loop.reset();
   EXPECT_TRUE(loop.empty());
   log.fired.clear();
   const LaneId reopened = loop.add_lane();
   for (std::uint32_t i = 0; i < 3; ++i) {
-    loop.post(reopened, ms(1 + i), lane_record<&RecordLog::hit>(&log, i));
+    loop.post(reopened, ms(1 + i), make_record<&RecordLog::hit>(&log, i));
+    loop.schedule_in(ms(3 - i), make_record<&RecordLog::hit>(&log, 10 + i));
   }
-  EXPECT_EQ(loop.run(), 3u);
+  EXPECT_EQ(loop.run(), 6u);
   EXPECT_EQ(log.fired, (std::vector<Fired>{{ms(1), 0, 0},
+                                           {ms(1), 12, 0},
                                            {ms(2), 1, 0},
+                                           {ms(2), 11, 0},
+                                           {ms(3), 10, 0},
                                            {ms(3), 2, 0}}));
 }
 
 TEST(EventLoopResetTest, ResetRestoresFreshState) {
   EventLoop loop;
-  int count = 0;
-  loop.schedule_at(ms(10), [&] { ++count; });
-  loop.schedule_at(ms(20), [&] { ++count; });
-  loop.run();
+  RecordLog log(loop);
+  loop.schedule_at(ms(10), make_record<&RecordLog::hit>(&log));
+  loop.schedule_at(ms(20), make_record<&RecordLog::hit>(&log));
+  EXPECT_EQ(loop.run(), 2u);
   EXPECT_EQ(loop.now(), ms(20));
 
   loop.reset();
@@ -236,12 +246,88 @@ TEST(EventLoopResetTest, ResetRestoresFreshState) {
   EXPECT_EQ(loop.recorder(), nullptr);
 
   // A reset loop behaves exactly like a fresh one, ordering included.
-  std::vector<int> order;
-  loop.schedule_at(ms(5), [&] { order.push_back(1); });
-  loop.schedule_at(ms(5), [&] { order.push_back(2); });
-  loop.schedule_at(ms(1), [&] { order.push_back(0); });
+  log.fired.clear();
+  loop.schedule_at(ms(5), make_record<&RecordLog::hit>(&log, 1));
+  loop.schedule_at(ms(5), make_record<&RecordLog::hit>(&log, 2));
+  loop.schedule_at(ms(1), make_record<&RecordLog::hit>(&log, 0));
   EXPECT_EQ(loop.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  using Fired = std::tuple<Time, std::uint32_t, std::int64_t>;
+  EXPECT_EQ(log.fired, (std::vector<Fired>{{ms(1), 0, 0},
+                                           {ms(5), 1, 0},
+                                           {ms(5), 2, 0}}));
+}
+
+TEST(EventLoopResetTest, ResetDropsUnfiredCallbacks) {
+  // The loop owns no closures, so a reset only forgets its records: none
+  // of them fires afterwards, whether it waited in the heap or in a lane.
+  EventLoop loop;
+  RecordLog log(loop);
+  const LaneId lane = loop.add_lane();
+  loop.schedule_at(ms(1), make_record<&RecordLog::hit>(&log, 0));
+  loop.schedule_at(ms(10), make_record<&RecordLog::hit>(&log, 1));
+  loop.post(lane, ms(10), make_record<&RecordLog::hit>(&log, 2));
+  // Waits in the lane behind its head, outside the heap.
+  loop.post(lane, ms(20), make_record<&RecordLog::hit>(&log, 3));
+  loop.schedule_at(ms(30), make_record<&RecordLog::hit>(&log, 4));
+
+  EXPECT_EQ(loop.run(ms(1)), 1u);
+  EXPECT_EQ(loop.pending(), 4u);
+  loop.reset();
+  EXPECT_TRUE(loop.empty());
+  // No record survives the reset.
+  EXPECT_EQ(loop.run(), 0u);
+  using Fired = std::tuple<Time, std::uint32_t, std::int64_t>;
+  EXPECT_EQ(log.fired, (std::vector<Fired>{{ms(1), 0, 0}}));
+}
+
+TEST(EventLoopResetTest, PooledLoopReuseIsTransparent) {
+  // Two consecutive pooled loops on one thread share storage; the second
+  // must still start from a pristine state.
+  {
+    PooledEventLoop pooled;
+    RecordLog log(*pooled);
+    pooled->schedule_at(ms(100), make_record<&RecordLog::hit>(&log));
+    pooled->run();
+    EXPECT_EQ(pooled->now(), ms(100));
+  }
+  {
+    PooledEventLoop pooled;
+    EXPECT_EQ(pooled->now(), 0);
+    EXPECT_TRUE(pooled->empty());
+    RecordLog log(*pooled);
+    pooled->schedule_at(ms(1), make_record<&RecordLog::hit>(&log));
+    EXPECT_EQ(pooled->run(), 1u);
+    EXPECT_EQ(log.fired.size(), 1u);
+  }
+}
+
+// While its first record runs, schedules `added` more, then reads that
+// record's arguments.
+struct PoolGrower {
+  EventLoop& loop;
+  std::size_t added;
+  std::uint64_t sum = 0;
+  int fired = 0;
+  void grow(std::uint32_t index, std::int64_t value) {
+    for (std::size_t i = 0; i < added; ++i) {
+      loop.schedule_in(ms(1), make_record<&PoolGrower::count>(this));
+    }
+    sum = index + static_cast<std::uint64_t>(value) + added;
+  }
+  void count(std::uint32_t, std::int64_t) { ++fired; }
+};
+
+TEST(EventLoopTest, RecordArgumentsSurvivePoolGrowth) {
+  // A record runs from a copy taken out of its node. While it runs it
+  // schedules four times the pool's first capacity, which reallocates the
+  // pool, then reads its own arguments: under ASan a record read from the
+  // old pool is a use after free.
+  EventLoop loop;
+  PoolGrower grower{loop, 4 * EventLoop::kFirstPoolNodes};
+  loop.schedule_at(ms(1), make_record<&PoolGrower::grow>(&grower, 7, 35));
+  EXPECT_EQ(loop.run(), grower.added + 1);
+  EXPECT_EQ(grower.sum, 42 + grower.added);
+  EXPECT_EQ(grower.fired, static_cast<int>(grower.added));
 }
 
 // A closure too large for SmallFn's inline buffer, stored on the heap.
@@ -250,101 +336,29 @@ struct Oversized {
 };
 static_assert(sizeof(Oversized) > SmallFn::kInlineSize);
 
-TEST(EventLoopResetTest, ResetDropsUnfiredCallbacks) {
-  EventLoop loop;
-  RecordLog log(loop);
-  auto fired = std::make_shared<int>(1);
-  auto plain = std::make_shared<int>(2);
-  auto oversized = std::make_shared<int>(5);
-  const std::weak_ptr<int> fired_watch = fired;
-  const std::vector<std::weak_ptr<int>> pending = {plain, oversized};
-  const LaneId lane = loop.add_lane();
-  loop.schedule_at(ms(1), [keep = std::move(fired)] {});
-  loop.schedule_at(ms(10), [keep = std::move(plain)] {});
-  loop.post(lane, ms(10), lane_record<&RecordLog::hit>(&log, 1));
-  // Waits in the lane behind its head, outside the heap.
-  loop.post(lane, ms(20), lane_record<&RecordLog::hit>(&log, 2));
-  loop.schedule_at(ms(30), [big = Oversized{}, keep = std::move(oversized)] {
-    (void)big;
-  });
-
-  // A fired closure is destroyed as soon as it has run.
-  EXPECT_EQ(loop.run(ms(1)), 1u);
-  EXPECT_TRUE(fired_watch.expired());
-  for (const auto& watch : pending) EXPECT_FALSE(watch.expired());
-
-  loop.reset();
-  for (const auto& watch : pending) {
-    EXPECT_TRUE(watch.expired());  // reset released the closure
-  }
-  EXPECT_TRUE(loop.empty());
-  // Neither record survives the reset.
-  EXPECT_EQ(loop.run(), 0u);
-  EXPECT_TRUE(log.fired.empty());
-}
-
-TEST(EventLoopResetTest, PooledLoopReuseIsTransparent) {
-  // Two consecutive pooled loops on one thread share storage; the second
-  // must still start from a pristine state.
-  {
-    PooledEventLoop pooled;
-    pooled->schedule_at(ms(100), [] {});
-    pooled->run();
-    EXPECT_EQ(pooled->now(), ms(100));
-  }
-  {
-    PooledEventLoop pooled;
-    EXPECT_EQ(pooled->now(), 0);
-    EXPECT_TRUE(pooled->empty());
-    int fired = 0;
-    pooled->schedule_at(ms(1), [&] { ++fired; });
-    EXPECT_EQ(pooled->run(), 1u);
-    EXPECT_EQ(fired, 1);
-  }
-}
-
-TEST(EventLoopTest, CallbackStateSurvivesSlabGrowth) {
-  // A callback runs in its slab slot. While it runs it schedules several
-  // chunks' worth of events, then reads its own captures: the slot must not
-  // have moved (under ASan a moved slot is a use after free).
-  EventLoop loop;
-  const std::size_t added = 4 * EventLoop::kChunkSlots;
-  std::uint64_t sum = 0;
-  int fired = 0;
-  auto grow = [&loop, &sum, &fired, added, a = std::uint64_t{7},
-               b = std::uint64_t{35}] {
-    for (std::size_t i = 0; i < added; ++i) {
-      loop.schedule_in(ms(1), [&fired] { ++fired; });
-    }
-    sum = a + b + added;
-  };
-  static_assert(sizeof(grow) <= SmallFn::kInlineSize, "stored in the slot");
-  loop.schedule_at(ms(1), grow);
-  EXPECT_EQ(loop.run(), added + 1);
-  EXPECT_EQ(sum, 42 + added);
-  EXPECT_EQ(fired, static_cast<int>(added));
-}
-
 TEST(EventLoopTest, ThrowingCallbackLeavesLoopReusable) {
+  // Ordinary events off any lane, each a record that runs a closure of a
+  // ClosureTable, with the closure stored inline and on the heap.
   for (const bool inline_closure : {true, false}) {
     EventLoop loop;
+    ClosureTable table(loop);
     auto token = std::make_shared<int>(1);
     const std::weak_ptr<int> watch = token;
     int later = 0;
     if (inline_closure) {
-      loop.schedule_at(ms(1), [keep = std::move(token)] {
+      table.schedule_at(ms(1), [keep = std::move(token)] {
         throw std::runtime_error("inline");
       });
     } else {
-      loop.schedule_at(ms(1), [big = Oversized{}, keep = std::move(token)] {
+      table.schedule_at(ms(1), [big = Oversized{}, keep = std::move(token)] {
         (void)big;
         throw std::runtime_error("oversized");
       });
     }
-    loop.schedule_at(ms(2), [&later] { ++later; });
+    table.schedule_at(ms(2), [&later] { ++later; });
 
     // The exception reaches run()'s caller; the event counts as run and its
-    // closure is destroyed.
+    // closure is destroyed as the exception leaves it.
     EXPECT_THROW(loop.run(), std::runtime_error);
     EXPECT_TRUE(watch.expired());
     EXPECT_EQ(loop.now(), ms(1));
@@ -354,7 +368,7 @@ TEST(EventLoopTest, ThrowingCallbackLeavesLoopReusable) {
     EXPECT_TRUE(loop.empty());
     std::vector<int> order;
     for (int i = 0; i < 3; ++i) {
-      loop.schedule_in(ms(3 - i), [&order, i] { order.push_back(i); });
+      table.schedule_in(ms(3 - i), [&order, i] { order.push_back(i); });
     }
     EXPECT_EQ(loop.run(), 3u);
     EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));

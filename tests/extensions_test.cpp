@@ -7,6 +7,7 @@
 
 #include "baselines/strategies.h"
 #include "browser/wprof.h"
+#include "closure_table.h"
 #include "core/type_sharing.h"
 #include "harness/experiment.h"
 #include "harness/stats.h"
@@ -124,7 +125,8 @@ TEST(RadioModelTest, IdleTimeoutRearmsPromotion) {
   net::Network net(loop, cfg, 7);
   EXPECT_EQ(net.radio_wakeup_delay(), sim::ms(250));
   EXPECT_EQ(net.radio_wakeup_delay(), 0);  // still warm
-  loop.schedule_at(sim::seconds(10), [&] {
+  testutil::ClosureTable events(loop);
+  events.schedule_at(sim::seconds(10), [&] {
     EXPECT_EQ(net.radio_wakeup_delay(), sim::ms(250));  // went idle
   });
   loop.run();

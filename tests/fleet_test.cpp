@@ -87,7 +87,8 @@ TEST(Fleet, MatrixMatchesPerStrategyRuns) {
 
   fleet::FleetOptions fo;
   fo.workers = 3;
-  const auto matrix = fleet::run_matrix(corpus, strategies, opt, fo);
+  const auto matrix = fleet::run_plan(
+      fleet::SweepPlan{}.add_matrix(corpus, strategies, opt), fo);
   ASSERT_EQ(matrix.size(), strategies.size());
   for (std::size_t s = 0; s < strategies.size(); ++s) {
     fleet::FleetOptions serial;
@@ -248,7 +249,8 @@ TEST(Fleet, TelemetryCountersAddUp) {
   fleet::FleetOptions fo;
   fo.workers = 4;
   fo.telemetry = &telemetry;
-  const auto results = fleet::run_matrix(corpus, strategies, opt, fo);
+  const auto results = fleet::run_plan(
+      fleet::SweepPlan{}.add_matrix(corpus, strategies, opt), fo);
 
   const std::size_t expected_jobs = strategies.size() * corpus.size() *
                                     static_cast<std::size_t>(opt.loads_per_page);

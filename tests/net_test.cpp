@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_table.h"
 #include "net/link.h"
 #include "net/network.h"
 #include "net/tcp.h"
@@ -25,7 +26,7 @@ struct Delivered {
   sim::EventLoop& loop;
   std::vector<sim::Time> at;
   void hit(std::uint32_t, std::int64_t) { at.push_back(loop.now()); }
-  sim::LaneRecord record() { return sim::lane_record<&Delivered::hit>(this); }
+  sim::Record record() { return sim::make_record<&Delivered::hit>(this); }
 };
 
 TEST(LinkTest, SerializesAtLineRate) {
@@ -53,7 +54,8 @@ TEST(LinkTest, LaterArrivalStartsWhenIdle) {
   sim::EventLoop loop;
   Link link(loop, 8e6);
   Delivered done(loop);
-  loop.schedule_at(5000, [&] { link.transmit(100, done.record()); });
+  testutil::ClosureTable events(loop);
+  events.schedule_at(5000, [&] { link.transmit(100, done.record()); });
   loop.run();
   EXPECT_EQ(done.at, (std::vector<sim::Time>{5100}));
 }
@@ -63,7 +65,8 @@ TEST(LinkTest, UtilizationAccounting) {
   Link link(loop, 8e6);
   Delivered done(loop);
   link.transmit(1000, done.record());
-  loop.schedule_at(2000, [] {});  // extend the clock to 2000us
+  Delivered clock(loop);
+  loop.schedule_at(2000, clock.record());  // extend the clock to 2000us
   loop.run();
   EXPECT_NEAR(link.utilization(), 0.5, 1e-9);
 }

@@ -1,6 +1,6 @@
 // The per-segment network path allocates nothing: a TCP segment's
-// propagation, link completion and ACK events reuse the warm loop's slab,
-// heap and lane storage, and their callbacks fit SmallFn's inline buffer.
+// propagation, link completion and ACK events are records that reuse the
+// warm loop's node pool, heap and lane storage.
 // The binary replaces the global operator new with a counting one, so a
 // transfer ten times as long must make exactly as many allocations.
 //
@@ -88,7 +88,7 @@ std::size_t allocations_for_transfer(sim::EventLoop& loop,
 
 TEST(SegmentAllocationTest, TransferLengthDoesNotChangeAllocationCount) {
   sim::EventLoop loop;
-  allocations_for_transfer(loop, 2'000'000);  // grows slab, heap and lanes
+  allocations_for_transfer(loop, 2'000'000);  // grows pool, heap and lanes
   const std::size_t short_transfer = allocations_for_transfer(loop, 200'000);
   const std::size_t long_transfer = allocations_for_transfer(loop, 2'000'000);
   EXPECT_GT(short_transfer, 0u);  // the counter sees the world's own setup

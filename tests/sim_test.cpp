@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <stdexcept>
 #include <vector>
 
+#include "closure_table.h"
 #include "sim/event_loop.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
 namespace vroom::sim {
 namespace {
+
+using testutil::ClosureTable;
 
 TEST(TimeTest, Conversions) {
   EXPECT_EQ(ms(1), 1000);
@@ -24,10 +28,11 @@ TEST(TimeTest, Conversions) {
 
 TEST(EventLoopTest, RunsInTimeOrder) {
   EventLoop loop;
+  ClosureTable events(loop);
   std::vector<int> order;
-  loop.schedule_at(ms(30), [&] { order.push_back(3); });
-  loop.schedule_at(ms(10), [&] { order.push_back(1); });
-  loop.schedule_at(ms(20), [&] { order.push_back(2); });
+  events.schedule_at(ms(30), [&] { order.push_back(3); });
+  events.schedule_at(ms(10), [&] { order.push_back(1); });
+  events.schedule_at(ms(20), [&] { order.push_back(2); });
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(loop.now(), ms(30));
@@ -35,9 +40,10 @@ TEST(EventLoopTest, RunsInTimeOrder) {
 
 TEST(EventLoopTest, SimultaneousEventsRunInInsertionOrder) {
   EventLoop loop;
+  ClosureTable events(loop);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    loop.schedule_at(ms(5), [&order, i] { order.push_back(i); });
+    events.schedule_at(ms(5), [&order, i] { order.push_back(i); });
   }
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -45,9 +51,10 @@ TEST(EventLoopTest, SimultaneousEventsRunInInsertionOrder) {
 
 TEST(EventLoopTest, ScheduleInIsRelative) {
   EventLoop loop;
+  ClosureTable events(loop);
   Time fired = -1;
-  loop.schedule_at(ms(10), [&] {
-    loop.schedule_in(ms(25), [&] { fired = loop.now(); });
+  events.schedule_at(ms(10), [&] {
+    events.schedule_in(ms(25), [&] { fired = loop.now(); });
   });
   loop.run();
   EXPECT_EQ(fired, ms(35));
@@ -55,9 +62,10 @@ TEST(EventLoopTest, ScheduleInIsRelative) {
 
 TEST(EventLoopTest, PastSchedulingClampsToNow) {
   EventLoop loop;
+  ClosureTable events(loop);
   Time fired = -1;
-  loop.schedule_at(ms(10), [&] {
-    loop.schedule_at(ms(1), [&] { fired = loop.now(); });
+  events.schedule_at(ms(10), [&] {
+    events.schedule_at(ms(1), [&] { fired = loop.now(); });
   });
   loop.run();
   EXPECT_EQ(fired, ms(10));
@@ -65,9 +73,10 @@ TEST(EventLoopTest, PastSchedulingClampsToNow) {
 
 TEST(EventLoopTest, RunUntilStopsEarly) {
   EventLoop loop;
+  ClosureTable events(loop);
   int count = 0;
-  loop.schedule_at(ms(10), [&] { ++count; });
-  loop.schedule_at(ms(50), [&] { ++count; });
+  events.schedule_at(ms(10), [&] { ++count; });
+  events.schedule_at(ms(50), [&] { ++count; });
   loop.run(ms(20));
   EXPECT_EQ(count, 1);
   EXPECT_EQ(loop.pending(), 1u);
@@ -77,11 +86,12 @@ TEST(EventLoopTest, RunUntilStopsEarly) {
 
 TEST(EventLoopTest, EventsCanScheduleMoreEvents) {
   EventLoop loop;
+  ClosureTable events(loop);
   int depth = 0;
   std::function<void()> chain = [&] {
-    if (++depth < 100) loop.schedule_in(ms(1), chain);
+    if (++depth < 100) events.schedule_in(ms(1), chain);
   };
-  loop.schedule_in(ms(1), chain);
+  events.schedule_in(ms(1), chain);
   loop.run();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(loop.now(), ms(100));

@@ -1,5 +1,8 @@
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +138,50 @@ TEST(TraceErrors, RejectsMalformedInput) {
   EXPECT_FALSE(page_from_trace("page id=1 id=2 class=news first_party=x.com\n",
                                &error)
                    .has_value());
+  // A second page header would drop the first page and its resources.
+  const char* two_pages =
+      "page id=1 class=news first_party=x.com\n"
+      "res id=0 parent=-1 type=html via=tag off=0 size=1000 domain=x.com "
+      "vol=hourly period=100 phase=0\n"
+      "page id=2 class=top100 first_party=y.com\n"
+      "res id=0 parent=-1 type=html via=tag off=0 size=2000 domain=y.com "
+      "vol=hourly period=100 phase=0\n";
+  EXPECT_FALSE(page_from_trace(two_pages, &error).has_value());
+  EXPECT_NE(error.find("second page header"), std::string::npos) << error;
+  // Resource 0 is the root, and every other resource hangs below an earlier
+  // one: an orphan would load as a page that never fetches it.
+  const auto two_resources = [](const char* root_parent, const char* parent) {
+    return std::string("page id=1 class=news first_party=x.com\n"
+                       "res id=0 parent=") +
+           root_parent +
+           " type=html via=tag off=0 size=1000 domain=x.com vol=hourly "
+           "period=100 phase=0\n"
+           "res id=1 parent=" +
+           parent +
+           " type=js via=tag off=0.5 size=100 domain=x.com vol=stable "
+           "period=100 phase=0\n";
+  };
+  for (const char* orphan : {"-1", "-5"}) {
+    EXPECT_FALSE(
+        page_from_trace(two_resources("-1", orphan), &error).has_value())
+        << orphan;
+    EXPECT_NE(error.find("parent"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(page_from_trace(two_resources("-2", "0"), &error).has_value());
+  EXPECT_NE(error.find("parent"), std::string::npos) << error;
+  EXPECT_TRUE(page_from_trace(two_resources("-1", "0"), &error).has_value())
+      << error;
+  // A device axis outside [-1, kNumDeviceAxes) names no axis; 300 used to
+  // wrap to 44.
+  for (const char* axis : {"-2", "3", "7", "300"}) {
+    const std::string text =
+        "page id=1 class=news first_party=x.com\n"
+        "res id=0 parent=-1 type=html via=tag off=0 size=1000 domain=x.com "
+        "vol=hourly period=100 phase=0 device_axis=" +
+        std::string(axis) + "\n";
+    EXPECT_FALSE(page_from_trace(text, &error).has_value()) << axis;
+    EXPECT_NE(error.find("device_axis"), std::string::npos) << error;
+  }
 }
 
 // Numeric fields follow the strict whole-value contract (harness/env.cpp):
@@ -155,6 +202,41 @@ TEST(TraceErrors, RejectsPartiallyParsedNumbers) {
   // Plain and scientific notation still parse.
   EXPECT_TRUE(page_from_trace(page_with_off("0.25"), &error).has_value());
   EXPECT_TRUE(page_from_trace(page_with_off("2.5e-1"), &error).has_value());
+
+  // A present optional field parses whole too, or the parse fails naming
+  // it: the integer parse used to keep "60" of "max_age=60x", and the
+  // others read malformed values as 0.
+  const auto page_with = [](const std::string& field) {
+    return "page id=1 class=news first_party=x.com\n"
+           "res id=0 parent=-1 type=html via=tag off=0 size=1000 "
+           "domain=x.com vol=hourly " +
+           field + "\n";
+  };
+  const char* const base = "period=100 phase=0";
+  for (const auto& [field, bad] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"period", "phase=0 period=100x"},
+           {"phase", "period=100 phase=abc"},
+           {"max_age", std::string(base) + " max_age=60x"},
+           {"weight", std::string(base) + " weight=0.5x"},
+           {"weight", std::string(base) + " weight=nan"},
+           {"device_axis", std::string(base) + " device_axis=1x"},
+           {"page_override", std::string(base) + " page_override=-1"},
+           {"page_override", std::string(base) + " page_override=7y"}}) {
+    EXPECT_FALSE(page_from_trace(page_with(bad), &error).has_value()) << bad;
+    EXPECT_NE(error.find("bad " + field), std::string::npos)
+        << bad << ": " << error;
+  }
+  const auto good = page_from_trace(
+      page_with(std::string(base) +
+                " max_age=60 weight=0.5 device_axis=2 page_override=7"),
+      &error);
+  ASSERT_TRUE(good.has_value()) << error;
+  const Resource& root = good->root();
+  EXPECT_EQ(root.max_age, 60);
+  EXPECT_EQ(root.visual_weight, 0.5);
+  EXPECT_EQ(root.device_axis, 2);
+  EXPECT_EQ(root.url_page_override, 7u);
 }
 
 TEST(TraceErrors, AcceptsCommentsAndHandwrittenMinimalPage) {
