@@ -23,6 +23,15 @@ const char* reason_name(FetchReason r) {
   return "?";
 }
 
+// The first HtmlTag child at or after `id` in processing order.
+std::uint32_t markup_from(const web::PageModel& model, std::uint32_t id) {
+  while (id != web::PageModel::kNoResource &&
+         model.resource(id).via != web::DiscoveryVia::HtmlTag) {
+    id = model.next_sibling(id);
+  }
+  return id;
+}
+
 }  // namespace
 
 void FetchPolicy::on_discovered(Browser& b, web::UrlId url,
@@ -406,18 +415,7 @@ void Browser::start_document(std::uint32_t doc_id) {
   if (d.started) return;
   d.started = true;
   const web::PageModel& model = instance_->model();
-  for (std::uint32_t c : model.children(doc_id)) {
-    if (model.resource(c).via == web::DiscoveryVia::HtmlTag) {
-      d.children.push_back(c);
-    }
-  }
-  std::sort(d.children.begin(), d.children.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const double oa = model.resource(a).discovery_offset;
-              const double ob = model.resource(b).discovery_offset;
-              if (oa != ob) return oa < ob;
-              return a < b;
-            });
+  d.next = markup_from(model, model.first_child(doc_id));
   d.parse_total = config_.cpu.process_cost(
       web::ResourceType::Html, instance_->resource(doc_id).size);
   advance_parser(doc_id);
@@ -426,7 +424,7 @@ void Browser::start_document(std::uint32_t doc_id) {
 void Browser::advance_parser(std::uint32_t doc_id) {
   DocState& d = docs_[doc_id];
   const web::PageModel& model = instance_->model();
-  if (d.next >= d.children.size()) {
+  if (d.next == web::PageModel::kNoResource) {
     // Final segment to the end of the document.
     const auto remaining = static_cast<sim::Time>(
         (1.0 - d.pos) * static_cast<double>(d.parse_total));
@@ -434,7 +432,7 @@ void Browser::advance_parser(std::uint32_t doc_id) {
                 [this, doc_id] { on_doc_done(doc_id); });
     return;
   }
-  const std::uint32_t child = d.children[d.next];
+  const std::uint32_t child = d.next;
   const double offset = model.resource(child).discovery_offset;
   const auto segment = static_cast<sim::Time>(
       std::max(0.0, offset - d.pos) * static_cast<double>(d.parse_total));
@@ -442,9 +440,10 @@ void Browser::advance_parser(std::uint32_t doc_id) {
       segment + config_.cpu.task_overhead, TaskPriority::Parse,
       [this, doc_id, child, offset] {
         DocState& dd = docs_[doc_id];
+        const web::PageModel& m = instance_->model();
         dd.pos = offset;
-        ++dd.next;
-        const web::Resource& cr = instance_->model().resource(child);
+        dd.next = markup_from(m, m.next_sibling(child));
+        const web::Resource& cr = m.resource(child);
         reference(child);
         if (cr.type == web::ResourceType::Js && cr.blocks_parser) {
           const web::UrlId curl = instance_->resource(child).url_id;
@@ -537,8 +536,8 @@ void Browser::discover_children_via(std::uint32_t parent,
   }
 }
 
-void Browser::on_push_promise(const std::string& url, std::int64_t /*bytes*/) {
-  FetchState& fs = state_for(intern(url));
+void Browser::on_push_promise(web::UrlId id, std::int64_t /*bytes*/) {
+  FetchState& fs = state_for(id);
   if (fs.state != FetchStateKind::Idle) {
     if (trace::Recorder* tr = trace::of(net_.loop())) {
       // The client got there first; the promise is redundant.
@@ -554,13 +553,12 @@ void Browser::on_push_promise(const std::string& url, std::int64_t /*bytes*/) {
   net_wait_.fetch_started();
   if (trace::Recorder* tr = trace::of(net_.loop())) {
     tr->instant(trace::Layer::Browser, "browser", "loader",
-                "push.promise_accepted", {trace::arg("url", url)});
+                "push.promise_accepted", {trace::arg("url", url_of(id))});
     tr->counters().add("browser.push_promises_accepted");
   }
 }
 
-void Browser::on_push_complete(const std::string& url, std::int64_t bytes) {
-  const web::UrlId id = intern(url);
+void Browser::on_push_complete(web::UrlId id, std::int64_t bytes) {
   FetchState& fs = state_for(id);
   if (!fs.pushed || fs.state != FetchStateKind::InFlight) {
     return;  // client independently requested it; that fetch wins

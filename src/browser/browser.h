@@ -94,10 +94,6 @@ class Browser {
   const web::PageInstance& instance() const { return *instance_; }
   TaskQueue& tasks() { return tasks_; }
 
-  // Interns a URL in the page world's interner (hints carry strings).
-  web::UrlId intern(std::string_view url) {
-    return instance_->interner().url_id(url);
-  }
   // View of the interner's arena copy; valid for the life of the load.
   std::string_view url_of(web::UrlId id) const {
     return instance_->interner().url(id);
@@ -127,8 +123,8 @@ class Browser {
   }
 
   // Push events (wired from the connection pool's PushObserver).
-  void on_push_promise(const std::string& url, std::int64_t bytes);
-  void on_push_complete(const std::string& url, std::int64_t bytes);
+  void on_push_promise(web::UrlId id, std::int64_t bytes);
+  void on_push_complete(web::UrlId id, std::int64_t bytes);
 
  private:
   enum class FetchStateKind : std::uint8_t { Idle, InFlight, Complete };
@@ -153,14 +149,9 @@ class Browser {
   };
 
   struct DocState {
-    // Allocator-aware so docs_[id] places `children` on the same arena as
-    // the map's nodes (uses-allocator construction).
-    using allocator_type = std::pmr::polymorphic_allocator<std::byte>;
-    DocState() = default;
-    explicit DocState(const allocator_type& alloc) : children(alloc) {}
-
-    std::pmr::vector<std::uint32_t> children;  // HtmlTag children by offset
-    std::size_t next = 0;
+    // The next HtmlTag child in document (processing) order, or
+    // PageModel::kNoResource once the parser has passed the last.
+    std::uint32_t next = web::PageModel::kNoResource;
     double pos = 0.0;
     sim::Time parse_total = 0;
     bool started = false;

@@ -52,7 +52,9 @@ AccuracySample measure_accuracy(const web::PageModel& model, sim::Time when,
   auto ordered = resolve_candidates(load_a, /*doc_id=*/0,
                                     model.first_party(), user, mode, offline);
   std::set<std::string> advised;
-  for (const auto& [rid, url] : ordered) advised.insert(url);
+  for (const auto& [rid, url] : ordered) {
+    advised.emplace(load_a.interner().url(url));
+  }
   s.advised_size = static_cast<int>(advised.size());
 
   if (!predictable.empty()) {

@@ -12,32 +12,43 @@ bool is_html_url(browser::Browser& b, web::UrlId url) {
 
 }  // namespace
 
+void VroomClientScheduler::fit_flags(browser::Browser& b) {
+  flags_.resize(b.instance().interner().url_count());
+}
+
 void VroomClientScheduler::on_discovered(browser::Browser& b, web::UrlId url,
                                          bool processable) {
   // Engine-discovered resources always go out right away (the browser's
   // native fetch path); hint-scheduled copies dedup against them.
-  if (is_html_url(b, url) && !b.url_complete(url) &&
-      counted_docs_.insert(url).second) {
-    ++pending_docs_;
+  if (is_html_url(b, url) && !b.url_complete(url)) {
+    if (url >= flags_.size()) fit_flags(b);
+    if ((flags_[url] & kPendingDoc) == 0) {
+      flags_[url] |= kPendingDoc;
+      ++pending_docs_;
+    }
   }
   FetchPolicy::on_discovered(b, url, processable);
 }
 
 void VroomClientScheduler::on_hints(browser::Browser& b,
                                     const http::HintSet& hints) {
+  fit_flags(b);
+  const std::size_t n = hints.hints.size();
+  preload_urls_.reserve(preload_urls_.size() + n);
+  semi_q_.reserve(semi_q_.size() + n);
+  low_q_.reserve(low_q_.size() + n);
   int fresh = 0;
   for (const http::Hint& h : hints.hints) {
-    const web::UrlId id = b.intern(h.url);
-    b.note_hinted(id);
-    if (!seen_.insert(id).second) continue;
+    b.note_hinted(h.url);
+    if ((flags_[h.url] & kSeen) != 0) continue;
+    flags_[h.url] |= kSeen;
     ++fresh;
-    enqueue_hint(b, id, h.priority);
+    enqueue_hint(b, h.url, h.priority);
   }
   if (trace::Recorder* tr = trace::of(b.loop())) {
     tr->instant(trace::Layer::Vroom, "browser", "scheduler", "hints.acted",
                 {trace::arg("fresh", fresh),
-                 trace::arg("total",
-                            static_cast<std::int64_t>(hints.hints.size())),
+                 trace::arg("total", static_cast<std::int64_t>(n)),
                  trace::arg("stage", stage_)});
     tr->counters().add("vroom.hints_acted_on", fresh);
   }
@@ -74,7 +85,10 @@ void VroomClientScheduler::enqueue_hint(browser::Browser& b, web::UrlId url,
 
 void VroomClientScheduler::on_fetch_complete(browser::Browser& b,
                                              web::UrlId url) {
-  if (counted_docs_.erase(url) > 0) --pending_docs_;
+  if (url < flags_.size() && (flags_[url] & kPendingDoc) != 0) {
+    flags_[url] &= static_cast<std::uint8_t>(~kPendingDoc);
+    --pending_docs_;
+  }
   try_advance(b);
 }
 

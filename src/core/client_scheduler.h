@@ -10,9 +10,14 @@
 //
 // The unstaged variant ("Push All, Fetch ASAP", §4.3) requests every hinted
 // URL the moment it is seen.
+//
+// Hints arrive as UrlIds of the page world's interner, so the scheduler
+// keeps its per-URL flags in one vector indexed by id, fitted to the
+// interner once per hint set; with the queues reserved at the same time, a
+// hinted request allocates nothing.
 #pragma once
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "browser/browser.h"
@@ -37,12 +42,17 @@ class VroomClientScheduler : public browser::FetchPolicy {
   void try_advance(browser::Browser& b);
   bool all_complete(browser::Browser& b,
                     const std::vector<web::UrlId>& urls) const;
+  // Sizes flags_ to every URL the page world has interned.
+  void fit_flags(browser::Browser& b);
+
+  // Per-UrlId flags.
+  static constexpr std::uint8_t kSeen = 1;        // hinted before
+  static constexpr std::uint8_t kPendingDoc = 2;  // counted in pending_docs_
 
   bool staged_;
   int stage_ = 0;  // 0: preload, 1: semi-important, 2: unimportant
   int pending_docs_ = 0;
-  std::unordered_set<web::UrlId> counted_docs_;
-  std::unordered_set<web::UrlId> seen_;
+  std::vector<std::uint8_t> flags_;
   std::vector<web::UrlId> preload_urls_;
   std::vector<web::UrlId> semi_q_;
   std::vector<web::UrlId> low_q_;

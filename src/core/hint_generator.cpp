@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "web/url.h"
-
 namespace vroom::core {
 
 const char* push_selection_name(PushSelection p) {
@@ -43,15 +41,18 @@ http::HintPriority classify_hint(const web::Resource& r) {
 
 AdviceBuild build_advice(
     const web::PageInstance& instance,
-    const std::vector<std::pair<std::uint32_t, std::string>>& ordered,
+    const std::vector<std::pair<std::uint32_t, web::UrlId>>& ordered,
     const std::string& serving_domain, bool hints_enabled,
     PushSelection push) {
+  const web::Interner& interner = instance.interner();
   AdviceBuild out;
+  if (hints_enabled) out.hints.hints.reserve(ordered.size());
   int order = 0;
   for (const auto& [id, url] : ordered) {
     const web::Resource& r = instance.model().resource(id);
     const http::HintPriority prio = classify_hint(r);
-    const bool local = web::url_domain_view(url) == serving_domain;
+    const bool local =
+        interner.domain(interner.info(url).domain) == serving_domain;
 
     bool do_push = false;
     switch (push) {
@@ -65,12 +66,15 @@ AdviceBuild build_advice(
     }
     if (do_push) {
       std::int64_t bytes = 0;
-      if (auto live = instance.find_by_url(url)) {
+      if (auto live = instance.template_of(url)) {
         bytes = instance.resource(*live).size;
-      } else if (auto stale = web::servable_size(instance.model(), url)) {
+      } else if (auto stale =
+                     web::servable_size(instance.model(), interner, url)) {
         bytes = *stale;
       }
-      out.pushes.push_back(http::PushItem{url, bytes});
+      out.pushes.push_back(
+          http::PushItem{.url_id = url, .url = interner.url(url),
+                         .body_bytes = bytes});
       continue;  // pushed content needs no hint
     }
     if (hints_enabled) out.hints.add(url, prio, order++);

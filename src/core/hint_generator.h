@@ -4,12 +4,14 @@
 // processed ones (async scripts) in `x-semi-important`; everything that is
 // never evaluated — plus embedded HTML documents and anything below them
 // (footnote 4) — in `x-unimportant`. Within each header URLs keep the order
-// the client will process them.
+// the client will process them. Candidates, hints and pushes name URLs by
+// their ids in the served instance's interner; locality and push sizes are
+// read from the interned facts.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "http/headers.h"
@@ -37,12 +39,12 @@ struct AdviceBuild {
 };
 
 // Assembles hints + pushes from an ordered candidate list.
-// `ordered_candidates` must already be in processing order (template id,
-// URL). Push bodies are sized via the current instance when the URL is
-// live, else via the store's stale-version realization.
+// `ordered` must already be in processing order (template id, UrlId in
+// `instance`'s interner). Push bodies are sized via the current instance
+// when the URL is live, else via the store's stale-version realization.
 AdviceBuild build_advice(const web::PageInstance& instance,
                          const std::vector<std::pair<std::uint32_t,
-                                                     std::string>>& ordered,
+                                                     web::UrlId>>& ordered,
                          const std::string& serving_domain, bool hints_enabled,
                          PushSelection push);
 

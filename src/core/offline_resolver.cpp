@@ -43,11 +43,27 @@ OfflineResolver::OfflineResolver(const web::PageModel& model,
   }
 }
 
-std::string OfflineResolver::cookie_view_sig(const std::string& serving_domain,
-                                             std::uint32_t user) const {
-  if (user == 0) return std::string();  // cookieless: domain-independent
-  if (model_->is_first_party_org(serving_domain)) return std::string("\x01fp");
-  return serving_domain;
+std::uint32_t OfflineResolver::device_index(
+    const web::DeviceProfile& device) const {
+  std::uint32_t i = 0;
+  for (; i < devices_.size(); ++i) {
+    if (devices_[i].name == device.name &&
+        devices_[i].same_rendering(device)) {
+      return i;
+    }
+  }
+  devices_.push_back(device);
+  return i;
+}
+
+std::uint32_t OfflineResolver::cookie_view(const std::string& serving_domain,
+                                           std::uint32_t user) const {
+  if (user == 0) return 0;  // cookieless: domain-independent
+  if (model_->is_first_party_org(serving_domain)) return 1;
+  std::uint32_t i = 0;
+  while (i < third_parties_.size() && third_parties_[i] != serving_domain) ++i;
+  if (i == third_parties_.size()) third_parties_.push_back(serving_domain);
+  return 2 + i;
 }
 
 std::vector<std::uint32_t> OfflineResolver::slot_users(
@@ -87,8 +103,8 @@ Crawl OfflineResolver::crawl(sim::Time when, const web::DeviceProfile& device,
 const StableSet& OfflineResolver::crawl_intersection(
     sim::Time now, const web::DeviceProfile& crawl_dev,
     const std::string& serving_domain, std::uint32_t user) const {
-  const IntersectKey key{now, dev_key(crawl_dev),
-                         cookie_view_sig(serving_domain, user), user};
+  const IntersectKey key{now, device_index(crawl_dev),
+                         cookie_view(serving_domain, user), user};
   auto cached = intersect_cache_.find(key);
   if (cached != intersect_cache_.end()) return cached->second;
 
@@ -113,7 +129,7 @@ const StableSet& OfflineResolver::crawl_intersection(
 
 double OfflineResolver::device_iou(sim::Time now, const web::DeviceProfile& a,
                                    const web::DeviceProfile& b) const {
-  const auto key = std::make_tuple(now, dev_key(a), dev_key(b));
+  const auto key = std::make_tuple(now, device_index(a), device_index(b));
   auto cached = iou_cache_.find(key);
   if (cached != iou_cache_.end()) return cached->second;
 

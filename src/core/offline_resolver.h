@@ -15,14 +15,19 @@
 // the grammar parses back uniquely (parse_url). So two realizations of one
 // slot share a URL exactly when their keys are equal, and two distinct slots
 // never share a URL. Intersections, device IoU scores and the clusters built
-// on them are therefore the same as on strings. URL strings are made
-// (slot_url) only for slots that leave the resolver: the advice of
-// resolve_candidates, and callers that list a stable set (stable_urls).
+// on them are therefore the same as on strings. The advice of
+// resolve_candidates leaves as interned ids: a slot key that is not the live
+// one is written into a buffer and interned with its fields
+// (core/vroom_provider.h). URL strings are made (slot_url) only for callers
+// that list a stable set (stable_urls).
 //
 // Resolution is pure: the stable set is a function of (crawl time, crawl
 // device, the serving organization's cookie view, user). A resolver
 // memoizes each distinct combination, so the many advise() calls of one
 // page load — per HTML document, per serving domain — recompute nothing.
+// The memo keys are integers: a device is its index in the resolver's
+// device table, and a cookie view is a small code, so a lookup copies no
+// string.
 // Equivalence classes come from a greedy clustering in known-device order,
 // where placing a device reads only the devices before it; so a client's
 // class needs only the known devices up to its own, and the resolver
@@ -138,24 +143,29 @@ class OfflineResolver {
                                       const std::string& serving_domain,
                                       std::uint32_t user) const;
 
+  // Index of `device` in the device table, added if new. Device identity is
+  // name + rendering axes: two profiles that differ in either never alias.
+  std::uint32_t device_index(const web::DeviceProfile& device) const;
+
   // Collapses serving_domain to what the crawl outcome actually depends on:
-  // with no user cookie the domain is irrelevant; every first-party-org
-  // domain shares the same cookie view; third parties see only themselves.
-  std::string cookie_view_sig(const std::string& serving_domain,
-                              std::uint32_t user) const;
+  // with no user cookie the domain is irrelevant (code 0); every
+  // first-party-org domain shares the same cookie view (1); a third party
+  // sees only itself (2 + its index in the third-party table).
+  std::uint32_t cookie_view(const std::string& serving_domain,
+                            std::uint32_t user) const;
 
   const web::PageModel* model_;
   OfflineConfig config_;
 
-  // Memo keys: (now, device identity, cookie view, user). Device identity is
-  // name + rendering axes — two profiles that differ in either never alias.
-  using DevKey = std::tuple<std::string, int, int, int>;
-  static DevKey dev_key(const web::DeviceProfile& d) {
-    return {d.name, d.screen, d.dpi, d.width};
-  }
-  using IntersectKey = std::tuple<sim::Time, DevKey, std::string, std::uint32_t>;
+  mutable std::vector<web::DeviceProfile> devices_;
+  mutable std::vector<std::string> third_parties_;
+  // Memo keys: (now, device index, cookie view, user) and (now, device
+  // index, device index).
+  using IntersectKey =
+      std::tuple<sim::Time, std::uint32_t, std::uint32_t, std::uint32_t>;
   mutable std::map<IntersectKey, StableSet> intersect_cache_;
-  mutable std::map<std::tuple<sim::Time, DevKey, DevKey>, double> iou_cache_;
+  mutable std::map<std::tuple<sim::Time, std::uint32_t, std::uint32_t>, double>
+      iou_cache_;
   // Greedy clustering per crawl time, of a prefix of the known devices:
   // the index of each placed device's class representative, and the
   // representatives so far in order.

@@ -66,7 +66,7 @@ TypeSharingSample measure_type_sharing(const web::PageModel& target,
       auto it = offline_set.find(rid);
       if (it != offline_set.end()) advised.insert(it->second);
     }
-    for (const web::ScannedLink& link : scan.links) advised.insert(link.url);
+    for (const web::ScannedLink& link : scan.links) advised.emplace(link.url);
     int fn = 0;
     for (const auto& url : predictable) {
       if (!advised.count(url)) ++fn;

@@ -1,8 +1,11 @@
 #include "core/vroom_provider.h"
 
+#include <memory_resource>
 #include <stdexcept>
+#include <string_view>
 
 #include "sim/random.h"
+#include "web/url.h"
 
 namespace vroom::core {
 
@@ -16,7 +19,27 @@ const char* resolution_mode_name(ResolutionMode m) {
   return "?";
 }
 
-std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
+namespace {
+
+// The id of slot `id`'s URL under `key`: the served instance's own when the
+// key is the live one, else the stale rotation's, written from the key and
+// interned with its fields (nothing is parsed).
+web::UrlId slot_id(const web::PageInstance& served, std::uint32_t id,
+                   const SlotKey& key, char* buf) {
+  web::Interner& interner = served.interner();
+  const web::UrlId live = served.resource(id).url_id;
+  const web::UrlInfo& info = interner.info(live);
+  if (key.version == info.version && key.user == info.user) return live;
+  const web::Resource& r = served.model().resource(id);
+  const std::uint32_t page = r.effective_page_id(served.model().page_id());
+  const std::string_view url = web::make_url(
+      buf, r.domain, page, id, key.version, key.user, web::type_ext(r.type));
+  return interner.url_id(url, r.type, page, id, key.version, key.user);
+}
+
+}  // namespace
+
+std::vector<std::pair<std::uint32_t, web::UrlId>> resolve_candidates(
     const web::PageInstance& served, std::uint32_t doc_id,
     const std::string& serving_domain, std::uint32_t user,
     ResolutionMode mode, const OfflineResolver& offline,
@@ -32,9 +55,9 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
   // embedded HTML documents (§4.2).
   const std::vector<std::uint32_t> scope = model.hintable_descendants(doc_id);
 
-  // URL strings are made here, for the scope's slots only, in scope
-  // (processing) order.
-  std::vector<std::pair<std::uint32_t, std::string>> ordered;
+  // Stale URLs are written into this buffer, on the page world's arena.
+  std::pmr::vector<char> buf(model.max_url_size(), served.memory());
+  std::vector<std::pair<std::uint32_t, web::UrlId>> ordered;
   ordered.reserve(scope.size());
   switch (mode) {
     case ResolutionMode::OfflinePlusOnline:
@@ -52,10 +75,11 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
       auto link = scan.links.begin();
       for (std::uint32_t id : scope) {
         if (link != scan.links.end() && link->template_id == id) {
-          ordered.emplace_back(id, std::move(link->url));
+          ordered.emplace_back(id, link->url_id);
           ++link;
         } else if (stable[id]) {
-          ordered.emplace_back(id, slot_url(model, id, *stable[id]));
+          ordered.emplace_back(id, slot_id(served, id, *stable[id],
+                                           buf.data()));
         }
       }
       if (link != scan.links.end()) {
@@ -83,7 +107,7 @@ std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
       const Crawl load =
           offline.crawl(when, device, serving_domain, user, nonce);
       for (std::uint32_t id : scope) {
-        ordered.emplace_back(id, slot_url(model, id, load[id]));
+        ordered.emplace_back(id, slot_id(served, id, load[id], buf.data()));
       }
       break;
     }

@@ -8,6 +8,10 @@
 //                       own randomness leaks into the advice)
 //   PreviousLoad      — Figure 17 baseline: everything seen in one crawl
 // The same resolution core is reused by the accuracy study (Figure 21).
+//
+// Advice names each URL by its id in the served instance's interner, which
+// the origin and the browser share: from resolve_candidates to the client
+// scheduler no URL string is built or hashed again.
 #pragma once
 
 #include <cstdint>
@@ -33,13 +37,17 @@ enum class ResolutionMode : std::uint8_t {
 const char* resolution_mode_name(ResolutionMode m);
 
 // Ordered (processing-order) candidate dependency list for a request for
-// document `doc_id`, as computed by `serving_domain`. `hint_age` shifts the
-// offline resolution back in time: the stable set is computed as of
-// (serve time - hint_age), modelling a shared front-end serving hints from
-// a crawl that happened `hint_age` ago (deploy::FrontEnd). Rotated
+// document `doc_id`, as computed by `serving_domain`: (template id, UrlId)
+// pairs in `served`'s interner. A markup link, and a crawl-derived slot
+// whose key is the live one, is the served instance's own id; any other
+// slot is a stale rotation, whose URL is written from its slot key and
+// interned with those fields, so the origin parses nothing. `hint_age`
+// shifts the offline resolution back in time: the stable set is computed
+// as of (serve time - hint_age), modelling a shared front-end serving hints
+// from a crawl that happened `hint_age` ago (deploy::FrontEnd). Rotated
 // resources then advise the *old* rotation's URLs, which clients fetch as
 // ghosts — the staleness cost the deployment simulator measures.
-std::vector<std::pair<std::uint32_t, std::string>> resolve_candidates(
+std::vector<std::pair<std::uint32_t, web::UrlId>> resolve_candidates(
     const web::PageInstance& served, std::uint32_t doc_id,
     const std::string& serving_domain, std::uint32_t user,
     ResolutionMode mode, const OfflineResolver& offline,

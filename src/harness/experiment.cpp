@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "core/client_scheduler.h"
 #include "harness/env.h"
@@ -92,19 +93,17 @@ browser::LoadResult run_page_load(const web::PageModel& page,
   }
   if (options.cache != nullptr) {
     browser::Cache* cache = options.cache;
-    farm.set_cache_digest([cache, &ident, &loop](const std::string& url) {
+    farm.set_cache_digest([cache, &ident, &loop](std::string_view url) {
       return cache->fresh(url, ident.wall_time + loop.now());
     });
   }
 
   browser::Browser* browser_ptr = nullptr;
   http::PushObserver observer;
-  observer.on_promise = [&browser_ptr](const std::string& url,
-                                       std::int64_t bytes) {
+  observer.on_promise = [&browser_ptr](web::UrlId url, std::int64_t bytes) {
     if (browser_ptr != nullptr) browser_ptr->on_push_promise(url, bytes);
   };
-  observer.on_complete = [&browser_ptr](const std::string& url,
-                                        std::int64_t bytes) {
+  observer.on_complete = [&browser_ptr](web::UrlId url, std::int64_t bytes) {
     if (browser_ptr != nullptr) browser_ptr->on_push_complete(url, bytes);
   };
 

@@ -14,12 +14,15 @@
 //   Access-Control-Expose-Headers: Link, x-semi-important, x-unimportant
 //
 // The simulator never builds that text: a HintSet carries the hints, and
-// header_bytes() prices the headers they add to a response.
+// header_bytes() prices the headers they add to a response. A hint names
+// its URL by the page world's interned id (web/intern.h); the resolver
+// interns every URL it advises, so no hint holds a string.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
+
+#include "web/intern.h"
 
 namespace vroom::http {
 
@@ -30,7 +33,7 @@ enum class HintPriority : std::uint8_t {
 };
 
 struct Hint {
-  std::string url;
+  web::UrlId url = web::kInvalidId;
   HintPriority priority = HintPriority::Preload;
   // Position within its priority class; preserves processing order.
   int order = 0;
@@ -42,8 +45,8 @@ struct HintSet {
   std::vector<Hint> hints;
 
   bool empty() const { return hints.empty(); }
-  void add(std::string url, HintPriority p, int order) {
-    hints.push_back(Hint{std::move(url), p, order});
+  void add(web::UrlId url, HintPriority p, int order) {
+    hints.push_back(Hint{url, p, order});
   }
   // Byte weight the hints add to the HTTP response headers.
   std::int64_t header_bytes() const;

@@ -3,8 +3,6 @@
 #include <utility>
 
 #include "trace/trace.h"
-#include "web/resource.h"
-#include "web/url.h"
 
 namespace vroom::http {
 
@@ -85,10 +83,8 @@ void Http2Session::write_response(std::uint32_t ex, std::int64_t) {
     net::TcpConnection::Chunk pc;
     pc.bytes = kResponseHeaderBytes + e.pushes[k].body_bytes;
     pc.on_delivered = [this, ex, k] { on_pushed(ex, k); };
-    const auto parsed = web::parse_url(e.pushes[k].url);
-    const bool processable = web::is_processable(
-        web::type_from_ext(parsed ? parsed->ext : "bin"));
-    conn_->send_chunk(next_stream_++, processable ? 2 : 0, std::move(pc));
+    conn_->send_chunk(next_stream_++, e.pushes[k].processable ? 2 : 0,
+                      std::move(pc));
   }
 }
 
@@ -108,7 +104,7 @@ void Http2Session::on_headers(std::uint32_t ex) {
   if (push_observer_.on_promise) {
     for (std::size_t k = 0; k < exchanges_[ex].pushes.size(); ++k) {
       const PushItem& p = exchanges_[ex].pushes[k];
-      push_observer_.on_promise(p.url, p.body_bytes);
+      push_observer_.on_promise(p.url_id, p.body_bytes);
     }
   }
   auto on_headers = std::move(exchanges_[ex].handlers.on_headers);
@@ -140,7 +136,7 @@ void Http2Session::on_pushed(std::uint32_t ex, std::uint32_t push) {
     tr->counters().add("http.h2_push_bytes", p.body_bytes);
   }
   if (push_observer_.on_complete) {
-    push_observer_.on_complete(p.url, p.body_bytes);
+    push_observer_.on_complete(p.url_id, p.body_bytes);
   }
   if (--exchanges_[ex].open == 0) exchanges_.release(ex);
 }

@@ -1,6 +1,8 @@
 // HTTP request/response message model and the client/server interfaces the
 // protocol sessions bridge. A request's URL views storage that outlives its
 // Exchange record (DESIGN.md §10): for the browser, the page's interner.
+// Hints and pushes carry the page world's interned UrlIds; a push also
+// views the interner's copy of its URL, for traces and the cache digest.
 #pragma once
 
 #include <cstdint>
@@ -63,13 +65,17 @@ struct ResponseHandlers {
 // Server-push callbacks surfaced to the page loader.
 struct PushObserver {
   // PUSH_PROMISE: client now knows the URL is on its way.
-  std::function<void(const std::string& url, std::int64_t bytes)> on_promise;
-  std::function<void(const std::string& url, std::int64_t bytes)> on_complete;
+  std::function<void(web::UrlId url, std::int64_t bytes)> on_promise;
+  std::function<void(web::UrlId url, std::int64_t bytes)> on_complete;
 };
 
 struct PushItem {
-  std::string url;
+  web::UrlId url_id = web::kInvalidId;
+  std::string_view url;  // the interner's copy of url_id's URL
   std::int64_t body_bytes = 0;
+  // HTML, CSS or JS: the pushed stream's priority class. The origin sets it
+  // from the interned URL's facts.
+  bool processable = false;
 };
 
 // What the origin decides to send back for one request.

@@ -47,6 +47,7 @@ http::ServerReply OriginServer::handle(const http::Request& req) {
           "server.hints_attached",
           static_cast<std::int64_t>(reply.hints.hints.size()));
     }
+    const web::Interner& interner = store_.instance().interner();
     for (http::PushItem& p : advice.pushes) {
       // A domain can only securely push content it owns, and skips content
       // the client's cache digest says it already holds.
@@ -72,7 +73,8 @@ http::ServerReply OriginServer::handle(const http::Request& req) {
         }
       }
       if (!do_push) continue;
-      reply.pushes.push_back(std::move(p));
+      p.processable = interner.info(p.url_id).processable;
+      reply.pushes.push_back(p);
     }
   }
   return reply;

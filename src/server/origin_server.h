@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "http/message.h"
@@ -21,6 +22,7 @@
 namespace vroom::server {
 
 struct DependencyAdvice {
+  // URLs are ids in the store's instance interner.
   http::HintSet hints;
   std::vector<http::PushItem> pushes;  // must be same-domain content
   sim::Time extra_delay = 0;           // e.g. on-the-fly HTML analysis
@@ -41,7 +43,7 @@ class DependencyProvider {
 
 class OriginServer : public http::RequestHandler {
  public:
-  using CacheDigest = std::function<bool(const std::string& url)>;
+  using CacheDigest = std::function<bool(std::string_view url)>;
 
   OriginServer(std::string domain, const ReplayStore& store);
 

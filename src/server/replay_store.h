@@ -35,12 +35,17 @@ class ReplayStore {
   // Request overload: when the request carries the page world's interned
   // UrlId (the common case — the store and the client share the instance's
   // interner), current-content hits resolve with one vector index instead of
-  // hashing the URL. Stale/foreign URLs fall back to the string path.
+  // hashing the URL, and stale ones from the interned fields. Only a request
+  // without an id takes the string path.
   std::optional<Entry> lookup(const http::Request& req) const;
 
   const web::PageInstance& instance() const { return *instance_; }
 
  private:
+  // The entry of slot `template_id` served at `size`.
+  Entry entry(std::uint32_t template_id, std::int64_t size,
+              bool current) const;
+
   const web::PageInstance* instance_;
 };
 

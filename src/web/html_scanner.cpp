@@ -1,6 +1,5 @@
 #include "web/html_scanner.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace vroom::web {
@@ -9,17 +8,16 @@ std::vector<ScannedLink> scan_html(const PageInstance& instance,
                                    std::uint32_t doc_id) {
   const PageModel& model = instance.model();
   assert(model.resource(doc_id).type == ResourceType::Html);
+  // The children's processing order is their document order.
   std::vector<ScannedLink> out;
-  for (std::uint32_t child : model.children(doc_id)) {
+  out.reserve(model.children(doc_id).size());
+  for (std::uint32_t child = model.first_child(doc_id);
+       child != PageModel::kNoResource; child = model.next_sibling(child)) {
     const Resource& r = model.resource(child);
     if (r.via != DiscoveryVia::HtmlTag) continue;
-    out.push_back(ScannedLink{child, std::string(instance.resource(child).url),
-                              r.discovery_offset});
+    const InstanceResource& ir = instance.resource(child);
+    out.push_back(ScannedLink{child, ir.url, ir.url_id, r.discovery_offset});
   }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.offset != b.offset) return a.offset < b.offset;
-    return a.template_id < b.template_id;
-  });
   return out;
 }
 

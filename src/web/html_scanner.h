@@ -5,11 +5,12 @@
 // HTML instance's markup links are exactly its direct children revealed via
 // HtmlTag — script-generated (JsExec) and stylesheet-referenced (CssRef)
 // URLs are not visible in markup and are correspondingly invisible to the
-// scanner.
+// scanner. A link is the served instance's own URL: its interned id and a
+// view of the interner's copy, so a scan copies no string.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.h"
@@ -19,7 +20,8 @@ namespace vroom::web {
 
 struct ScannedLink {
   std::uint32_t template_id = 0;
-  std::string url;
+  std::string_view url;  // the instance interner's copy
+  UrlId url_id = kInvalidId;
   double offset = 0.0;  // document position, preserves processing order
 };
 

@@ -21,8 +21,11 @@
 // page world); every realized resource URL and its origin are pre-interned
 // at build time, so instance resources get ids 0..N-1 in resource order.
 // The page world wrote each of those URLs from its fields, so it hands the
-// fields over and the URL is never parsed back. Foreign URLs (stale hints,
-// ghost fetches) intern lazily on first touch and are parsed then.
+// fields over and the URL is never parsed back. The origin's resolver
+// writes a stale hint's URL from its slot fields the same way and interns
+// it with them, and hints, pushes and requests carry the id from there on;
+// only a URL no writer knows (a request without an id, a test's literal)
+// is parsed, when it is first interned.
 // Ids are meaningful only relative to one interner — they never cross loads
 // or appear in results, so interning cannot affect simulated numbers. An id
 // minted by a *different* interner (e.g. retained across an arena reset) is

@@ -1,6 +1,5 @@
 #include "web/page_instance.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "sim/random.h"
@@ -94,11 +93,7 @@ PageInstance::PageInstance(const PageModel& model, const LoadIdentity& id,
   interner_.reserve(model.size());
   // Each URL is written into one buffer that fits the longest, then
   // interned with the fields it was written from.
-  std::size_t longest = 0;
-  for (const Resource& r : model.resources()) {
-    longest = std::max(longest, max_url_size(r.domain, type_ext(r.type)));
-  }
-  std::pmr::vector<char> buf(longest, interner_.memory());
+  std::pmr::vector<char> buf(model.max_url_size(), interner_.memory());
   for (const Resource& r : model.resources()) {
     // A domain with a '/' would not parse back to the fields.
     assert(r.domain.find('/') == std::string::npos);
@@ -136,17 +131,38 @@ std::vector<std::string> PageInstance::url_set() const {
   return out;
 }
 
+namespace {
+
+// The size of slot `resource_id` at `version`, if a URL with these fields
+// names a slot of `model`.
+std::optional<std::int64_t> slot_size(const PageModel& model,
+                                      std::string_view domain,
+                                      std::uint32_t page_id,
+                                      std::uint32_t resource_id,
+                                      std::uint64_t version) {
+  if (resource_id >= model.size()) return std::nullopt;
+  const Resource& r = model.resource(resource_id);
+  if (page_id != r.effective_page_id(model.page_id())) return std::nullopt;
+  if (r.domain != domain) return std::nullopt;
+  return realized_size(r, version);
+}
+
+}  // namespace
+
 std::optional<std::int64_t> servable_size(const PageModel& model,
                                           std::string_view url) {
   auto parsed = parse_url(url);
   if (!parsed) return std::nullopt;
-  if (parsed->resource_id >= model.size()) return std::nullopt;
-  const Resource& r = model.resource(parsed->resource_id);
-  if (parsed->page_id != r.effective_page_id(model.page_id())) {
-    return std::nullopt;
-  }
-  if (r.domain != parsed->domain) return std::nullopt;
-  return realized_size(r, parsed->version);
+  return slot_size(model, parsed->domain, parsed->page_id,
+                   parsed->resource_id, parsed->version);
+}
+
+std::optional<std::int64_t> servable_size(const PageModel& model,
+                                          const Interner& interner, UrlId id) {
+  const UrlInfo& info = interner.info(id);
+  if (!info.parse_ok) return std::nullopt;
+  return slot_size(model, interner.domain(info.domain), info.page_id,
+                   info.resource_id, info.version);
 }
 
 }  // namespace vroom::web

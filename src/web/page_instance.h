@@ -133,4 +133,9 @@ class PageInstance {
 std::optional<std::int64_t> servable_size(const PageModel& model,
                                           std::string_view url);
 
+// The same for a URL interned in `interner`, from its interned fields: no
+// parse.
+std::optional<std::int64_t> servable_size(const PageModel& model,
+                                          const Interner& interner, UrlId id);
+
 }  // namespace vroom::web

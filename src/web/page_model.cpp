@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "web/url.h"
+
 namespace vroom::web {
 
 const char* page_class_name(PageClass c) {
@@ -30,10 +32,25 @@ std::uint32_t PageModel::add(Resource r) {
   const auto id = static_cast<std::uint32_t>(resources_.size());
   assert(r.id == id);
   assert(r.parent < static_cast<std::int32_t>(id));
+  max_url_size_ =
+      std::max(max_url_size_, web::max_url_size(r.domain, type_ext(r.type)));
   resources_.push_back(std::move(r));
   children_.emplace_back();
-  if (resources_.back().parent >= 0) {
-    children_[static_cast<std::size_t>(resources_.back().parent)].push_back(id);
+  first_child_.push_back(kNoResource);
+  next_sibling_.push_back(kNoResource);
+  const std::int32_t parent = resources_.back().parent;
+  if (parent >= 0) {
+    children_[static_cast<std::size_t>(parent)].push_back(id);
+    // Every sibling has a smaller id, so the new child goes after the
+    // siblings whose offset is not greater than its own.
+    const double offset = resources_.back().discovery_offset;
+    std::uint32_t* link = &first_child_[static_cast<std::size_t>(parent)];
+    while (*link != kNoResource &&
+           resources_[*link].discovery_offset <= offset) {
+      link = &next_sibling_[*link];
+    }
+    next_sibling_[id] = *link;
+    *link = id;
   }
   return id;
 }
@@ -54,28 +71,27 @@ std::int64_t PageModel::processable_bytes() const {
 
 std::vector<std::uint32_t> PageModel::hintable_descendants(
     std::uint32_t doc_id) const {
+  // Preorder walk along the processing-order links, so `out` is the order
+  // the client will process the resources (Table 1 requirement). Every
+  // descendant's id is above the document's, which bounds `out`.
   std::vector<std::uint32_t> out;
-  // Preorder walk; children visited in discovery-offset order so `out` is
-  // the order the client will process the resources (Table 1 requirement).
-  std::vector<std::uint32_t> stack;
-  auto push_children = [&](std::uint32_t id) {
-    std::vector<std::uint32_t> kids = children_[id];
-    std::sort(kids.begin(), kids.end(), [&](std::uint32_t a, std::uint32_t b) {
-      const double oa = resources_[a].discovery_offset;
-      const double ob = resources_[b].discovery_offset;
-      if (oa != ob) return oa > ob;  // reversed: stack pops smallest first
-      return a > b;
-    });
-    for (std::uint32_t k : kids) stack.push_back(k);
-  };
-  push_children(doc_id);
-  while (!stack.empty()) {
-    const std::uint32_t id = stack.back();
-    stack.pop_back();
+  out.reserve(resources_.size() - doc_id - 1);
+  std::uint32_t id = first_child_[doc_id];
+  while (id != kNoResource) {
     out.push_back(id);
-    // Prune below embedded HTML documents.
-    if (resources_[id].type == ResourceType::Html) continue;
-    push_children(id);
+    // Descend, except below embedded HTML documents.
+    if (resources_[id].type != ResourceType::Html &&
+        first_child_[id] != kNoResource) {
+      id = first_child_[id];
+      continue;
+    }
+    // Otherwise the next sibling of the nearest ancestor inside the scope
+    // that has one.
+    while (next_sibling_[id] == kNoResource) {
+      id = static_cast<std::uint32_t>(resources_[id].parent);
+      if (id == doc_id) return out;
+    }
+    id = next_sibling_[id];
   }
   return out;
 }

@@ -5,6 +5,7 @@
 // root HTML.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,8 +43,20 @@ class PageModel {
   const std::vector<Resource>& resources() const { return resources_; }
   std::size_t size() const { return resources_.size(); }
 
+  // Children of `id` in id (insertion) order.
   const std::vector<std::uint32_t>& children(std::uint32_t id) const {
     return children_[id];
+  }
+
+  // The same children in processing order (discovery offset, then id): the
+  // first, and each one's next sibling, or kNoResource past the last.
+  // add() keeps the order, so a walk needs no sort.
+  static constexpr std::uint32_t kNoResource = 0xffffffffu;
+  std::uint32_t first_child(std::uint32_t id) const {
+    return first_child_[id];
+  }
+  std::uint32_t next_sibling(std::uint32_t id) const {
+    return next_sibling_[id];
   }
 
   const Resource& root() const { return resources_[0]; }
@@ -67,6 +80,10 @@ class PageModel {
   // offset).
   std::vector<std::uint32_t> hintable_descendants(std::uint32_t doc_id) const;
 
+  // An upper bound on the length of any realized URL of this page
+  // (web::max_url_size over every resource's domain and extension).
+  std::size_t max_url_size() const { return max_url_size_; }
+
  private:
   std::uint32_t page_id_;
   PageClass cls_;
@@ -74,6 +91,10 @@ class PageModel {
   std::vector<std::string> first_party_group_;
   std::vector<Resource> resources_;
   std::vector<std::vector<std::uint32_t>> children_;
+  // The processing order as sibling links, one pair per resource.
+  std::vector<std::uint32_t> first_child_;
+  std::vector<std::uint32_t> next_sibling_;
+  std::size_t max_url_size_ = 0;
 };
 
 }  // namespace vroom::web

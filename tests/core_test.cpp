@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -18,7 +20,9 @@
 #include "harness/experiment.h"
 #include "harness/stats.h"
 #include "sim/random.h"
+#include "web/corpus.h"
 #include "web/page_generator.h"
+#include "web/trace_io.h"
 
 namespace vroom::core {
 namespace {
@@ -72,6 +76,85 @@ TEST_F(CoreTest, StableSetExcludesVolatileClasses) {
     }
   }
   EXPECT_GT(covered, stable_class * 8 / 10);
+}
+
+// The advice scope of document `doc`, walked the way the processing order
+// is defined rather than the way PageModel stores it: each node's children
+// copied, stable-sorted by (discovery offset, id), visited in preorder, and
+// nothing below an embedded HTML document.
+std::vector<std::uint32_t> sorted_walk(const web::PageModel& model,
+                                       std::uint32_t doc) {
+  std::vector<std::uint32_t> out;
+  auto visit = [&](auto& self, std::uint32_t id) -> void {
+    std::vector<std::uint32_t> kids = model.children(id);
+    std::stable_sort(kids.begin(), kids.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       const double oa = model.resource(a).discovery_offset;
+                       const double ob = model.resource(b).discovery_offset;
+                       return oa != ob ? oa < ob : a < b;
+                     });
+    for (const std::uint32_t k : kids) {
+      out.push_back(k);
+      if (model.resource(k).type != web::ResourceType::Html) self(self, k);
+    }
+  };
+  visit(visit, doc);
+  return out;
+}
+
+// The processing order PageModel keeps as it is built is the sorted walk,
+// on every HTML document of every page of three corpora.
+TEST(HintScopeOrder, PrecomputedOrderEqualsSortedWalk) {
+  int docs = 0;
+  for (const web::Corpus& corpus :
+       {web::Corpus::news_sports(42), web::Corpus::top100(42),
+        web::Corpus::mixed400_sample(42, 30)}) {
+    for (const web::PageModel& page : corpus.pages()) {
+      for (const web::Resource& r : page.resources()) {
+        if (r.type != web::ResourceType::Html) continue;
+        ++docs;
+        EXPECT_EQ(page.hintable_descendants(r.id), sorted_walk(page, r.id))
+            << corpus.name() << " page " << page.page_id() << " doc " << r.id;
+      }
+    }
+  }
+  EXPECT_GT(docs, 230);
+}
+
+// The same on a page loaded from a trace whose children arrive out of
+// offset order, with ties between siblings and a nested iframe document.
+TEST(HintScopeOrder, TraceOrderWithTiesEqualsSortedWalk) {
+  const std::string stable = " vol=stable period=864000000000 phase=0\n";
+  auto res = [&](int id, int parent, const char* type, const char* via,
+                 const char* off, const char* extra = "") {
+    return "res id=" + std::to_string(id) + " parent=" +
+           std::to_string(parent) + " type=" + type + " via=" + via +
+           " off=" + off + " size=1000 domain=a.com" + extra + stable;
+  };
+  const std::string trace =
+      "page id=3 class=news first_party=a.com\n" +
+      res(0, -1, "html", "tag", "0") + res(1, 0, "js", "tag", "0.8") +
+      res(2, 0, "css", "tag", "0.2") + res(3, 0, "image", "tag", "0.5") +
+      res(4, 1, "image", "js", "0.5") + res(5, 0, "js", "tag", "0.2") +
+      res(6, 1, "image", "js", "0.1") + res(7, 0, "html", "tag", "0.5",
+                                            " flags=iframe_doc,in_iframe") +
+      res(8, 7, "image", "tag", "0.3", " flags=in_iframe") +
+      res(9, 2, "font", "css", "0.9") + res(10, 0, "image", "tag", "0.2") +
+      res(11, 1, "js", "js", "0.1") + res(12, 11, "image", "js", "0") +
+      res(13, 7, "js", "tag", "0.1", " flags=in_iframe");
+  std::string error;
+  const std::optional<web::PageModel> page =
+      web::page_from_trace(trace, &error);
+  ASSERT_TRUE(page.has_value()) << error;
+  const std::vector<std::uint32_t> want = {2, 9, 5, 10, 3, 7, 1, 6, 11, 12, 4};
+  EXPECT_EQ(sorted_walk(*page, 0), want);
+  EXPECT_EQ(page->hintable_descendants(0), want);
+  EXPECT_EQ(page->hintable_descendants(7), sorted_walk(*page, 7));
+  EXPECT_EQ(page->hintable_descendants(7), (std::vector<std::uint32_t>{13, 8}));
+  for (const web::Resource& r : page->resources()) {
+    EXPECT_EQ(page->hintable_descendants(r.id), sorted_walk(*page, r.id))
+        << r.id;
+  }
 }
 
 // The crawl, intersect and cluster steps of §4.1.2 on realized URL strings,
@@ -153,21 +236,24 @@ struct StringResolver {
     return rep_of;
   }
 
+  // `crawl_dev` is the crawl device for the client's class at
+  // (serve time - hint_age).
   Candidates candidates(const web::PageInstance& served, std::uint32_t doc,
                         const std::string& serving, std::uint32_t user,
                         ResolutionMode mode,
-                        const web::DeviceProfile& crawl_dev) const {
+                        const web::DeviceProfile& crawl_dev,
+                        sim::Time hint_age) const {
     const sim::Time now = served.identity().wall_time;
     const web::DeviceProfile& device = served.identity().device;
     Urls by_id;
     switch (mode) {
       case ResolutionMode::OfflinePlusOnline:
       case ResolutionMode::OfflineOnly:
-        by_id = intersection(now, crawl_dev, serving, user);
+        by_id = intersection(now - hint_age, crawl_dev, serving, user);
         if (mode == ResolutionMode::OfflinePlusOnline) {
           for (const web::ScannedLink& link :
                analyze_served_html(served, doc).links) {
-            by_id[link.template_id] = link.url;
+            by_id[link.template_id] = std::string(link.url);
           }
         }
         break;
@@ -186,7 +272,7 @@ struct StringResolver {
       }
     }
     Candidates ordered;
-    for (std::uint32_t id : model.hintable_descendants(doc)) {
+    for (std::uint32_t id : sorted_walk(model, doc)) {
       const auto it = by_id.find(id);
       if (it != by_id.end()) ordered.emplace_back(id, it->second);
     }
@@ -194,11 +280,32 @@ struct StringResolver {
   }
 };
 
+// An advised id's UrlInfo is what interning its URL by parsing gives: the
+// origin's interning from slot fields matches parse_url.
+void expect_info_parses(const web::Interner& interner, web::UrlId id) {
+  const std::string url(interner.url(id));
+  web::Interner parsing;
+  const web::UrlInfo& want = parsing.info(parsing.url_id(url));
+  const web::UrlInfo& got = interner.info(id);
+  ASSERT_TRUE(want.parse_ok) << url;
+  EXPECT_TRUE(got.parse_ok) << url;
+  EXPECT_EQ(interner.domain(got.domain), parsing.domain(want.domain)) << url;
+  EXPECT_EQ(got.type, want.type) << url;
+  EXPECT_EQ(got.processable, want.processable) << url;
+  EXPECT_EQ(got.native_priority, want.native_priority) << url;
+  EXPECT_EQ(got.resource_id, want.resource_id) << url;
+  EXPECT_EQ(got.page_id, want.page_id) << url;
+  EXPECT_EQ(got.version, want.version) << url;
+  EXPECT_EQ(got.user, want.user) << url;
+}
+
 // Slot keys are exact: over pages of every class, every known device, with
 // and without a user cookie, served by the first party, another domain of
 // its organization and a third party, at a crawl time on an hour boundary
 // and one off it, the resolver agrees with the string reference on stable
-// sets, IoU doubles, cluster representatives and ordered advice.
+// sets, IoU doubles, cluster representatives and ordered advice. The advice
+// is also compared with hints 1 h and 24 h old, whose rotated slots the
+// origin writes and interns as stale URLs.
 TEST(OfflineResolverEquivalence, SlotKeysMatchStringReference) {
   const std::vector<web::PageModel> pages = {
       web::generate_page(42, 7, web::PageClass::News),
@@ -210,9 +317,11 @@ TEST(OfflineResolverEquivalence, SlotKeysMatchStringReference) {
   const ResolutionMode modes[] = {
       ResolutionMode::OfflinePlusOnline, ResolutionMode::OfflineOnly,
       ResolutionMode::OnlineOnly, ResolutionMode::PreviousLoad};
+  // Only the offline modes read the crawls hint_age shifts.
+  const sim::Time hint_ages[] = {0, sim::hours(1), sim::hours(24)};
   const std::vector<web::DeviceProfile> devices = web::all_devices();
   const OfflineConfig config;
-  int personalized_urls = 0;
+  int personalized_urls = 0, stale_urls = 0;
   for (const web::PageModel& page : pages) {
     ASSERT_GT(page.first_party_group().size(), 1u);
     // A third party, preferably one that personalizes a slot of its own.
@@ -238,7 +347,11 @@ TEST(OfflineResolverEquivalence, SlotKeysMatchStringReference) {
     const StringResolver ref{page, config};
     for (const sim::Time now : times) {
       const OfflineResolver resolver(page, config);
-      const std::vector<std::size_t> rep_of = ref.classes(now);
+      // Class representatives at each hint age's crawl time.
+      std::vector<std::vector<std::size_t>> rep_of;
+      for (const sim::Time age : hint_ages) {
+        rep_of.push_back(ref.classes(now - age));
+      }
       for (std::size_t d = 0; d < devices.size(); ++d) {
         const web::DeviceProfile& device = devices[d];
         for (const web::DeviceProfile& other : devices) {
@@ -246,7 +359,8 @@ TEST(OfflineResolverEquivalence, SlotKeysMatchStringReference) {
                     ref.iou(now, device, other))
               << device.name << " vs " << other.name;
         }
-        const web::DeviceProfile& crawl_dev = config.known_devices[rep_of[d]];
+        const web::DeviceProfile& crawl_dev =
+            config.known_devices[rep_of[0][d]];
         EXPECT_EQ(resolver.crawl_device(now, device).name, crawl_dev.name);
         for (const std::uint32_t user : {0u, 1u}) {
           web::LoadIdentity id;
@@ -255,6 +369,7 @@ TEST(OfflineResolverEquivalence, SlotKeysMatchStringReference) {
           id.user = user;
           id.nonce = 11;
           const web::PageInstance served(page, id);
+          const web::Interner& interner = served.interner();
           for (const std::string& domain : domains) {
             SCOPED_TRACE(page.first_party() + " " + device.name + " user " +
                          std::to_string(user) + " via " + domain + " at " +
@@ -264,14 +379,28 @@ TEST(OfflineResolverEquivalence, SlotKeysMatchStringReference) {
                             resolver.stable_set(now, device, domain, user)),
                 ref.intersection(now, crawl_dev, domain, user));
             for (const std::uint32_t doc : docs) {
-              for (const ResolutionMode mode : modes) {
-                const auto got = resolve_candidates(served, doc, domain, user,
-                                                    mode, resolver);
-                EXPECT_EQ(got, ref.candidates(served, doc, domain, user, mode,
-                                              crawl_dev))
-                    << resolution_mode_name(mode) << " doc " << doc;
-                for (const auto& [rid, url] : got) {
-                  personalized_urls += url.find("u1.") != std::string::npos;
+              for (std::size_t a = 0; a < std::size(hint_ages); ++a) {
+                const web::DeviceProfile& aged_dev =
+                    config.known_devices[rep_of[a][d]];
+                for (const ResolutionMode mode : modes) {
+                  if (a > 0 && mode != ResolutionMode::OfflinePlusOnline &&
+                      mode != ResolutionMode::OfflineOnly) {
+                    continue;
+                  }
+                  const auto got = resolve_candidates(
+                      served, doc, domain, user, mode, resolver, hint_ages[a]);
+                  StringResolver::Candidates urls;
+                  for (const auto& [rid, url] : got) {
+                    urls.emplace_back(rid, interner.url(url));
+                    expect_info_parses(interner, url);
+                    personalized_urls +=
+                        urls.back().second.find("u1.") != std::string::npos;
+                    stale_urls += !served.template_of(url).has_value();
+                  }
+                  EXPECT_EQ(urls, ref.candidates(served, doc, domain, user,
+                                                 mode, aged_dev, hint_ages[a]))
+                      << resolution_mode_name(mode) << " doc " << doc
+                      << " hint age " << hint_ages[a];
                 }
               }
             }
@@ -280,8 +409,10 @@ TEST(OfflineResolverEquivalence, SlotKeysMatchStringReference) {
       }
     }
   }
-  // The user component of slot keys was exercised, not only the version.
+  // The user component of slot keys was exercised, not only the version,
+  // and so were stale rotations.
   EXPECT_GT(personalized_urls, 0);
+  EXPECT_GT(stale_urls, 0);
 }
 
 // Prefix clustering is exact. A resolver places only the known devices up
@@ -399,6 +530,7 @@ TEST_F(CoreTest, OnlineScanMatchesMarkup) {
   EXPECT_GT(web::scan_cost(instance_->resource(0).size), sim::ms(10));
   for (const web::ScannedLink& link : scan.links) {
     EXPECT_EQ(instance_->resource(link.template_id).url, link.url);
+    EXPECT_EQ(instance_->resource(link.template_id).url_id, link.url_id);
     EXPECT_EQ(page_.resource(link.template_id).via,
               web::DiscoveryVia::HtmlTag);
     EXPECT_EQ(page_.resource(link.template_id).parent, 0);
@@ -423,35 +555,39 @@ TEST_F(CoreTest, HintClassificationFollowsTable1) {
 }
 
 TEST_F(CoreTest, BuildAdvicePushesHighPriorityLocalOnly) {
-  std::vector<std::pair<std::uint32_t, std::string>> ordered;
+  std::vector<std::pair<std::uint32_t, web::UrlId>> ordered;
   for (std::uint32_t rid : page_.hintable_descendants(0)) {
-    ordered.emplace_back(rid, instance_->resource(rid).url);
+    ordered.emplace_back(rid, instance_->resource(rid).url_id);
   }
   AdviceBuild build =
       build_advice(*instance_, ordered, page_.first_party(),
                    /*hints_enabled=*/true, PushSelection::HighPriorityLocal);
   EXPECT_FALSE(build.hints.empty());
   for (const auto& p : build.pushes) {
+    EXPECT_EQ(p.url, instance_->interner().url(p.url_id));
     EXPECT_EQ(web::url_domain(p.url), page_.first_party());
     EXPECT_GT(p.body_bytes, 0);
   }
   // No URL appears both pushed and hinted.
-  std::set<std::string> pushed;
-  for (const auto& p : build.pushes) pushed.insert(p.url);
+  std::set<web::UrlId> pushed;
+  for (const auto& p : build.pushes) pushed.insert(p.url_id);
   for (const auto& h : build.hints.hints) {
-    EXPECT_FALSE(pushed.count(h.url)) << h.url;
+    EXPECT_FALSE(pushed.count(h.url)) << instance_->interner().url(h.url);
   }
 }
 
 TEST_F(CoreTest, TruncateHintsDropsLowPriorityFirst) {
+  web::Interner interner;
   http::HintSet hs;
   for (int i = 0; i < 5; ++i) {
-    hs.add("u" + std::to_string(i), http::HintPriority::Unimportant, i);
+    hs.add(interner.url_id("u" + std::to_string(i)),
+           http::HintPriority::Unimportant, i);
   }
   for (int i = 0; i < 3; ++i) {
-    hs.add("p" + std::to_string(i), http::HintPriority::Preload, i);
+    hs.add(interner.url_id("p" + std::to_string(i)),
+           http::HintPriority::Preload, i);
   }
-  hs.add("s0", http::HintPriority::SemiImportant, 0);
+  hs.add(interner.url_id("s0"), http::HintPriority::SemiImportant, 0);
 
   http::HintSet untouched = hs;
   truncate_hints(untouched, 0);
@@ -472,7 +608,7 @@ TEST_F(CoreTest, TruncateHintsDropsLowPriorityFirst) {
   EXPECT_EQ(semi, 1);
   EXPECT_EQ(low, 1);
   // Within a class, earlier processing order survives.
-  EXPECT_EQ(hs.hints[0].url, "p0");
+  EXPECT_EQ(interner.url(hs.hints[0].url), "p0");
 }
 
 TEST_F(CoreTest, HintBudgetStillLoadsAndLimitsHeaderCount) {
@@ -507,7 +643,7 @@ TEST_F(CoreTest, ProviderAdvisesOnRootRequest) {
   EXPECT_GT(advice.extra_delay, 0);  // online HTML scan costs time
   // Hints must not include iframe descendants.
   for (const auto& h : advice.hints.hints) {
-    auto rid = instance_->find_by_url(h.url);
+    auto rid = instance_->template_of(h.url);
     if (rid.has_value()) {
       const web::Resource& r = page_.resource(*rid);
       if (r.in_iframe) {
@@ -543,10 +679,10 @@ TEST_F(CoreTest, ResolutionModesNested) {
   // Vroom = offline + online, so it advises at least as much.
   EXPECT_GE(vroom_set.size(), offline_set.size());
   // Online overrides give exact current URLs for markup children.
-  std::set<std::string> vroom_urls;
-  for (auto& [rid, url] : vroom_set) vroom_urls.insert(url);
+  std::set<web::UrlId> vroom_urls;
+  for (const auto& [rid, url] : vroom_set) vroom_urls.insert(url);
   for (const web::ScannedLink& l : web::scan_html(*instance_, 0)) {
-    EXPECT_TRUE(vroom_urls.count(l.url)) << l.url;
+    EXPECT_TRUE(vroom_urls.count(l.url_id)) << l.url;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string_view>
 
 #include "baselines/strategies.h"
 #include "browser/cache.h"
@@ -189,7 +190,8 @@ TEST_P(ProviderModeTest, AdviceIsWellFormed) {
   EXPECT_FALSE(advice.hints.empty());
   for (const auto& h : advice.hints.hints) {
     // Every hinted URL parses and belongs to this page's model.
-    EXPECT_TRUE(web::servable_size(page, h.url).has_value()) << h.url;
+    const std::string_view url = instance.interner().url(h.url);
+    EXPECT_TRUE(web::servable_size(page, url).has_value()) << url;
   }
   for (const auto& p : advice.pushes) {
     EXPECT_EQ(web::url_domain(p.url), page.first_party());
@@ -229,7 +231,8 @@ TEST(IframeAdviceTest, AdServerAdvisesOnItsIframe) {
     const auto advice = provider.advise(r.domain, req);
     // Everything under a third-party iframe is low priority (footnote 4).
     for (const auto& h : advice.hints.hints) {
-      EXPECT_EQ(h.priority, http::HintPriority::Unimportant) << h.url;
+      EXPECT_EQ(h.priority, http::HintPriority::Unimportant)
+          << instance.interner().url(h.url);
     }
     return;  // one is enough
   }

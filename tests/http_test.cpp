@@ -31,6 +31,17 @@ class FakeServer : public RequestHandler {
   bool serve_304 = false;
 };
 
+// A push of `url` as an origin sends it: interned in the page world's
+// `interner`, and stamped with the interned URL's processability.
+PushItem push_of(web::Interner& interner, std::string_view url,
+                 std::int64_t bytes) {
+  const web::UrlId id = interner.url_id(url);
+  return PushItem{.url_id = id,
+                  .url = interner.url(id),
+                  .body_bytes = bytes,
+                  .processable = interner.info(id).processable};
+}
+
 // "a.com/p1/r<i>v1.<ext>" for i in [0, n). A Request views its URL, so a
 // test keeps these alive until its loop has run.
 std::vector<std::string> numbered_urls(int n, const std::string& ext) {
@@ -49,6 +60,7 @@ class HttpTest : public ::testing::Test {
   sim::EventLoop loop_;
   net::Network net_;
   FakeServer server_;
+  web::Interner interner_;  // mints the ids hints and pushes carry
 };
 
 TEST_F(HttpTest, Http2SingleFetchDeliversHeadersThenBody) {
@@ -106,16 +118,16 @@ TEST_F(HttpTest, Http2PushPromiseAndContent) {
   PushObserver obs;
   std::vector<std::string> promised, pushed;
   sim::Time promise_at = -1;
-  obs.on_promise = [&](const std::string& url, std::int64_t) {
-    promised.push_back(url);
+  obs.on_promise = [&](web::UrlId url, std::int64_t) {
+    promised.emplace_back(interner_.url(url));
     promise_at = loop_.now();
   };
-  obs.on_complete = [&](const std::string& url, std::int64_t) {
-    pushed.push_back(url);
+  obs.on_complete = [&](web::UrlId url, std::int64_t) {
+    pushed.emplace_back(interner_.url(url));
   };
   Http2Session session(net_, "a.com", server_, obs);
-  server_.next.pushes = {PushItem{"a.com/p1/r5v1.css", 4000},
-                         PushItem{"a.com/p1/r6v1.js", 6000}};
+  server_.next.pushes = {push_of(interner_, "a.com/p1/r5v1.css", 4000),
+                         push_of(interner_, "a.com/p1/r6v1.js", 6000)};
   sim::Time html_done = -1;
   Request req;
   req.url = "a.com/p1/r0v1.html";
@@ -131,14 +143,16 @@ TEST_F(HttpTest, Http2PushPromiseAndContent) {
 
 TEST_F(HttpTest, Http2HintsVisibleAtHeaders) {
   Http2Session session(net_, "a.com", server_, {});
-  server_.next.hints.add("b.com/p1/r9v1.js", HintPriority::Preload, 0);
+  const web::UrlId hinted = interner_.url_id("b.com/p1/r9v1.js");
+  server_.next.hints.add(hinted, HintPriority::Preload, 0);
   bool saw = false;
   Request req;
   req.url = "a.com/p1/r0v1.html";
   ResponseHandlers h;
   h.on_headers = [&](const ResponseMeta& m) {
     saw = !m.hints.empty();
-    EXPECT_EQ(m.hints.hints[0].url, "b.com/p1/r9v1.js");
+    EXPECT_EQ(m.hints.hints[0].url, hinted);
+    EXPECT_EQ(interner_.url(m.hints.hints[0].url), "b.com/p1/r9v1.js");
   };
   session.fetch(req, std::move(h));
   loop_.run();
@@ -237,22 +251,34 @@ TEST_F(HttpTest, Http1HigherPriorityJumpsQueue) {
 }
 
 // Replies with a body size derived from the request's url_id; the reply
-// to url_id 0 also pushes one resource.
+// to url_id 0 also pushes one resource, interned in `interner`.
 class SizedServer : public RequestHandler {
  public:
+  explicit SizedServer(web::Interner& interner) : interner_(interner) {}
+
   ServerReply handle(const Request& req) override {
     ServerReply r;
     r.body_bytes = 1'000 + 500 * static_cast<std::int64_t>(req.url_id);
-    if (req.url_id == 0) r.pushes = {PushItem{"a.com/p1/r50v1.css", 3'000}};
+    if (req.url_id == 0) {
+      r.pushes = {push_of(interner_, "a.com/p1/r50v1.css", 3'000)};
+    }
     return r;
   }
+
+ private:
+  web::Interner& interner_;
 };
 
 // Fetches url ids 0..6 on one endpoint, each but the first from inside
-// another exchange's on_headers or on_complete handler.
+// another exchange's on_headers or on_complete handler. The ids are those
+// of the seven numbered URLs in a fresh `interner`.
 class Refetcher {
  public:
-  explicit Refetcher(Endpoint& ep) : ep_(ep) {}
+  Refetcher(Endpoint& ep, web::Interner& interner) : ep_(ep) {
+    for (web::UrlId id = 0; id < urls_.size(); ++id) {
+      EXPECT_EQ(interner.url_id(urls_[id]), id);
+    }
+  }
 
   void fetch(web::UrlId id) {
     Request req;
@@ -299,17 +325,17 @@ class Refetcher {
 };
 
 TEST_F(HttpTest, Http2HandlersMayFetchAgain) {
-  SizedServer server;
+  SizedServer server(interner_);
   int promised = 0, pushed = 0;
   PushObserver obs;
-  obs.on_promise = [&](const std::string&, std::int64_t) { ++promised; };
-  obs.on_complete = [&](const std::string& url, std::int64_t bytes) {
+  obs.on_promise = [&](web::UrlId, std::int64_t) { ++promised; };
+  obs.on_complete = [&](web::UrlId url, std::int64_t bytes) {
     ++pushed;
-    EXPECT_EQ(url, "a.com/p1/r50v1.css");
+    EXPECT_EQ(interner_.url(url), "a.com/p1/r50v1.css");
     EXPECT_EQ(bytes, 3'000);
   };
   Http2Session session(net_, "a.com", server, obs);
-  Refetcher client(session);
+  Refetcher client(session, interner_);
   client.fetch(0);
   loop_.run();
   client.expect_all_complete();
@@ -318,9 +344,9 @@ TEST_F(HttpTest, Http2HandlersMayFetchAgain) {
 }
 
 TEST_F(HttpTest, Http1HandlersMayFetchAgain) {
-  SizedServer server;
+  SizedServer server(interner_);
   Http1Group group(net_, "a.com", server);
-  Refetcher client(group);
+  Refetcher client(group, interner_);
   client.fetch(0);
   loop_.run();
   client.expect_all_complete();
@@ -344,12 +370,13 @@ TEST_F(HttpTest, PoolCreatesOneEndpointPerDomain) {
 
 // A hint costs its header bytes whatever its priority class.
 TEST(HintSetTest, ByPriorityAndHeaderBytes) {
+  web::Interner interner;
   HintSet hs;
   EXPECT_EQ(hs.header_bytes(), 0);
-  hs.add("a.com/p1/r1v1.js", HintPriority::Preload, 0);
+  hs.add(interner.url_id("a.com/p1/r1v1.js"), HintPriority::Preload, 0);
   EXPECT_EQ(hs.header_bytes(), 60);
-  hs.add("a.com/p1/r2v1.jpg", HintPriority::Unimportant, 0);
-  hs.add("a.com/p1/r3v1.js", HintPriority::SemiImportant, 0);
+  hs.add(interner.url_id("a.com/p1/r2v1.jpg"), HintPriority::Unimportant, 0);
+  hs.add(interner.url_id("a.com/p1/r3v1.js"), HintPriority::SemiImportant, 0);
   EXPECT_EQ(hs.header_bytes(), 180);
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "server/origin_server.h"
 #include "server/replay_store.h"
 #include "web/page_generator.h"
@@ -26,6 +29,17 @@ class ServerTest : public ::testing::Test {
     return req;
   }
 
+  // `url`'s id in the page world's interner, which advice speaks.
+  web::UrlId id_of(std::string_view url) const {
+    return instance_->interner().url_id(url);
+  }
+  http::PushItem push_of(std::string_view url, std::int64_t bytes) const {
+    const web::UrlId id = id_of(url);
+    return {.url_id = id,
+            .url = instance_->interner().url(id),
+            .body_bytes = bytes};
+  }
+
   web::PageModel page_;
   web::LoadIdentity id_;
   std::unique_ptr<web::PageInstance> instance_;
@@ -50,6 +64,17 @@ TEST_F(ServerTest, StoreResolvesStaleVersions) {
   ASSERT_TRUE(e.has_value());
   EXPECT_FALSE(e->current);
   EXPECT_GT(e->size, 0);
+  // A request carrying the stale URL's interned id resolves from the
+  // interned fields to the same entry.
+  http::Request req = request_for(4);
+  req.url = stale;
+  req.url_id = id_of(stale);
+  auto by_id = store_->lookup(req);
+  ASSERT_TRUE(by_id.has_value());
+  EXPECT_FALSE(by_id->current);
+  EXPECT_EQ(by_id->size, e->size);
+  EXPECT_EQ(by_id->type, e->type);
+  EXPECT_EQ(by_id->template_id, e->template_id);
 }
 
 TEST_F(ServerTest, StoreRejectsForeignUrls) {
@@ -91,8 +116,8 @@ class FixedProvider : public DependencyProvider {
 TEST_F(ServerTest, ProviderConsultedOnlyForHtml) {
   OriginServer s(page_.first_party(), *store_);
   FixedProvider provider;
-  provider.advice.hints.add("x.com/p1/r1v1.js", http::HintPriority::Preload,
-                            0);
+  provider.advice.hints.add(id_of("x.com/p1/r1v1.js"),
+                            http::HintPriority::Preload, 0);
   s.set_provider(&provider);
 
   auto html_reply = s.handle(request_for(0));
@@ -112,13 +137,14 @@ TEST_F(ServerTest, CrossDomainPushesFiltered) {
   OriginServer s(page_.first_party(), *store_);
   FixedProvider provider;
   provider.advice.pushes = {
-      http::PushItem{"evil.com/p7/r1v1.js", 100},
-      http::PushItem{web::make_url(page_.first_party(), 7, 1, 1, 0, "js"),
-                     100}};
+      push_of("evil.com/p7/r1v1.js", 100),
+      push_of(web::make_url(page_.first_party(), 7, 1, 1, 0, "js"), 100)};
   s.set_provider(&provider);
   auto reply = s.handle(request_for(0));
   ASSERT_EQ(reply.pushes.size(), 1u);
   EXPECT_EQ(web::url_domain(reply.pushes[0].url), page_.first_party());
+  // The origin stamps the push with its interned type's processability.
+  EXPECT_TRUE(reply.pushes[0].processable);
 }
 
 TEST_F(ServerTest, CachedContentNotPushed) {
@@ -126,9 +152,9 @@ TEST_F(ServerTest, CachedContentNotPushed) {
   FixedProvider provider;
   const std::string local =
       web::make_url(page_.first_party(), 7, 1, 1, 0, "js");
-  provider.advice.pushes = {http::PushItem{local, 100}};
+  provider.advice.pushes = {push_of(local, 100)};
   s.set_provider(&provider);
-  s.set_cache_digest([&](const std::string& url) { return url == local; });
+  s.set_cache_digest([&](std::string_view url) { return url == local; });
   auto reply = s.handle(request_for(0));
   EXPECT_TRUE(reply.pushes.empty());
 }
@@ -136,8 +162,8 @@ TEST_F(ServerTest, CachedContentNotPushed) {
 TEST_F(ServerTest, FarmLazilyCreatesAndConfigures) {
   ServerFarm farm(*store_);
   FixedProvider provider;
-  provider.advice.hints.add("x.com/p1/r1v1.js", http::HintPriority::Preload,
-                            0);
+  provider.advice.hints.add(id_of("x.com/p1/r1v1.js"),
+                            http::HintPriority::Preload, 0);
   farm.set_provider_for_all(&provider);
   OriginServer& fp = farm.server(page_.first_party());
   EXPECT_FALSE(fp.handle(request_for(0)).hints.empty());
@@ -148,8 +174,8 @@ TEST_F(ServerTest, FarmLazilyCreatesAndConfigures) {
 TEST_F(ServerTest, FirstPartyOnlyAidLeavesThirdPartiesPlain) {
   ServerFarm farm(*store_);
   FixedProvider provider;
-  provider.advice.hints.add("x.com/p1/r1v1.js", http::HintPriority::Preload,
-                            0);
+  provider.advice.hints.add(id_of("x.com/p1/r1v1.js"),
+                            http::HintPriority::Preload, 0);
   farm.set_provider_first_party_only(&provider);
 
   // Find an iframe doc hosted by a third party.

@@ -234,6 +234,12 @@ TEST_F(PageTest, FindByUrlAndServableSize) {
   auto size = servable_size(page_, stale);
   ASSERT_TRUE(size.has_value());
   EXPECT_GT(*size, 0);
+  // Interned, the stale URL is servable from its interned fields alike.
+  Interner& interner = inst.interner();
+  EXPECT_EQ(servable_size(page_, interner, interner.url_id(stale)), size);
+  EXPECT_FALSE(
+      servable_size(page_, interner, interner.url_id("x.com/p9/r9v9.js"))
+          .has_value());
 }
 
 TEST_F(PageTest, HtmlScannerSeesOnlyMarkupChildren) {
@@ -247,6 +253,9 @@ TEST_F(PageTest, HtmlScannerSeesOnlyMarkupChildren) {
   double prev = -1;
   for (const auto& l : links) {
     const Resource& r = page_.resource(l.template_id);
+    // The link is the served instance's own URL, viewed, not copied.
+    EXPECT_EQ(l.url_id, inst.resource(l.template_id).url_id);
+    EXPECT_EQ(l.url.data(), inst.interner().url(l.url_id).data());
     EXPECT_EQ(r.parent, 0);
     EXPECT_EQ(r.via, DiscoveryVia::HtmlTag);
     EXPECT_GE(l.offset, prev);  // ordered by document position
